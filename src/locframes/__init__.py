@@ -10,9 +10,11 @@ from .algebras import (
 )
 from .errors import (
     BijectivityError,
+    ConfigError,
     ContractError,
     DimensionMismatchError,
     DivergedError,
+    InputFileError,
     InsufficientDataError,
     InvalidInputError,
     LocframesError,
@@ -24,6 +26,7 @@ from .frames import (
     Frame,
     FrameBounds,
     analysis,
+    analysis_qr,
     canonical_dual,
     frame_bounds,
     frame_operator,
@@ -52,7 +55,12 @@ from .galerkin import (
     schur_certificate,
 )
 from .indexing import IndexSet
-from .linalg import generalized_condition_number, numerical_rank, pseudo_inverse
+from .linalg import (
+    generalized_condition_number,
+    numerical_rank,
+    pseudo_inverse,
+    range_spectrum,
+)
 from .localization import (
     CoorbitSpec,
     LocalizationReport,

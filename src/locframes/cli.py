@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io
 from .algebras import MatrixAlgebraSpec, admissible_weight_check
-from .errors import DivergedError, LocframesError
+from .errors import ConfigError, DivergedError, LocframesError
 from .frames import (
     canonical_dual,
     frame_bounds,
@@ -65,17 +65,34 @@ def _float_list(text):
     return [float(t) for t in text.split(",") if t.strip()]
 
 
+def _required(cfg, key):
+    """A setting the command cannot run without."""
+    if cfg.get(key) is None:
+        raise ConfigError(f"missing required setting --{key.replace('_', '-')}")
+    return cfg[key]
+
+
+def _check_settings(cfg):
+    """Reject a non-finite --tol or --theta, and a --tol that is not positive."""
+    for key in ("tol", "theta"):
+        if cfg.get(key) is not None and not math.isfinite(float(cfg[key])):
+            raise ConfigError(f"--{key} must be finite, got {cfg[key]!r}")
+    if cfg.get("tol") is not None and float(cfg["tol"]) <= 0:
+        raise ConfigError(f"--tol must be positive, got {cfg['tol']!r}")
+
+
 def build_frame(cfg, seed):
-    kind = cfg["kind"]
+    kind = _required(cfg, "kind")
     if kind == "onb":
-        return make_onb(int(cfg["n"]))
+        return make_onb(int(_required(cfg, "n")))
     if kind == "gabor":
-        n = int(cfg["n"])
+        n = int(_required(cfg, "n"))
         width = cfg.get("width")
         window = gaussian_window(n, width=float(width) if width else None)
-        return make_gabor_frame(n, int(cfg["a"]), int(cfg["b"]), window)
+        return make_gabor_frame(n, int(_required(cfg, "a")), int(_required(cfg, "b")),
+                                window)
     if kind == "translates":
-        n = int(cfg["n"])
+        n = int(_required(cfg, "n"))
         iset = IndexSet.ring(n)
         gen = np.zeros(n)
         gen[0] = 1.0
@@ -85,7 +102,7 @@ def build_frame(cfg, seed):
         return make_translates_frame(n, int(cfg.get("step", 1)), gen)
     if kind == "perturbed-onb":
         return make_perturbed_onb(
-            int(cfg["n"]), float(cfg.get("decay_s", 3.0)), int(seed)
+            int(_required(cfg, "n")), float(cfg.get("decay_s", 3.0)), int(seed)
         )
     raise LocframesError(f"unknown frame kind {kind!r}")
 
@@ -95,7 +112,7 @@ def build_operator(cfg, n):
     if kind == "identity":
         return LinearOperator.identity(n)
     if kind == "diagonal":
-        return make_test_operator("diagonal", n, spectrum=cfg["spectrum"])
+        return make_test_operator("diagonal", n, spectrum=_required(cfg, "spectrum"))
     params = {}
     if cfg.get("theta") is not None:
         params["theta"] = float(cfg["theta"])
@@ -138,7 +155,7 @@ def cmd_frame_build(cfg, out, seed, threads):
 
 
 def cmd_frame_diag(cfg, out, seed, threads):
-    frame = io.load_frame(Path(cfg["frame"]))
+    frame = io.load_frame(Path(_required(cfg, "frame")))
     alg = MatrixAlgebraSpec(
         cfg.get("algebra", "jaffard"),
         float(cfg.get("s", 3.0)),
@@ -186,7 +203,7 @@ def cmd_frame_diag(cfg, out, seed, threads):
 
 
 def _load_frame_pair(cfg):
-    frame = io.load_frame(Path(cfg["frame"]))
+    frame = io.load_frame(Path(_required(cfg, "frame")))
     right = cfg.get("right", "dual")
     if right == "self":
         return frame, frame
@@ -224,7 +241,7 @@ def cmd_galerkin_assemble(cfg, out, seed, threads):
 
 
 def cmd_galerkin_certify(cfg, out, seed, threads):
-    entries, sidecar = io.load_array(Path(cfg["matrix"]))
+    entries, sidecar = io.load_array(Path(_required(cfg, "matrix")))
     case = cfg.get("case", "inf_inf")
     k_out, k_in = entries.shape
     w1 = Weight((1.0 + np.arange(k_in)) ** float(cfg.get("w1_power", 0.0)))
@@ -278,7 +295,7 @@ def cmd_solve_fs(cfg, out, seed, threads):
 
 
 def cmd_solve_fg(cfg, out, seed, threads):
-    frame = io.load_frame(Path(cfg["frame"]))
+    frame = io.load_frame(Path(_required(cfg, "frame")))
     op = build_operator(cfg, frame.ambient_dim)
     g = make_rhs(cfg, frame.ambient_dim, seed)
     f, report = frame_galerkin_solve(
@@ -390,6 +407,7 @@ def main(argv=None):
     out.mkdir(parents=True, exist_ok=True)
     command = COMMANDS[(args.group, args.sub)]
     try:
+        _check_settings(cfg)
         return command(cfg, out, int(cfg.get("seed", 0)), int(cfg.get("threads", 1)))
     except NotLocalizedError as err:
         # non-member frames are reported, not failed

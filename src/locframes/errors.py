@@ -27,6 +27,18 @@ class InvalidInputError(LocframesError):
     code = "invalid-input"
 
 
+class ConfigError(LocframesError):
+    """A required setting is missing or a numeric setting is out of range."""
+
+    code = "config"
+
+
+class InputFileError(LocframesError):
+    """An input container is missing or holds another kind of data."""
+
+    code = "input-file"
+
+
 class NotAFrameError(LocframesError):
     """Rank-deficient or undersized vector family."""
 

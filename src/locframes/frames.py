@@ -69,6 +69,7 @@ class Frame:
         self._frame_op = None
         self._bounds = None
         self._dual = None
+        self._analysis_qr = None
 
     @property
     def ambient_dim(self):
@@ -120,6 +121,20 @@ def frame_operator(frame: Frame):
         s.setflags(write=False)
         frame._frame_op = s
     return frame._frame_op
+
+
+def analysis_qr(frame: Frame):
+    """Thin QR V^* = Q R of the analysis matrix, r = min(K, n).
+
+    Q is K x r with orthonormal columns and R is r x n, so Q spans the
+    range of the analysis operator whenever the family spans C^n.
+    """
+    if frame._analysis_qr is None:
+        q, r = np.linalg.qr(np.conj(frame.vectors.T))
+        q.setflags(write=False)
+        r.setflags(write=False)
+        frame._analysis_qr = (q, r)
+    return frame._analysis_qr
 
 
 def _hermitian_extreme_eigs(s):

@@ -16,8 +16,8 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
 )
-from .frames import Frame, analysis, canonical_dual, gram, synthesis
-from .linalg import generalized_condition_number
+from .frames import Frame, analysis, analysis_qr, canonical_dual, gram, synthesis
+from .linalg import generalized_condition_number, range_spectrum
 from .opnorms import exact_operator_norm, interpolation_upper, weighted_matrix
 from .weights import SeqSpaceSpec, seq_norm
 
@@ -155,14 +155,15 @@ def roundtrip_check(op, phi: Frame, psi: Frame):
     """Relative defect of both orderings of the representation identity.
 
     Checks O(phi,psi) o M(dual phi,dual psi) = Id = O(dual...) o M(phi,psi)
-    applied to the given operator, in the dense 2-norm.
+    applied to the given operator, in the dense 2-norm.  Each side
+    D_left M C_right is materialized as one matrix product.
     """
     op = as_operator(op)
     dense = op.dense()
     scale = max(np.linalg.norm(dense, 2), 1e-300)
     phid, psid = canonical_dual(phi), canonical_dual(psi)
-    first = operator_from_matrix(galerkin_matrix(op, phid, psid), phi, psi).dense()
-    second = operator_from_matrix(galerkin_matrix(op, phi, psi), phid, psid).dense()
+    first = phi.vectors @ galerkin_matrix(op, phid, psid).entries @ np.conj(psi.vectors.T)
+    second = phid.vectors @ galerkin_matrix(op, phi, psi).entries @ np.conj(psid.vectors.T)
     r1 = np.linalg.norm(first - dense, 2) / scale
     r2 = np.linalg.norm(second - dense, 2) / scale
     return float(max(r1, r2))
@@ -417,6 +418,12 @@ def schur_certificate(m, case, p=2.0, weights=None):
         )
     else:  # two_two
         g = np.conj(mb.T) @ mb
+        # powers of G / c with c its largest diagonal entry: the top
+        # eigenvalue of G / c lies in [1, K], so G^20 neither overflows
+        # nor underflows at any scale of M; every root is scaled back by c
+        c = float(np.max(np.real(np.diag(g)))) if g.size else 0.0
+        c = c if c > 0 else 1.0
+        g /= c
         powers = {1: g}
         powers[2] = g @ g
         powers[4] = powers[2] @ powers[2]
@@ -424,7 +431,7 @@ def schur_certificate(m, case, p=2.0, weights=None):
         powers[16] = powers[8] @ powers[8]
         powers[POWER_ITERATIONS] = powers[16] @ powers[4]
         roots = {
-            n: float(np.max(np.real(np.diag(gn))) ** (1.0 / n))
+            n: c * float(np.max(np.real(np.diag(gn))) ** (1.0 / n))
             for n, gn in powers.items()
         }
         # the diagonal roots approach ||.||_2^2 from BELOW; log-domain
@@ -433,7 +440,7 @@ def schur_certificate(m, case, p=2.0, weights=None):
         # eigenvalue, so it certifies the bound.
         r8, r16 = roots[8], roots[16]
         extrapolated = math.exp(2.0 * math.log(r16) - math.log(r8)) if r8 > 0 else 0.0
-        trace_k = float(
+        trace_k = c * float(
             np.real(np.trace(powers[POWER_ITERATIONS])) ** (1.0 / POWER_ITERATIONS)
         )
         bound = math.sqrt(trace_k)
@@ -489,16 +496,19 @@ def kappa_factorization_probe(op, phi: Frame, psi: Frame):
     Generalized condition numbers of pseudo-inverse products are not
     submultiplicative in general, so neither direction is enforced: the
     probe reports both sides, their ratio, and whether lhs <= rhs held.
+    The K x K matrices M(phi,psi), G(phi,psi) and G(dual psi,psi) have
+    their spectra computed in the frames' ranges.
     """
     op = as_operator(op)
     dense = op.dense()
     if np.linalg.cond(dense) > OPERATOR_COND_CAP:
         raise BijectivityError("operator must be invertible for the kappa probe")
-    psid = canonical_dual(psi)
-    lhs = generalized_condition_number(galerkin_matrix(op, phi, psi).entries)
+    qr_phi, qr_psi = analysis_qr(phi), analysis_qr(psi)
+    qr_psid = analysis_qr(canonical_dual(psi))
+    lhs = range_spectrum(qr_phi, qr_psi, dense).kappa
     rhs = (
-        generalized_condition_number(gram(phi, psi))
-        * generalized_condition_number(gram(psid, psi))
+        range_spectrum(qr_phi, qr_psi).kappa
+        * range_spectrum(qr_psid, qr_psi).kappa
         * generalized_condition_number(dense)
     )
     return {

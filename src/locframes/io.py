@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InputFileError
 from .frames import Frame
 from .indexing import IndexSet
 
@@ -66,7 +67,10 @@ def save_array(base, arr, sidecar):
 
 def load_array(base):
     base = Path(base)
-    return np.load(base.with_suffix(".npy")), load_json(base.with_suffix(".json"))
+    try:
+        return np.load(base.with_suffix(".npy")), load_json(base.with_suffix(".json"))
+    except FileNotFoundError as err:
+        raise InputFileError(f"no container at {base}: {err.filename} is missing") from err
 
 
 def save_frame(base, frame: Frame):
@@ -82,7 +86,7 @@ def save_frame(base, frame: Frame):
 def load_frame(base):
     vectors, sidecar = load_array(base)
     if sidecar.get("container") != "frame":
-        raise ValueError(f"{base} is not a frame container")
+        raise InputFileError(f"{base} is not a frame container")
     return Frame(
         vectors,
         IndexSet.from_dict(sidecar["index_set"]),

@@ -1,10 +1,30 @@
-"""SVD-based pseudo-inversion and generalized condition numbers."""
+"""SVD-based pseudo-inversion and generalized condition numbers.
+
+Galerkin and Gram matrices V_l^* X V_r of two frames are decomposed in
+the frames' n-dimensional ranges, see ``range_spectrum``.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import DimensionMismatchError, InvalidInputError
 
 DEFAULT_RANK_TOL = 1e-10
+
+
+def _rank(s, rank_tol):
+    """Count of descending singular values above ``rank_tol * s[0]``."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > rank_tol * s[0]))
+
+
+def _kappa(s, rank):
+    """Largest over smallest of the ``rank`` leading singular values."""
+    if rank == 0:
+        raise InvalidInputError("condition number of the zero matrix is undefined")
+    return float(s[0] / s[rank - 1])
 
 
 def pseudo_inverse(m, rank_tol=DEFAULT_RANK_TOL):
@@ -23,16 +43,66 @@ def pseudo_inverse(m, rank_tol=DEFAULT_RANK_TOL):
 
 
 def numerical_rank(m, rank_tol=DEFAULT_RANK_TOL):
-    s = np.linalg.svd(np.asarray(m), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+    return _rank(np.linalg.svd(np.asarray(m), compute_uv=False), rank_tol)
 
 
 def generalized_condition_number(m, rank_tol=DEFAULT_RANK_TOL):
     """Ratio of the largest to the smallest nonzero singular value."""
     s = np.linalg.svd(np.asarray(m), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        raise InvalidInputError("condition number of the zero matrix is undefined")
-    pos = s[s > rank_tol * s[0]]
-    return float(pos[0] / pos[-1])
+    return _kappa(s, _rank(s, rank_tol))
+
+
+@dataclass(frozen=True)
+class RangeSpectrum:
+    """Nonzero singular values of A = Q_l C Q_r^* and, on request, A^+.
+
+    ``values`` are the core's singular values above the relative rank
+    cutoff, descending; ``kappa`` is their generalized condition number.
+    """
+
+    values: np.ndarray
+    kappa: float
+    q_left: np.ndarray
+    q_right: np.ndarray
+    u: np.ndarray = None
+    vh: np.ndarray = None
+
+    def pinv_apply(self, b):
+        """A^+ b = Q_r C^+ Q_l^* b; needs the factors."""
+        if self.u is None:
+            raise InvalidInputError("spectrum was computed without factors")
+        k = self.values.size
+        y = np.conj(self.u[:, :k].T) @ (np.conj(self.q_left.T) @ b)
+        y = y / self.values.reshape((k,) + (1,) * (y.ndim - 1))
+        return self.q_right @ (np.conj(self.vh[:k].T) @ y)
+
+
+def range_spectrum(left, right, x=None, factors=False):
+    """Spectrum of V_l^* X V_r from the thin QR factors of both frames.
+
+    ``left`` and ``right`` are the pairs (Q, R) with V^* = Q R; ``x``
+    defaults to the identity (a cross-Gram matrix).  Only the small core
+    R_l X R_r^* is decomposed.  With ``factors`` its singular vectors are
+    kept so that the pseudo-inverse can be applied.  The rank cutoff is
+    ``DEFAULT_RANK_TOL`` relative to the largest singular value.
+    """
+    (q_l, r_l), (q_r, r_r) = left, right
+    n_l, n_r = r_l.shape[1], r_r.shape[1]
+    if x is None:
+        if n_l != n_r:
+            raise DimensionMismatchError(f"ambient dims differ: {n_l} vs {n_r}")
+        core = r_l @ np.conj(r_r.T)
+    else:
+        x = np.asarray(x)
+        if x.shape != (n_l, n_r):
+            raise DimensionMismatchError(
+                f"operator {x.shape} does not map {n_r} -> {n_l}"
+            )
+        core = r_l @ x @ np.conj(r_r.T)
+    if factors:
+        u, s, vh = np.linalg.svd(core, full_matrices=False)
+    else:
+        u = vh = None
+        s = np.linalg.svd(core, compute_uv=False)
+    rank = _rank(s, DEFAULT_RANK_TOL)
+    return RangeSpectrum(s[:rank], _kappa(s, rank), q_l, q_r, u, vh)

@@ -8,14 +8,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, InvalidInputError
-from .frames import Frame, analysis, synthesis
+from .frames import Frame, analysis, analysis_qr, synthesis
 from .galerkin import LinearOperator, as_operator, galerkin_matrix
 from .indexing import IndexSet
-from .linalg import generalized_condition_number, pseudo_inverse
+from .linalg import pseudo_inverse, range_spectrum
 
 PROJECTION_TOL = 1e-10
 DEFAULT_TOL = 1e-8
 STAGNATION_WINDOW = 50
+# largest Frobenius-relative defect ||M - M^*||_F / ||M||_F for which a
+# matrix counts as Hermitian and CG runs on it directly
 HERMITIAN_TOL = 1e-8
 
 
@@ -180,12 +182,12 @@ class IterationResult:
     energies: list = field(default_factory=list)
     normal_equations: bool = False
     rate_estimate: float = None
+    diverged: bool = False
 
 
 def _hermitian_defect(m):
-    return float(
-        np.linalg.norm(m - np.conj(m.T), 2) / max(np.linalg.norm(m, 2), 1e-300)
-    )
+    """Frobenius-relative defect ||M - M^*||_F / ||M||_F, an O(K^2) check."""
+    return float(np.linalg.norm(m - np.conj(m.T)) / max(np.linalg.norm(m), 1e-300))
 
 
 def cg_solve(m, b, tol=1e-10, max_iter=None, normal_equations=False,
@@ -297,14 +299,11 @@ def richardson_solve(m, b, relaxation, tol=1e-10, max_iter=None):
         if rel <= tol:
             return IterationResult(x, updates, True, residuals, rate_estimate=rho)
         if rel > 10 * residuals[0]:
-            res = IterationResult(x, updates, False, residuals, rate_estimate=rho)
-            res.diverged = True
-            return res
+            return IterationResult(x, updates, False, residuals,
+                                   rate_estimate=rho, diverged=True)
         x = x + relaxation * r
         updates += 1
-    res = IterationResult(x, max_iter, False, residuals, rate_estimate=rho)
-    res.diverged = False
-    return res
+    return IterationResult(x, max_iter, False, residuals, rate_estimate=rho)
 
 
 # -- finite sections ----------------------------------------------------------
@@ -328,7 +327,7 @@ def _solve_level(a_dense, proj, y, method, tol):
         pos = s[s > PROJECTION_TOL * smax]
         lam = 2.0 / (pos[0] + pos[-1]) if pos.size else 1.0
         res = richardson_solve(a_c, rhs, lam, tol=tol * 1e-2)
-        if getattr(res, "diverged", False):
+        if res.diverged:
             return None, res.iterations, True
         x, its = res.c, res.iterations
     else:
@@ -432,41 +431,42 @@ def frame_galerkin_solve(op, g, phi: Frame, method="cg", tol=DEFAULT_TOL):
 
     The right side C_phi g lies in the range of the analysis operator,
     where the singular system matrix is uniquely solvable; the ambient
-    solution is synthesized from the range solution.  The final check
-    compares ||O f - g|| against the requested tolerance.
+    solution is synthesized from the range solution.  The spectrum of M
+    is computed once, in that n-dimensional range, and gives kappa^dagger,
+    the Richardson relaxation and the direct pseudo-inverse solve.  The
+    final check compares ||O f - g|| against the requested tolerance.
     """
+    if method not in ("cg", "richardson", "direct"):
+        raise InvalidInputError(f"unknown method {method!r}")
     op = as_operator(op)
     g = np.asarray(g, dtype=complex)
-    m = galerkin_matrix(op, phi, phi).entries
+    qr = analysis_qr(phi)
+    spectrum = range_spectrum(qr, qr, op.dense(), factors=method == "direct")
     b = analysis(phi, g)
     singular = phi.size > phi.ambient_dim
     iterations = 0
     normal_eq = False
-    if method == "cg":
-        hermitian = _hermitian_defect(m) <= HERMITIAN_TOL
-        res = cg_solve(m, b, tol=min(tol * 1e-2, 1e-10),
-                       normal_equations=not hermitian)
-        c, iterations = res.c, res.iterations
-        normal_eq = res.normal_equations
-        stalled = not res.converged
-    elif method == "richardson":
-        s = np.linalg.svd(m, compute_uv=False)
-        pos = s[s > PROJECTION_TOL * max(s[0], 1e-300)]
-        res = richardson_solve(m, b, 2.0 / (pos[0] + pos[-1]),
-                               tol=min(tol * 1e-2, 1e-10))
-        c, iterations = res.c, res.iterations
-        stalled = getattr(res, "diverged", False) or not res.converged
-    elif method == "direct":
-        c = pseudo_inverse(m) @ b
+    if method == "direct":
+        c = spectrum.pinv_apply(b)
         stalled = False
     else:
-        raise InvalidInputError(f"unknown method {method!r}")
+        m = galerkin_matrix(op, phi, phi).entries
+        if method == "cg":
+            hermitian = _hermitian_defect(m) <= HERMITIAN_TOL
+            res = cg_solve(m, b, tol=min(tol * 1e-2, 1e-10),
+                           normal_equations=not hermitian)
+            normal_eq = res.normal_equations
+        else:
+            s = spectrum.values
+            res = richardson_solve(m, b, 2.0 / (s[0] + s[-1]),
+                                   tol=min(tol * 1e-2, 1e-10))
+        c, iterations = res.c, res.iterations
+        stalled = res.diverged or not res.converged
     f = synthesis(phi, c)
     residual = float(np.linalg.norm(op.apply(f) - g))
     rel = residual / max(np.linalg.norm(g), 1e-300)
     level = LevelRecord(size=phi.size, residual=residual,
-                        iterations=iterations,
-                        kappa_dagger=generalized_condition_number(m))
+                        iterations=iterations, kappa_dagger=spectrum.kappa)
     report = SolveReport(
         method=method,
         converged=bool(rel <= tol and not stalled),

@@ -3,18 +3,27 @@
 import numpy as np
 import pytest
 
+from conftest import decaying_generator
 from locframes import (
+    DimensionMismatchError,
     InsufficientDataError,
     InvalidInputError,
     MatrixAlgebraSpec,
     SeqSpaceSpec,
     Weight,
     admissible_weight_check,
+    analysis_qr,
+    canonical_dual,
     decay_fit,
     dual_pairing,
+    gaussian_window,
     generalized_condition_number,
     jaffard_norm,
+    make_gabor_frame,
+    make_test_operator,
+    make_translates_frame,
     pseudo_inverse,
+    range_spectrum,
     schur_weighted_norm,
     seq_norm,
     seq_space_included,
@@ -328,6 +337,77 @@ class TestPseudoInverse:
     def test_zero_matrix_rejected(self):
         with pytest.raises(InvalidInputError):
             generalized_condition_number(np.zeros((3, 3)))
+
+
+# -- spectra in the frames' ranges --------------------------------------------
+
+
+def assert_range_spectrum_matches_dense(left, right, x):
+    """Core spectrum, kappa and pseudo-inverse of V_l^* X V_r against a dense SVD."""
+    dense = np.conj(left.vectors.T) @ (right.vectors if x is None else x @ right.vectors)
+    spec = range_spectrum(analysis_qr(left), analysis_qr(right), x, factors=True)
+    s = np.linalg.svd(dense, compute_uv=False)
+    rank = spec.values.size
+    assert rank == np.count_nonzero(s > 1e-10 * s[0])
+    assert np.abs(spec.values - s[:rank]).max() <= 1e-12 * s[0]
+    assert spec.kappa == pytest.approx(generalized_condition_number(dense), rel=1e-12)
+    dagger = pseudo_inverse(dense)
+    core_dagger = spec.pinv_apply(np.eye(left.size))
+    assert np.abs(core_dagger - dagger).max() <= 1e-12 * np.abs(dagger).max()
+
+
+def riesz_sequence():
+    """16 translates in C^64: K < n, a basis of a subspace only."""
+    return make_translates_frame(64, 4, decaying_generator(64), require_frame=False)
+
+
+class TestRangeSpectrum:
+    @pytest.mark.parametrize("name", ["onb", "gabor16", "gabor64", "gabor144",
+                                      "translates", "ponb"])
+    @pytest.mark.parametrize("middle", ["gram", "operator", "dual"])
+    def test_suite_frames_match_dense_svd(self, suite_frames, name, middle):
+        frame = suite_frames[name]
+        n = frame.ambient_dim
+        op = make_test_operator("identity_minus_kernel", n, theta=0.5).dense()
+        if middle == "gram":
+            assert_range_spectrum_matches_dense(frame, frame, None)
+        elif middle == "operator":
+            assert_range_spectrum_matches_dense(frame, frame, op)
+        else:
+            assert_range_spectrum_matches_dense(frame, canonical_dual(frame), op)
+
+    def test_riesz_sequence_with_fewer_vectors_than_dimensions(self):
+        riesz = riesz_sequence()
+        assert riesz.size < riesz.ambient_dim
+        op = make_test_operator("identity_minus_kernel", 64, theta=0.5).dense()
+        assert_range_spectrum_matches_dense(riesz, riesz, None)
+        assert_range_spectrum_matches_dense(riesz, riesz, op)
+
+    def test_unequal_left_and_right_frames(self, suite_frames):
+        gab, tra = suite_frames["gabor64"], suite_frames["translates"]
+        rng = np.random.default_rng(57)
+        op = random_complex(rng, 64, 64) / 8 + 4 * np.eye(64)
+        assert_range_spectrum_matches_dense(gab, tra, None)
+        assert_range_spectrum_matches_dense(gab, tra, op)
+        assert_range_spectrum_matches_dense(tra, gab, op)
+        assert_range_spectrum_matches_dense(gab, riesz_sequence(), op)
+
+    def test_qr_is_cached_and_frozen(self, suite_frames):
+        frame = suite_frames["gabor16"]
+        q, r = analysis_qr(frame)
+        assert analysis_qr(frame)[0] is q
+        assert q.shape == (32, 16) and r.shape == (16, 16)
+        assert not q.flags.writeable and not r.flags.writeable
+
+    def test_shape_mismatch_and_missing_factors_rejected(self, suite_frames):
+        gab16 = make_gabor_frame(16, 4, 2, gaussian_window(16))
+        qr16, qr64 = analysis_qr(gab16), analysis_qr(suite_frames["gabor64"])
+        with pytest.raises(DimensionMismatchError):
+            range_spectrum(qr16, qr64)
+        with pytest.raises(DimensionMismatchError):
+            range_spectrum(qr16, qr16, np.eye(64))
+        with pytest.raises(InvalidInputError):
+            range_spectrum(qr16, qr16).pinv_apply(np.ones(32))
 
 
 # -- admissible weights -------------------------------------------------------

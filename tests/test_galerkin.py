@@ -28,7 +28,8 @@ from locframes import (
     schur_certificate,
 )
 from locframes.galerkin import certificate_probe_norm
-from locframes.linalg import generalized_condition_number
+from locframes.linalg import generalized_condition_number, pseudo_inverse
+from locframes.solver import HERMITIAN_TOL, _hermitian_defect, frame_galerkin_solve
 
 
 def random_matrix(rng, n, m=None):
@@ -269,6 +270,20 @@ class TestSchurCertificates:
                    for v in cert.details["diagonal_roots"].values())
         assert 1.0 <= cert.certified_bound <= 8 ** (1 / 40) + 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_two_two_sound_at_extreme_scales(self, scale):
+        # G^20 of the raw Gram matrix overflows at 1e12 and underflows
+        # at 1e-12; the certificate must stay finite and above ||M||_2
+        m = scale * np.random.default_rng(59).standard_normal((40, 40))
+        w = Weight.ones(40)
+        cert = schur_certificate(m, "two_two", weights=(w, w))
+        truth = cert.details["svd_ground_truth"]
+        assert np.isfinite(cert.certified_bound)
+        assert truth <= cert.certified_bound * (1 + 1e-8)
+        assert cert.certified_bound <= truth * 40 ** (1 / 40) * (1 + 1e-8)
+        assert all(np.isfinite(v) and v <= truth**2 * (1 + 1e-8)
+                   for v in cert.details["diagonal_roots"].values())
+
     @pytest.mark.parametrize("case", ["inf_inf", "one_inf", "one_p", "two_two"])
     def test_probe_norms_never_exceed_bounds(self, rng, case):
         iset = IndexSet.ring(24)
@@ -393,7 +408,52 @@ class TestPseudoInverseAndKappa:
         )
         assert "submultiplicative" in out
 
+    def test_kappa_probe_matches_dense_spectra(self, suite_frames, rng):
+        gab, tra = suite_frames["gabor64"], suite_frames["translates"]
+        op = random_matrix(rng, 64) / 8 + 4 * np.eye(64)
+        out = kappa_factorization_probe(op, gab, tra)
+        lhs = generalized_condition_number(galerkin_matrix(op, gab, tra).entries)
+        rhs = (generalized_condition_number(gram(gab, tra))
+               * generalized_condition_number(gram(canonical_dual(tra), tra))
+               * generalized_condition_number(op))
+        assert out["lhs"] == pytest.approx(lhs, rel=1e-12)
+        assert out["rhs"] == pytest.approx(rhs, rel=1e-12)
+
     def test_kappa_singular_operator_rejected(self, suite_frames):
         frame = suite_frames["gabor16"]
         with pytest.raises(BijectivityError):
             kappa_factorization_probe(np.diag([1.0] * 15 + [0.0]), frame, frame)
+
+
+class TestFrameGalerkinSpectrum:
+    @pytest.mark.parametrize("name", ["gabor16", "gabor64", "translates", "ponb"])
+    def test_kappa_and_direct_solve_match_dense_svd(self, suite_frames, rng, name):
+        frame = suite_frames[name]
+        n = frame.ambient_dim
+        op = make_test_operator("identity_minus_kernel", n, theta=0.5)
+        g = random_matrix(rng, n, 1)[:, 0]
+        m = galerkin_matrix(op, frame, frame).entries
+        f, rep = frame_galerkin_solve(op, g, frame, method="direct")
+        assert rep.levels[0].kappa_dagger == pytest.approx(
+            generalized_condition_number(m), rel=1e-12
+        )
+        dense_f = frame.vectors @ (pseudo_inverse(m) @ analysis(frame, g))
+        assert np.linalg.norm(f - dense_f) <= 1e-12 * np.linalg.norm(dense_f)
+
+    @pytest.mark.parametrize("factor, normal_equations", [(0.5, False), (2.0, True)])
+    def test_hermitian_check_boundary(self, factor, normal_equations):
+        # H + E with E anti-Hermitian: ||M - M^*||_F = 2 ||E||_F and
+        # ||M||_F^2 = ||H||_F^2 + ||E||_F^2, so ||E||_F fixes the defect
+        n = 32
+        rng = np.random.default_rng(60)
+        h = make_test_operator("identity_minus_kernel", n, theta=0.5).dense()
+        a = random_matrix(rng, n)
+        skew = (a - np.conj(a.T)) / np.linalg.norm(a - np.conj(a.T))
+        target = factor * HERMITIAN_TOL
+        m = h + skew * target * np.linalg.norm(h) / np.sqrt(4 - target**2)
+        assert _hermitian_defect(m) == pytest.approx(target, rel=1e-6)
+        g = random_matrix(rng, n, 1)[:, 0]
+        f, rep = frame_galerkin_solve(m, g, make_onb(n), method="cg", tol=1e-8)
+        assert ("normal equations" in rep.message) == normal_equations
+        assert rep.converged
+        assert np.linalg.norm(m @ f - g) <= 1e-8 * np.linalg.norm(g)

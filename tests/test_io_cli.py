@@ -229,3 +229,40 @@ class TestCLI:
             assert files1 == files2
             for name in files1:
                 assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+class TestCLIContract:
+    """Bad input exits 2 with error.json, never with a traceback."""
+
+    @staticmethod
+    def error(out):
+        return json.loads((out / "error.json").read_text())["code"]
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "fg", "--frame", "missing/frame"),
+        ("galerkin", "certify", "--matrix", "missing/galerkin"),
+    ])
+    def test_missing_input_file(self, tmp_path, argv):
+        assert run_cli(*argv, "--out-dir", tmp_path) == 2
+        assert self.error(tmp_path) == "input-file"
+
+    def test_galerkin_container_passed_as_frame(self, tmp_path):
+        run_cli("frame", "build", "--kind", "onb", "--n", "8", "--out-dir", tmp_path)
+        run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
+                "--out-dir", tmp_path / "gal")
+        assert run_cli("frame", "diag", "--frame", tmp_path / "gal" / "galerkin",
+                       "--out-dir", tmp_path / "diag") == 2
+        assert self.error(tmp_path / "diag") == "input-file"
+
+    def test_gabor_build_without_lattice_steps(self, tmp_path):
+        assert run_cli("frame", "build", "--kind", "gabor", "--n", "16",
+                       "--out-dir", tmp_path) == 2
+        assert self.error(tmp_path) == "config"
+
+    @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "-1"),
+                                             ("--theta", "inf")])
+    def test_non_finite_numeric_setting(self, tmp_path, flag, value):
+        assert run_cli("solve", "fs", "--op-kind", "identity_minus_kernel",
+                       "--n", "16", flag, value, "--out-dir", tmp_path) == 2
+        assert self.error(tmp_path) == "config"
+        assert not (tmp_path / "solve_fs.json").exists()

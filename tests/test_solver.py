@@ -222,6 +222,7 @@ class TestRichardson:
     def test_identity_one_step(self):
         res = richardson_solve(np.eye(4), np.ones(4), 1.0)
         assert res.converged and res.iterations == 1
+        assert not res.diverged
 
     def test_frame_algorithm_rate(self, suite_frames):
         frame = suite_frames["gabor64"]
