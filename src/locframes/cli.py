@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io
 from .algebras import MatrixAlgebraSpec, admissible_weight_check
-from .errors import ConfigError, DivergedError, LocframesError
+from .errors import ConfigError, DivergedError, InputFileError, LocframesError
 from .frames import (
     canonical_dual,
     frame_bounds,
@@ -135,7 +135,7 @@ def make_rhs(cfg, n, seed):
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_frame_build(cfg, out, seed, threads):
+def cmd_frame_build(cfg, out, seed):
     frame = build_frame(cfg, seed)
     bounds = frame_bounds(frame)
     io.save_frame(out / "frame", frame)
@@ -154,7 +154,7 @@ def cmd_frame_build(cfg, out, seed, threads):
     return 0
 
 
-def cmd_frame_diag(cfg, out, seed, threads):
+def cmd_frame_diag(cfg, out, seed):
     frame = io.load_frame(Path(_required(cfg, "frame")))
     alg = MatrixAlgebraSpec(
         cfg.get("algebra", "jaffard"),
@@ -212,7 +212,7 @@ def _load_frame_pair(cfg):
     return frame, io.load_frame(Path(right))
 
 
-def cmd_galerkin_assemble(cfg, out, seed, threads):
+def cmd_galerkin_assemble(cfg, out, seed):
     frame, right = _load_frame_pair(cfg)
     op = build_operator(cfg, frame.ambient_dim)
     w = Weight.ones(frame.size)
@@ -240,7 +240,7 @@ def cmd_galerkin_assemble(cfg, out, seed, threads):
     return 0
 
 
-def cmd_galerkin_certify(cfg, out, seed, threads):
+def cmd_galerkin_certify(cfg, out, seed):
     entries, sidecar = io.load_array(Path(_required(cfg, "matrix")))
     case = cfg.get("case", "inf_inf")
     k_out, k_in = entries.shape
@@ -256,7 +256,7 @@ def cmd_galerkin_certify(cfg, out, seed, threads):
     return 0
 
 
-def cmd_galerkin_probe(cfg, out, seed, threads):
+def cmd_galerkin_probe(cfg, out, seed):
     frame, right = _load_frame_pair(cfg)
     op = build_operator(cfg, frame.ambient_dim)
     probe = {
@@ -267,7 +267,7 @@ def cmd_galerkin_probe(cfg, out, seed, threads):
     return 0
 
 
-def cmd_solve_fs(cfg, out, seed, threads):
+def cmd_solve_fs(cfg, out, seed):
     n = int(cfg.get("n", 128))
     op = build_operator(cfg, n)
     y = make_rhs(cfg, n, seed)
@@ -283,7 +283,7 @@ def cmd_solve_fs(cfg, out, seed, threads):
     )
     report, x = finite_section_solve(
         op, y, sched, method=cfg.get("method", "direct"),
-        tol=float(cfg.get("tol", 1e-8)), threads=threads,
+        tol=float(cfg.get("tol", 1e-8)),
     )
     io.save_json(report.to_dict(), out / "solve_fs.json")
     io.report_levels_csv(out / "solve_fs_levels.csv", report)
@@ -294,7 +294,7 @@ def cmd_solve_fs(cfg, out, seed, threads):
     return 0
 
 
-def cmd_solve_fg(cfg, out, seed, threads):
+def cmd_solve_fg(cfg, out, seed):
     frame = io.load_frame(Path(_required(cfg, "frame")))
     op = build_operator(cfg, frame.ambient_dim)
     g = make_rhs(cfg, frame.ambient_dim, seed)
@@ -326,7 +326,6 @@ def _add_common(parser):
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--out-dir", default="out")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
 
 
 def make_parser():
@@ -393,22 +392,31 @@ def make_parser():
     return parser
 
 
+def _load_config(path):
+    """The JSON settings in ``path``; a bad file is an input or config error."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as err:
+        raise InputFileError(f"cannot read --config {path}: {err.strerror}") from err
+    except ValueError as err:
+        raise ConfigError(f"--config {path} is not valid JSON: {err}") from err
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"--config {path} must hold a JSON object")
+    return cfg
+
+
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            cfg.update(json.load(fh))
-    for key, value in vars(args).items():
-        if key in ("group", "sub", "config") or value is None:
-            continue
-        cfg[key] = value
-    out = Path(cfg.get("out_dir", "out"))
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    command = COMMANDS[(args.group, args.sub)]
     try:
+        cfg = _load_config(args.config) if args.config else {}
+        for key, value in vars(args).items():
+            if key not in ("group", "sub", "config") and value is not None:
+                cfg[key] = value
         _check_settings(cfg)
-        return command(cfg, out, int(cfg.get("seed", 0)), int(cfg.get("threads", 1)))
+        return COMMANDS[(args.group, args.sub)](cfg, out, int(cfg.get("seed", 0)))
     except NotLocalizedError as err:
         # non-member frames are reported, not failed
         io.save_json({"verdict": "not-localized", **err.payload(),

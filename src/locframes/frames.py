@@ -16,9 +16,6 @@ TIGHT_REL_TOL = 1e-10
 # Cholesky to an eigendecomposition
 CHOLESKY_COND_CAP = 1e8
 
-# dense Hermitian eigensolver is used up to this ambient dimension
-DENSE_EIG_CAP = 2048
-
 
 class FrameBounds:
     """Two-sided energy bounds 0 < A <= B of a frame."""
@@ -137,27 +134,6 @@ def analysis_qr(frame: Frame):
     return frame._analysis_qr
 
 
-def _hermitian_extreme_eigs(s):
-    n = s.shape[0]
-    if n <= DENSE_EIG_CAP:
-        w = np.linalg.eigvalsh(s)
-        return float(w[0]), float(w[-1]), w
-    # power iteration on S and on (lmax I - S); adequate beyond desk scale
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    for _ in range(500):
-        v = s @ v
-        v /= np.linalg.norm(v)
-    lmax = float(np.real(np.vdot(v, s @ v)))
-    shifted = lmax * np.eye(n) - s
-    v = rng.standard_normal(n)
-    for _ in range(500):
-        v = shifted @ v
-        v /= np.linalg.norm(v)
-    lmin = lmax - float(np.real(np.vdot(v, shifted @ v)))
-    return lmin, lmax, None
-
-
 def frame_bounds(frame: Frame):
     """(A, B) = extreme eigenvalues of the frame operator.
 
@@ -165,12 +141,10 @@ def frame_bounds(frame: Frame):
     family does not span.
     """
     if frame._bounds is None:
-        lmin, lmax, spectrum = _hermitian_extreme_eigs(frame_operator(frame))
+        w = np.linalg.eigvalsh(frame_operator(frame))
+        lmin, lmax = float(w[0]), float(w[-1])
         if lmax <= 0 or lmin <= BOUND_RANK_TOL * lmax:
-            if spectrum is None:
-                rank = None
-            else:
-                rank = int(np.count_nonzero(spectrum > BOUND_RANK_TOL * lmax))
+            rank = int(np.count_nonzero(w > BOUND_RANK_TOL * lmax))
             raise NotAFrameError(
                 f"{frame.name}: family spans only a subspace "
                 f"(rank {rank} of {frame.ambient_dim})",

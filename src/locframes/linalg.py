@@ -1,7 +1,7 @@
 """SVD-based pseudo-inversion and generalized condition numbers.
 
-Galerkin and Gram matrices V_l^* X V_r of two frames are decomposed in
-the frames' n-dimensional ranges, see ``range_spectrum``.
+Galerkin and Gram matrices V_l^* X V_r of two frames, and finite
+sections P_N A P_N, are decomposed in their ranges, see ``range_spectrum``.
 """
 
 from dataclasses import dataclass
@@ -56,16 +56,21 @@ def generalized_condition_number(m, rank_tol=DEFAULT_RANK_TOL):
 class RangeSpectrum:
     """Nonzero singular values of A = Q_l C Q_r^* and, on request, A^+.
 
-    ``values`` are the core's singular values above the relative rank
-    cutoff, descending; ``kappa`` is their generalized condition number.
+    ``core`` is C; ``values`` are its singular values above the relative
+    rank cutoff, descending.
     """
 
     values: np.ndarray
-    kappa: float
     q_left: np.ndarray
     q_right: np.ndarray
+    core: np.ndarray
     u: np.ndarray = None
     vh: np.ndarray = None
+
+    @property
+    def kappa(self):
+        """Generalized condition number; undefined when the rank is 0."""
+        return _kappa(self.values, self.values.size)
 
     def pinv_apply(self, b):
         """A^+ b = Q_r C^+ Q_l^* b; needs the factors."""
@@ -78,12 +83,15 @@ class RangeSpectrum:
 
 
 def range_spectrum(left, right, x=None, factors=False):
-    """Spectrum of V_l^* X V_r from the thin QR factors of both frames.
+    """Spectrum of Q_l R_l X R_r^* Q_r^* from its small core R_l X R_r^*.
 
-    ``left`` and ``right`` are the pairs (Q, R) with V^* = Q R; ``x``
-    defaults to the identity (a cross-Gram matrix).  Only the small core
-    R_l X R_r^* is decomposed.  With ``factors`` its singular vectors are
-    kept so that the pseudo-inverse can be applied.  The rank cutoff is
+    ``left`` and ``right`` are pairs (Q, R), Q with orthonormal columns:
+    the thin QR factors V^* = Q R of a frame's analysis matrix, which give
+    the Galerkin matrix V_l^* X V_r, or (Q_N, Q_N^*) for an orthonormal
+    basis Q_N of a subspace, which give the section P_N X P_N.  ``x``
+    defaults to the identity (a cross-Gram matrix).  Only the core is
+    decomposed.  With ``factors`` its singular vectors are kept so that
+    the pseudo-inverse can be applied.  The rank cutoff is
     ``DEFAULT_RANK_TOL`` relative to the largest singular value.
     """
     (q_l, r_l), (q_r, r_r) = left, right
@@ -104,5 +112,4 @@ def range_spectrum(left, right, x=None, factors=False):
     else:
         u = vh = None
         s = np.linalg.svd(core, compute_uv=False)
-    rank = _rank(s, DEFAULT_RANK_TOL)
-    return RangeSpectrum(s[:rank], _kappa(s, rank), q_l, q_r, u, vh)
+    return RangeSpectrum(s[:_rank(s, DEFAULT_RANK_TOL)], q_l, q_r, core, u, vh)

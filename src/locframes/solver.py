@@ -2,16 +2,16 @@
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, InvalidInputError
 from .frames import Frame, analysis, analysis_qr, synthesis
-from .galerkin import LinearOperator, as_operator, galerkin_matrix
+# galerkin_matrix is re-exported: callers import it from this module
+from .galerkin import LinearOperator, as_operator, galerkin_matrix  # noqa: F401
 from .indexing import IndexSet
-from .linalg import pseudo_inverse, range_spectrum
+from .linalg import range_spectrum
 
 PROJECTION_TOL = 1e-10
 DEFAULT_TOL = 1e-8
@@ -24,33 +24,49 @@ HERMITIAN_TOL = 1e-8
 # -- subframe projections -----------------------------------------------------
 
 
+def _span_basis(vectors):
+    """Spectrum and span of S_N = V_N V_N^* from one SVD of V_N.
+
+    Returns the eigenvalues sigma^2 of S_N above ``PROJECTION_TOL``
+    relative to the largest, descending (the subframe bounds are the last
+    and the first), and the orthonormal basis Q_N of their left singular
+    vectors.  Working on V_N instead of S_N keeps the span accurate when
+    S_N is ill-conditioned.
+    """
+    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
+    w = s**2
+    keep = w > PROJECTION_TOL * w[0]
+    return w[keep], u[:, keep]
+
+
+def _projector(q, name):
+    """The orthogonal projection Q_N Q_N^* onto the span of Q_N."""
+    return LinearOperator.from_matrix(q @ np.conj(q.T), name=name)
+
+
 def subframe_projection(frame: Frame, subset):
     """Orthogonal projection onto the span of a subfamily.
 
-    Built as P f = sum_{k in subset} <f, psi_k> dual_k with the dual
-    computed inside the span through the pseudo-inverse of the
-    restricted frame operator; idempotent and self-adjoint.
+    Built as Q_N Q_N^* from the singular vectors of the subfamily whose
+    squared singular values lie above ``PROJECTION_TOL`` relative to the
+    largest; idempotent and self-adjoint.
     """
     subset = np.asarray(subset, dtype=int)
     if subset.size == 0:
         raise InvalidInputError("projection needs a nonempty index subset")
-    v = frame.vectors[:, subset]
-    s = v @ np.conj(v.T)
-    dual = pseudo_inverse(0.5 * (s + np.conj(s.T))) @ v
-    p = dual @ np.conj(v.T)
-    p = 0.5 * (p + np.conj(p.T))
-    op = LinearOperator.from_matrix(p, name=f"P[{frame.name}:{subset.size}]")
-    op.subframe_dual = dual
-    return op
+    _, q = _span_basis(frame.vectors[:, subset])
+    return _projector(q, f"P[{frame.name}:{subset.size}]")
 
 
 class ProjectionSchedule:
-    """Nested index subsets K_1 c K_2 c ... c K with per-level duals.
+    """Nested index subsets K_1 c K_2 c ... c K with per-level span bases.
 
     ``centered`` grows blocks doubling in size around the middle index;
     ``energy_greedy`` orders indices by decreasing analysis energy of a
-    pilot vector.  Per-level subframe bounds are recorded and a flag is
-    raised when their ratio exceeds ``ratio_cap`` at any level.
+    pilot vector.  One SVD of each level's vectors V_N gives the subframe
+    bounds (extreme nonzero eigenvalues of S_N = V_N V_N^*) and an
+    orthonormal basis Q_N of the level's span (``bases``).  A flag is
+    raised when the ratio of the bounds exceeds ``ratio_cap`` at any level.
     """
 
     def __init__(self, frame: Frame, selection="centered", pilot=None,
@@ -76,14 +92,13 @@ class ProjectionSchedule:
             order = self._ordering(selection, pilot)
             self.levels = [np.sort(order[:m]) for m in sizes]
         self._validate()
-        self.duals = {}
+        self.bases = []
         self.subframe_bounds = []
         self.uniformity_flag = False
         for lv in self.levels:
-            s = frame.vectors[:, lv] @ np.conj(frame.vectors[:, lv].T)
-            w = np.linalg.eigvalsh(0.5 * (s + np.conj(s.T)))
-            pos = w[w > PROJECTION_TOL * max(w[-1], 1e-300)]
-            c_n, d_n = float(pos[0]), float(pos[-1])
+            pos, q = _span_basis(frame.vectors[:, lv])
+            c_n, d_n = float(pos[-1]), float(pos[0])
+            self.bases.append(q)
             self.subframe_bounds.append((c_n, d_n))
             if d_n / c_n > ratio_cap:
                 self.uniformity_flag = True
@@ -114,9 +129,8 @@ class ProjectionSchedule:
             raise InvalidInputError("final level must cover the full index set")
 
     def projection(self, i):
-        if i not in self.duals:
-            self.duals[i] = subframe_projection(self.frame, self.levels[i])
-        return self.duals[i]
+        name = f"P[{self.frame.name}:{len(self.levels[i])}]"
+        return _projector(self.bases[i], name)
 
 
 # -- reports ------------------------------------------------------------------
@@ -306,44 +320,49 @@ def richardson_solve(m, b, relaxation, tol=1e-10, max_iter=None):
     return IterationResult(x, max_iter, False, residuals, rate_estimate=rho)
 
 
+# -- one solve kernel ---------------------------------------------------------
+
+
+def solve_system(spectrum, b, method, tol):
+    """Solve A c = b for A = Q_l C Q_r^* given by its ``range_spectrum``.
+
+    ``direct`` applies the pseudo-inverse; ``cg`` and ``richardson`` run
+    on the r x r core C with right side Q_l^* b, and the result is lifted
+    back with Q_r.  CG takes the normal equations when C fails the
+    Frobenius Hermitian test, which Q does not change; Richardson relaxes
+    with 2 / (sigma_max + sigma_min) over the nonzero singular values.
+    """
+    if method == "direct":
+        return IterationResult(spectrum.pinv_apply(b), 0, True)
+    core = spectrum.core
+    rhs = np.conj(spectrum.q_left.T) @ b
+    if method == "cg":
+        res = cg_solve(core, rhs, tol=tol,
+                       normal_equations=_hermitian_defect(core) > HERMITIAN_TOL)
+    elif method == "richardson":
+        s = spectrum.values
+        relaxation = 2.0 / (s[0] + s[-1]) if s.size else 1.0
+        res = richardson_solve(core, rhs, relaxation, tol=tol)
+    else:
+        raise InvalidInputError(f"unknown method {method!r}")
+    res.c = spectrum.q_right @ res.c
+    return res
+
+
 # -- finite sections ----------------------------------------------------------
 
 
-def _solve_level(a_dense, proj, y, method, tol):
-    p = proj.dense()
-    a_c = p @ a_dense @ p
-    rhs = p @ y
-    its = 0
-    if method == "cg":
-        try:
-            res = cg_solve(a_c, rhs, tol=tol * 1e-2,
-                           normal_equations=_hermitian_defect(a_c) > HERMITIAN_TOL)
-            x, its = res.c, res.iterations
-        except ContractError:
-            return None, 0, True
-    elif method == "richardson":
-        s = np.linalg.svd(a_c, compute_uv=False)
-        smax = s[0] if s[0] > 0 else 1.0
-        pos = s[s > PROJECTION_TOL * smax]
-        lam = 2.0 / (pos[0] + pos[-1]) if pos.size else 1.0
-        res = richardson_solve(a_c, rhs, lam, tol=tol * 1e-2)
-        if res.diverged:
-            return None, res.iterations, True
-        x, its = res.c, res.iterations
-    else:
-        x = pseudo_inverse(a_c) @ rhs
-    return x, its, False
-
-
 def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
-                         tol=DEFAULT_TOL, reference=None, threads=1):
+                         tol=DEFAULT_TOL, reference=None):
     """Solve P_N A P_N x = P_N y over a nested projection schedule.
 
-    Per level the compressed system is solved by the chosen method;
-    residuals, errors against a dense reference solution, inverse-norm
-    estimates and generalized condition numbers are recorded.  A level
-    whose compressed system is numerically singular is flagged and the
-    schedule continues.
+    Each level's section is Q_N C Q_N^* with the core C = Q_N^* A Q_N, which
+    carries exactly the nonzero singular values of P_N A P_N; its spectrum
+    gives the singular flag, the inverse norm and the generalized condition
+    number, and ``solve_system`` solves the level.  Residuals and errors
+    against a dense reference solution are recorded.  A level whose
+    compressed system is numerically singular is flagged and the schedule
+    continues.
     """
     a = as_operator(a)
     y = np.asarray(y, dtype=complex)
@@ -364,37 +383,32 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
         contraction_sufficient=bool(contraction < 1),
         uniformity_flag=schedule.uniformity_flag,
     )
-
-    def run_level(i):
-        proj = schedule.projection(i)
-        p = proj.dense()
-        a_c = p @ dense @ p
-        s = np.linalg.svd(a_c, compute_uv=False)
-        smax = s[0] if s.size else 0.0
-        pos = s[s > PROJECTION_TOL * max(smax, 1e-300)]
-        rank = pos.size
-        dim = int(np.round(np.real(np.trace(p))))
-        singular_system = rank < dim
-        x, its, failed = _solve_level(dense, proj, y, method, tol)
-        rec = LevelRecord(size=len(schedule.levels[i]), residual=math.inf,
-                          singular=bool(singular_system or failed))
-        if pos.size:
-            rec.inverse_norm = float(1.0 / pos[-1])
-            rec.kappa_dagger = float(pos[0] / pos[-1])
-        rec.iterations = its
-        if x is not None:
+    solutions = []
+    for lv, q in zip(schedule.levels, schedule.bases):
+        span = (q, np.conj(q.T))
+        spectrum = range_spectrum(span, span, dense, factors=method == "direct")
+        s = spectrum.values
+        rec = LevelRecord(size=len(lv), residual=math.inf,
+                          singular=bool(s.size < q.shape[1]))
+        if s.size:
+            rec.inverse_norm = float(1.0 / s[-1])
+            rec.kappa_dagger = spectrum.kappa
+        x = None
+        try:
+            res = solve_system(spectrum, y, method, tol * 1e-2)
+            rec.iterations = res.iterations
+            if not res.diverged:
+                x = res.c
+        except ContractError:
+            pass
+        if x is None:
+            rec.singular = True
+        else:
             rec.residual = float(np.linalg.norm(dense @ x - y))
             if reference is not None:
                 rec.error = float(np.linalg.norm(x - reference))
-        return x, rec
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_level, range(len(schedule.levels))))
-    else:
-        results = [run_level(i) for i in range(len(schedule.levels))]
-    solutions = [x for x, _ in results]
-    report.levels = [rec for _, rec in results]
+        solutions.append(x)
+        report.levels.append(rec)
     inv_norms = [r.inverse_norm for r in report.levels if r.inverse_norm is not None]
     report.sup_inverse_norm = max(inv_norms) if inv_norms else None
 
@@ -431,53 +445,33 @@ def frame_galerkin_solve(op, g, phi: Frame, method="cg", tol=DEFAULT_TOL):
 
     The right side C_phi g lies in the range of the analysis operator,
     where the singular system matrix is uniquely solvable; the ambient
-    solution is synthesized from the range solution.  The spectrum of M
-    is computed once, in that n-dimensional range, and gives kappa^dagger,
-    the Richardson relaxation and the direct pseudo-inverse solve.  The
+    solution is synthesized from the range solution.  M is never
+    assembled: its spectrum is computed once, in that n-dimensional range,
+    and gives kappa^dagger, and ``solve_system`` solves on its core.  The
     final check compares ||O f - g|| against the requested tolerance.
     """
-    if method not in ("cg", "richardson", "direct"):
-        raise InvalidInputError(f"unknown method {method!r}")
     op = as_operator(op)
     g = np.asarray(g, dtype=complex)
     qr = analysis_qr(phi)
     spectrum = range_spectrum(qr, qr, op.dense(), factors=method == "direct")
-    b = analysis(phi, g)
-    singular = phi.size > phi.ambient_dim
-    iterations = 0
-    normal_eq = False
-    if method == "direct":
-        c = spectrum.pinv_apply(b)
-        stalled = False
-    else:
-        m = galerkin_matrix(op, phi, phi).entries
-        if method == "cg":
-            hermitian = _hermitian_defect(m) <= HERMITIAN_TOL
-            res = cg_solve(m, b, tol=min(tol * 1e-2, 1e-10),
-                           normal_equations=not hermitian)
-            normal_eq = res.normal_equations
-        else:
-            s = spectrum.values
-            res = richardson_solve(m, b, 2.0 / (s[0] + s[-1]),
-                                   tol=min(tol * 1e-2, 1e-10))
-        c, iterations = res.c, res.iterations
-        stalled = res.diverged or not res.converged
-    f = synthesis(phi, c)
+    kappa = spectrum.kappa  # a zero operator has none and is rejected here
+    res = solve_system(spectrum, analysis(phi, g), method, min(tol * 1e-2, 1e-10))
+    f = synthesis(phi, res.c)
     residual = float(np.linalg.norm(op.apply(f) - g))
     rel = residual / max(np.linalg.norm(g), 1e-300)
     level = LevelRecord(size=phi.size, residual=residual,
-                        iterations=iterations, kappa_dagger=spectrum.kappa)
+                        iterations=res.iterations, kappa_dagger=kappa)
     report = SolveReport(
         method=method,
-        converged=bool(rel <= tol and not stalled),
+        converged=bool(rel <= tol and res.converged and not res.diverged),
         levels=[level],
         message="" if rel <= tol else
         f"ambient residual {rel:.3e} above tolerance {tol:.1e}",
     )
-    if singular:
+    if phi.size > phi.ambient_dim:
         report.message = (report.message + " " if report.message else "") + \
             "system matrix singular by redundancy; solved on the analysis range"
-    if normal_eq:
+    if res.normal_equations:
         report.message = (report.message + " " if report.message else "") + \
             "non-Hermitian system matrix; CG ran on the normal equations"
     return f, report

@@ -121,15 +121,6 @@ class TestFrameOperatorAndBounds:
         a, b = frame_bounds(scaled)
         assert (a, b) == pytest.approx((6.0, 6.0))
 
-    def test_power_iteration_fallback_beyond_dense_cap(self, monkeypatch):
-        import locframes.frames as fr
-
-        exact = frame_bounds(make_perturbed_onb(32, 3, 4))
-        monkeypatch.setattr(fr, "DENSE_EIG_CAP", 8)
-        approx = frame_bounds(make_perturbed_onb(32, 3, 4))
-        assert approx.lower == pytest.approx(exact.lower, rel=1e-3)
-        assert approx.upper == pytest.approx(exact.upper, rel=1e-3)
-
 
 class TestCanonicalDual:
     def test_tight_frame_dual_is_rescaling(self):

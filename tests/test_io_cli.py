@@ -266,3 +266,14 @@ class TestCLIContract:
                        "--n", "16", flag, value, "--out-dir", tmp_path) == 2
         assert self.error(tmp_path) == "config"
         assert not (tmp_path / "solve_fs.json").exists()
+
+    def test_missing_config_file(self, tmp_path):
+        assert run_cli("frame", "build", "--config", tmp_path / "nope.json",
+                       "--out-dir", tmp_path) == 2
+        assert self.error(tmp_path) == "input-file"
+
+    def test_invalid_json_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"kind": "onb", "n": ')
+        assert run_cli("frame", "build", "--config", cfg, "--out-dir", tmp_path) == 2
+        assert self.error(tmp_path) == "config"

@@ -1,5 +1,7 @@
 """Subframe projections, finite sections, frame-Galerkin solves, iterations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,15 @@ from locframes import (
     frame_bounds,
     frame_galerkin_solve,
     frame_operator,
+    gaussian_window,
+    make_gabor_frame,
     make_onb,
     make_perturbed_onb,
     make_test_operator,
     richardson_solve,
     subframe_projection,
 )
+from locframes.solver import PROJECTION_TOL
 
 
 class TestSubframeProjection:
@@ -64,6 +69,38 @@ class TestSubframeProjection:
     def test_empty_subset_rejected(self, suite_frames):
         with pytest.raises(InvalidInputError):
             subframe_projection(suite_frames["onb"], [])
+
+
+class TestGaborSchedule:
+    """A redundant Gabor schedule whose level operators S_N have cond ~ 5e9."""
+
+    @pytest.fixture(scope="class")
+    def sched(self):
+        return ProjectionSchedule(make_gabor_frame(64, 4, 2, gaussian_window(64)))
+
+    def test_projections_idempotent_and_selfadjoint(self, sched):
+        for i in range(len(sched.levels)):
+            p = sched.projection(i).dense()
+            assert np.linalg.norm(p @ p - p, 2) <= 1e-12
+            assert np.linalg.norm(p - np.conj(p.T), 2) <= 1e-12
+
+    def test_direct_levels_match_svd_of_subframe(self, sched, rng):
+        n = 64
+        a = make_test_operator("identity_minus_kernel", n, theta=0.5)
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rep, _ = finite_section_solve(a, y, sched, method="direct")
+        dense = a.dense()
+        for lv, rec in zip(sched.levels, rep.levels):
+            u, s, _ = np.linalg.svd(sched.frame.vectors[:, lv], full_matrices=False)
+            q = u[:, s**2 > PROJECTION_TOL * s[0] ** 2]
+            core = np.conj(q.T) @ dense @ q
+            x = q @ np.linalg.solve(core, np.conj(q.T) @ y)
+            assert rec.residual == pytest.approx(
+                np.linalg.norm(dense @ x - y), rel=1e-12,
+                abs=1e-12 * np.linalg.norm(y))
+            sigma = np.linalg.svd(core, compute_uv=False)
+            assert rec.inverse_norm == pytest.approx(1 / sigma[-1], rel=1e-12)
+            assert not rec.singular
 
 
 class TestProjectionSchedule:
@@ -169,20 +206,24 @@ class TestFiniteSections:
         assert rep.sup_inverse_norm > 1e6
         assert not rep.converged
 
+    def test_zero_section_is_singular_and_schedule_continues(self, rng):
+        n = 16
+        spectrum = np.ones(n)
+        spectrum[4:12] = 0.0  # the first centered block, K_1 = {4..11}
+        a = make_test_operator("diagonal", n, spectrum=spectrum)
+        for method in ("direct", "cg", "richardson"):
+            with np.errstate(all="ignore"):  # CG on the singular full level
+                rep, _ = finite_section_solve(a, rng.standard_normal(n),
+                                              ProjectionSchedule(make_onb(n)),
+                                              method=method)
+            first = rep.levels[0]
+            assert first.singular
+            assert first.inverse_norm is None and first.kappa_dagger is None
+            assert len(rep.levels) == 2 and rep.levels[1].singular
+
     def test_explicit_level_count(self):
         sched = ProjectionSchedule(make_onb(64), n_levels=3)
         assert [len(lv) for lv in sched.levels] == [16, 32, 64]
-
-    def test_threaded_levels_match_sequential(self, rng):
-        n = 64
-        onb = make_onb(n)
-        a = make_test_operator("identity_minus_kernel", n, theta=0.5)
-        y = rng.standard_normal(n)
-        sched = ProjectionSchedule(onb)
-        rep1, x1 = finite_section_solve(a, y, sched)
-        rep2, x2 = finite_section_solve(a, y, sched, threads=4)
-        assert np.array_equal(x1, x2)
-        assert [lv.residual for lv in rep1.levels] == [lv.residual for lv in rep2.levels]
 
 
 class TestCG:
@@ -296,6 +337,17 @@ class TestFrameGalerkinSolve:
         f, rep = frame_galerkin_solve(op, g, frame, method=method)
         assert rep.converged
         assert np.linalg.norm(f - np.linalg.solve(op.dense(), g)) <= 1e-6
+
+    def test_richardson_on_redundant_frame_does_not_warn(self, rng):
+        # M is singular on C^K; the contraction is estimated on its core,
+        # where it is about (B - A) / (B + A) = 0.18
+        frame = make_gabor_frame(64, 4, 4, gaussian_window(64))
+        op = make_test_operator("identity_minus_kernel", 64, theta=0.5)
+        g = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            f, rep = frame_galerkin_solve(op, g, frame, method="richardson")
+        assert rep.converged
 
     def test_non_hermitian_operator_flags_normal_equations(self, suite_frames, rng):
         frame = suite_frames["gabor16"]
