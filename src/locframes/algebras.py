@@ -42,9 +42,7 @@ class MatrixAlgebraSpec:
             raise InvalidInputError("decay exponent must be positive")
 
     def norm(self, a, rows: IndexSet, cols: IndexSet = None):
-        if self.kind == JAFFARD:
-            return jaffard_norm(a, self.s, rows, cols)
-        return schur_weighted_norm(a, self.s, rows, cols)
+        return algebra_norms(a, self.s, rows, cols)[self.kind]
 
     def to_dict(self):
         return {
@@ -54,7 +52,7 @@ class MatrixAlgebraSpec:
         }
 
 
-def _dist(a, rows, cols):
+def _checked(a, rows, cols):
     a = np.asarray(a)
     cols = rows if cols is None else cols
     if a.shape != (len(rows), len(cols)):
@@ -62,20 +60,30 @@ def _dist(a, rows, cols):
             f"matrix shape {a.shape} does not match index sets "
             f"({len(rows)}, {len(cols)})"
         )
-    return a, rows.distance_matrix(cols)
+    return a, cols
+
+
+def algebra_norms(a, s, rows: IndexSet, cols: IndexSet = None):
+    """Jaffard and Schur-weighted norms from one weighted matrix |a| (1 + d)^s.
+
+    Both depend on ``a`` only through |a|, so magnitudes may be passed.
+    """
+    a, cols = _checked(a, rows, cols)
+    m = np.abs(a) * (1.0 + rows.distance_matrix(cols)) ** s
+    return {
+        JAFFARD: float(np.max(m)),
+        SCHUR_WEIGHTED: float(max(np.max(m.sum(axis=1)), np.max(m.sum(axis=0)))),
+    }
 
 
 def jaffard_norm(a, s, rows: IndexSet, cols: IndexSet = None):
     """sup_{k,l} |a_{k,l}| (1 + d(k,l))^s."""
-    a, d = _dist(a, rows, cols)
-    return float(np.max(np.abs(a) * (1.0 + d) ** s))
+    return algebra_norms(a, s, rows, cols)[JAFFARD]
 
 
 def schur_weighted_norm(a, s, rows: IndexSet, cols: IndexSet = None):
     """Symmetric Schur-type norm: max of weighted row and column sums."""
-    a, d = _dist(a, rows, cols)
-    m = np.abs(a) * (1.0 + d) ** s
-    return float(max(np.max(m.sum(axis=1)), np.max(m.sum(axis=0))))
+    return algebra_norms(a, s, rows, cols)[SCHUR_WEIGHTED]
 
 
 @dataclass
@@ -103,22 +111,18 @@ class DecayFit:
 
 def shell_maxima(a, rows: IndexSet, cols: IndexSet = None):
     """Max |entry| per distance shell, shells sorted by distance."""
-    a, d = _dist(a, rows, cols)
-    mags = np.abs(a).ravel()
-    dist = np.round(d.ravel(), 9)
-    shells = []
-    for dv in np.unique(dist):
-        shells.append((float(dv), float(mags[dist == dv].max())))
-    return shells
+    a, cols = _checked(a, rows, cols)
+    shells = rows.shells(cols)
+    return [(float(d), float(m))
+            for d, m in zip(shells.distances, shells.maxima(np.abs(a)))]
 
 
-def decay_fit(a, rows: IndexSet, cols: IndexSet = None, min_shells=4):
+def fit_shells(shells, min_shells=4):
     """Least-squares fit of log(shell max) against -s log(1 + distance).
 
     Shells whose maximum sits below the noise floor are dropped; fewer
     than ``min_shells`` usable shells raise ``InsufficientDataError``.
     """
-    shells = shell_maxima(a, rows, cols)
     usable = [(d, m) for d, m in shells if m >= SHELL_FLOOR]
     if len(usable) < min_shells:
         raise InsufficientDataError(
@@ -133,6 +137,11 @@ def decay_fit(a, rows: IndexSet, cols: IndexSet = None, min_shells=4):
         residual=float(np.sqrt(np.mean(resid**2))),
         shell_maxima=shells,
     )
+
+
+def decay_fit(a, rows: IndexSet, cols: IndexSet = None, min_shells=4):
+    """``fit_shells`` on the shell maxima of ``a``."""
+    return fit_shells(shell_maxima(a, rows, cols), min_shells)
 
 
 def algebra_product_constant(spec: MatrixAlgebraSpec, left: IndexSet, middle: IndexSet):

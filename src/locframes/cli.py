@@ -38,8 +38,7 @@ from .indexing import IndexSet
 from .localization import (
     NotLocalizedError,
     dual_localization_check,
-    equivalence_constants,
-    localization_report,
+    equivalence_grid,
 )
 from .solver import (
     ProjectionSchedule,
@@ -161,36 +160,41 @@ def cmd_frame_diag(cfg, out, seed):
         float(cfg.get("s", 3.0)),
         float(cfg.get("threshold", 1e3)),
     )
-    primal = localization_report(frame, frame, alg)
-    diag = {"primal": primal.to_dict(), "member": primal.member}
-    if primal.member:
+    try:
         res = dual_localization_check(frame, alg)
-        diag.update(
-            dual=res.dual.to_dict(),
-            cross=res.cross.to_dict(),
-            exponent_drop_flagged=res.exponent_drop_flagged,
-        )
+    except NotLocalizedError as err:
+        primal = err.report
+        diag = {"primal": primal.to_dict(), "member": False}
+    else:
+        primal = res.primal
+        diag = {
+            "primal": primal.to_dict(),
+            "member": True,
+            "dual": res.dual.to_dict(),
+            "cross": res.cross.to_dict(),
+            "exponent_drop_flagged": res.exponent_drop_flagged,
+        }
     io.save_json(diag, out / "localization.json")
     io.shells_to_csv(out / "shells.csv", primal.fit)
 
-    grid = []
-    inf_weight = math.inf
-    for p in _p_list(cfg.get("p_grid", "1,2,inf")):
-        for t in _float_list(cfg.get("weight_powers", "0,1")):
-            weight = Weight.polynomial(t, frame.index_set)
-            inf_weight = min(inf_weight, float(weight.values.min()))
-            spec = SeqSpaceSpec(p, weight)
-            lo, up = equivalence_constants(frame, spec)
-            adm = admissible_weight_check(alg, weight, frame.index_set)
-            grid.append(
-                {
-                    "p": "inf" if p == math.inf else p,
-                    "weight_power": t,
-                    "lower": lo,
-                    "upper": up,
-                    "weight_admissible": adm["admissible"],
-                }
-            )
+    weights = [Weight.polynomial(t, frame.index_set)
+               for t in _float_list(cfg.get("weight_powers", "0,1"))]
+    admissible = {w.parameter: admissible_weight_check(alg, w, frame.index_set)["admissible"]
+                  for w in weights}
+    spaces = [SeqSpaceSpec(p, w) for p in _p_list(cfg.get("p_grid", "1,2,inf"))
+              for w in weights]
+    grid = [
+        {
+            "p": "inf" if space.p == math.inf else space.p,
+            "weight_power": space.weight.parameter,
+            "lower": lo,
+            "upper": up,
+            "weight_admissible": admissible[space.weight.parameter],
+        }
+        for space, (lo, up) in zip(spaces, equivalence_grid(frame, spaces))
+    ]
+    inf_weight = min((float(space.weight.values.min()) for space in spaces),
+                     default=math.inf)
     # triple structure diagnostic: a weight bounded away from zero nests
     # the p = 1 coorbit space inside the ambient space inside its dual
     gelfand = {
@@ -324,8 +328,8 @@ COMMANDS = {
 
 def _add_common(parser):
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--out-dir", default="out")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out-dir", help='default "out"')
+    parser.add_argument("--seed", type=int, help="default 0")
 
 
 def make_parser():
@@ -408,15 +412,21 @@ def _load_config(path):
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # flags override the config file, which overrides these defaults
+    out = Path(args.out_dir or "out")
     try:
         cfg = _load_config(args.config) if args.config else {}
         for key, value in vars(args).items():
             if key not in ("group", "sub", "config") and value is not None:
                 cfg[key] = value
+        try:
+            seed = int(cfg.setdefault("seed", 0))
+            out = Path(cfg.setdefault("out_dir", "out"))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"--seed needs an integer, --out-dir a path: {err}") from err
+        out.mkdir(parents=True, exist_ok=True)
         _check_settings(cfg)
-        return COMMANDS[(args.group, args.sub)](cfg, out, int(cfg.get("seed", 0)))
+        return COMMANDS[(args.group, args.sub)](cfg, out, seed)
     except NotLocalizedError as err:
         # non-member frames are reported, not failed
         io.save_json({"verdict": "not-localized", **err.payload(),

@@ -195,17 +195,19 @@ def _mixed_space_norm(m, out_space: SeqSpaceSpec, in_space: SeqSpaceSpec):
 
 
 def _probe_norm(m, out_space, in_space, probes=200, seed=0):
-    """Empirical operator norm on random probe sequences."""
+    """Empirical operator norm on random probe sequences.
+
+    The probes are drawn in one call whose stream matches a real then an
+    imaginary draw per probe, and M is applied to all of them at once;
+    zero probes are skipped.
+    """
     m = np.asarray(m)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(probes):
-        c = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
-        nin = seq_norm(c, in_space)
-        if nin == 0:
-            continue
-        worst = max(worst, seq_norm(m @ c, out_space) / nin)
-    return worst
+    z = np.random.default_rng(seed).standard_normal((probes, 2, m.shape[1]))
+    c = (z[:, 0] + 1j * z[:, 1]).T
+    nin = seq_norm(c, in_space)
+    live = nin != 0
+    ratios = seq_norm(m @ c, out_space)[live] / nin[live]
+    return float(ratios.max(initial=0.0))
 
 
 def matrixrep_norm_bound(op, phi: Frame, xi: Frame, psi_ref: Frame, spaces,
@@ -366,6 +368,47 @@ def _greedy_subset_quantity(mb):
     return float(best)
 
 
+def _two_two(mb):
+    """Trace-power bound on ||mb||_2 from G = mb* mb, with its details.
+
+    G is divided by its largest diagonal entry c: the top eigenvalue of
+    G / c lies in [1, K], so G^20 neither overflows nor underflows at any
+    scale of mb, and every root is scaled back by c.  diag(G^20) and its
+    trace are read off G^16 and G^4 without forming G^20, and no more
+    than three powers are held at once.
+    """
+    g = np.conj(mb.T) @ mb
+    c = float(np.max(np.real(np.diag(g)))) if g.size else 0.0
+    c = c if c > 0 else 1.0
+    g /= c
+    top = max(float(np.linalg.eigvalsh(g)[-1]), 0.0)
+
+    def root(diagonal, n):
+        return c * float(np.max(np.real(diagonal)) ** (1.0 / n))
+
+    roots = {1: root(np.diag(g), 1)}
+    for n in (2, 4, 8, 16):
+        g = g @ g
+        roots[n] = root(np.diag(g), n)
+        if n == 4:
+            g4 = g
+    diag_k = np.einsum("ij,ji->i", g, g4)   # diag(G^16 G^4)
+    roots[POWER_ITERATIONS] = root(diag_k, POWER_ITERATIONS)
+    # the diagonal roots approach ||.||_2^2 from BELOW; log-domain
+    # Richardson across one doubling removes their 1/n bias but stays
+    # an estimate.  The trace of the same power dominates the top
+    # eigenvalue, so it certifies the bound.
+    r8, r16 = roots[8], roots[16]
+    extrapolated = math.exp(2.0 * math.log(r16) - math.log(r8)) if r8 > 0 else 0.0
+    trace_k = c * float(np.real(np.sum(diag_k)) ** (1.0 / POWER_ITERATIONS))
+    return math.sqrt(trace_k), {
+        "diagonal_roots": {str(n): v for n, v in sorted(roots.items())},
+        "extrapolated_diagonal_root": extrapolated,
+        "trace_k": trace_k,
+        "svd_ground_truth": math.sqrt(c * top),
+    }
+
+
 def schur_certificate(m, case, p=2.0, weights=None):
     """Evaluate one of the Schur-test boundedness criteria.
 
@@ -388,6 +431,9 @@ def schur_certificate(m, case, p=2.0, weights=None):
             raise InvalidInputError("plain matrices need explicit weights")
     w1, w2 = weights
     mb = weighted_matrix(entries, w2.values, w1.values)
+    if case == "two_two":
+        bound, details = _two_two(mb)
+        return BoundCertificate(case, bound, (w1, w2), details)
     a = np.abs(mb)
     details = {}
     if case in ("inf_inf", "inf_zero"):
@@ -408,7 +454,7 @@ def schur_certificate(m, case, p=2.0, weights=None):
         bound = float(((a**p).sum(axis=0) ** (1.0 / p)).max())
         details["p"] = p
         details["column_p_norm_max"] = bound
-    elif case == "inf_one":
+    else:  # inf_one
         bound = float(a.sum())
         details["absolute_sum"] = bound
         details["greedy_subset_quantity"] = _greedy_subset_quantity(mb)
@@ -416,38 +462,6 @@ def schur_certificate(m, case, p=2.0, weights=None):
             "finite-scale exact form: total absolute sum certifies the bound; "
             "the subset supremum is estimated greedily"
         )
-    else:  # two_two
-        g = np.conj(mb.T) @ mb
-        # powers of G / c with c its largest diagonal entry: the top
-        # eigenvalue of G / c lies in [1, K], so G^20 neither overflows
-        # nor underflows at any scale of M; every root is scaled back by c
-        c = float(np.max(np.real(np.diag(g)))) if g.size else 0.0
-        c = c if c > 0 else 1.0
-        g /= c
-        powers = {1: g}
-        powers[2] = g @ g
-        powers[4] = powers[2] @ powers[2]
-        powers[8] = powers[4] @ powers[4]
-        powers[16] = powers[8] @ powers[8]
-        powers[POWER_ITERATIONS] = powers[16] @ powers[4]
-        roots = {
-            n: c * float(np.max(np.real(np.diag(gn))) ** (1.0 / n))
-            for n, gn in powers.items()
-        }
-        # the diagonal roots approach ||.||_2^2 from BELOW; log-domain
-        # Richardson across one doubling removes their 1/n bias but stays
-        # an estimate.  The trace of the same power dominates the top
-        # eigenvalue, so it certifies the bound.
-        r8, r16 = roots[8], roots[16]
-        extrapolated = math.exp(2.0 * math.log(r16) - math.log(r8)) if r8 > 0 else 0.0
-        trace_k = c * float(
-            np.real(np.trace(powers[POWER_ITERATIONS])) ** (1.0 / POWER_ITERATIONS)
-        )
-        bound = math.sqrt(trace_k)
-        details["diagonal_roots"] = {str(n): v for n, v in sorted(roots.items())}
-        details["extrapolated_diagonal_root"] = extrapolated
-        details["trace_k"] = trace_k
-        details["svd_ground_truth"] = float(np.linalg.norm(mb, 2))
     return BoundCertificate(case, bound, (w1, w2), details)
 
 

@@ -1,5 +1,7 @@
 """Finite index sets on integer lattices with absolute or circular metrics."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import InvalidInputError, MetricMismatchError
@@ -13,6 +15,31 @@ def _axis_distance(p, q, circular, modulus):
     if circular:
         d = np.minimum(d, modulus - d)
     return d
+
+
+@dataclass(frozen=True)
+class ShellPartition:
+    """Entries of a distance matrix grouped by distance rounded to 9 places.
+
+    ``order`` sorts the flattened entries by shell; shell i holds the
+    entries ``order[starts[i]:starts[i + 1]]`` at distance ``distances[i]``.
+    """
+
+    distances: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, d):
+        dist = np.round(np.ravel(d), 9)
+        order = np.argsort(dist)
+        dist = dist[order]
+        starts = np.flatnonzero(np.r_[True, dist[1:] != dist[:-1]])
+        return cls(dist[starts], order, starts)
+
+    def maxima(self, values):
+        """Max of ``values`` (shaped like the distance matrix) in each shell."""
+        return np.maximum.reduceat(np.ravel(values)[self.order], self.starts)
 
 
 class IndexSet:
@@ -64,6 +91,8 @@ class IndexSet:
         if len(self.scales) != self.dim:
             raise InvalidInputError("need one scale per axis")
         self.positions.setflags(write=False)
+        self._distances = None
+        self._shells = None
 
     # -- constructors ------------------------------------------------------
 
@@ -122,10 +151,25 @@ class IndexSet:
         different lattices are compared in ambient units (positions
         times scales) over the shared leading axes, so e.g. a 2-D
         time-frequency set and a 1-D translation set can still be
-        related through their common time axis.
+        related through their common time axis.  The self-distances are
+        computed once and returned as one read-only array.
         """
-        if other is None or other is self:
-            other = self
+        if other is not None and other is not self:
+            return self._distances_to(other)
+        if self._distances is None:
+            self._distances = self._distances_to(self)
+            self._distances.setflags(write=False)
+        return self._distances
+
+    def shells(self, other=None):
+        """``ShellPartition`` of ``distance_matrix(other)``; cached for self."""
+        if other is not None and other is not self:
+            return ShellPartition.of(self._distances_to(other))
+        if self._shells is None:
+            self._shells = ShellPartition.of(self.distance_matrix())
+        return self._shells
+
+    def _distances_to(self, other):
         if self.compatible_with(other):
             axes = range(self.dim)
             per_axis = [

@@ -11,16 +11,14 @@ from .algebras import (
     MatrixAlgebraSpec,
     algebra_product_constant,
     admissible_weight_check,
-    decay_fit,
-    jaffard_norm,
-    schur_weighted_norm,
+    algebra_norms,
+    fit_shells,
     shell_maxima,
 )
 from .errors import ContractError, InsufficientDataError, NotLocalizedError
 from .frames import Frame, analysis, canonical_dual, frame_bounds, gram, synthesis
 from .indexing import IndexSet
 from .linalg import pseudo_inverse
-from .opnorms import weighted_operator_norm
 from .weights import (
     DEFAULT_SCHEDULE,
     InclusionReport,
@@ -63,18 +61,17 @@ def localization_report(left: Frame, right: Frame, alg: MatrixAlgebraSpec):
     Membership needs the algebra norm under the algebra's cap and a fitted
     decay exponent not more than a small margin below s.  A Gram whose
     off-diagonal mass dies before four shells (e.g. the identity) counts
-    as superpolynomially localized.
+    as superpolynomially localized.  Norms and shells are all read from
+    one |G|.
     """
-    g = gram(left, right)
+    mags = np.abs(gram(left, right))
     rows, cols = left.index_set, right.index_set
-    norms = {
-        "jaffard": jaffard_norm(g, alg.s, rows, cols),
-        "schur_weighted": schur_weighted_norm(g, alg.s, rows, cols),
-    }
+    norms = algebra_norms(mags, alg.s, rows, cols)
+    shells = shell_maxima(mags, rows, cols)
     try:
-        fit = decay_fit(g, rows, cols)
+        fit = fit_shells(shells)
     except InsufficientDataError:
-        fit = DecayFit(math.inf, 0.0, shell_maxima(g, rows, cols))
+        fit = DecayFit(math.inf, 0.0, shells)
     norm = norms[alg.kind]
     decay_ok = fit.superpolynomial or fit.fitted_exponent >= alg.s - FIT_MARGIN
     return LocalizationReport(
@@ -209,19 +206,46 @@ def coorbit_pairing(f, h, spec: CoorbitSpec):
     return dual_pairing(analysis(dual, f), analysis(spec.frame, h))
 
 
+def _l1_linf_norms(mags, w):
+    """l^1 and l^inf norms of diag(w) |G| diag(1/w): max column and row sums."""
+    col_sums = (w @ mags) / w
+    row_sums = w * (mags @ (1.0 / w))
+    return float(col_sums.max()), float(row_sums.max())
+
+
+def _lp_norm(l1_linf, p):
+    """Exact for p in {1, inf}; the interpolation upper bound in between."""
+    l1, linf = l1_linf
+    return l1 if p == 1.0 else linf if p == math.inf else max(l1, linf)
+
+
+def equivalence_grid(frame: Frame, spaces):
+    """``equivalence_constants`` for each space in ``spaces``, in order.
+
+    |G| and |G_dual| are formed once, and each distinct weight object
+    costs one pass of weighted row and column sums over each of them.
+    """
+    dual = canonical_dual(frame)
+    mags = (np.abs(gram(frame, frame)), np.abs(gram(dual, dual)))
+    sums = {}
+    out = []
+    for space in spaces:
+        if id(space.weight) not in sums:
+            w = space.weight.on(frame.index_set).values
+            sums[id(space.weight)] = [_l1_linf_norms(m, w) for m in mags]
+        primal_sums, dual_sums = sums[id(space.weight)]
+        p = space.effective_p
+        out.append((1.0 / _lp_norm(dual_sums, p), _lp_norm(primal_sums, p)))
+    return out
+
+
 def equivalence_constants(frame: Frame, space: SeqSpaceSpec):
     """Sandwich constants between ||C f||_{p,w} and the coorbit norm.
 
     lower = 1 / ||G_dual||, upper = ||G||, with exact weighted operator
     norms for p in {1, inf} and interpolation upper bounds in between.
     """
-    space = space.on(frame.index_set)
-    dual = canonical_dual(frame)
-    g_primal = gram(frame, frame)
-    g_dual = gram(dual, dual)
-    upper = weighted_operator_norm(g_primal, space.effective_p, space.weight, exact_l2=False)
-    dual_norm = weighted_operator_norm(g_dual, space.effective_p, space.weight, exact_l2=False)
-    return 1.0 / dual_norm, upper
+    return equivalence_grid(frame, [space])[0]
 
 
 @dataclass

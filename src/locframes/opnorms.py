@@ -28,11 +28,14 @@ def exact_operator_norm(m, p_in, p_out):
     """Exact l^{p_in} -> l^{p_out} norm for the classically computable cases.
 
     Supported: 1 -> p (max column p-norm), inf -> inf (max row sum),
-    2 -> 2 (largest singular value).  p = 0 is treated as sup-norm.
+    2 -> 2 (largest singular value of m itself, not of |m|).  p = 0 is
+    treated as sup-norm.
     """
-    m = np.abs(np.asarray(m))
     p_in = _INF if p_in == 0 else float(p_in)
     p_out = _INF if p_out == 0 else float(p_out)
+    if p_in == 2.0 and p_out == 2.0:
+        return float(np.linalg.norm(m, 2))
+    m = np.abs(np.asarray(m))
     if p_in == 1.0:
         if p_out == _INF:
             return float(m.max())
@@ -41,8 +44,6 @@ def exact_operator_norm(m, p_in, p_out):
         return float((m**p_out).sum(axis=0).max() ** (1.0 / p_out))
     if p_in == _INF and p_out == _INF:
         return float(m.sum(axis=1).max())
-    if p_in == 2.0 and p_out == 2.0:
-        return float(np.linalg.norm(m, 2))
     raise InvalidInputError(f"no exact formula for l^{p_in} -> l^{p_out}")
 
 
@@ -67,7 +68,7 @@ def rayleigh_lower_l2(m, iters=60, seed=0):
     return float(np.sqrt(np.real(np.vdot(v, g @ v))))
 
 
-def weighted_operator_norm(m, p, weight, exact_l2=True):
+def weighted_operator_norm(m, p, weight):
     """Norm of ``m`` on l^p_w; exact for p in {1, 2, inf, 0}.
 
     For other p the Riesz-Thorin style interpolation upper bound
@@ -75,8 +76,6 @@ def weighted_operator_norm(m, p, weight, exact_l2=True):
     """
     mb = weighted_matrix(m, weight.values, weight.values)
     p = _INF if p == 0 else float(p)
-    if p in (1.0, _INF):
+    if p in (1.0, 2.0, _INF):
         return exact_operator_norm(mb, p, p)
-    if p == 2.0 and exact_l2:
-        return exact_operator_norm(mb, 2, 2)
     return interpolation_upper(mb)

@@ -231,6 +231,9 @@ def cg_solve(m, b, tol=1e-10, max_iter=None, normal_equations=False,
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         return IterationResult(np.zeros(k, dtype=complex), 0, True, [0.0])
+    # a search direction whose curvature p* M p sits at the rounding level
+    # of M p lies in the null space; stepping along it would overflow x
+    curvature_floor = np.finfo(float).eps * np.linalg.norm(m)
     x = np.zeros(k, dtype=complex)
     r = b.copy()
     p = r.copy()
@@ -243,7 +246,7 @@ def cg_solve(m, b, tol=1e-10, max_iter=None, normal_equations=False,
     for it in range(1, max_iter + 1):
         mp = m @ p
         denom = np.real(np.vdot(p, mp))
-        if denom <= 0:
+        if denom <= curvature_floor * np.real(np.vdot(p, p)):
             break
         alpha = rs / denom
         x = x + alpha * p

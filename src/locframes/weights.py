@@ -121,21 +121,27 @@ class SeqSpaceSpec:
 
 
 def seq_norm(c, spec: SeqSpaceSpec):
-    """Weighted norm ||w c||_p; sup norm for p in {0, inf}."""
+    """Weighted norm ||w c||_p; sup norm for p in {0, inf}.
+
+    A K x m array gives the norms of its m columns as an array.
+    """
     c = np.asarray(c)
-    if c.shape != spec.weight.values.shape:
+    w = spec.weight.values
+    if c.ndim not in (1, 2) or c.shape[0] != w.shape[0]:
         raise DimensionMismatchError(
-            f"sequence length {c.shape} does not match weight {spec.weight.values.shape}"
+            f"sequence length {c.shape} does not match weight {w.shape}"
         )
-    wc = np.abs(spec.weight.values * c)
+    wc = np.abs((w if c.ndim == 1 else w[:, None]) * c)
     p = spec.effective_p
     if p == P_INF:
-        return float(np.max(wc))
-    if p == 1.0:
-        return float(np.sum(wc))
-    if p == 2.0:
-        return float(np.linalg.norm(wc))
-    return float(np.sum(wc**p) ** (1.0 / p))
+        out = np.max(wc, axis=0)
+    elif p == 1.0:
+        out = np.sum(wc, axis=0)
+    elif p == 2.0:
+        out = np.linalg.norm(wc, axis=0 if c.ndim == 2 else None)
+    else:
+        out = np.sum(wc**p, axis=0) ** (1.0 / p)
+    return float(out) if c.ndim == 1 else out
 
 
 def dual_pairing(c, d):

@@ -213,6 +213,27 @@ class TestCLI:
         summary = json.loads((tmp_path / "frame_summary.json").read_text())
         assert summary["n"] == 8
 
+    def test_config_seed_is_read(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "perturbed-onb", "n": 8, "seed": 5}))
+        assert run_cli("frame", "build", "--config", cfg,
+                       "--out-dir", tmp_path / "cfg") == 0
+        assert run_cli("frame", "build", "--kind", "perturbed-onb", "--n", "8",
+                       "--seed", "5", "--out-dir", tmp_path / "flags") == 0
+        for name in ("frame.npy", "frame.json"):
+            assert ((tmp_path / "cfg" / name).read_bytes()
+                    == (tmp_path / "flags" / name).read_bytes()), name
+
+    def test_config_out_dir_is_read_and_flag_overrides_it(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "onb", "n": 4, "out_dir": "from_cfg"}))
+        assert run_cli("frame", "build", "--config", cfg) == 0
+        assert (tmp_path / "from_cfg" / "frame_summary.json").exists()
+        assert run_cli("frame", "build", "--config", cfg, "--out-dir", "flag") == 0
+        assert (tmp_path / "flag" / "frame_summary.json").exists()
+        assert not (tmp_path / "out").exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         argsets = [
             ("frame", "build", "--kind", "perturbed-onb", "--n", "32",
@@ -271,6 +292,12 @@ class TestCLIContract:
         assert run_cli("frame", "build", "--config", tmp_path / "nope.json",
                        "--out-dir", tmp_path) == 2
         assert self.error(tmp_path) == "input-file"
+
+    def test_non_integer_config_seed(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "onb", "n": 4, "seed": "five"}))
+        assert run_cli("frame", "build", "--config", cfg, "--out-dir", tmp_path) == 2
+        assert self.error(tmp_path) == "config"
 
     def test_invalid_json_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

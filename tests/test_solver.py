@@ -221,6 +221,22 @@ class TestFiniteSections:
             assert first.inverse_norm is None and first.kappa_dagger is None
             assert len(rep.levels) == 2 and rep.levels[1].singular
 
+    def test_cg_on_singular_level_stops_before_overflow(self):
+        # the right side leaves the range of the full level: CG must stop
+        # at the curvature breakdown, not step along the null space
+        n = 16
+        spectrum = np.ones(n)
+        spectrum[::3] = 0.0
+        a = make_test_operator("diagonal", n, spectrum=spectrum)
+        y = np.random.default_rng(0).standard_normal(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with np.errstate(all="raise"):
+                rep, _ = finite_section_solve(a, y, ProjectionSchedule(make_onb(n)),
+                                              method="cg")
+        assert rep.levels[-1].singular
+        assert not rep.converged
+
     def test_explicit_level_count(self):
         sched = ProjectionSchedule(make_onb(64), n_levels=3)
         assert [len(lv) for lv in sched.levels] == [16, 32, 64]
