@@ -7,6 +7,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
 from .indexing import IndexSet
+from .opnorms import schur_test_bound
 
 JAFFARD = "jaffard"
 SCHUR_WEIGHTED = "schur_weighted"
@@ -72,7 +73,7 @@ def algebra_norms(a, s, rows: IndexSet, cols: IndexSet = None):
     m = np.abs(a) * (1.0 + rows.distance_matrix(cols)) ** s
     return {
         JAFFARD: float(np.max(m)),
-        SCHUR_WEIGHTED: float(max(np.max(m.sum(axis=1)), np.max(m.sum(axis=0)))),
+        SCHUR_WEIGHTED: schur_test_bound(m),
     }
 
 
@@ -180,5 +181,4 @@ def admissible_weight_check(spec: MatrixAlgebraSpec, weight, index_set: IndexSet
     w = weight.values
     ratio = np.maximum(w[:, None] / w[None, :], w[None, :] / w[:, None])
     env = (1.0 + d) ** (-spec.s) * ratio
-    bound = float(max(np.max(env.sum(axis=1)), np.max(env.sum(axis=0))))
-    return {"admissible": bool(admissible), "worst_p_norm_bound": bound}
+    return {"admissible": bool(admissible), "worst_p_norm_bound": schur_test_bound(env)}

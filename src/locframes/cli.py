@@ -8,6 +8,7 @@ exits 0 on success, 2 on input/contract errors, 3 on divergence.
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .frames import (
     make_translates_frame,
 )
 from .galerkin import (
+    CERTIFICATE_CASES,
     LinearOperator,
     certificate_probe_norm,
     compose_rule_check,
@@ -49,19 +51,32 @@ from .solver import (
 from .weights import SeqSpaceSpec, Weight
 
 
-def _parse_p(token):
-    token = token.strip().lower()
-    if token in ("inf", "infinity"):
-        return math.inf
-    return float(token)
+def _finite(value):
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("must be finite")
+    return x
 
 
-def _p_list(text):
-    return [_parse_p(t) for t in text.split(",") if t.strip()]
+def _tokens(value):
+    """Items of a comma-separated string or of a JSON list."""
+    if isinstance(value, str):
+        return [t for t in value.split(",") if t.strip()]
+    return list(value)
 
 
-def _float_list(text):
-    return [float(t) for t in text.split(",") if t.strip()]
+# how each setting is read; a value that does not convert is a ConfigError
+_SETTING_TYPES = {
+    **dict.fromkeys(("n", "a", "b", "step", "levels", "start_level"), int),
+    **dict.fromkeys(("s", "threshold", "p", "w1_power", "w2_power", "width",
+                     "exponent", "decay_s", "tol", "theta", "tail",
+                     "tail_exponent"), _finite),
+    **dict.fromkeys(("frame", "matrix", "right"), os.fspath),
+    # float() reads "inf" and "infinity" in any case
+    "p_grid": lambda value: [float(t) for t in _tokens(value)],
+    **dict.fromkeys(("weight_powers", "spectrum"),
+                    lambda value: [_finite(t) for t in _tokens(value)]),
+}
 
 
 def _required(cfg, key):
@@ -72,37 +87,43 @@ def _required(cfg, key):
 
 
 def _check_settings(cfg):
-    """Reject a non-finite --tol or --theta, and a --tol that is not positive."""
-    for key in ("tol", "theta"):
-        if cfg.get(key) is not None and not math.isfinite(float(cfg[key])):
-            raise ConfigError(f"--{key} must be finite, got {cfg[key]!r}")
-    if cfg.get("tol") is not None and float(cfg["tol"]) <= 0:
+    """Convert every setting to its type in place.
+
+    A value of the wrong type, a non-finite number and a --tol that is not
+    positive raise ``ConfigError``.
+    """
+    for key, convert in _SETTING_TYPES.items():
+        if cfg.get(key) is None:
+            continue
+        try:
+            cfg[key] = convert(cfg[key])
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ConfigError(
+                f"--{key.replace('_', '-')}: cannot read {cfg[key]!r} ({err})"
+            ) from err
+    if cfg.get("tol") is not None and cfg["tol"] <= 0:
         raise ConfigError(f"--tol must be positive, got {cfg['tol']!r}")
 
 
 def build_frame(cfg, seed):
     kind = _required(cfg, "kind")
     if kind == "onb":
-        return make_onb(int(_required(cfg, "n")))
+        return make_onb(_required(cfg, "n"))
     if kind == "gabor":
-        n = int(_required(cfg, "n"))
-        width = cfg.get("width")
-        window = gaussian_window(n, width=float(width) if width else None)
-        return make_gabor_frame(n, int(_required(cfg, "a")), int(_required(cfg, "b")),
-                                window)
+        n = _required(cfg, "n")
+        window = gaussian_window(n, width=cfg.get("width"))
+        return make_gabor_frame(n, _required(cfg, "a"), _required(cfg, "b"), window)
     if kind == "translates":
-        n = int(_required(cfg, "n"))
+        n = _required(cfg, "n")
         iset = IndexSet.ring(n)
         gen = np.zeros(n)
         gen[0] = 1.0
-        gen += float(cfg.get("tail", 0.25)) * (
+        gen += cfg.get("tail", 0.25) * (
             1.0 + iset.distance_to_origin()
-        ) ** -float(cfg.get("tail_exponent", 3.0))
-        return make_translates_frame(n, int(cfg.get("step", 1)), gen)
+        ) ** -cfg.get("tail_exponent", 3.0)
+        return make_translates_frame(n, cfg.get("step", 1), gen)
     if kind == "perturbed-onb":
-        return make_perturbed_onb(
-            int(_required(cfg, "n")), float(cfg.get("decay_s", 3.0)), int(seed)
-        )
+        return make_perturbed_onb(_required(cfg, "n"), cfg.get("decay_s", 3.0), seed)
     raise LocframesError(f"unknown frame kind {kind!r}")
 
 
@@ -113,10 +134,9 @@ def build_operator(cfg, n):
     if kind == "diagonal":
         return make_test_operator("diagonal", n, spectrum=_required(cfg, "spectrum"))
     params = {}
-    if cfg.get("theta") is not None:
-        params["theta"] = float(cfg["theta"])
-    if cfg.get("exponent") is not None:
-        params["exponent"] = float(cfg["exponent"])
+    for key in ("theta", "exponent"):
+        if cfg.get(key) is not None:
+            params[key] = cfg[key]
     return make_test_operator(kind, n, **params)
 
 
@@ -155,11 +175,8 @@ def cmd_frame_build(cfg, out, seed):
 
 def cmd_frame_diag(cfg, out, seed):
     frame = io.load_frame(Path(_required(cfg, "frame")))
-    alg = MatrixAlgebraSpec(
-        cfg.get("algebra", "jaffard"),
-        float(cfg.get("s", 3.0)),
-        float(cfg.get("threshold", 1e3)),
-    )
+    alg = MatrixAlgebraSpec(cfg.get("algebra", "jaffard"), cfg.get("s", 3.0),
+                            cfg.get("threshold", 1e3))
     try:
         res = dual_localization_check(frame, alg)
     except NotLocalizedError as err:
@@ -178,10 +195,10 @@ def cmd_frame_diag(cfg, out, seed):
     io.shells_to_csv(out / "shells.csv", primal.fit)
 
     weights = [Weight.polynomial(t, frame.index_set)
-               for t in _float_list(cfg.get("weight_powers", "0,1"))]
+               for t in cfg.get("weight_powers", [0.0, 1.0])]
     admissible = {w.parameter: admissible_weight_check(alg, w, frame.index_set)["admissible"]
                   for w in weights}
-    spaces = [SeqSpaceSpec(p, w) for p in _p_list(cfg.get("p_grid", "1,2,inf"))
+    spaces = [SeqSpaceSpec(p, w) for p in cfg.get("p_grid", [1.0, 2.0, math.inf])
               for w in weights]
     grid = [
         {
@@ -248,10 +265,9 @@ def cmd_galerkin_certify(cfg, out, seed):
     entries, sidecar = io.load_array(Path(_required(cfg, "matrix")))
     case = cfg.get("case", "inf_inf")
     k_out, k_in = entries.shape
-    w1 = Weight((1.0 + np.arange(k_in)) ** float(cfg.get("w1_power", 0.0)))
-    w2 = Weight((1.0 + np.arange(k_out)) ** float(cfg.get("w2_power", 0.0)))
-    cert = schur_certificate(entries, case, p=float(cfg.get("p", 2.0)),
-                             weights=(w1, w2))
+    w1 = Weight((1.0 + np.arange(k_in)) ** cfg.get("w1_power", 0.0))
+    w2 = Weight((1.0 + np.arange(k_out)) ** cfg.get("w2_power", 0.0))
+    cert = schur_certificate(entries, case, p=cfg.get("p", 2.0), weights=(w1, w2))
     measured = certificate_probe_norm(entries, cert, probes=200, seed=seed)
     payload = cert.to_dict()
     payload["measured_probe_norm"] = measured
@@ -272,22 +288,19 @@ def cmd_galerkin_probe(cfg, out, seed):
 
 
 def cmd_solve_fs(cfg, out, seed):
-    n = int(cfg.get("n", 128))
+    n = cfg.get("n", 128)
+    frame = make_onb(n)
     op = build_operator(cfg, n)
     y = make_rhs(cfg, n, seed)
-    frame = make_onb(n)
     selection = cfg.get("schedule", "centered")
     if selection == "greedy":
         selection = "energy_greedy"
-    n_levels = cfg.get("levels")
-    sched = ProjectionSchedule(
-        frame, selection=selection, pilot=y,
-        start=int(cfg.get("start_level", 8)),
-        n_levels=int(n_levels) if n_levels else None,
-    )
+    sched = ProjectionSchedule(frame, selection=selection, pilot=y,
+                               start=cfg.get("start_level", 8),
+                               n_levels=cfg.get("levels"))
     report, x = finite_section_solve(
         op, y, sched, method=cfg.get("method", "direct"),
-        tol=float(cfg.get("tol", 1e-8)),
+        tol=cfg.get("tol", 1e-8),
     )
     io.save_json(report.to_dict(), out / "solve_fs.json")
     io.report_levels_csv(out / "solve_fs_levels.csv", report)
@@ -304,7 +317,7 @@ def cmd_solve_fg(cfg, out, seed):
     g = make_rhs(cfg, frame.ambient_dim, seed)
     f, report = frame_galerkin_solve(
         op, g, frame, method=cfg.get("method", "cg"),
-        tol=float(cfg.get("tol", 1e-8)),
+        tol=cfg.get("tol", 1e-8),
     )
     io.save_json(report.to_dict(), out / "solve_fg.json")
     io.report_levels_csv(out / "solve_fg_levels.csv", report)
@@ -326,10 +339,29 @@ COMMANDS = {
 }
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--out-dir", help='default "out"')
-    parser.add_argument("--seed", type=int, help="default 0")
+_OPERATOR_FLAGS = ("op_kind", "theta", "exponent", "spectrum")
+_SOLVE_FLAGS = _OPERATOR_FLAGS + ("method", "tol", "rhs")
+
+# the settings each subcommand reads, given as --flags; _check_settings
+# converts them
+FLAGS = {
+    ("frame", "build"): ("kind", "n", "a", "b", "width", "step", "decay_s"),
+    ("frame", "diag"): ("frame", "algebra", "s", "threshold", "p_grid", "weight_powers"),
+    ("galerkin", "assemble"): ("frame", "right") + _OPERATOR_FLAGS,
+    ("galerkin", "certify"): ("matrix", "case", "p", "w1_power", "w2_power"),
+    ("galerkin", "probe"): ("frame", "right") + _OPERATOR_FLAGS,
+    ("solve", "fs"): ("n", "schedule", "levels", "start_level") + _SOLVE_FLAGS,
+    ("solve", "fg"): ("frame",) + _SOLVE_FLAGS,
+}
+_CHOICES = {
+    "kind": ["onb", "gabor", "translates", "perturbed-onb"],
+    "algebra": ["jaffard", "schur_weighted"],
+    "case": list(CERTIFICATE_CASES),
+    "method": ["cg", "richardson", "direct"],
+    "schedule": ["centered", "greedy"],
+    "rhs": ["random", "bump"],
+}
+_HELP = {"right": "self | dual | path to a frame container"}
 
 
 def make_parser():
@@ -337,62 +369,18 @@ def make_parser():
         prog="locframes",
         description="frame diagnostics and frame-Galerkin operator solves",
     )
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    frame = sub.add_parser("frame").add_subparsers(dest="sub", required=True)
-    build = frame.add_parser("build")
-    _add_common(build)
-    build.add_argument("--kind", choices=["onb", "gabor", "translates", "perturbed-onb"])
-    build.add_argument("--n", type=int)
-    build.add_argument("--a", type=int)
-    build.add_argument("--b", type=int)
-    build.add_argument("--width", type=float)
-    build.add_argument("--step", type=int)
-    build.add_argument("--decay-s", dest="decay_s", type=float)
-    diag = frame.add_parser("diag")
-    _add_common(diag)
-    diag.add_argument("--frame")
-    diag.add_argument("--algebra", choices=["jaffard", "schur_weighted"])
-    diag.add_argument("--s", type=float)
-    diag.add_argument("--threshold", type=float)
-    diag.add_argument("--p-grid", dest="p_grid")
-    diag.add_argument("--weight-powers", dest="weight_powers")
-
-    gal = sub.add_parser("galerkin").add_subparsers(dest="sub", required=True)
-    for name in ("assemble", "probe"):
-        p = gal.add_parser(name)
-        _add_common(p)
-        p.add_argument("--frame")
-        p.add_argument("--right", help="self | dual | path to a frame container")
-        p.add_argument("--op-kind", dest="op_kind")
-        p.add_argument("--theta", type=float)
-        p.add_argument("--exponent", type=float)
-        p.add_argument("--spectrum", type=_float_list)
-    cert = gal.add_parser("certify")
-    _add_common(cert)
-    cert.add_argument("--matrix")
-    cert.add_argument("--case", choices=["inf_inf", "inf_zero", "one_inf",
-                                         "one_p", "inf_one", "two_two"])
-    cert.add_argument("--p", type=float)
-    cert.add_argument("--w1-power", dest="w1_power", type=float)
-    cert.add_argument("--w2-power", dest="w2_power", type=float)
-
-    solve = sub.add_parser("solve").add_subparsers(dest="sub", required=True)
-    for name in ("fs", "fg"):
-        p = solve.add_parser(name)
-        _add_common(p)
-        p.add_argument("--frame")
-        p.add_argument("--n", type=int)
-        p.add_argument("--op-kind", dest="op_kind")
-        p.add_argument("--theta", type=float)
-        p.add_argument("--exponent", type=float)
-        p.add_argument("--spectrum", type=_float_list)
-        p.add_argument("--method", choices=["cg", "richardson", "direct"])
-        p.add_argument("--tol", type=float)
-        p.add_argument("--schedule", choices=["centered", "greedy"])
-        p.add_argument("--levels", type=int)
-        p.add_argument("--rhs", choices=["random", "bump"])
-        p.add_argument("--start-level", dest="start_level", type=int)
+    groups = parser.add_subparsers(dest="group", required=True)
+    subs = {}
+    for (group, name), keys in FLAGS.items():
+        if group not in subs:
+            subs[group] = groups.add_parser(group).add_subparsers(dest="sub", required=True)
+        sub = subs[group].add_parser(name)
+        sub.add_argument("--config", help="JSON config file; flags override it")
+        sub.add_argument("--out-dir", help='default "out"')
+        sub.add_argument("--seed", help="default 0")
+        for key in keys:
+            sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                             choices=_CHOICES.get(key), help=_HELP.get(key))
     return parser
 
 

@@ -222,8 +222,12 @@ def gaussian_window(n, width=None):
     ``width`` is the standard-width parameter; the default sqrt(n) is the
     self-dual choice for square time-frequency lattices.
     """
+    if n < 1:
+        raise InvalidInputError(f"window length must be positive, got {n}")
     if width is None:
         width = np.sqrt(n)
+    elif not width > 0:
+        raise InvalidInputError(f"window width must be positive, got {width}")
     x = np.arange(n, dtype=float)
     g = np.zeros(n)
     for j in range(-3, 4):
@@ -233,6 +237,8 @@ def gaussian_window(n, width=None):
 
 def make_onb(n, name="onb"):
     """Standard orthonormal basis of C^n on the cyclic index set Z_n."""
+    if n < 1:
+        raise InvalidInputError(f"dimension must be positive, got {n}")
     return Frame(
         np.eye(n, dtype=complex),
         IndexSet.ring(n),
@@ -248,6 +254,8 @@ def make_gabor_frame(n, a, b, window, name=None):
     m = 0..n/a - 1, j = 0..n/b - 1.  Index positions sit on the
     (n/a) x (n/b) torus with axis scales (a, b).
     """
+    if min(n, a, b) < 1:
+        raise InvalidInputError(f"modulus {n} and steps ({a}, {b}) must be positive")
     if n % a or n % b:
         raise InvalidInputError(f"steps ({a}, {b}) must divide the modulus {n}")
     window = np.asarray(window, dtype=complex)
@@ -281,6 +289,8 @@ def make_translates_frame(n, step, generator, name=None, require_frame=True):
     With ``require_frame`` the family must have at least n members;
     disable it to build Riesz sequences for subspaces.
     """
+    if min(n, step) < 1:
+        raise InvalidInputError(f"n = {n} and step {step} must be positive")
     if n % step:
         raise InvalidInputError(f"step {step} must divide {n}")
     g = np.asarray(generator, dtype=complex)

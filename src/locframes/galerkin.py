@@ -17,8 +17,8 @@ from .errors import (
     InvalidInputError,
 )
 from .frames import Frame, analysis, analysis_qr, canonical_dual, gram, synthesis
-from .linalg import generalized_condition_number, range_spectrum
-from .opnorms import exact_operator_norm, interpolation_upper, weighted_matrix
+from .linalg import range_spectrum, singular_kappa
+from .opnorms import exact_operator_norm, space_operator_norm, weighted_matrix
 from .weights import SeqSpaceSpec, seq_norm
 
 KAPPA_SLACK = 1e-8
@@ -182,18 +182,6 @@ def compose_rule_check(op1, op2, phi: Frame, psi: Frame, xi: Frame):
 # -- norm bounds --------------------------------------------------------------
 
 
-def _mixed_space_norm(m, out_space: SeqSpaceSpec, in_space: SeqSpaceSpec):
-    """Norm (or certified upper bound) of a matrix between weighted spaces."""
-    mb = weighted_matrix(m, out_space.weight.values, in_space.weight.values)
-    p_in, p_out = in_space.effective_p, out_space.effective_p
-    try:
-        return exact_operator_norm(mb, p_in, p_out)
-    except InvalidInputError:
-        if p_in == p_out:
-            return interpolation_upper(mb)
-        raise
-
-
 def _probe_norm(m, out_space, in_space, probes=200, seed=0):
     """Empirical operator norm on random probe sequences.
 
@@ -218,18 +206,15 @@ def matrixrep_norm_bound(op, phi: Frame, xi: Frame, psi_ref: Frame, spaces,
     B = M(dual psi, psi)(O) turns the product of weighted Gram norms and
     a certified coorbit norm of O into a sound upper bound.
     """
-    in_space, out_space = spaces
-    in_space = in_space.on(xi.index_set)
-    out_space = out_space.on(phi.index_set)
+    in_space, out_space = spaces[0].on(xi.index_set), spaces[1].on(phi.index_set)
     psid = canonical_dual(psi_ref)
-    ref_in = SeqSpaceSpec(in_space.p, in_space.weight.on(psi_ref.index_set))
-    ref_out = SeqSpaceSpec(out_space.p, out_space.weight.on(psi_ref.index_set))
+    ref_in, ref_out = in_space.on(psi_ref.index_set), out_space.on(psi_ref.index_set)
     g_left = gram(phi, psi_ref)
     g_right = gram(psid, xi)
     b = galerkin_matrix(op, psid, psi_ref).entries
-    o_norm_bound = _mixed_space_norm(b, ref_out, ref_in)
-    gl = _mixed_space_norm(g_left, out_space, ref_out)
-    gr = _mixed_space_norm(g_right, ref_in, in_space)
+    o_norm_bound = space_operator_norm(b, ref_out, ref_in)
+    gl = space_operator_norm(g_left, out_space, ref_out)
+    gr = space_operator_norm(g_right, ref_in, in_space)
     bound = gl * o_norm_bound * gr
     m = galerkin_matrix(op, phi, xi).entries
     measured = _probe_norm(m, out_space, in_space, probes=probes, seed=seed)
@@ -254,15 +239,12 @@ def operator_norm_bound(m, phi: Frame, xi: Frame, psi_ref: Frame, spaces,
                         probes=50, seed=0):
     """Mirrored bound: coorbit norm of O(M) against the matrix norm of M."""
     entries = m.entries if isinstance(m, GalerkinMatrix) else np.asarray(m)
-    in_space, out_space = spaces
-    in_space = in_space.on(xi.index_set)
-    out_space = out_space.on(phi.index_set)
+    in_space, out_space = spaces[0].on(xi.index_set), spaces[1].on(phi.index_set)
     psid = canonical_dual(psi_ref)
-    ref_in = SeqSpaceSpec(in_space.p, in_space.weight.on(psi_ref.index_set))
-    ref_out = SeqSpaceSpec(out_space.p, out_space.weight.on(psi_ref.index_set))
-    gl = _mixed_space_norm(gram(psid, phi), ref_out, out_space)
-    gr = _mixed_space_norm(gram(xi, psi_ref), in_space, ref_in)
-    m_norm = _mixed_space_norm(entries, out_space, in_space)
+    ref_in, ref_out = in_space.on(psi_ref.index_set), out_space.on(psi_ref.index_set)
+    gl = space_operator_norm(gram(psid, phi), ref_out, out_space)
+    gr = space_operator_norm(gram(xi, psi_ref), in_space, ref_in)
+    m_norm = space_operator_norm(entries, out_space, in_space)
     bound = gl * m_norm * gr
     # measured coorbit norm of D phi M C xi through the reference dual analysis
     composite = gram(psid, phi) @ entries @ gram(xi, psi_ref)
@@ -279,30 +261,26 @@ def bounded_equiv_check(op, phi: Frame, psi: Frame, spaces, probes=100, seed=0):
     factors predicted by the representation bounds.
     """
     op = as_operator(op)
-    in_space, out_space = spaces
-    in_space = in_space.on(phi.index_set)
-    out_space = out_space.on(psi.index_set)
+    in_space, out_space = spaces[0].on(phi.index_set), spaces[1].on(psi.index_set)
     psid = canonical_dual(psi)
     m = galerkin_matrix(op, psi, phi).entries
-    m_norm = _mixed_space_norm(m, out_space, in_space)
-    in_ref = SeqSpaceSpec(in_space.p, in_space.weight.on(psi.index_set))
+    m_norm = space_operator_norm(m, out_space, in_space)
+    in_ref = in_space.on(psi.index_set)
     b = galerkin_matrix(op, psid, psi).entries
-    o_certified = _mixed_space_norm(b, out_space, in_ref)
-    # measured coorbit norm of O through the dual analysis of psi
-    dense = op.dense()
-    rng = np.random.default_rng(seed)
-    measured_o = 0.0
-    for _ in range(probes):
-        f = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
-        nin = seq_norm(analysis(psid, f), in_ref)
-        if nin == 0:
-            continue
-        nout = seq_norm(analysis(psid, dense @ f), out_space)
-        measured_o = max(measured_o, nout / nin)
-    forward = (_mixed_space_norm(gram(psi, psi), out_space, out_space)
-               * _mixed_space_norm(gram(psid, phi), in_ref, in_space))
-    backward = (_mixed_space_norm(gram(psid, psid), out_space, out_space)
-                * _mixed_space_norm(gram(canonical_dual(phi), psi), in_space, in_ref))
+    o_certified = space_operator_norm(b, out_space, in_ref)
+    # measured coorbit norm of O through the dual analysis of psi, on
+    # probes drawn as in _probe_norm
+    z = np.random.default_rng(seed).standard_normal((probes, 2, op.shape[1]))
+    f = (z[:, 0] + 1j * z[:, 1]).T
+    analysis_dual = np.conj(psid.vectors.T)
+    nin = seq_norm(analysis_dual @ f, in_ref)
+    live = nin != 0
+    nout = seq_norm(analysis_dual @ (op.dense() @ f), out_space)
+    measured_o = float((nout[live] / nin[live]).max(initial=0.0))
+    forward = (space_operator_norm(gram(psi, psi), out_space, out_space)
+               * space_operator_norm(gram(psid, phi), in_ref, in_space))
+    backward = (space_operator_norm(gram(psid, psid), out_space, out_space)
+                * space_operator_norm(gram(canonical_dual(phi), psi), in_space, in_ref))
     ok_forward = m_norm <= forward * o_certified * (1 + KAPPA_SLACK)
     ok_backward = measured_o <= backward * m_norm * (1 + KAPPA_SLACK)
     return {
@@ -317,7 +295,26 @@ def bounded_equiv_check(op, phi: Frame, psi: Frame, spaces, probes=100, seed=0):
 
 # -- Schur certificates -------------------------------------------------------
 
-CERTIFICATE_CASES = ("inf_inf", "inf_zero", "one_inf", "one_p", "inf_one", "two_two")
+# exponents (p_in, p_out) of the space pair each certificate case bounds;
+# None stands for the certificate's own p
+CASE_EXPONENTS = {
+    "inf_inf": (math.inf, math.inf),
+    "inf_zero": (math.inf, math.inf),
+    "one_inf": (1.0, math.inf),
+    "one_p": (1.0, None),
+    "inf_one": (math.inf, 1.0),
+    "two_two": (2.0, 2.0),
+}
+CERTIFICATE_CASES = tuple(CASE_EXPONENTS)
+
+# detail key of the cases whose bound is an exact operator norm
+_EXACT_DETAIL = {"inf_inf": "row_sums_max", "inf_zero": "row_sums_max",
+                 "one_inf": "sup_entry", "one_p": "column_p_norm_max"}
+
+
+def _case_exponents(case, p):
+    p_in, p_out = CASE_EXPONENTS[case]
+    return p_in, p if p_out is None else p_out
 
 
 @dataclass
@@ -333,24 +330,13 @@ class BoundCertificate:
         return {
             "case": self.case,
             "certified_bound": self.certified_bound,
-            "details": {
-                k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                for k, v in self.details.items()
-            },
+            "details": dict(self.details),
         }
 
     def probe_spaces(self):
         """(in_space, out_space) pair the certificate applies to."""
         w1, w2 = self.weights
-        p_map = {
-            "inf_inf": (math.inf, math.inf),
-            "inf_zero": (math.inf, math.inf),
-            "one_inf": (1.0, math.inf),
-            "one_p": (1.0, self.details.get("p", 2.0)),
-            "inf_one": (math.inf, 1.0),
-            "two_two": (2.0, 2.0),
-        }
-        p_in, p_out = p_map[self.case]
+        p_in, p_out = _case_exponents(self.case, self.details.get("p"))
         return SeqSpaceSpec(p_in, w1), SeqSpaceSpec(p_out, w2)
 
 
@@ -414,8 +400,8 @@ def schur_certificate(m, case, p=2.0, weights=None):
 
     ``m`` may be a GalerkinMatrix carrying space specs (whose weights are
     used) or a plain matrix with explicit ``weights=(w_in, w_out)``.
-    The conjugated matrix, the certified bound, and the raw Schur
-    quantities all land in the certificate details.
+    The cases with a closed form report ``exact_operator_norm`` of the
+    conjugated matrix; the raw Schur quantities land in the details.
     """
     if case not in CERTIFICATE_CASES:
         raise InvalidInputError(f"unsupported certificate case {case!r}")
@@ -433,35 +419,27 @@ def schur_certificate(m, case, p=2.0, weights=None):
     mb = weighted_matrix(entries, w2.values, w1.values)
     if case == "two_two":
         bound, details = _two_two(mb)
-        return BoundCertificate(case, bound, (w1, w2), details)
-    a = np.abs(mb)
-    details = {}
-    if case in ("inf_inf", "inf_zero"):
-        row_sums = a.sum(axis=1)
-        bound = float(row_sums.max())
-        details["row_sums_max"] = bound
+    elif case == "inf_one":
+        bound = float(np.abs(mb).sum())
+        details = {
+            "absolute_sum": bound,
+            "greedy_subset_quantity": _greedy_subset_quantity(mb),
+            "surrogate": ("finite-scale exact form: total absolute sum certifies "
+                          "the bound; the subset supremum is estimated greedily"),
+        }
+    else:
+        details = {}
+        if case == "one_p":
+            p = float(p)
+            if not 1.0 <= p < math.inf:
+                raise InvalidInputError("one_p requires a finite exponent p >= 1")
+            details["p"] = p
+        bound = exact_operator_norm(mb, *_case_exponents(case, p))
+        details[_EXACT_DETAIL[case]] = bound
         if case == "inf_zero":
-            tail = row_sums[-max(1, len(row_sums) // 4):]
+            tail = np.abs(mb[-max(1, mb.shape[0] // 4):]).sum(axis=1)
             details["tail_row_sum_mean"] = float(tail.mean())
             details["surrogate"] = "vanishing-row-sum limit probed on the tail block"
-    elif case == "one_inf":
-        bound = float(a.max())
-        details["sup_entry"] = bound
-    elif case == "one_p":
-        p = float(p)
-        if not 1.0 <= p < math.inf:
-            raise InvalidInputError("one_p requires a finite exponent p >= 1")
-        bound = float(((a**p).sum(axis=0) ** (1.0 / p)).max())
-        details["p"] = p
-        details["column_p_norm_max"] = bound
-    else:  # inf_one
-        bound = float(a.sum())
-        details["absolute_sum"] = bound
-        details["greedy_subset_quantity"] = _greedy_subset_quantity(mb)
-        details["surrogate"] = (
-            "finite-scale exact form: total absolute sum certifies the bound; "
-            "the subset supremum is estimated greedily"
-        )
     return BoundCertificate(case, bound, (w1, w2), details)
 
 
@@ -515,7 +493,8 @@ def kappa_factorization_probe(op, phi: Frame, psi: Frame):
     """
     op = as_operator(op)
     dense = op.dense()
-    if np.linalg.cond(dense) > OPERATOR_COND_CAP:
+    s = np.linalg.svd(dense, compute_uv=False)
+    if not s[-1] * OPERATOR_COND_CAP >= s[0]:
         raise BijectivityError("operator must be invertible for the kappa probe")
     qr_phi, qr_psi = analysis_qr(phi), analysis_qr(psi)
     qr_psid = analysis_qr(canonical_dual(psi))
@@ -523,7 +502,7 @@ def kappa_factorization_probe(op, phi: Frame, psi: Frame):
     rhs = (
         range_spectrum(qr_phi, qr_psi).kappa
         * range_spectrum(qr_psid, qr_psi).kappa
-        * generalized_condition_number(dense)
+        * singular_kappa(s)
     )
     return {
         "lhs": lhs,

@@ -104,6 +104,8 @@ class IndexSet:
     @classmethod
     def ring(cls, n, scale=1.0):
         """0..n-1 on the n-torus (circular metric)."""
+        if n < 1:
+            raise InvalidInputError(f"a ring needs n >= 1, got {n}")
         return cls(range(n), np.arange(n)[:, None], CIRCULAR, moduli=(n,), scales=(scale,))
 
     @classmethod

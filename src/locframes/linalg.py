@@ -20,13 +20,6 @@ def _rank(s, rank_tol):
     return int(np.count_nonzero(s > rank_tol * s[0]))
 
 
-def _kappa(s, rank):
-    """Largest over smallest of the ``rank`` leading singular values."""
-    if rank == 0:
-        raise InvalidInputError("condition number of the zero matrix is undefined")
-    return float(s[0] / s[rank - 1])
-
-
 def pseudo_inverse(m, rank_tol=DEFAULT_RANK_TOL):
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
 
@@ -46,10 +39,17 @@ def numerical_rank(m, rank_tol=DEFAULT_RANK_TOL):
     return _rank(np.linalg.svd(np.asarray(m), compute_uv=False), rank_tol)
 
 
+def singular_kappa(s, rank_tol=DEFAULT_RANK_TOL):
+    """Largest over smallest nonzero value of descending singular values."""
+    rank = _rank(s, rank_tol)
+    if rank == 0:
+        raise InvalidInputError("condition number of the zero matrix is undefined")
+    return float(s[0] / s[rank - 1])
+
+
 def generalized_condition_number(m, rank_tol=DEFAULT_RANK_TOL):
     """Ratio of the largest to the smallest nonzero singular value."""
-    s = np.linalg.svd(np.asarray(m), compute_uv=False)
-    return _kappa(s, _rank(s, rank_tol))
+    return singular_kappa(np.linalg.svd(np.asarray(m), compute_uv=False), rank_tol)
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class RangeSpectrum:
     @property
     def kappa(self):
         """Generalized condition number; undefined when the rank is 0."""
-        return _kappa(self.values, self.values.size)
+        return singular_kappa(self.values)
 
     def pinv_apply(self, b):
         """A^+ b = Q_r C^+ Q_l^* b; needs the factors."""

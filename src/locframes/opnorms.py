@@ -1,8 +1,10 @@
 """Operator norms between weighted sequence spaces.
 
-Weights are absorbed by conjugation: M acting l^p_{w1} -> l^p_{w2} has
+Weights are absorbed by conjugation: M acting l^p_{w1} -> l^q_{w2} has
 the same norm as diag(w2) M diag(1/w1) acting between the unweighted
-spaces, so everything below works on the conjugated matrix.
+spaces, so everything below works on the conjugated matrix.  The Schur
+certificates, the algebra norms and the Galerkin bounds all compute their
+norms here.
 """
 
 import math
@@ -10,6 +12,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
+from .weights import SeqSpaceSpec
 
 _INF = math.inf
 
@@ -41,15 +44,33 @@ def exact_operator_norm(m, p_in, p_out):
             return float(m.max())
         if p_out == 1.0:
             return float(m.sum(axis=0).max())
-        return float((m**p_out).sum(axis=0).max() ** (1.0 / p_out))
+        return float(((m**p_out).sum(axis=0) ** (1.0 / p_out)).max())
     if p_in == _INF and p_out == _INF:
         return float(m.sum(axis=1).max())
     raise InvalidInputError(f"no exact formula for l^{p_in} -> l^{p_out}")
 
 
-def interpolation_upper(m):
-    """Upper bound for every l^p -> l^p norm, 1 <= p <= inf."""
-    return max(exact_operator_norm(m, 1, 1), exact_operator_norm(m, _INF, _INF))
+def schur_test_bound(a):
+    """Larger of the largest row sum and column sum of a nonnegative ``a``.
+
+    By the Schur test it bounds every l^p -> l^p norm, 1 <= p <= inf, of
+    each m with |m| <= a entrywise.
+    """
+    return float(max(np.max(a.sum(axis=1)), np.max(a.sum(axis=0))))
+
+
+def space_operator_norm(m, out_space: SeqSpaceSpec, in_space: SeqSpaceSpec):
+    """Norm of ``m`` from ``in_space`` to ``out_space``, or a certified bound.
+
+    Exact where ``exact_operator_norm`` has a formula; for equal exponents
+    without one, the Schur (interpolation) bound of |m|.  Other pairs
+    raise ``InvalidInputError``.
+    """
+    mb = weighted_matrix(m, out_space.weight.values, in_space.weight.values)
+    p_in, p_out = in_space.effective_p, out_space.effective_p
+    if p_in == p_out and p_in not in (1.0, 2.0, _INF):
+        return schur_test_bound(np.abs(mb))
+    return exact_operator_norm(mb, p_in, p_out)
 
 
 def rayleigh_lower_l2(m, iters=60, seed=0):
@@ -69,13 +90,6 @@ def rayleigh_lower_l2(m, iters=60, seed=0):
 
 
 def weighted_operator_norm(m, p, weight):
-    """Norm of ``m`` on l^p_w; exact for p in {1, 2, inf, 0}.
-
-    For other p the Riesz-Thorin style interpolation upper bound
-    max(||.||_1, ||.||_inf) is returned.
-    """
-    mb = weighted_matrix(m, weight.values, weight.values)
-    p = _INF if p == 0 else float(p)
-    if p in (1.0, 2.0, _INF):
-        return exact_operator_norm(mb, p, p)
-    return interpolation_upper(mb)
+    """Norm of ``m`` on l^p_w: ``space_operator_norm`` with equal spaces."""
+    space = SeqSpaceSpec(p, weight)
+    return space_operator_norm(m, space, space)

@@ -83,6 +83,8 @@ class ProjectionSchedule:
                 sizes = sorted({max(1, round(k * 2.0 ** -(n_levels - 1 - i)))
                                 for i in range(n_levels)})
             else:
+                if start < 1:
+                    raise InvalidInputError(f"start level must be >= 1, got {start}")
                 sizes = []
                 m = min(start, k)
                 while m < k:

@@ -26,6 +26,7 @@ from locframes import (
     operator_norm_bound,
     roundtrip_check,
     schur_certificate,
+    seq_norm,
 )
 from locframes.galerkin import certificate_probe_norm
 from locframes.linalg import generalized_condition_number, pseudo_inverse
@@ -245,6 +246,23 @@ class TestNormBounds:
         assert out["consistent"]
         assert out["matrix_norm"] > 50
         assert out["operator_norm_measured"] > 5
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, np.inf])
+    def test_bounded_equiv_batched_probes_match_probe_loop(self, suite_frames, rng, p):
+        frame = suite_frames["gabor16"]
+        w = Weight.polynomial(1.0, frame.index_set)
+        spaces = (SeqSpaceSpec(p, w), SeqSpaceSpec(p, w))
+        op = random_matrix(rng, 16)
+        out = bounded_equiv_check(op, frame, frame, spaces, probes=30, seed=5)
+        # reference: one probe at a time from the same stream
+        dual, space = canonical_dual(frame), spaces[0].on(frame.index_set)
+        probe_rng = np.random.default_rng(5)
+        ratios = []
+        for _ in range(30):
+            f = probe_rng.standard_normal(16) + 1j * probe_rng.standard_normal(16)
+            ratios.append(seq_norm(analysis(dual, op @ f), space)
+                          / seq_norm(analysis(dual, f), space))
+        assert out["operator_norm_measured"] == pytest.approx(max(ratios), rel=1e-12)
 
 
 class TestSchurCertificates:

@@ -1,6 +1,11 @@
 """Container round-trips, CLI subcommands, exit codes, determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,3 +309,88 @@ class TestCLIContract:
         cfg.write_text('{"kind": "onb", "n": ')
         assert run_cli("frame", "build", "--config", cfg, "--out-dir", tmp_path) == 2
         assert self.error(tmp_path) == "config"
+
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "gabor", "--n", "16", "--a", "0", "--b", "4"),
+        ("--kind", "gabor", "--n", "16", "--a", "4", "--b", "0"),
+        ("--kind", "translates", "--n", "16", "--step", "0"),
+        ("--kind", "onb", "--n", "0"),
+        ("--kind", "gabor", "--n", "16", "--a", "4", "--b", "2", "--width", "0"),
+    ])
+    def test_frame_build_non_positive_size(self, tmp_path, argv):
+        assert run_cli("frame", "build", *argv, "--out-dir", tmp_path) == 2
+        assert self.error(tmp_path) == "invalid-input"
+
+    @pytest.mark.parametrize("flag, value", [("--p-grid", "abc"),
+                                             ("--weight-powers", "x"),
+                                             ("--s", "nan"),
+                                             ("--threshold", "inf")])
+    def test_frame_diag_bad_setting(self, tmp_path, flag, value):
+        run_cli("frame", "build", "--kind", "onb", "--n", "8", "--out-dir", tmp_path)
+        assert run_cli("frame", "diag", "--frame", tmp_path / "frame", flag, value,
+                       "--out-dir", tmp_path / "diag") == 2
+        assert self.error(tmp_path / "diag") == "config"
+        assert not (tmp_path / "diag" / "localization.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--p", "--w1-power", "--w2-power"])
+    def test_certify_non_finite_setting(self, tmp_path, flag):
+        run_cli("frame", "build", "--kind", "onb", "--n", "8", "--out-dir", tmp_path)
+        run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
+                "--out-dir", tmp_path / "gal")
+        assert run_cli("galerkin", "certify", "--matrix", tmp_path / "gal" / "galerkin",
+                       "--case", "one_p", flag, "nan", "--out-dir", tmp_path / "cert") == 2
+        assert self.error(tmp_path / "cert") == "config"
+
+    @pytest.mark.parametrize("argv", [
+        ("frame", "build", "--kind", "gabor", "--n", "16", "--a", "4", "--b", "2",
+         "--width", "inf"),
+        ("frame", "build", "--kind", "perturbed-onb", "--n", "16", "--decay-s", "nan"),
+        ("solve", "fs", "--n", "16", "--op-kind", "identity_minus_kernel",
+         "--exponent", "inf"),
+    ])
+    def test_non_finite_build_and_operator_setting(self, tmp_path, argv):
+        assert run_cli(*argv, "--out-dir", tmp_path) == 2
+        assert self.error(tmp_path) == "config"
+
+    @pytest.mark.parametrize("setting", [{"n": "abc"}, {"n": [8]}, {"s": {}},
+                                         {"p_grid": 5}, {"frame": 3}])
+    def test_config_value_of_wrong_type(self, tmp_path, setting):
+        run_cli("frame", "build", "--kind", "onb", "--n", "8", "--out-dir", tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "onb", "n": 4,
+                                   "frame": str(tmp_path / "frame"), **setting}))
+        command = ("frame", "build") if "n" in setting else ("frame", "diag")
+        assert run_cli(*command, "--config", cfg, "--out-dir", tmp_path / "out") == 2
+        assert self.error(tmp_path / "out") == "config"
+
+    def test_solve_fs_zero_levels(self, tmp_path):
+        assert run_cli("solve", "fs", "--n", "16", "--levels", "0",
+                       "--out-dir", tmp_path) == 2
+        assert self.error(tmp_path) == "invalid-input"
+
+    def test_solve_fs_start_level_zero(self, tmp_path):
+        # run apart, with a time and memory cap, so a schedule that never
+        # terminates fails this test instead of hanging the suite
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = str(Path(io.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "locframes", "solve", "fs", "--n", "16",
+             "--start-level", "0", "--out-dir", str(tmp_path)],
+            env=env, preexec_fn=cap_memory, capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert self.error(tmp_path) == "invalid-input"
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "fg", "--frame", "f", "--n", "8"),
+        ("solve", "fg", "--frame", "f", "--levels", "2"),
+        ("solve", "fs", "--frame", "f"),
+    ])
+    def test_flag_of_another_subcommand_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out-dir", tmp_path)
+        assert exc.value.code == 2

@@ -1,8 +1,11 @@
-"""Property tests of the Schur certificates on random and near-degenerate matrices.
+"""Property tests on random and near-degenerate matrices and frames.
 
 Every ``CERTIFICATE_CASES`` entry must bound the exact operator norm
 where one is known and the probe measurement everywhere, at scales from
-1e-12 to 1e12; ``two_two`` must also report the true spectral norm.
+1e-12 to 1e12; the cases with a closed form must report exactly that
+norm, and ``two_two`` the true spectral norm.  Canonical duals must
+reconstruct and their Gram projection be idempotent, with errors that
+grow no faster than the condition number of the frame operator.
 """
 
 import numpy as np
@@ -10,7 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locframes import InvalidInputError, Weight, schur_certificate
+from locframes import (
+    Frame,
+    IndexSet,
+    InvalidInputError,
+    Weight,
+    analysis,
+    canonical_dual,
+    frame_bounds,
+    gram,
+    schur_certificate,
+    synthesis,
+)
 from locframes.galerkin import CERTIFICATE_CASES, certificate_probe_norm
 from locframes.opnorms import exact_operator_norm, weighted_matrix
 
@@ -48,9 +62,9 @@ def matrices(draw):
 
 
 @st.composite
-def certificates(draw):
+def certificates(draw, cases=CERTIFICATE_CASES):
     m = draw(matrices())
-    case = draw(st.sampled_from(CERTIFICATE_CASES))
+    case = draw(st.sampled_from(cases))
     t_in, t_out = draw(st.sampled_from((0.0, 0.5, 1.0))), draw(st.sampled_from((0.0, 1.0)))
     w1 = Weight((1.0 + np.arange(m.shape[1])) ** t_in)
     w2 = Weight((1.0 + np.arange(m.shape[0])) ** t_out)
@@ -94,3 +108,60 @@ def test_two_two_ground_truth_is_spectral_norm(m):
     assert np.isfinite(cert.certified_bound)
     assert cert.details["svd_ground_truth"] == pytest.approx(
         np.linalg.norm(m, 2), rel=1e-12, abs=0.0)
+
+
+@PROPERTY
+@given(certificates(cases=("inf_inf", "inf_zero", "one_inf", "one_p")))
+def test_closed_form_bound_is_exact_norm(mc):
+    m, cert = mc
+    in_space, out_space = cert.probe_spaces()
+    exact = exact_operator_norm(conjugated(m, cert), in_space.p, out_space.p)
+    assert cert.certified_bound == exact
+
+
+# reconstruction and idempotency defects, relative to the condition number
+# B / A of the frame operator
+FRAME_SLACK = 1e-13
+
+
+@st.composite
+def frames(draw):
+    """n x K frame with prescribed singular values: well spread, or with the
+    smallest pushed down so that B / A reaches 1e6 (Cholesky) or 4e8
+    (past the Cholesky cap, eigendecomposition)."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(n, 2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = rng.uniform(0.5, 2.0, n)
+    s[-1] = draw(st.sampled_from((s[-1], 1e-3, 1e-4)))
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    vh, _ = np.linalg.qr(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+    vectors = u @ (s[:, None] * np.conj(vh.T))
+    if draw(st.booleans()):
+        # a nearly repeated member; adding it cannot lower A
+        vectors = np.hstack([vectors, vectors[:, :1] * (1 + 1e-9)])
+    return Frame(vectors, IndexSet.ring(vectors.shape[1]))
+
+
+def condition(frame):
+    bounds = frame_bounds(frame)
+    return bounds.upper / bounds.lower
+
+
+@PROPERTY
+@given(frames(), st.integers(0, 2**16))
+def test_dual_reconstructs(frame, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(frame.ambient_dim) + 1j * rng.standard_normal(frame.ambient_dim)
+    dual = canonical_dual(frame)
+    tol = FRAME_SLACK * condition(frame) * np.linalg.norm(f)
+    assert np.linalg.norm(synthesis(dual, analysis(frame, f)) - f) <= tol
+    assert np.linalg.norm(synthesis(frame, analysis(dual, f)) - f) <= tol
+
+
+@PROPERTY
+@given(frames())
+def test_gram_projection_idempotent(frame):
+    p = gram(frame, canonical_dual(frame))
+    assert np.linalg.norm(p @ p - p, 2) <= FRAME_SLACK * condition(frame)
+    assert np.linalg.norm(p - np.conj(p.T), 2) <= FRAME_SLACK * condition(frame)
