@@ -70,7 +70,9 @@ def algebra_norms(a, s, rows: IndexSet, cols: IndexSet = None):
     Both depend on ``a`` only through |a|, so magnitudes may be passed.
     """
     a, cols = _checked(a, rows, cols)
-    m = np.abs(a) * (1.0 + rows.distance_matrix(cols)) ** s
+    m = rows.distance_matrix(cols) + 1.0
+    m **= s
+    m *= np.abs(a)
     return {
         JAFFARD: float(np.max(m)),
         SCHUR_WEIGHTED: schur_test_bound(m),

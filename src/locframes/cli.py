@@ -38,6 +38,7 @@ from .galerkin import (
 )
 from .indexing import IndexSet
 from .localization import (
+    GramMagnitudes,
     NotLocalizedError,
     dual_localization_check,
     equivalence_grid,
@@ -58,6 +59,15 @@ def _finite(value):
     return x
 
 
+def _integer(value):
+    """A whole number: 8, "8" and 8.0 read as 8; 8.7 and booleans do not."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("must be a whole number")
+    return int(value)
+
+
 def _tokens(value):
     """Items of a comma-separated string or of a JSON list."""
     if isinstance(value, str):
@@ -67,7 +77,7 @@ def _tokens(value):
 
 # how each setting is read; a value that does not convert is a ConfigError
 _SETTING_TYPES = {
-    **dict.fromkeys(("n", "a", "b", "step", "levels", "start_level"), int),
+    **dict.fromkeys(("n", "a", "b", "step", "levels", "start_level"), _integer),
     **dict.fromkeys(("s", "threshold", "p", "w1_power", "w2_power", "width",
                      "exponent", "decay_s", "tol", "theta", "tail",
                      "tail_exponent"), _finite),
@@ -177,8 +187,9 @@ def cmd_frame_diag(cfg, out, seed):
     frame = io.load_frame(Path(_required(cfg, "frame")))
     alg = MatrixAlgebraSpec(cfg.get("algebra", "jaffard"), cfg.get("s", 3.0),
                             cfg.get("threshold", 1e3))
+    grams = GramMagnitudes(frame)
     try:
-        res = dual_localization_check(frame, alg)
+        res = dual_localization_check(frame, alg, grams)
     except NotLocalizedError as err:
         primal = err.report
         diag = {"primal": primal.to_dict(), "member": False}
@@ -208,7 +219,7 @@ def cmd_frame_diag(cfg, out, seed):
             "upper": up,
             "weight_admissible": admissible[space.weight.parameter],
         }
-        for space, (lo, up) in zip(spaces, equivalence_grid(frame, spaces))
+        for space, (lo, up) in zip(spaces, equivalence_grid(frame, spaces, grams))
     ]
     inf_weight = min((float(space.weight.values.min()) for space in spaces),
                      default=math.inf)
@@ -250,9 +261,7 @@ def cmd_galerkin_assemble(cfg, out, seed):
     }
     if op.name == "identity" and cfg.get("right", "dual") == "dual":
         # the assembled matrix is the Gram projection
-        report["idempotency_residual"] = float(
-            np.linalg.norm(gm.entries @ gm.entries - gm.entries, 2)
-        )
+        report["idempotency_residual"] = gm.idempotency_residual()
     try:
         report["kappa"] = kappa_factorization_probe(op, frame, right)
     except LocframesError as err:
@@ -262,12 +271,20 @@ def cmd_galerkin_assemble(cfg, out, seed):
 
 
 def cmd_galerkin_certify(cfg, out, seed):
-    entries, sidecar = io.load_array(Path(_required(cfg, "matrix")))
+    path = Path(_required(cfg, "matrix"))
+    entries, sidecar = io.load_array(path)
+    # plain matrices and containers written before it was recorded have
+    # no ambient dimension, and so no rank bound
+    rank_bound = sidecar.get("ambient_dim")
+    if entries.ndim != 2 or not (rank_bound is None
+                                 or type(rank_bound) is int and rank_bound > 0):
+        raise InputFileError(f"{path} holds no matrix with a valid ambient_dim")
     case = cfg.get("case", "inf_inf")
     k_out, k_in = entries.shape
     w1 = Weight((1.0 + np.arange(k_in)) ** cfg.get("w1_power", 0.0))
     w2 = Weight((1.0 + np.arange(k_out)) ** cfg.get("w2_power", 0.0))
-    cert = schur_certificate(entries, case, p=cfg.get("p", 2.0), weights=(w1, w2))
+    cert = schur_certificate(entries, case, p=cfg.get("p", 2.0), weights=(w1, w2),
+                             rank_bound=rank_bound)
     measured = certificate_probe_norm(entries, cert, probes=200, seed=seed)
     payload = cert.to_dict()
     payload["measured_probe_norm"] = measured
@@ -408,7 +425,7 @@ def main(argv=None):
             if key not in ("group", "sub", "config") and value is not None:
                 cfg[key] = value
         try:
-            seed = int(cfg.setdefault("seed", 0))
+            seed = _integer(cfg.setdefault("seed", 0))
             out = Path(cfg.setdefault("out_dir", "out"))
         except (TypeError, ValueError) as err:
             raise ConfigError(f"--seed needs an integer, --out-dir a path: {err}") from err

@@ -7,6 +7,7 @@ pseudo-inversion with generalized condition numbers.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,10 @@ KAPPA_SLACK = 1e-8
 PSEUDOINVERSE_CHECK_TOL = 1e-9
 OPERATOR_COND_CAP = 1e12
 POWER_ITERATIONS = 20
+# the two_two range finder: extra columns over the rank bound, and the
+# seed of its test matrix, which does not depend on --seed
+RANGE_OVERSAMPLING = 16
+RANGE_SEED = 0
 
 
 class LinearOperator:
@@ -94,7 +99,12 @@ def as_operator(op):
 
 @dataclass
 class GalerkinMatrix:
-    """Matrix <O xi_l, phi_k> tagged with its generating frames."""
+    """Matrix <O xi_l, phi_k> tagged with its generating frames.
+
+    With the frames' analysis QRs V^* = Q R the matrix equals
+    ``q_left @ core @ q_right^*``, where Q has orthonormal columns and the
+    core R_left O R_right^* is at most n x n.
+    """
 
     entries: np.ndarray
     left_frame: Frame
@@ -107,6 +117,26 @@ class GalerkinMatrix:
     def shape(self):
         return self.entries.shape
 
+    @property
+    def rank_bound(self):
+        """The ambient dimension, which the rank cannot exceed."""
+        return min(self.left_frame.ambient_dim, self.right_frame.ambient_dim)
+
+    @property
+    def q_left(self):
+        return analysis_qr(self.left_frame)[0]
+
+    @property
+    def q_right(self):
+        return analysis_qr(self.right_frame)[0]
+
+    @cached_property
+    def core(self):
+        if self.generator is None:
+            raise InvalidInputError("no generating operator recorded")
+        r_left, r_right = analysis_qr(self.left_frame)[1], analysis_qr(self.right_frame)[1]
+        return r_left @ self.generator.dense() @ np.conj(r_right.T)
+
     def reproduction_residual(self):
         """Entrywise defect against a fresh assembly from the generator."""
         if self.generator is None:
@@ -115,15 +145,29 @@ class GalerkinMatrix:
         denom = max(np.abs(self.entries).max(), 1e-300)
         return float(np.abs(fresh.entries - self.entries).max() / denom)
 
+    def idempotency_residual(self):
+        """||M M - M||_2 = ||C (Q_right^* Q_left) C - C||_2 for the core C."""
+        return float(np.linalg.norm(_core_product(self, self) - self.core, 2))
+
+
+def _core_product(first: GalerkinMatrix, second: GalerkinMatrix):
+    """Core of ``first.entries @ second.entries`` between first.q_left and
+    second.q_right: C_1 (Q_1r^* Q_2l) C_2."""
+    return first.core @ (np.conj(first.q_right.T) @ second.q_left) @ second.core
+
+
+def _check_maps(op, left: Frame, right: Frame):
+    if op.shape[1] != right.ambient_dim or op.shape[0] != left.ambient_dim:
+        raise DimensionMismatchError(
+            f"operator {op.shape} does not map {right.ambient_dim} -> {left.ambient_dim}"
+        )
+
 
 def galerkin_matrix(op, left: Frame, right: Frame,
                     domain_space=None, codomain_space=None):
     """Assemble M_{k,l} = <O xi_l, phi_k> column by column."""
     op = as_operator(op)
-    if op.shape[1] != right.ambient_dim or op.shape[0] != left.ambient_dim:
-        raise DimensionMismatchError(
-            f"operator {op.shape} does not map {right.ambient_dim} -> {left.ambient_dim}"
-        )
+    _check_maps(op, left, right)
     if op._matrix is not None:
         entries = np.conj(left.vectors.T) @ (op.dense() @ right.vectors)
     else:
@@ -156,27 +200,39 @@ def roundtrip_check(op, phi: Frame, psi: Frame):
 
     Checks O(phi,psi) o M(dual phi,dual psi) = Id = O(dual...) o M(phi,psi)
     applied to the given operator, in the dense 2-norm.  Each side
-    D_left M C_right is materialized as one matrix product.
+    D_left M C_right is the n x n product (Phi Phi~^*) O (Psi~ Psi^*), or
+    its mirror with the adjoint outer factors.
     """
     op = as_operator(op)
+    _check_maps(op, phi, psi)
     dense = op.dense()
     scale = max(np.linalg.norm(dense, 2), 1e-300)
     phid, psid = canonical_dual(phi), canonical_dual(psi)
-    first = phi.vectors @ galerkin_matrix(op, phid, psid).entries @ np.conj(psi.vectors.T)
-    second = phid.vectors @ galerkin_matrix(op, phi, psi).entries @ np.conj(psid.vectors.T)
+    left = phi.vectors @ np.conj(phid.vectors.T)
+    right = psid.vectors @ np.conj(psi.vectors.T)
+    first = left @ dense @ right
+    second = np.conj(left.T) @ dense @ np.conj(right.T)
     r1 = np.linalg.norm(first - dense, 2) / scale
     r2 = np.linalg.norm(second - dense, 2) / scale
     return float(max(r1, r2))
 
 
 def compose_rule_check(op1, op2, phi: Frame, psi: Frame, xi: Frame):
-    """Relative Frobenius defect of M(O1 O2) = M(O1) M(dual-xi side O2)."""
+    """Relative Frobenius defect of M(O1 O2) = M(O1) M(dual-xi side O2).
+
+    The defect is Phi^* O1 (I - Xi Xi~^*) O2 Psi.  With the analysis QRs
+    Phi^* = Q R it has the Frobenius norm of the n x n
+    R_phi O1 (I - Xi Xi~^*) O2 R_psi^*, and M(O1 O2) that of R_phi O1 O2 R_psi^*.
+    """
     op1, op2 = as_operator(op1), as_operator(op2)
-    composed = LinearOperator.from_matrix(op1.dense() @ op2.dense())
-    lhs = galerkin_matrix(composed, phi, psi).entries
+    _check_maps(op1, phi, xi)
+    _check_maps(op2, xi, psi)
     xid = canonical_dual(xi)
-    rhs = galerkin_matrix(op1, phi, xi).entries @ galerkin_matrix(op2, xid, psi).entries
-    return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-300))
+    left = analysis_qr(phi)[1] @ op1.dense()
+    right = op2.dense() @ np.conj(analysis_qr(psi)[1].T)
+    defect = left @ (right - xi.vectors @ (np.conj(xid.vectors.T) @ right))
+    lhs = left @ right
+    return float(np.linalg.norm(defect) / max(np.linalg.norm(lhs), 1e-300))
 
 
 # -- norm bounds --------------------------------------------------------------
@@ -354,52 +410,71 @@ def _greedy_subset_quantity(mb):
     return float(best)
 
 
-def _two_two(mb):
-    """Trace-power bound on ||mb||_2 from G = mb* mb, with its details.
+def _two_two(mb, rank_bound=None):
+    """Trace-power bound on ||mb||_2 from a randomized range finder.
 
-    G is divided by its largest diagonal entry c: the top eigenvalue of
-    G / c lies in [1, K], so G^20 neither overflows nor underflows at any
-    scale of mb, and every root is scaled back by c.  diag(G^20) and its
-    trace are read off G^16 and G^4 without forming G^20, and no more
-    than three powers are held at once.
+    Q = qr(mb Omega) for a Gaussian Omega with l = min(K_out, K_in, n + 16)
+    columns, n the rank bound (none: l = min(K_out, K_in)).  With
+    B = Q^* mb and the residual E = mb - Q B, ||mb||_2 <= ||B||_2 + ||E||_F,
+    so the bound stays sound when the rank guess is wrong.  The trace of
+    G^20, G = B^* B, dominates ||B||_2^40; it and diag(G^k) =
+    diag(B^* H^(k-1) B) are read off powers of the l x l H = B B^*.
+    Everything is divided by c, the largest squared column norm of mb:
+    the top eigenvalue of G / c then lies in [1, K] up to the residual, so
+    no power overflows or underflows at any scale, and every root is
+    scaled back by c.
     """
-    g = np.conj(mb.T) @ mb
-    c = float(np.max(np.real(np.diag(g)))) if g.size else 0.0
+    k_out, k_in = mb.shape
+    cols = min(k_out, k_in)
+    if rank_bound is not None:
+        cols = min(cols, rank_bound + RANGE_OVERSAMPLING)
+    omega = np.random.default_rng(RANGE_SEED).standard_normal((k_in, cols))
+    q = np.linalg.qr(mb @ omega)[0]
+    b = np.conj(q.T) @ mb
+    e = q @ b
+    e -= mb
+    residual = float(np.linalg.norm(e))
+    del e   # K x K; the powers below need only l x K
+    c = float(np.max(np.einsum("ij,ij->j", np.conj(mb), mb).real, initial=0.0))
     c = c if c > 0 else 1.0
-    g /= c
-    top = max(float(np.linalg.eigvalsh(g)[-1]), 0.0)
+    b /= math.sqrt(c)
+    h = b @ np.conj(b.T)
+    top = max(float(np.linalg.eigvalsh(h)[-1]), 0.0)
 
-    def root(diagonal, n):
-        return c * float(np.max(np.real(diagonal)) ** (1.0 / n))
-
-    roots = {1: root(np.diag(g), 1)}
-    for n in (2, 4, 8, 16):
-        g = g @ g
-        roots[n] = root(np.diag(g), n)
-        if n == 4:
-            g4 = g
-    diag_k = np.einsum("ij,ji->i", g, g4)   # diag(G^16 G^4)
-    roots[POWER_ITERATIONS] = root(diag_k, POWER_ITERATIONS)
+    h2 = h @ h
+    h3 = h2 @ h
+    h4 = h2 @ h2
+    h7 = h4 @ h3
+    h15 = (h4 @ h4) @ h7
+    # diag(G^n) = diag(B^* H^(n-1) B), one l x K product at a time
+    h_powers = {1: None, 2: h, 4: h3, 8: h7, 16: h15, POWER_ITERATIONS: h15 @ h4}
+    b_conj = np.conj(b)
+    diagonals = {n: np.einsum("ij,ij->j", b_conj, b if hp is None else hp @ b).real
+                 for n, hp in h_powers.items()}
+    roots = {n: c * float(np.max(d) ** (1.0 / n)) for n, d in diagonals.items()}
     # the diagonal roots approach ||.||_2^2 from BELOW; log-domain
     # Richardson across one doubling removes their 1/n bias but stays
     # an estimate.  The trace of the same power dominates the top
     # eigenvalue, so it certifies the bound.
     r8, r16 = roots[8], roots[16]
     extrapolated = math.exp(2.0 * math.log(r16) - math.log(r8)) if r8 > 0 else 0.0
-    trace_k = c * float(np.real(np.sum(diag_k)) ** (1.0 / POWER_ITERATIONS))
-    return math.sqrt(trace_k), {
+    trace_k = c * float(np.sum(diagonals[POWER_ITERATIONS]) ** (1.0 / POWER_ITERATIONS))
+    return math.sqrt(trace_k) + residual, {
         "diagonal_roots": {str(n): v for n, v in sorted(roots.items())},
         "extrapolated_diagonal_root": extrapolated,
         "trace_k": trace_k,
+        "range_residual": residual,
         "svd_ground_truth": math.sqrt(c * top),
     }
 
 
-def schur_certificate(m, case, p=2.0, weights=None):
+def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
     """Evaluate one of the Schur-test boundedness criteria.
 
     ``m`` may be a GalerkinMatrix carrying space specs (whose weights are
-    used) or a plain matrix with explicit ``weights=(w_in, w_out)``.
+    used) and its rank bound, or a plain matrix with explicit
+    ``weights=(w_in, w_out)`` and an optional ``rank_bound`` for
+    ``two_two``.
     The cases with a closed form report ``exact_operator_norm`` of the
     conjugated matrix; the raw Schur quantities land in the details.
     """
@@ -407,6 +482,7 @@ def schur_certificate(m, case, p=2.0, weights=None):
         raise InvalidInputError(f"unsupported certificate case {case!r}")
     if isinstance(m, GalerkinMatrix):
         entries = m.entries
+        rank_bound = m.rank_bound
         if weights is None:
             if m.domain_space is None or m.codomain_space is None:
                 raise InvalidInputError("matrix carries no space specs; pass weights")
@@ -418,7 +494,7 @@ def schur_certificate(m, case, p=2.0, weights=None):
     w1, w2 = weights
     mb = weighted_matrix(entries, w2.values, w1.values)
     if case == "two_two":
-        bound, details = _two_two(mb)
+        bound, details = _two_two(mb, rank_bound)
     elif case == "inf_one":
         bound = float(np.abs(mb).sum())
         details = {
@@ -472,14 +548,25 @@ def galerkin_pseudoinverse(m: GalerkinMatrix, phi: Frame, psi: Frame):
         )
     inv = LinearOperator.from_matrix(np.linalg.inv(dense))
     phid, psid = canonical_dual(phi), canonical_dual(psi)
-    dagger = galerkin_matrix(inv, psid, phid).entries
-    projection = gram(psid, psi)
-    residual = np.linalg.norm(dagger @ m.entries - projection, 2)
-    if residual > PSEUDOINVERSE_CHECK_TOL * max(np.linalg.norm(projection, 2), 1.0):
+    dagger = galerkin_matrix(inv, psid, phid)
+    defect = _range_projection_defect(dagger, m)
+    if defect > PSEUDOINVERSE_CHECK_TOL:
         raise ContractError(
-            f"pseudo-inverse failed the range-projection check ({residual:.3e})"
+            f"pseudo-inverse failed the range-projection check ({defect:.3e})"
         )
-    return dagger
+    return dagger.entries
+
+
+def _range_projection_defect(dagger: GalerkinMatrix, m: GalerkinMatrix):
+    """||dagger M - G||_2 / max(||G||_2, 1) for the projection G = Psi~^* Psi.
+
+    dagger M and G share the outer factors Q_{dual psi} and Q_psi^*, so
+    both norms are those of n x n cores.
+    """
+    projection = (analysis_qr(dagger.left_frame)[1]
+                  @ np.conj(analysis_qr(m.right_frame)[1].T))
+    residual = np.linalg.norm(_core_product(dagger, m) - projection, 2)
+    return float(residual / max(np.linalg.norm(projection, 2), 1.0))
 
 
 def kappa_factorization_probe(op, phi: Frame, psi: Frame):

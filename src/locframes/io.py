@@ -132,6 +132,7 @@ def save_galerkin_matrix(base, gm, extra=None):
         "left_frame": gm.left_frame.name,
         "right_frame": gm.right_frame.name,
         "shape": list(gm.shape),
+        "ambient_dim": gm.rank_bound,
     }
     if gm.domain_space is not None:
         sidecar["domain_space"] = gm.domain_space.to_dict()

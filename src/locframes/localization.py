@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,16 +56,37 @@ class LocalizationReport:
         }
 
 
-def localization_report(left: Frame, right: Frame, alg: MatrixAlgebraSpec):
+class GramMagnitudes:
+    """|G| and |G_dual| of one frame, each formed on first use and kept.
+
+    ``dual_localization_check`` and ``equivalence_grid`` share one
+    instance, so that neither Gram is formed twice.
+    """
+
+    def __init__(self, frame: Frame):
+        self.frame = frame
+
+    @cached_property
+    def primal(self):
+        return np.abs(gram(self.frame, self.frame))
+
+    @cached_property
+    def dual(self):
+        dual = canonical_dual(self.frame)
+        return np.abs(gram(dual, dual))
+
+
+def localization_report(left: Frame, right: Frame, alg: MatrixAlgebraSpec, mags=None):
     """Evaluate the algebra norm and decay of the cross-Gram of two frames.
 
     Membership needs the algebra norm under the algebra's cap and a fitted
     decay exponent not more than a small margin below s.  A Gram whose
     off-diagonal mass dies before four shells (e.g. the identity) counts
     as superpolynomially localized.  Norms and shells are all read from
-    one |G|.
+    one |G|, which the caller may pass as ``mags``.
     """
-    mags = np.abs(gram(left, right))
+    if mags is None:
+        mags = np.abs(gram(left, right))
     rows, cols = left.index_set, right.index_set
     norms = algebra_norms(mags, alg.s, rows, cols)
     shells = shell_maxima(mags, rows, cols)
@@ -103,21 +125,23 @@ class DualLocalizationResult:
         }
 
 
-def dual_localization_check(frame: Frame, alg: MatrixAlgebraSpec):
+def dual_localization_check(frame: Frame, alg: MatrixAlgebraSpec, grams=None):
     """Probe whether localization survives canonical dualization.
 
     Requires the frame to be intrinsically a member; flags the result
     when the dual Gram's fitted exponent drops more than 0.5 below the
-    primal one (empirical spectral-invariance probe).
+    primal one (empirical spectral-invariance probe).  ``grams`` is the
+    frame's ``GramMagnitudes`` when the caller shares them.
     """
-    primal = localization_report(frame, frame, alg)
+    grams = GramMagnitudes(frame) if grams is None else grams
+    primal = localization_report(frame, frame, alg, grams.primal)
     if not primal.member:
         raise NotLocalizedError(
             f"{frame.name} is not intrinsically localized for {alg.kind}(s={alg.s})",
             report=primal,
         )
     dual = canonical_dual(frame)
-    rep_dual = localization_report(dual, dual, alg)
+    rep_dual = localization_report(dual, dual, alg, grams.dual)
     rep_cross = localization_report(frame, dual, alg)
     flagged = rep_dual.fit.fitted_exponent < primal.fit.fitted_exponent - DUAL_EXPONENT_DROP
     return DualLocalizationResult(primal, rep_dual, rep_cross, bool(flagged))
@@ -219,14 +243,15 @@ def _lp_norm(l1_linf, p):
     return l1 if p == 1.0 else linf if p == math.inf else max(l1, linf)
 
 
-def equivalence_grid(frame: Frame, spaces):
+def equivalence_grid(frame: Frame, spaces, grams=None):
     """``equivalence_constants`` for each space in ``spaces``, in order.
 
-    |G| and |G_dual| are formed once, and each distinct weight object
-    costs one pass of weighted row and column sums over each of them.
+    |G| and |G_dual| come from ``grams`` (formed here when not given), and
+    each distinct weight object costs one pass of weighted row and column
+    sums over each of them.
     """
-    dual = canonical_dual(frame)
-    mags = (np.abs(gram(frame, frame)), np.abs(gram(dual, dual)))
+    grams = GramMagnitudes(frame) if grams is None else grams
+    mags = (grams.primal, grams.dual)
     sums = {}
     out = []
     for space in spaces:

@@ -1,5 +1,7 @@
 """Galerkin matrix representation, Schur certificates, invertibility."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,9 @@ from locframes import (
     schur_certificate,
     seq_norm,
 )
-from locframes.galerkin import certificate_probe_norm
+from locframes.galerkin import _range_projection_defect, certificate_probe_norm
 from locframes.linalg import generalized_condition_number, pseudo_inverse
+from locframes.opnorms import weighted_matrix
 from locframes.solver import HERMITIAN_TOL, _hermitian_defect, frame_galerkin_solve
 
 
@@ -475,3 +478,145 @@ class TestFrameGalerkinSpectrum:
         assert ("normal equations" in rep.message) == normal_equations
         assert rep.converged
         assert np.linalg.norm(m @ f - g) <= 1e-8 * np.linalg.norm(g)
+
+
+# -- dense reference formulas -------------------------------------------------
+# Each diagnostic below is computed in the frames' n-dimensional range; these
+# are the K x K formulas it replaced, kept as references.
+
+
+def dense_roundtrip(op, phi, psi):
+    dense = np.asarray(op)
+    phid, psid = canonical_dual(phi), canonical_dual(psi)
+    first = phi.vectors @ galerkin_matrix(op, phid, psid).entries @ np.conj(psi.vectors.T)
+    second = phid.vectors @ galerkin_matrix(op, phi, psi).entries @ np.conj(psid.vectors.T)
+    scale = np.linalg.norm(dense, 2)
+    return max(np.linalg.norm(first - dense, 2), np.linalg.norm(second - dense, 2)) / scale
+
+
+def dense_compose(op1, op2, phi, psi, xi):
+    lhs = galerkin_matrix(np.asarray(op1) @ np.asarray(op2), phi, psi).entries
+    rhs = (galerkin_matrix(op1, phi, xi).entries
+           @ galerkin_matrix(op2, canonical_dual(xi), psi).entries)
+    return np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
+
+
+def dense_idempotency(gm):
+    return np.linalg.norm(gm.entries @ gm.entries - gm.entries, 2)
+
+
+def dense_projection_defect(dagger, gm, psi):
+    projection = gram(canonical_dual(psi), psi)
+    residual = np.linalg.norm(dagger.entries @ gm.entries - projection, 2)
+    return residual / max(np.linalg.norm(projection, 2), 1.0)
+
+
+def dense_two_two(mb):
+    """Trace-power bound and details from G = mb^* mb, as K x K powers."""
+    g = np.conj(mb.T) @ mb
+    c = float(np.max(np.real(np.diag(g))))
+    g /= c
+    top = float(np.linalg.eigvalsh(g)[-1])
+    roots = {1: c * float(np.max(np.real(np.diag(g))))}
+    for n in (2, 4, 8, 16):
+        g = g @ g
+        roots[n] = c * float(np.max(np.real(np.diag(g)))) ** (1.0 / n)
+        if n == 4:
+            g4 = g
+    diag_k = np.real(np.einsum("ij,ji->i", g, g4))
+    roots[20] = c * float(np.max(diag_k)) ** (1.0 / 20)
+    trace_k = c * float(np.sum(diag_k)) ** (1.0 / 20)
+    return math.sqrt(trace_k), {"diagonal_roots": {str(n): v for n, v in roots.items()},
+                                "trace_k": trace_k, "svd_ground_truth": math.sqrt(c * top)}
+
+
+def _frame_pairs():
+    names = ("onb", "gabor16", "gabor64", "gabor144", "translates", "ponb")
+    return [(a, b) for a in names for b in names
+            if a == b or {a, b} <= {"onb", "gabor64", "translates", "ponb"}]
+
+
+class TestFactoredDiagnosticsAgreeWithDense:
+    @pytest.mark.parametrize("left, right", _frame_pairs())
+    def test_assemble_report_residuals(self, suite_frames, left, right):
+        phi, psi = suite_frames[left], suite_frames[right]
+        n = phi.ambient_dim
+        op = make_test_operator("identity_minus_kernel", n, theta=0.5).dense()
+        for factored, dense in (
+            (roundtrip_check(op, phi, psi), dense_roundtrip(op, phi, psi)),
+            (compose_rule_check(op, op, phi, psi, phi), dense_compose(op, op, phi, psi, phi)),
+        ):
+            assert factored <= 1e-12
+            assert dense <= 1e-12
+
+    @pytest.mark.parametrize("left, right", _frame_pairs())
+    def test_pseudoinverse_check(self, suite_frames, left, right):
+        phi, psi = suite_frames[left], suite_frames[right]
+        op = make_test_operator("identity_minus_kernel", phi.ambient_dim, theta=0.5).dense()
+        gm = galerkin_matrix(op, phi, psi)
+        dagger = galerkin_matrix(np.linalg.inv(op), canonical_dual(psi), canonical_dual(phi))
+        assert np.array_equal(galerkin_pseudoinverse(gm, phi, psi), dagger.entries)
+        assert _range_projection_defect(dagger, gm) <= 1e-12
+        assert dense_projection_defect(dagger, gm, psi) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["onb", "gabor16", "gabor64", "gabor144",
+                                      "translates", "ponb"])
+    def test_idempotency(self, suite_frames, name):
+        frame = suite_frames[name]
+        gm = galerkin_matrix(LinearOperator.identity(frame.ambient_dim), frame,
+                             canonical_dual(frame))
+        assert gm.idempotency_residual() <= 1e-12
+        assert dense_idempotency(gm) <= 1e-12
+
+    def test_entries_equal_factored_form(self, suite_frames, rng):
+        phi, psi = suite_frames["gabor64"], suite_frames["translates"]
+        gm = galerkin_matrix(random_matrix(rng, 64), phi, psi)
+        factored = gm.q_left @ gm.core @ np.conj(gm.q_right.T)
+        assert np.linalg.norm(factored - gm.entries) <= 1e-12 * np.linalg.norm(gm.entries)
+        assert gm.rank_bound == 64
+
+    @pytest.mark.parametrize("k, rank, powers", [(80, 10, (0.0, 0.0)), (96, 24, (1.0, 1.0)),
+                                                 (64, 64, (0.5, 1.0))])
+    def test_two_two_matches_dense(self, k, rank, powers):
+        rng = np.random.default_rng(k + rank)
+        m = random_matrix(rng, k, rank) @ random_matrix(rng, rank, k)
+        iset = IndexSet.ring(k)
+        w1, w2 = (Weight.polynomial(t, iset) for t in powers)
+        cert = schur_certificate(m, "two_two", weights=(w1, w2), rank_bound=rank)
+        bound, details = dense_two_two(weighted_matrix(m, w2.values, w1.values))
+        assert cert.certified_bound == pytest.approx(bound, rel=1e-12)
+        assert cert.details["trace_k"] == pytest.approx(details["trace_k"], rel=1e-12)
+        assert cert.details["svd_ground_truth"] == pytest.approx(
+            details["svd_ground_truth"], rel=1e-12)
+        for n, root in details["diagonal_roots"].items():
+            assert cert.details["diagonal_roots"][n] == pytest.approx(root, rel=1e-12)
+
+
+class TestTwoTwoRangeFinder:
+    def test_too_small_rank_bound_stays_sound(self):
+        rng = np.random.default_rng(61)
+        m = random_matrix(rng, 60, 30) @ random_matrix(rng, 30, 60)
+        w = Weight.ones(60)
+        cert = schur_certificate(m, "two_two", weights=(w, w), rank_bound=2)
+        assert cert.details["range_residual"] > 1.0
+        assert cert.certified_bound >= np.linalg.norm(m, 2)
+
+    def test_full_rank_without_rank_bound_stays_sound(self):
+        rng = np.random.default_rng(62)
+        m = random_matrix(rng, 50, 70)
+        w1, w2 = Weight.ones(70), Weight.ones(50)
+        cert = schur_certificate(m, "two_two", weights=(w1, w2))
+        assert cert.details["range_residual"] <= 1e-12 * np.linalg.norm(m)
+        assert cert.certified_bound >= np.linalg.norm(m, 2)
+        assert cert.details["svd_ground_truth"] == pytest.approx(
+            np.linalg.norm(m, 2), rel=1e-12)
+
+    def test_galerkin_matrix_passes_its_rank_bound(self, suite_frames):
+        frame = suite_frames["gabor64"]
+        op = make_test_operator("identity_minus_kernel", 64, theta=0.5)
+        gm = galerkin_matrix(op, frame, canonical_dual(frame))
+        w = Weight.ones(frame.size)
+        cert = schur_certificate(gm, "two_two", weights=(w, w))
+        bare = schur_certificate(gm.entries, "two_two", weights=(w, w))
+        assert cert.certified_bound == pytest.approx(bare.certified_bound, rel=1e-12)
+        assert cert.certified_bound >= np.linalg.norm(gm.entries, 2)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import locframes
 from locframes import io, make_gabor_frame, gaussian_window, galerkin_matrix
 from locframes.cli import main
 from locframes.galerkin import LinearOperator
@@ -36,6 +37,7 @@ class TestContainers:
         entries, sidecar = io.load_array(tmp_path / "m")
         assert np.array_equal(entries, gm.entries)
         assert sidecar["left_frame"] == frame.name
+        assert sidecar["ambient_dim"] == 16
         assert sidecar["domain_space"]["p"] == 2
 
     def test_json_deterministic_key_order(self, tmp_path):
@@ -394,3 +396,137 @@ class TestCLIContract:
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv, "--out-dir", tmp_path)
         assert exc.value.code == 2
+
+
+class TestIntegerSettings:
+    """Sizes and level counts are whole numbers; nothing is truncated."""
+
+    @staticmethod
+    def build(tmp_path, **setting):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "onb", **setting}))
+        return run_cli("frame", "build", "--config", cfg, "--out-dir", tmp_path)
+
+    @pytest.mark.parametrize("value", [8, "8", 8.0])
+    def test_whole_numbers_read_as_integers(self, tmp_path, value):
+        assert self.build(tmp_path, n=value) == 0
+        assert json.loads((tmp_path / "frame_summary.json").read_text())["n"] == 8
+
+    def test_fractional_number_rejected(self, tmp_path):
+        assert self.build(tmp_path, n=8.7) == 2
+        assert TestCLIContract.error(tmp_path) == "config"
+        assert not (tmp_path / "frame.npy").exists()
+
+    def test_fractional_string_rejected(self, tmp_path):
+        assert run_cli("frame", "build", "--kind", "onb", "--n", "8.5",
+                       "--out-dir", tmp_path) == 2
+        assert TestCLIContract.error(tmp_path) == "config"
+
+    def test_fractional_seed_rejected(self, tmp_path):
+        assert self.build(tmp_path, n=8, seed=1.5) == 2
+        assert TestCLIContract.error(tmp_path) == "config"
+
+    def test_boolean_rejected(self, tmp_path):
+        assert self.build(tmp_path, n=True) == 2
+        assert TestCLIContract.error(tmp_path) == "config"
+
+    @pytest.mark.parametrize("command, setting", [
+        (("frame", "build"), {"kind": "gabor", "n": 16, "a": 4.5, "b": 2}),
+        (("frame", "build"), {"kind": "gabor", "n": 16, "a": 4, "b": 2.5}),
+        (("frame", "build"), {"kind": "translates", "n": 16, "step": 1.5}),
+        (("solve", "fs"), {"n": 16, "levels": 2.5}),
+        (("solve", "fs"), {"n": 16, "start_level": 8.5}),
+    ])
+    def test_every_integer_setting_rejects_fractions(self, tmp_path, command, setting):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(setting))
+        assert run_cli(*command, "--config", cfg, "--out-dir", tmp_path) == 2
+        assert TestCLIContract.error(tmp_path) == "config"
+
+
+class TestGalerkinContainerRankBound:
+    @staticmethod
+    def assemble(tmp_path):
+        run_cli("frame", "build", "--kind", "gabor", "--n", "32", "--a", "4",
+                "--b", "4", "--out-dir", tmp_path)
+        assert run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
+                       "--op-kind", "identity_minus_kernel", "--theta", "0.5",
+                       "--out-dir", tmp_path / "gal") == 0
+        return tmp_path / "gal" / "galerkin"
+
+    @staticmethod
+    def certify(matrix, out):
+        code = run_cli("galerkin", "certify", "--matrix", matrix, "--case", "two_two",
+                       "--w1-power", "1", "--w2-power", "1", "--out-dir", out)
+        return code, (json.loads((out / "certificate_two_two.json").read_text())
+                      if code == 0 else None)
+
+    def test_container_without_ambient_dim_certifies(self, tmp_path):
+        matrix = self.assemble(tmp_path)
+        _, new = self.certify(matrix, tmp_path / "new")
+        sidecar = matrix.with_suffix(".json")
+        old_style = json.loads(sidecar.read_text())
+        assert old_style.pop("ambient_dim") == 32
+        sidecar.write_text(json.dumps(old_style))
+        code, old = self.certify(matrix, tmp_path / "old")
+        assert code == 0
+        assert old["sound"] and new["sound"]
+        assert old["certified_bound"] == pytest.approx(new["certified_bound"], rel=1e-12)
+
+    @pytest.mark.parametrize("value", [0, "32", 2.5, True])
+    def test_invalid_ambient_dim_rejected(self, tmp_path, value):
+        matrix = self.assemble(tmp_path)
+        sidecar = matrix.with_suffix(".json")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                       "ambient_dim": value}))
+        code, _ = self.certify(matrix, tmp_path / "cert")
+        assert code == 2
+        assert TestCLIContract.error(tmp_path / "cert") == "input-file"
+
+    def test_vector_container_rejected(self, tmp_path):
+        run_cli("solve", "fs", "--n", "16", "--out-dir", tmp_path)
+        code, _ = self.certify(tmp_path / "solution_fs", tmp_path / "cert")
+        assert code == 2
+        assert TestCLIContract.error(tmp_path / "cert") == "input-file"
+
+
+class TestWorkCounts:
+    """K x K work per command, counted by wrapping the functions that do it."""
+
+    @staticmethod
+    def count(monkeypatch, name, modules):
+        calls = []
+        original = getattr(modules[0], name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_assemble_forms_two_galerkin_matrices(self, tmp_path, monkeypatch):
+        run_cli("frame", "build", "--kind", "gabor", "--n", "32", "--a", "4",
+                "--b", "4", "--out-dir", tmp_path)
+        calls = self.count(monkeypatch, "galerkin_matrix",
+                           [locframes.galerkin, locframes.cli])
+        # identity against the dual also reports the idempotency residual
+        assert run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
+                       "--out-dir", tmp_path / "gal") == 0
+        assert "idempotency_residual" in json.loads(
+            (tmp_path / "gal" / "galerkin_report.json").read_text())
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "gabor", "--n", "32", "--a", "4", "--b", "4"),
+        ("--kind", "perturbed-onb", "--n", "48"),
+    ])
+    def test_frame_diag_forms_three_grams(self, tmp_path, monkeypatch, argv):
+        run_cli("frame", "build", *argv, "--out-dir", tmp_path)
+        calls = self.count(monkeypatch, "gram",
+                           [locframes.frames, locframes.localization, locframes.galerkin])
+        assert run_cli("frame", "diag", "--frame", tmp_path / "frame",
+                       "--out-dir", tmp_path / "diag") == 0
+        assert json.loads((tmp_path / "diag" / "localization.json").read_text())["member"]
+        assert len(calls) == 3
