@@ -60,12 +60,16 @@ def _finite(value):
 
 
 def _integer(value):
-    """A whole number: 8, "8" and 8.0 read as 8; 8.7 and booleans do not."""
+    """A whole number: 8, "8" and 8.0 read as 8; 8.7, booleans and numbers
+    beyond the range of an array index do not."""
     if isinstance(value, bool):
         raise TypeError("a boolean is not a number")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError("must be a whole number")
-    return int(value)
+    number = int(value)
+    if abs(number) > np.iinfo(np.intp).max:
+        raise ValueError(f"must not exceed {np.iinfo(np.intp).max} in size")
+    return number
 
 
 def _tokens(value):
@@ -431,7 +435,11 @@ def main(argv=None):
             raise ConfigError(f"--seed needs an integer, --out-dir a path: {err}") from err
         out.mkdir(parents=True, exist_ok=True)
         _check_settings(cfg)
-        return COMMANDS[(args.group, args.sub)](cfg, out, seed)
+        try:
+            return COMMANDS[(args.group, args.sub)](cfg, out, seed)
+        except MemoryError as err:
+            raise ConfigError(
+                f"the requested sizes do not fit in memory ({err})") from err
     except NotLocalizedError as err:
         # non-member frames are reported, not failed
         io.save_json({"verdict": "not-localized", **err.payload(),

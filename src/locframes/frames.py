@@ -8,6 +8,7 @@ from .errors import (
     NotAFrameError,
 )
 from .indexing import IndexSet
+from .linalg import field_array
 
 BOUND_RANK_TOL = 1e-10
 TIGHT_REL_TOL = 1e-10
@@ -48,7 +49,7 @@ class Frame:
     """
 
     def __init__(self, vectors, index_set: IndexSet, name="frame", meta=None):
-        v = np.asarray(vectors, dtype=complex)
+        v = field_array(vectors)
         if v.ndim != 2:
             raise InvalidInputError("vectors must form an n x K matrix")
         if len(index_set) != v.shape[1]:
@@ -58,7 +59,8 @@ class Frame:
         norms = np.linalg.norm(v, axis=0)
         if np.any(norms == 0):
             raise InvalidInputError("frame must not contain zero vectors")
-        self.vectors = v
+        # a read-only view: the caller's array stays writable
+        self.vectors = v.view()
         self.vectors.setflags(write=False)
         self.index_set = index_set
         self.name = name
@@ -240,7 +242,7 @@ def make_onb(n, name="onb"):
     if n < 1:
         raise InvalidInputError(f"dimension must be positive, got {n}")
     return Frame(
-        np.eye(n, dtype=complex),
+        np.eye(n),
         IndexSet.ring(n),
         name=name,
         meta={"kind": "onb", "n": n},
@@ -293,7 +295,7 @@ def make_translates_frame(n, step, generator, name=None, require_frame=True):
         raise InvalidInputError(f"n = {n} and step {step} must be positive")
     if n % step:
         raise InvalidInputError(f"step {step} must divide {n}")
-    g = np.asarray(generator, dtype=complex)
+    g = field_array(generator)
     if g.shape != (n,):
         raise DimensionMismatchError("generator length must equal n")
     k = n // step

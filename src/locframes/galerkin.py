@@ -18,7 +18,7 @@ from .errors import (
     InvalidInputError,
 )
 from .frames import Frame, analysis, analysis_qr, canonical_dual, gram, synthesis
-from .linalg import range_spectrum, singular_kappa
+from .linalg import field_array, range_spectrum, singular_kappa
 from .opnorms import exact_operator_norm, space_operator_norm, weighted_matrix
 from .weights import SeqSpaceSpec, seq_norm
 
@@ -26,9 +26,13 @@ KAPPA_SLACK = 1e-8
 PSEUDOINVERSE_CHECK_TOL = 1e-9
 OPERATOR_COND_CAP = 1e12
 POWER_ITERATIONS = 20
-# the two_two range finder: extra columns over the rank bound, and the
-# seed of its test matrix, which does not depend on --seed
+# the two_two range finder: extra columns over the rank bound, the first
+# width tried without one, the residual ||E||_F / ||mb||_F at which it
+# stops widening, and the seed of its test matrix, which does not depend
+# on --seed
 RANGE_OVERSAMPLING = 16
+RANGE_START = 32
+RANGE_TOL = 1e-12
 RANGE_SEED = 0
 
 
@@ -43,12 +47,12 @@ class LinearOperator:
         self._apply = apply
         self.shape = tuple(shape)
         self._adjoint_apply = adjoint_apply
-        self._matrix = None if matrix is None else np.asarray(matrix, dtype=complex)
+        self._matrix = None if matrix is None else field_array(matrix)
         self.name = name
 
     @classmethod
     def from_matrix(cls, m, name="op"):
-        m = np.asarray(m, dtype=complex)
+        m = field_array(m)
         return cls(lambda f: m @ f, m.shape, adjoint_apply=lambda f: np.conj(m.T) @ f,
                    matrix=m, name=name)
 
@@ -143,7 +147,9 @@ class GalerkinMatrix:
             raise InvalidInputError("no generating operator recorded")
         fresh = galerkin_matrix(self.generator, self.left_frame, self.right_frame)
         denom = max(np.abs(self.entries).max(), 1e-300)
-        return float(np.abs(fresh.entries - self.entries).max() / denom)
+        # the fresh assembly is ours: take the difference in its buffer
+        np.subtract(fresh.entries, self.entries, out=fresh.entries)
+        return float(np.abs(fresh.entries).max() / denom)
 
     def idempotency_residual(self):
         """||M M - M||_2 = ||C (Q_right^* Q_left) C - C||_2 for the core C."""
@@ -398,7 +404,7 @@ class BoundCertificate:
 
 def _greedy_subset_quantity(mb):
     """Greedy estimate of sup over row subsets E of sum_l |sum_{k in E} m_{kl}|."""
-    totals = np.zeros(mb.shape[1], dtype=complex)
+    totals = np.zeros(mb.shape[1], dtype=mb.dtype)
     best = 0.0
     order = np.argsort(-np.abs(mb).sum(axis=1))
     for k in order:
@@ -413,10 +419,12 @@ def _greedy_subset_quantity(mb):
 def _two_two(mb, rank_bound=None):
     """Trace-power bound on ||mb||_2 from a randomized range finder.
 
-    Q = qr(mb Omega) for a Gaussian Omega with l = min(K_out, K_in, n + 16)
-    columns, n the rank bound (none: l = min(K_out, K_in)).  With
+    Q = qr(mb Omega) for a Gaussian Omega with l columns.  With
     B = Q^* mb and the residual E = mb - Q B, ||mb||_2 <= ||B||_2 + ||E||_F,
-    so the bound stays sound when the rank guess is wrong.  The trace of
+    so the bound stays sound when the rank guess is wrong.  With a rank
+    bound n, l = min(K_out, K_in, n + 16) in one pass.  Without one, l
+    starts at 32 and doubles while ||E||_F > 1e-12 ||mb||_F and
+    l < min(K_out, K_in).  The trace of
     G^20, G = B^* B, dominates ||B||_2^40; it and diag(G^k) =
     diag(B^* H^(k-1) B) are read off powers of the l x l H = B B^*.
     Everything is divided by c, the largest squared column norm of mb:
@@ -425,16 +433,23 @@ def _two_two(mb, rank_bound=None):
     scaled back by c.
     """
     k_out, k_in = mb.shape
-    cols = min(k_out, k_in)
-    if rank_bound is not None:
-        cols = min(cols, rank_bound + RANGE_OVERSAMPLING)
-    omega = np.random.default_rng(RANGE_SEED).standard_normal((k_in, cols))
-    q = np.linalg.qr(mb @ omega)[0]
-    b = np.conj(q.T) @ mb
-    e = q @ b
-    e -= mb
-    residual = float(np.linalg.norm(e))
-    del e   # K x K; the powers below need only l x K
+    if rank_bound is None:
+        widest = min(k_out, k_in)
+        cols = min(widest, RANGE_START)
+    else:
+        widest = cols = min(k_out, k_in, rank_bound + RANGE_OVERSAMPLING)
+    target = RANGE_TOL * np.linalg.norm(mb)
+    while True:
+        omega = np.random.default_rng(RANGE_SEED).standard_normal((k_in, cols))
+        q = np.linalg.qr(mb @ omega)[0]
+        b = np.conj(q.T) @ mb
+        e = q @ b
+        e -= mb
+        residual = float(np.linalg.norm(e))
+        del e   # K x K; the powers below need only l x K
+        if residual <= target or cols == widest:
+            break
+        cols = min(2 * cols, widest)
     c = float(np.max(np.einsum("ij,ij->j", np.conj(mb), mb).real, initial=0.0))
     c = c if c > 0 else 1.0
     b /= math.sqrt(c)

@@ -13,6 +13,17 @@ from .errors import DimensionMismatchError, InvalidInputError
 DEFAULT_RANK_TOL = 1e-10
 
 
+def field_array(x):
+    """``x`` as a float64 array when its data are real, complex128 when complex.
+
+    Real frames and operators stay real, so that their decompositions run
+    in real arithmetic.  float64 and complex128 input is returned without a
+    copy.
+    """
+    x = np.asarray(x)
+    return np.asarray(x, dtype=np.result_type(x, float))
+
+
 def _rank(s, rank_tol):
     """Count of descending singular values above ``rank_tol * s[0]``."""
     if s.size == 0 or s[0] == 0.0:

@@ -11,7 +11,7 @@ from .frames import Frame, analysis, analysis_qr, synthesis
 # galerkin_matrix is re-exported: callers import it from this module
 from .galerkin import LinearOperator, as_operator, galerkin_matrix  # noqa: F401
 from .indexing import IndexSet
-from .linalg import range_spectrum
+from .linalg import field_array, range_spectrum
 
 PROJECTION_TOL = 1e-10
 DEFAULT_TOL = 1e-8
@@ -215,14 +215,15 @@ def cg_solve(m, b, tol=1e-10, max_iter=None, normal_equations=False,
     With ``normal_equations`` the iteration runs on M* M instead, which
     lifts the Hermitian requirement.
     """
-    m = np.asarray(m, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    m, b = field_array(m), field_array(b)
     if normal_equations:
         m2 = np.conj(m.T) @ m
         res = cg_solve(m2, np.conj(m.T) @ b, tol=tol, max_iter=max_iter,
                        track_energy=track_energy)
         res.normal_equations = True
         return res
+    # promoted once: a real m against a complex b would be cast on every product
+    m = np.asarray(m, dtype=np.result_type(m, b))
     if _hermitian_defect(m) > HERMITIAN_TOL:
         raise ContractError(
             "matrix is not Hermitian; set normal_equations=True to fall back"
@@ -232,11 +233,11 @@ def cg_solve(m, b, tol=1e-10, max_iter=None, normal_equations=False,
         max_iter = 10 * k
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
-        return IterationResult(np.zeros(k, dtype=complex), 0, True, [0.0])
+        return IterationResult(np.zeros(k, dtype=m.dtype), 0, True, [0.0])
     # a search direction whose curvature p* M p sits at the rounding level
     # of M p lies in the null space; stepping along it would overflow x
     curvature_floor = np.finfo(float).eps * np.linalg.norm(m)
-    x = np.zeros(k, dtype=complex)
+    x = np.zeros(k, dtype=m.dtype)
     r = b.copy()
     p = r.copy()
     rs = np.real(np.vdot(r, r))
@@ -285,13 +286,16 @@ def richardson_solve(m, b, relaxation, tol=1e-10, max_iter=None):
     and a warning is emitted when it is not < 1; runaway residuals mark
     the result diverged instead of looping to ``max_iter``.
     """
-    m = np.asarray(m, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    m, b = field_array(m), field_array(b)
+    # promoted once: a real m against a complex b would be cast on every product
+    m = np.asarray(m, dtype=np.result_type(m, b))
     k = m.shape[0]
     if max_iter is None:
         max_iter = 10 * k
+    # the power iteration starts in the field of the iteration
     rng = np.random.default_rng(1)
-    v = m @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    start = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    v = m @ (start if np.iscomplexobj(m) else start.real)
     rho = 0.0
     nv = np.linalg.norm(v)
     if nv > 0:
@@ -308,7 +312,7 @@ def richardson_solve(m, b, relaxation, tol=1e-10, max_iter=None):
             stacklevel=2,
         )
     bnorm = max(np.linalg.norm(b), 1e-300)
-    x = np.zeros(k, dtype=complex)
+    x = np.zeros(k, dtype=m.dtype)
     residuals = []
     updates = 0
     while updates <= max_iter:
@@ -378,7 +382,10 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
     contraction = float(np.linalg.norm(np.eye(n) - dense, 2))
     if reference is None:
         try:
-            reference = np.linalg.solve(dense, y)
+            # the real and imaginary parts of y as two right sides, so that
+            # a real A is factored in real arithmetic
+            parts = np.linalg.solve(dense, np.stack((y.real, y.imag), axis=1))
+            reference = parts[:, 0] + 1j * parts[:, 1]
         except np.linalg.LinAlgError:
             reference = None
     report = SolveReport(
@@ -516,7 +523,7 @@ def make_test_operator(kind, n, **params):
         kern = 0.5 * (kern + kern.T)
         return LinearOperator.from_matrix(kern, name="helmholtz_toy")
     if kind == "diagonal":
-        spectrum = np.asarray(params["spectrum"], dtype=complex)
+        spectrum = field_array(params["spectrum"])
         if spectrum.shape != (n,):
             raise InvalidInputError("spectrum length must equal n")
         return LinearOperator.from_matrix(np.diag(spectrum), name="diagonal")

@@ -29,6 +29,11 @@ def mercedes_frame():
     return Frame(vectors, IndexSet.ring(3), name="mercedes")
 
 
+def complex_copy(frame):
+    """The frame with its vectors cast to complex128."""
+    return Frame(frame.vectors.astype(complex), frame.index_set, name=frame.name)
+
+
 @pytest.fixture(scope="session")
 def suite_frames():
     return {

@@ -10,6 +10,7 @@ from locframes import (
     SeqSpaceSpec,
     Weight,
     analysis,
+    analysis_qr,
     canonical_dual,
     dual_pairing,
     frame_bounds,
@@ -21,6 +22,7 @@ from locframes import (
     make_onb,
     make_perturbed_onb,
     make_translates_frame,
+    range_spectrum,
     riesz_bounds,
     synthesis,
 )
@@ -30,7 +32,7 @@ from locframes.opnorms import (
     weighted_matrix,
 )
 
-from conftest import decaying_generator, mercedes_frame
+from conftest import complex_copy, decaying_generator, mercedes_frame
 
 
 def random_vec(rng, n):
@@ -300,6 +302,53 @@ class TestConstructors:
         f1 = make_perturbed_onb(16, 2, 5)
         f2 = make_perturbed_onb(16, 2, 5)
         assert np.array_equal(f1.vectors, f2.vectors)
+
+
+REAL_FRAMES = ("onb", "translates")
+
+
+class TestNumberField:
+    """Real frames stay float64 and agree with their complex128 copies."""
+
+    @pytest.mark.parametrize("name", REAL_FRAMES)
+    def test_real_frame_stays_real(self, suite_frames, name):
+        frame = suite_frames[name]
+        q, r = analysis_qr(frame)
+        for arr in (frame.vectors, frame_operator(frame), q, r,
+                    canonical_dual(frame).vectors, gram(frame, frame)):
+            assert arr.dtype == np.float64
+
+    @pytest.mark.parametrize("name", REAL_FRAMES)
+    def test_real_frame_matches_complex_copy(self, suite_frames, name):
+        frame = suite_frames[name]
+        twin = complex_copy(frame)
+        for real, cplx in zip(frame_bounds(frame), frame_bounds(twin)):
+            assert real == pytest.approx(cplx, rel=1e-12)
+        dual, dual_twin = canonical_dual(frame).vectors, canonical_dual(twin).vectors
+        assert np.linalg.norm(dual - dual_twin) <= 1e-12 * np.linalg.norm(dual)
+        spectra = [range_spectrum(analysis_qr(f), analysis_qr(f)) for f in (frame, twin)]
+        assert spectra[0].core.dtype == np.float64
+        assert spectra[0].values.shape == spectra[1].values.shape
+        assert np.allclose(spectra[0].values, spectra[1].values, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_input_shared_not_copied(self, dtype):
+        vectors = np.eye(4, dtype=dtype)
+        frame = Frame(vectors, IndexSet.ring(4))
+        assert frame.vectors.dtype == dtype
+        assert np.shares_memory(frame.vectors, vectors)
+        assert not frame.vectors.flags.writeable
+        assert vectors.flags.writeable
+
+    def test_integer_input_becomes_float64(self):
+        frame = Frame(np.eye(3, dtype=int), IndexSet.ring(3))
+        assert frame.vectors.dtype == np.float64
+
+    def test_complex_generator_gives_complex_translates(self):
+        gen = decaying_generator(8) * np.exp(0.3j)
+        frame = make_translates_frame(8, 1, gen)
+        assert frame.vectors.dtype == np.complex128
+        assert np.allclose(frame.vectors[:, 0], gen)
 
 
 class TestCoorbitNormScaling:

@@ -35,6 +35,8 @@ from locframes.linalg import generalized_condition_number, pseudo_inverse
 from locframes.opnorms import weighted_matrix
 from locframes.solver import HERMITIAN_TOL, _hermitian_defect, frame_galerkin_solve
 
+from conftest import complex_copy
+
 
 def random_matrix(rng, n, m=None):
     m = n if m is None else m
@@ -593,6 +595,41 @@ class TestFactoredDiagnosticsAgreeWithDense:
 
 
 class TestTwoTwoRangeFinder:
+    @staticmethod
+    def widths(monkeypatch, m, rank_bound=None):
+        """Column counts l of the range finder's QRs, and the certificate."""
+        widths = []
+        qr = np.linalg.qr
+
+        def recorded(a, *args, **kwargs):
+            widths.append(a.shape[1])
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recorded)
+        w1, w2 = Weight.ones(m.shape[1]), Weight.ones(m.shape[0])
+        cert = schur_certificate(m, "two_two", weights=(w1, w2), rank_bound=rank_bound)
+        return widths, cert
+
+    def test_width_doubles_only_while_the_residual_is_large(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        low = random_matrix(rng, 200, 10) @ random_matrix(rng, 10, 150)
+        widths, cert = self.widths(monkeypatch, low)
+        assert widths == [32]
+        assert cert.details["svd_ground_truth"] == pytest.approx(
+            np.linalg.norm(low, 2), rel=1e-12)
+        full = random_matrix(rng, 100, 150)
+        widths, cert = self.widths(monkeypatch, full)
+        assert widths == [32, 64, 100]
+        assert cert.certified_bound >= np.linalg.norm(full, 2)
+
+    def test_rank_bound_runs_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        m = random_matrix(rng, 120, 20) @ random_matrix(rng, 20, 120)
+        widths, bounded = self.widths(monkeypatch, m, rank_bound=20)
+        assert widths == [36]
+        widths, free = self.widths(monkeypatch, m)
+        assert widths == [32]
+        assert free.certified_bound == pytest.approx(bounded.certified_bound, rel=1e-12)
     def test_too_small_rank_bound_stays_sound(self):
         rng = np.random.default_rng(61)
         m = random_matrix(rng, 60, 30) @ random_matrix(rng, 30, 60)
@@ -620,3 +657,79 @@ class TestTwoTwoRangeFinder:
         bare = schur_certificate(gm.entries, "two_two", weights=(w, w))
         assert cert.certified_bound == pytest.approx(bare.certified_bound, rel=1e-12)
         assert cert.certified_bound >= np.linalg.norm(gm.entries, 2)
+
+
+REAL_PAIRS = [("onb", "onb"), ("translates", "translates"), ("onb", "translates")]
+
+
+def twin_frames(*frames):
+    return [complex_copy(f) for f in frames]
+
+
+class TestNumberField:
+    """Real frames and operators give float64 matrices and cores whose
+    diagnostics agree with the same inputs cast to complex128."""
+
+    def test_operator_keeps_the_field_of_its_matrix(self, rng):
+        assert LinearOperator.identity(4).dense().dtype == np.float64
+        real = rng.standard_normal((4, 4))
+        assert LinearOperator.from_matrix(real).dense().dtype == np.float64
+        cplx = random_matrix(rng, 4)
+        op = LinearOperator.from_matrix(cplx)
+        assert np.shares_memory(op.dense(), cplx)
+        # a closure's field is unknown: it is probed with complex vectors
+        closure = LinearOperator(lambda f: real @ f, (4, 4))
+        assert closure.dense().dtype == np.complex128
+
+    @pytest.mark.parametrize("left, right", REAL_PAIRS)
+    def test_real_galerkin_matrix_matches_complex_copy(self, suite_frames, left, right):
+        phi, psi = suite_frames[left], suite_frames[right]
+        op = make_test_operator("identity_minus_kernel", phi.ambient_dim, theta=0.5)
+        twin_op = op.dense().astype(complex)
+        twin_phi, twin_psi = twin_frames(phi, psi)
+        gm = galerkin_matrix(op, phi, canonical_dual(psi))
+        twin = galerkin_matrix(twin_op, twin_phi, canonical_dual(twin_psi))
+        assert gm.entries.dtype == np.float64 and gm.core.dtype == np.float64
+        assert twin.entries.dtype == np.complex128
+        scale = np.linalg.norm(twin.entries)
+        assert np.linalg.norm(gm.entries - twin.entries) <= 1e-12 * scale
+        for real, cplx in (
+            (roundtrip_check(op, phi, psi), roundtrip_check(twin_op, twin_phi, twin_psi)),
+            (compose_rule_check(op, op, phi, psi, phi),
+             compose_rule_check(twin_op, twin_op, twin_phi, twin_psi, twin_phi)),
+        ):
+            assert real <= 1e-12 and cplx <= 1e-12
+        probe = kappa_factorization_probe(op, phi, psi)
+        twin_probe = kappa_factorization_probe(twin_op, twin_phi, twin_psi)
+        for key in ("lhs", "rhs", "ratio"):
+            assert probe[key] == pytest.approx(twin_probe[key], rel=1e-12)
+        assert probe["submultiplicative"] == twin_probe["submultiplicative"]
+
+    @pytest.mark.parametrize("case", ["inf_inf", "inf_zero", "one_inf", "one_p",
+                                      "inf_one", "two_two"])
+    @pytest.mark.parametrize("rank_bound", [None, 64])
+    def test_certificates_match_complex_copy(self, suite_frames, case, rank_bound):
+        frame = suite_frames["translates"]
+        op = make_test_operator("identity_minus_kernel", 64, theta=0.5)
+        entries = galerkin_matrix(op, frame, canonical_dual(frame)).entries
+        w = Weight.polynomial(1.0, frame.index_set)
+        real, cplx = (schur_certificate(m, case, weights=(w, w), rank_bound=rank_bound)
+                      for m in (entries, entries.astype(complex)))
+        assert real.certified_bound == pytest.approx(cplx.certified_bound, rel=1e-12)
+        for key, value in cplx.details.items():
+            if key == "range_residual":   # rounding level, about 1e-15
+                assert real.details[key] <= 1e-12 * real.certified_bound
+            elif isinstance(value, float):
+                assert real.details[key] == pytest.approx(value, rel=1e-12)
+        assert certificate_probe_norm(entries, real) == pytest.approx(
+            certificate_probe_norm(entries.astype(complex), cplx), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["translates", "gabor16"])
+    def test_reproduction_residual_in_place_is_exact(self, suite_frames, name):
+        frame = suite_frames[name]
+        n = frame.ambient_dim
+        gm = galerkin_matrix(make_test_operator("identity_minus_kernel", n, theta=0.5),
+                             frame, canonical_dual(frame))
+        fresh = galerkin_matrix(gm.generator, gm.left_frame, gm.right_frame).entries
+        expected = np.abs(fresh - gm.entries).max() / np.abs(gm.entries).max()
+        assert gm.reproduction_residual() == expected

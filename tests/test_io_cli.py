@@ -370,22 +370,37 @@ class TestCLIContract:
                        "--out-dir", tmp_path) == 2
         assert self.error(tmp_path) == "invalid-input"
 
-    def test_solve_fs_start_level_zero(self, tmp_path):
-        # run apart, with a time and memory cap, so a schedule that never
-        # terminates fails this test instead of hanging the suite
+    @staticmethod
+    def run_capped(*args):
+        """The CLI in its own process, with a time and a 2 GiB memory cap."""
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
         src = str(Path(io.__file__).resolve().parents[1])
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "locframes", "solve", "fs", "--n", "16",
-             "--start-level", "0", "--out-dir", str(tmp_path)],
+        return subprocess.run(
+            [sys.executable, "-m", "locframes", *map(str, args)],
             env=env, preexec_fn=cap_memory, capture_output=True, timeout=60,
         )
+
+    def test_solve_fs_start_level_zero(self, tmp_path):
+        # run apart, so a schedule that never terminates fails this test
+        # instead of hanging the suite
+        proc = self.run_capped("solve", "fs", "--n", "16", "--start-level", "0",
+                               "--out-dir", tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert self.error(tmp_path) == "invalid-input"
+
+    @pytest.mark.parametrize("n", [1e300, 10**6])
+    def test_oversized_n(self, tmp_path, n):
+        # 1e300 is no array size; an n x n identity at 10**6 needs 8 TB
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "onb", "n": n}))
+        proc = self.run_capped("frame", "build", "--config", cfg, "--out-dir", tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert b"Traceback" not in proc.stderr
+        assert self.error(tmp_path) == "config"
 
     @pytest.mark.parametrize("argv", [
         ("solve", "fg", "--frame", "f", "--n", "8"),
@@ -442,6 +457,34 @@ class TestIntegerSettings:
         cfg.write_text(json.dumps(setting))
         assert run_cli(*command, "--config", cfg, "--out-dir", tmp_path) == 2
         assert TestCLIContract.error(tmp_path) == "config"
+
+
+class TestRealDataPipeline:
+    """Real frames and Galerkin matrices are stored and loaded as float64."""
+
+    def test_translates_pipeline(self, tmp_path):
+        op = ("--op-kind", "identity_minus_kernel", "--theta", "0.5")
+        assert run_cli("frame", "build", "--kind", "translates", "--n", "32",
+                       "--out-dir", tmp_path) == 0
+        assert np.load(tmp_path / "frame.npy").dtype == np.float64
+        assert io.load_frame(tmp_path / "frame").vectors.dtype == np.float64
+        assert run_cli("galerkin", "assemble", "--frame", tmp_path / "frame", *op,
+                       "--out-dir", tmp_path / "gal") == 0
+        assert np.load(tmp_path / "gal" / "galerkin.npy").dtype == np.float64
+        assert run_cli("galerkin", "certify", "--matrix", tmp_path / "gal" / "galerkin",
+                       "--case", "two_two", "--out-dir", tmp_path / "cert") == 0
+        cert = json.loads((tmp_path / "cert" / "certificate_two_two.json").read_text())
+        assert cert["sound"]
+        assert run_cli("solve", "fg", "--frame", tmp_path / "frame", "--method", "cg",
+                       *op, "--out-dir", tmp_path / "fg") == 0
+        assert json.loads((tmp_path / "fg" / "solve_fg.json").read_text())["converged"]
+
+    @pytest.mark.parametrize("kind, dtype", [("onb", np.float64),
+                                             ("perturbed-onb", np.complex128)])
+    def test_frame_container_keeps_its_field(self, tmp_path, kind, dtype):
+        assert run_cli("frame", "build", "--kind", kind, "--n", "8",
+                       "--out-dir", tmp_path) == 0
+        assert io.load_frame(tmp_path / "frame").vectors.dtype == dtype
 
 
 class TestGalerkinContainerRankBound:

@@ -1,5 +1,6 @@
 """Subframe projections, finite sections, frame-Galerkin solves, iterations."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -24,6 +25,8 @@ from locframes import (
     subframe_projection,
 )
 from locframes.solver import PROJECTION_TOL
+
+from conftest import complex_copy
 
 
 class TestSubframeProjection:
@@ -409,3 +412,96 @@ class TestMakeTestOperator:
     def test_small_n_rejected(self):
         with pytest.raises(InvalidInputError):
             make_test_operator("diagonal", 3, spectrum=[1, 2, 3])
+
+
+def assert_reports_agree(real, cplx, scale):
+    """Every value of two solve reports agrees; residuals and errors, which
+    sit at the rounding level, agree to 1e-12 of ``scale``."""
+    assert real.converged == cplx.converged
+    for key in ("contraction_norm", "sup_inverse_norm"):
+        assert getattr(real, key) == pytest.approx(getattr(cplx, key), rel=1e-12)
+    assert len(real.levels) == len(cplx.levels)
+    for lr, lc in zip(real.levels, cplx.levels):
+        assert (lr.size, lr.singular) == (lc.size, lc.singular)
+        assert abs(lr.iterations - lc.iterations) <= 1
+        for key in ("inverse_norm", "kappa_dagger"):
+            assert getattr(lr, key) == pytest.approx(getattr(lc, key), rel=1e-12)
+        for key in ("residual", "error"):
+            if getattr(lc, key) is not None:
+                assert abs(getattr(lr, key) - getattr(lc, key)) <= 1e-12 * scale
+
+
+class TestNumberField:
+    """Real frames and operators are solved in real arithmetic, with the
+    results of the same inputs cast to complex128."""
+
+    OPERATORS = [("identity_minus_kernel", {"theta": 0.5}), ("helmholtz_toy", {})]
+
+    @pytest.mark.parametrize("kind, params", OPERATORS)
+    @pytest.mark.parametrize("method", ["direct", "cg", "richardson"])
+    def test_finite_sections_match_complex_copy(self, rng, kind, params, method):
+        n = 64
+        op = make_test_operator(kind, n, **params)
+        assert op.dense().dtype == np.float64
+        twin_op = LinearOperator.from_matrix(op.dense().astype(complex))
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        onb = make_onb(n)
+        sched = ProjectionSchedule(onb)
+        assert all(q.dtype == np.float64 for q in sched.bases)
+        rep, x = finite_section_solve(op, y, sched, method=method)
+        twin_rep, twin_x = finite_section_solve(
+            twin_op, y, ProjectionSchedule(complex_copy(onb)), method=method)
+        assert rep.converged
+        assert_reports_agree(rep, twin_rep, np.linalg.norm(y))
+        assert np.linalg.norm(x - twin_x) <= 1e-12 * np.linalg.norm(twin_x)
+
+    @pytest.mark.parametrize("name", ["onb", "translates"])
+    @pytest.mark.parametrize("method", ["direct", "cg", "richardson"])
+    def test_frame_galerkin_matches_complex_copy(self, suite_frames, rng, name, method):
+        frame = suite_frames[name]
+        n = frame.ambient_dim
+        op = make_test_operator("identity_minus_kernel", n, theta=0.5)
+        twin_op = LinearOperator.from_matrix(op.dense().astype(complex))
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        f, rep = frame_galerkin_solve(op, g, frame, method=method)
+        twin_f, twin_rep = frame_galerkin_solve(twin_op, g, complex_copy(frame),
+                                                method=method)
+        assert rep.converged
+        assert_reports_agree(rep, twin_rep, np.linalg.norm(g))
+        assert np.linalg.norm(f - twin_f) <= 1e-12 * np.linalg.norm(twin_f)
+
+    def test_diagonal_operator_keeps_its_field(self):
+        real = make_test_operator("diagonal", 4, spectrum=[1, 2, 3, 4])
+        cplx = make_test_operator("diagonal", 4, spectrum=[1, 2j, 3, 4])
+        assert real.dense().dtype == np.float64
+        assert cplx.dense().dtype == np.complex128
+
+    def test_kernels_take_the_field_of_their_operands(self):
+        m = np.diag(np.arange(1.0, 6.0))
+        assert cg_solve(m, np.ones(5)).c.dtype == np.float64
+        assert cg_solve(m, np.ones(5) + 1j).c.dtype == np.complex128
+        assert richardson_solve(m, np.ones(5), 0.3).c.dtype == np.float64
+        res = richardson_solve(m, np.ones(5) + 1j, 0.3)
+        assert res.c.dtype == np.complex128
+        assert np.allclose(m @ res.c, np.ones(5) + 1j)
+
+    @pytest.mark.parametrize("method", ["direct", "cg", "richardson"])
+    def test_solve_fs_decomposes_in_real_arithmetic(self, tmp_path, monkeypatch, method):
+        from locframes.cli import main
+
+        seen = []
+        for name in ("svd", "qr", "eigh", "eigvalsh", "cholesky", "solve", "lstsq"):
+            original = getattr(np.linalg, name)
+
+            def guarded(*args, _original=original, _name=name, **kwargs):
+                seen.append((_name, [a.dtype for a in args if isinstance(a, np.ndarray)]))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, guarded)
+            # np.linalg.norm(x, 2) looks its svd up in its own module
+            monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, name, guarded)
+        assert main(["solve", "fs", "--n", "32", "--method", method,
+                     "--op-kind", "identity_minus_kernel", "--theta", "0.5",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert sum(name == "svd" for name, _ in seen) >= 2
+        assert all(dt == np.float64 for _, dtypes in seen for dt in dtypes), seen
