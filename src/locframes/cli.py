@@ -72,6 +72,18 @@ def _integer(value):
     return number
 
 
+# every command that reads n allocates at least one n x n complex array
+MAX_N = math.isqrt(np.iinfo(np.intp).max // 16)
+
+
+def _size(value):
+    """A whole number n small enough that an n x n complex array can be indexed."""
+    number = _integer(value)
+    if number > MAX_N:
+        raise ValueError(f"must not exceed {MAX_N}")
+    return number
+
+
 def _tokens(value):
     """Items of a comma-separated string or of a JSON list."""
     if isinstance(value, str):
@@ -81,7 +93,8 @@ def _tokens(value):
 
 # how each setting is read; a value that does not convert is a ConfigError
 _SETTING_TYPES = {
-    **dict.fromkeys(("n", "a", "b", "step", "levels", "start_level"), _integer),
+    "n": _size,
+    **dict.fromkeys(("a", "b", "step", "levels", "start_level"), _integer),
     **dict.fromkeys(("s", "threshold", "p", "w1_power", "w2_power", "width",
                      "exponent", "decay_s", "tol", "theta", "tail",
                      "tail_exponent"), _finite),

@@ -1,5 +1,7 @@
 """Frames and their canonical operators: analysis, synthesis, frame operator, Gram."""
 
+import weakref
+
 import numpy as np
 
 from .errors import (
@@ -45,10 +47,14 @@ class Frame:
     """Finite vector family psi_k, stored as columns of an n x K matrix.
 
     Immutable; the canonical operators are computed once on first use and
-    frozen (safe to share across threads afterwards).
+    frozen (safe to share across threads afterwards).  ``lattice`` is
+    (a, b) when the vectors are exactly ``gabor_system(vectors[:, 0], a, b)``;
+    the analysis QR, the bounds and the dual then factor through the
+    frame's Walnut blocks instead of dense n x n and K x n work.
     """
 
-    def __init__(self, vectors, index_set: IndexSet, name="frame", meta=None):
+    def __init__(self, vectors, index_set: IndexSet, name="frame", meta=None,
+                 lattice=None):
         v = field_array(vectors)
         if v.ndim != 2:
             raise InvalidInputError("vectors must form an n x K matrix")
@@ -65,6 +71,8 @@ class Frame:
         self.index_set = index_set
         self.name = name
         self.meta = dict(meta or {})
+        self.lattice = lattice
+        self._walnut = None
         self._frame_op = None
         self._bounds = None
         self._dual = None
@@ -122,14 +130,46 @@ def frame_operator(frame: Frame):
     return frame._frame_op
 
 
-def analysis_qr(frame: Frame):
-    """Thin QR V^* = Q R of the analysis matrix, r = min(K, n).
+def _walnut_qr(frame: Frame):
+    """Batched QR B_t = Q_t R_t of the Walnut blocks of a Gabor frame.
 
-    Q is K x r with orthonormal columns and R is r x n, so Q spans the
-    range of the analysis operator whenever the family spans C^n.
+    With window w on the lattice (a, b), mt = n/a and mf = n/b, the
+    analysis matrix factors as V^* = (I_mt (x) F^*) diag_t(B_t) P: F is
+    the unitary DFT of size mf, P groups x by t = x mod mf, and the
+    mt x b block B_t[m, p] = sqrt(mf) conj(w[(t + p mf - m a) mod n]).
+    Returns Q (mf x mt x b) and R (mf x b x b).
+    """
+    if frame._walnut is None:
+        n = frame.ambient_dim
+        a, b = frame.lattice
+        mt, mf = n // a, n // b
+        x = (np.arange(mf)[:, None, None] + mf * np.arange(b)
+             - a * np.arange(mt)[:, None]) % n
+        frame._walnut = np.linalg.qr(np.sqrt(mf) * np.conj(frame.vectors[x, 0]))
+    return frame._walnut
+
+
+def analysis_qr(frame: Frame):
+    """Factorization V^* = Q R of the analysis matrix, Q with orthonormal columns.
+
+    Q is K x r and R is r x n, r = min(K, n), so Q spans the range of the
+    analysis operator whenever the family spans C^n.  R is upper
+    triangular (Householder QR) for a general frame.  For a Gabor frame
+    R is block-sparse: Q[(m, j), (t, p)] = e^{-2 pi i j t / mf} Q_t[m, p] / sqrt(mf)
+    and R[(t, p), t + p' mf] = R_t[p, p'] from the Walnut blocks.
     """
     if frame._analysis_qr is None:
-        q, r = np.linalg.qr(np.conj(frame.vectors.T))
+        if frame.lattice is None:
+            q, r = np.linalg.qr(np.conj(frame.vectors.T))
+        else:
+            q_t, r_t = _walnut_qr(frame)
+            mf, mt, b = q_t.shape
+            t = np.arange(mf)
+            dft = np.exp(-2j * np.pi * ((t[:, None] * t) % mf) / mf) / np.sqrt(mf)
+            q = (dft[:, :, None] * q_t.transpose(1, 0, 2)[:, None]).reshape(mt * mf, -1)
+            r = np.zeros((mf, b, b, mf), dtype=r_t.dtype)
+            r[t, :, :, t] = r_t
+            r = r.reshape(mf * b, -1)
         q.setflags(write=False)
         r.setflags(write=False)
         frame._analysis_qr = (q, r)
@@ -139,11 +179,17 @@ def analysis_qr(frame: Frame):
 def frame_bounds(frame: Frame):
     """(A, B) = extreme eigenvalues of the frame operator.
 
-    Raises ``NotAFrameError`` carrying the numerical rank when the
-    family does not span.
+    For a Gabor frame these are the extreme squared singular values of
+    the Walnut factors R_t, as S = P^* diag(R_t^* R_t) P.  Raises
+    ``NotAFrameError`` carrying the numerical rank when the family does
+    not span.
     """
     if frame._bounds is None:
-        w = np.linalg.eigvalsh(frame_operator(frame))
+        if frame.lattice is None:
+            w = np.linalg.eigvalsh(frame_operator(frame))
+        else:
+            s = np.linalg.svd(_walnut_qr(frame)[1], compute_uv=False)
+            w = np.sort(s.ravel() ** 2)
         lmin, lmax = float(w[0]), float(w[-1])
         if lmax <= 0 or lmin <= BOUND_RANK_TOL * lmax:
             rank = int(np.count_nonzero(w > BOUND_RANK_TOL * lmax))
@@ -156,17 +202,37 @@ def frame_bounds(frame: Frame):
     return frame._bounds
 
 
+def _walnut_dual_window(frame: Frame):
+    """gamma = S^{-1} w for the window w: gamma_t = R_t^{-1} R_t^{-*} w_t,
+    with w_t[p] = w[t + p mf] as in ``_walnut_qr``."""
+    r_t = _walnut_qr(frame)[1]
+    mf, b = r_t.shape[:2]
+    w_t = frame.vectors[:, 0].reshape(b, mf).T[:, :, None]
+    half = np.linalg.solve(np.conj(r_t.transpose(0, 2, 1)), w_t)
+    return np.linalg.solve(r_t, half)[:, :, 0].T.reshape(-1)
+
+
 def canonical_dual(frame: Frame):
-    """Frame of S^{-1} psi_k; Cholesky path, eigensolver fallback."""
-    if frame._dual is None:
+    """Frame of S^{-1} psi_k.
+
+    A Gabor frame's dual is the Gabor system of its dual window.  Any
+    other frame takes the Cholesky path, with an eigensolver fallback.
+    The frame keeps its dual and the dual refers back to the frame only
+    weakly, so that the pair forms no reference cycle: both are freed as
+    soon as the caller drops the frame, not at the next cyclic collection.
+    """
+    dual = None if frame._dual is None else frame._dual()
+    if dual is None:
         bounds = frame_bounds(frame)
-        s = frame_operator(frame)
-        if bounds.upper / bounds.lower <= CHOLESKY_COND_CAP:
+        if frame.lattice is not None:
+            dual_vectors = gabor_system(_walnut_dual_window(frame), *frame.lattice)
+        elif bounds.upper / bounds.lower <= CHOLESKY_COND_CAP:
+            s = frame_operator(frame)
             ch = np.linalg.cholesky(s)
             half = np.linalg.solve(ch, frame.vectors)
             dual_vectors = np.linalg.solve(np.conj(ch.T), half)
         else:
-            w, u = np.linalg.eigh(s)
+            w, u = np.linalg.eigh(frame_operator(frame))
             w = np.where(w > BOUND_RANK_TOL * w[-1], w, np.inf)
             dual_vectors = u @ ((np.conj(u.T) @ frame.vectors) / w[:, None])
         dual = Frame(
@@ -174,12 +240,12 @@ def canonical_dual(frame: Frame):
             frame.index_set,
             name=frame.name + "~",
             meta={"dual_of": frame.name, **frame.meta},
+            lattice=frame.lattice,
         )
-        dual._frame_op = None
-        dual._dual = frame
+        dual._dual = weakref.ref(frame)
         dual._bounds = FrameBounds(1.0 / bounds.upper, 1.0 / bounds.lower)
-        frame._dual = dual
-    return frame._dual
+        frame._dual = lambda: dual
+    return dual
 
 
 def gram(left: Frame, right: Frame):
@@ -249,12 +315,40 @@ def make_onb(n, name="onb"):
     )
 
 
-def make_gabor_frame(n, a, b, window, name=None):
-    """Time-frequency shifts of a window on Z_n.
+def gabor_system(window, a, b):
+    """Time-frequency shifts of ``window`` on the (a, b) lattice of Z_n.
 
-    psi_{(m,j)}[x] = window[(x - m a) mod n] exp(2 pi i j b x / n) for
-    m = 0..n/a - 1, j = 0..n/b - 1.  Index positions sit on the
-    (n/a) x (n/b) torus with axis scales (a, b).
+    Column m (n/b) + j is window[(x - m a) mod n] exp(2 pi i j b x / n),
+    m = 0..n/a - 1, j = 0..n/b - 1.  The phase argument j b x is reduced
+    mod n first, so that every phase is accurate to the last bit or two.
+    """
+    n = window.shape[0]
+    x = np.arange(n)
+    shifted = window[(x[:, None] - a * np.arange(n // a)) % n]
+    phases = np.exp(2j * np.pi * ((b * x[:, None] * np.arange(n // b)) % n) / n)
+    return (shifted[:, :, None] * phases[:, None, :]).reshape(n, -1)
+
+
+def gabor_lattice(vectors, meta):
+    """(a, b) when ``meta`` describes a Gabor frame on Z_n and ``vectors``
+    equal the system ``gabor_system`` rebuilds from their first column;
+    otherwise None, and the frame is treated as a general one."""
+    if meta.get("kind") != "gabor":
+        return None
+    n, a, b = (meta.get(key) for key in ("n", "a", "b"))
+    if not all(type(v) is int and v > 0 for v in (n, a, b)) or n % a or n % b:
+        return None
+    if vectors.shape != (n, (n // a) * (n // b)):
+        return None
+    if not np.array_equal(gabor_system(vectors[:, 0], a, b), vectors):
+        return None
+    return (a, b)
+
+
+def make_gabor_frame(n, a, b, window, name=None):
+    """Time-frequency shifts of a window on Z_n, see ``gabor_system``.
+
+    Index positions sit on the (n/a) x (n/b) torus with axis scales (a, b).
     """
     if min(n, a, b) < 1:
         raise InvalidInputError(f"modulus {n} and steps ({a}, {b}) must be positive")
@@ -268,20 +362,13 @@ def make_gabor_frame(n, a, b, window, name=None):
         raise NotAFrameError(
             f"lattice yields {mt * mf} vectors < ambient dimension {n}"
         )
-    x = np.arange(n)
-    vectors = np.empty((n, mt * mf), dtype=complex)
-    col = 0
-    for m in range(mt):
-        shifted = np.roll(window, m * a)
-        for j in range(mf):
-            vectors[:, col] = shifted * np.exp(2j * np.pi * j * b * x / n)
-            col += 1
     iset = IndexSet.torus_grid(mt, mf, scales=(float(a), float(b)))
     return Frame(
-        vectors,
+        gabor_system(window, a, b),
         iset,
         name=name or f"gabor{n}a{a}b{b}",
         meta={"kind": "gabor", "n": n, "a": a, "b": b},
+        lattice=(a, b),
     )
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputFileError
-from .frames import Frame
+from .frames import Frame, gabor_lattice
 from .indexing import IndexSet
 
 
@@ -84,46 +84,18 @@ def save_frame(base, frame: Frame):
 
 
 def load_frame(base):
+    """The frame in a container; a Gabor frame is recognized by ``gabor_lattice``."""
     vectors, sidecar = load_array(base)
     if sidecar.get("container") != "frame":
         raise InputFileError(f"{base} is not a frame container")
+    meta = sidecar.get("meta", {})
     return Frame(
         vectors,
         IndexSet.from_dict(sidecar["index_set"]),
         name=sidecar["name"],
-        meta=sidecar.get("meta", {}),
+        meta=meta,
+        lattice=gabor_lattice(vectors, meta),
     )
-
-
-def save_matrix(base, m, rows: IndexSet, cols: IndexSet = None, extra=None):
-    """Plain matrix container carrying the index geometry of both axes."""
-    sidecar = {
-        "container": "matrix",
-        "rows": rows.to_dict(),
-        "cols": (cols or rows).to_dict(),
-    }
-    if extra:
-        sidecar.update(extra)
-    return save_array(base, m, sidecar)
-
-
-def load_matrix(base):
-    m, sidecar = load_array(base)
-    return (m, IndexSet.from_dict(sidecar["rows"]),
-            IndexSet.from_dict(sidecar["cols"]))
-
-
-def save_sequence(base, c, index_set: IndexSet, weight=None):
-    """Sequence container: values plus index set and optional weight family."""
-    sidecar = {"container": "sequence", "index_set": index_set.to_dict()}
-    if weight is not None:
-        sidecar["weight"] = weight.to_dict()
-    return save_array(base, np.asarray(c), sidecar)
-
-
-def load_sequence(base):
-    c, sidecar = load_array(base)
-    return c, IndexSet.from_dict(sidecar["index_set"])
 
 
 def save_galerkin_matrix(base, gm, extra=None):

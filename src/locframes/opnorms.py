@@ -17,14 +17,26 @@ from .weights import SeqSpaceSpec
 _INF = math.inf
 
 
-def weighted_matrix(m, w_out=None, w_in=None):
-    """diag(w_out) @ m @ diag(1/w_in)."""
+def weighted_matrix(m, w_out, w_in):
+    """diag(w_out) @ m @ diag(1/w_in) for real weights, in one new array.
+
+    A complex m is scaled through its real and imaginary parts, by w_out
+    and then by 1 / w_in: that is what numpy's complex division by
+    w_in + 0j computes, so the result is the same without a complex
+    division per entry or a second temporary.
+    """
     m = np.asarray(m)
-    if w_out is not None:
-        m = np.asarray(w_out)[:, None] * m
-    if w_in is not None:
-        m = m / np.asarray(w_in)[None, :]
-    return m
+    w_out = np.asarray(w_out)[:, None]
+    out = np.empty_like(m, dtype=np.result_type(m, float))
+    if np.iscomplexobj(out):
+        inv = 1.0 / np.asarray(w_in)
+        for src, dst in ((m.real, out.real), (m.imag, out.imag)):
+            np.multiply(w_out, src, out=dst)
+            dst *= inv
+    else:
+        np.multiply(w_out, m, out=out)
+        out /= np.asarray(w_in)
+    return out
 
 
 def exact_operator_norm(m, p_in, p_out):
@@ -88,8 +100,3 @@ def rayleigh_lower_l2(m, iters=60, seed=0):
         v /= n
     return float(np.sqrt(np.real(np.vdot(v, g @ v))))
 
-
-def weighted_operator_norm(m, p, weight):
-    """Norm of ``m`` on l^p_w: ``space_operator_norm`` with equal spaces."""
-    space = SeqSpaceSpec(p, weight)
-    return space_operator_norm(m, space, space)

@@ -34,6 +34,24 @@ def complex_copy(frame):
     return Frame(frame.vectors.astype(complex), frame.index_set, name=frame.name)
 
 
+def dense_twin(frame):
+    """The frame without its Gabor lattice: every operator takes the dense path."""
+    return Frame(frame.vectors, frame.index_set, name=frame.name, meta=frame.meta)
+
+
+# (n, a, b) of the Gabor frames whose structured and dense paths are compared
+GABOR_LATTICES = [(16, 4, 2), (64, 8, 4), (144, 12, 6), (256, 16, 8), (256, 8, 8)]
+
+
+@pytest.fixture(scope="session", params=GABOR_LATTICES,
+                ids=[f"gabor{n}a{a}b{b}" for n, a, b in GABOR_LATTICES])
+def gabor_twins(request):
+    """A Gaussian Gabor frame, structured, and its dense twin."""
+    n, a, b = request.param
+    frame = make_gabor_frame(n, a, b, gaussian_window(n))
+    return frame, dense_twin(frame)
+
+
 @pytest.fixture(scope="session")
 def suite_frames():
     return {

@@ -1,5 +1,8 @@
 """Frame constructors and the four canonical operators."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -32,7 +35,7 @@ from locframes.opnorms import (
     weighted_matrix,
 )
 
-from conftest import complex_copy, decaying_generator, mercedes_frame
+from conftest import complex_copy, decaying_generator, dense_twin, mercedes_frame
 
 
 def random_vec(rng, n):
@@ -159,6 +162,22 @@ class TestCanonicalDual:
                 nf = np.linalg.norm(f)
                 assert np.linalg.norm(r1 - f) <= 1e-10 * nf
                 assert np.linalg.norm(r2 - f) <= 1e-10 * nf
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_gabor_frame(16, 4, 2, gaussian_window(16)),
+        lambda: make_perturbed_onb(16, 3, 7),
+    ])
+    def test_dual_pair_freed_without_cyclic_collection(self, make):
+        frame = make()
+        dual = canonical_dual(frame)
+        assert canonical_dual(frame) is dual and canonical_dual(dual) is frame
+        refs = [weakref.ref(frame), weakref.ref(dual)]
+        gc.disable()
+        try:
+            del frame, dual
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestGram:
@@ -304,6 +323,63 @@ class TestConstructors:
         assert np.array_equal(f1.vectors, f2.vectors)
 
 
+def relative_gap(x, ref):
+    return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+
+
+class TestGaborStructure:
+    """The Walnut factorization of a Gabor frame against the dense path."""
+
+    def test_lattice_set_by_constructor_and_dual(self, gabor_twins):
+        frame, dense = gabor_twins
+        assert frame.lattice == (frame.meta["a"], frame.meta["b"])
+        assert canonical_dual(frame).lattice == frame.lattice
+        assert dense.lattice is None
+
+    def test_bounds_match_dense(self, gabor_twins):
+        frame, dense = gabor_twins
+        for got, ref in zip(frame_bounds(frame), frame_bounds(dense)):
+            assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_dual_matches_dense(self, gabor_twins):
+        frame, dense = gabor_twins
+        dual = canonical_dual(frame)
+        assert relative_gap(dual.vectors, canonical_dual(dense).vectors) <= 1e-12
+        for got, ref in zip(frame_bounds(dual), frame_bounds(canonical_dual(dense))):
+            assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_structured_qr_factors_the_analysis_matrix(self, gabor_twins):
+        frame, _ = gabor_twins
+        q, r = analysis_qr(frame)
+        v_star = np.conj(frame.vectors.T)
+        assert q.shape == (frame.size, frame.ambient_dim)
+        assert r.shape == (frame.ambient_dim, frame.ambient_dim)
+        assert relative_gap(q @ r, v_star) <= 1e-14
+        assert np.linalg.norm(np.conj(q.T) @ q - np.eye(q.shape[1]), 2) <= 1e-13
+        assert not q.flags.writeable and not r.flags.writeable
+
+    def test_critical_gaussian_rank_matches_dense(self):
+        frame = make_gabor_frame(16, 4, 4, gaussian_window(16))
+        ranks = []
+        for f in (frame, dense_twin(frame)):
+            with pytest.raises(NotAFrameError) as err:
+                frame_bounds(f)
+            ranks.append(err.value.numerical_rank)
+        assert ranks == [15, 15]
+
+    def test_phases_are_reduced(self):
+        # the far Gram entries of a Gaussian Gabor frame sit at the rounding
+        # level instead of carrying the error of an unreduced phase argument
+        frame = make_gabor_frame(256, 8, 8, gaussian_window(256))
+        x = np.arange(256)
+        j = 256 // 8 - 1
+        exact = np.exp(2j * np.pi * ((j * 8 * x) % 256) / 256)
+        assert np.array_equal(frame.vectors[:, j], frame.vectors[:, 0] * exact)
+        d = frame.index_set.distance_matrix()
+        far = np.abs(gram(frame, frame))[d >= 0.7 * d.max()]
+        assert far.max() <= 1e-15   # about 4e-14 with unreduced phases
+
+
 REAL_FRAMES = ("onb", "translates")
 
 
@@ -360,3 +436,22 @@ class TestCoorbitNormScaling:
         f = rng.standard_normal(2)
         # dual coefficients of a tight frame are scaled by 1/A
         assert coorbit_norm(f, spec) == pytest.approx(np.linalg.norm(f) / np.sqrt(1.5))
+
+
+class TestWeightedMatrix:
+    """weighted_matrix equals diag(w_out) m diag(1/w_in) as numpy forms it
+    with complex arithmetic, entry for entry."""
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_direct_formula(self, field, order):
+        rng = np.random.default_rng(71)
+        m = rng.standard_normal((40, 30))
+        if field == "complex":
+            m = m + 1j * rng.standard_normal((40, 30))
+        m = np.asarray(m, order=order)
+        w_out = (1.0 + np.arange(40)) ** 1.5
+        w_in = np.exp(rng.standard_normal(30))
+        got = weighted_matrix(m, w_out, w_in)
+        assert got.dtype == m.dtype
+        assert np.array_equal(got, (w_out[:, None] * m) / w_in[None, :])

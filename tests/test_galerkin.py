@@ -13,6 +13,7 @@ from locframes import (
     SeqSpaceSpec,
     Weight,
     analysis,
+    analysis_qr,
     bounded_equiv_check,
     canonical_dual,
     compose_rule_check,
@@ -26,6 +27,7 @@ from locframes import (
     matrixrep_norm_bound,
     operator_from_matrix,
     operator_norm_bound,
+    range_spectrum,
     roundtrip_check,
     schur_certificate,
     seq_norm,
@@ -480,6 +482,36 @@ class TestFrameGalerkinSpectrum:
         assert ("normal equations" in rep.message) == normal_equations
         assert rep.converged
         assert np.linalg.norm(m @ f - g) <= 1e-8 * np.linalg.norm(g)
+
+
+class TestGaborStructureAgreesWithDense:
+    """Galerkin spectra and solves on a Gabor frame's Walnut factors match the
+    dense path, to 1e-12 relative."""
+
+    def test_frame_against_dual_spectrum(self, gabor_twins):
+        op = make_test_operator("identity_minus_kernel", gabor_twins[0].ambient_dim,
+                                theta=0.5).dense()
+        structured, dense = (
+            range_spectrum(analysis_qr(f), analysis_qr(canonical_dual(f)), op).values
+            for f in gabor_twins
+        )
+        assert structured.shape == dense.shape
+        assert np.max(np.abs(structured - dense)) <= 1e-12 * dense[0]
+
+    @pytest.mark.parametrize("method", ["cg", "richardson", "direct"])
+    def test_solve_reports(self, gabor_twins, method):
+        n = gabor_twins[0].ambient_dim
+        op = make_test_operator("identity_minus_kernel", n, theta=0.5)
+        g = random_matrix(np.random.default_rng(61), n, 1)[:, 0]
+        (f, rep), (f_dense, rep_dense) = (
+            frame_galerkin_solve(op, g, frame, method=method) for frame in gabor_twins
+        )
+        assert rep.converged and rep_dense.converged
+        assert rep.message == rep_dense.message
+        level, level_dense = rep.levels[0], rep_dense.levels[0]
+        assert level.iterations == level_dense.iterations
+        assert level.kappa_dagger == pytest.approx(level_dense.kappa_dagger, rel=1e-12)
+        assert np.linalg.norm(f - f_dense) <= 1e-12 * np.linalg.norm(f_dense)
 
 
 # -- dense reference formulas -------------------------------------------------

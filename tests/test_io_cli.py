@@ -51,28 +51,6 @@ class TestContainers:
         text = path.read_text().splitlines()[1]
         assert float(text) == value
 
-    def test_matrix_container_keeps_geometry(self, tmp_path):
-        from locframes import IndexSet
-
-        rows = IndexSet.ring(6)
-        cols = IndexSet.line(4)
-        m = np.arange(24, dtype=complex).reshape(6, 4)
-        io.save_matrix(tmp_path / "m", m, rows, cols)
-        loaded, r2, c2 = io.load_matrix(tmp_path / "m")
-        assert np.array_equal(loaded, m)
-        assert r2.metric == "circular" and c2.metric == "absolute"
-
-    def test_sequence_container_with_weight(self, tmp_path):
-        from locframes import IndexSet
-
-        iset = IndexSet.line(5)
-        w = Weight.polynomial(1.0, iset)
-        io.save_sequence(tmp_path / "c", np.arange(5.0), iset, weight=w)
-        c, iset2 = io.load_sequence(tmp_path / "c")
-        assert np.array_equal(c, np.arange(5.0))
-        sidecar = json.loads((tmp_path / "c.json").read_text())
-        assert sidecar["weight"]["family"] == "polynomial"
-
     def test_reports_serialize_to_json(self, tmp_path):
         from locframes import (
             IndexSet,
@@ -392,9 +370,11 @@ class TestCLIContract:
         assert proc.returncode == 2, proc.stderr
         assert self.error(tmp_path) == "invalid-input"
 
-    @pytest.mark.parametrize("n", [1e300, 10**6])
+    @pytest.mark.parametrize("n", [1e300, 2**32, 10**6])
     def test_oversized_n(self, tmp_path, n):
-        # 1e300 is no array size; an n x n identity at 10**6 needs 8 TB
+        # 1e300 is no array size; an n x n complex array at 2**32 has more
+        # bytes than an array index reaches; an n x n identity at 10**6
+        # needs 8 TB
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "onb", "n": n}))
         proc = self.run_capped("frame", "build", "--config", cfg, "--out-dir", tmp_path)
@@ -531,6 +511,98 @@ class TestGalerkinContainerRankBound:
         code, _ = self.certify(tmp_path / "solution_fs", tmp_path / "cert")
         assert code == 2
         assert TestCLIContract.error(tmp_path / "cert") == "input-file"
+
+
+def unreduced_gabor_vectors(n, a, b, window):
+    """The Gabor system with the phase argument j b x / n left unreduced."""
+    x = np.arange(n)
+    return np.stack([np.roll(window, m * a) * np.exp(2j * np.pi * j * b * x / n)
+                     for m in range(n // a) for j in range(n // b)], axis=1)
+
+
+class TestGaborContainers:
+    """A container is read as a Gabor frame only when its vectors are exactly
+    the system its meta describes; otherwise it takes the dense path."""
+
+    def save(self, tmp_path, vectors, meta=None):
+        """Save ``vectors`` with the sidecar of Gabor 64/8/4 and load them."""
+        frame = make_gabor_frame(64, 8, 4, gaussian_window(64))
+        io.save_frame(tmp_path / "frame", locframes.Frame(
+            vectors, frame.index_set, name=frame.name, meta=meta or frame.meta))
+        return frame, io.load_frame(tmp_path / "frame")
+
+    def test_built_container_is_structured(self, tmp_path):
+        frame = make_gabor_frame(64, 8, 4, gaussian_window(64))
+        _, loaded = self.save(tmp_path, frame.vectors)
+        assert loaded.lattice == (8, 4)
+
+    def test_unreduced_phases_load_dense(self, tmp_path):
+        old = unreduced_gabor_vectors(64, 8, 4, gaussian_window(64).astype(complex))
+        frame, loaded = self.save(tmp_path, old)
+        assert not np.array_equal(old, frame.vectors)
+        assert np.allclose(old, frame.vectors, rtol=0, atol=1e-13)
+        assert loaded.lattice is None
+        for got, ref in zip(locframes.frame_bounds(loaded), locframes.frame_bounds(frame)):
+            assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_one_changed_entry_loads_dense(self, tmp_path):
+        vectors = make_gabor_frame(64, 8, 4, gaussian_window(64)).vectors.copy()
+        vectors[5, 17] += 1e-3
+        _, loaded = self.save(tmp_path, vectors)
+        assert loaded.lattice is None
+
+    @pytest.mark.parametrize("meta", [{"kind": "onb"},
+                                      {"kind": "gabor", "n": 64, "a": 8.0, "b": 4},
+                                      {"kind": "gabor", "n": 64, "a": 4, "b": 8}])
+    def test_meta_must_describe_the_lattice(self, tmp_path, meta):
+        vectors = make_gabor_frame(64, 8, 4, gaussian_window(64)).vectors
+        _, loaded = self.save(tmp_path, vectors, meta)
+        assert loaded.lattice is None
+
+
+class TestGaborNoDenseFactorizations:
+    """On a Gabor frame, frame build, galerkin assemble and solve fg run no
+    Householder QR of the K x n analysis matrix and no n x n Cholesky or
+    eigvalsh."""
+
+    @staticmethod
+    def guard(monkeypatch):
+        shapes = {}
+        for name in ("qr", "cholesky", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recorded(a, *args, _original=original, _name=name, **kwargs):
+                shapes.setdefault(_name, []).append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        return shapes
+
+    def run_pipeline(self, tmp_path, frame):
+        operator = ("--op-kind", "identity_minus_kernel", "--theta", "0.5")
+        assert run_cli("galerkin", "assemble", "--frame", frame, *operator,
+                       "--out-dir", tmp_path / "gal") == 0
+        for method in ("cg", "direct"):
+            assert run_cli("solve", "fg", "--frame", frame, *operator,
+                           "--method", method, "--out-dir", tmp_path / method) == 0
+
+    def test_structured_pipeline(self, tmp_path, monkeypatch):
+        shapes = self.guard(monkeypatch)
+        assert run_cli("frame", "build", "--kind", "gabor", "--n", "32", "--a", "4",
+                       "--b", "4", "--out-dir", tmp_path) == 0
+        self.run_pipeline(tmp_path, tmp_path / "frame")
+        assert shapes["qr"] and all(len(s) == 3 for s in shapes["qr"])
+        assert (32, 32) not in shapes.get("cholesky", []) + shapes.get("eigvalsh", [])
+
+    def test_guard_sees_the_dense_path(self, tmp_path, monkeypatch):
+        frame = make_gabor_frame(32, 4, 4, gaussian_window(32))
+        io.save_frame(tmp_path / "frame", locframes.Frame(
+            unreduced_gabor_vectors(32, 4, 4, gaussian_window(32).astype(complex)),
+            frame.index_set, name=frame.name, meta=frame.meta))
+        shapes = self.guard(monkeypatch)
+        self.run_pipeline(tmp_path, tmp_path / "frame")
+        assert (64, 32) in shapes["qr"]
+        assert (32, 32) in shapes["cholesky"]
 
 
 class TestWorkCounts:

@@ -170,16 +170,17 @@ class TestCoorbitNorm:
     def test_equivalent_norms_for_localized_pair(self, rng):
         # two mutually localized frames grade the same space: the norm
         # ratio stays inside the interval set by the cross-Gram norms
-        from locframes.opnorms import weighted_operator_norm
+        from locframes.opnorms import space_operator_norm
         from locframes.frames import gram
 
         psi = make_perturbed_onb(64, 3, 7)
         phi = make_translates_frame(64, 1, decaying_generator(64))
         w = Weight.ones(64)
-        spec_psi = CoorbitSpec(psi, SeqSpaceSpec(1, w))
-        spec_phi = CoorbitSpec(phi, SeqSpaceSpec(1, w))
-        c_hi = weighted_operator_norm(gram(canonical_dual(psi), phi), 1, w)
-        c_lo = weighted_operator_norm(gram(canonical_dual(phi), psi), 1, w)
+        space = SeqSpaceSpec(1, w)
+        spec_psi = CoorbitSpec(psi, space)
+        spec_phi = CoorbitSpec(phi, space)
+        c_hi = space_operator_norm(gram(canonical_dual(psi), phi), space, space)
+        c_lo = space_operator_norm(gram(canonical_dual(phi), psi), space, space)
         for _ in range(200):
             f = random_vec(rng, 64)
             ratio = coorbit_norm(f, spec_psi) / coorbit_norm(f, spec_phi)
