@@ -212,13 +212,7 @@ def cmd_frame_diag(cfg, out, seed):
         diag = {"primal": primal.to_dict(), "member": False}
     else:
         primal = res.primal
-        diag = {
-            "primal": primal.to_dict(),
-            "member": True,
-            "dual": res.dual.to_dict(),
-            "cross": res.cross.to_dict(),
-            "exponent_drop_flagged": res.exponent_drop_flagged,
-        }
+        diag = {**res.to_dict(), "member": True}
     io.save_json(diag, out / "localization.json")
     io.shells_to_csv(out / "shells.csv", primal.fit)
 
@@ -274,7 +268,6 @@ def cmd_galerkin_assemble(cfg, out, seed):
     report = {
         "roundtrip_residual": roundtrip_check(op, frame, right),
         "composition_residual": compose_rule_check(op, op, frame, right, frame),
-        "reproduction_residual": gm.reproduction_residual(),
     }
     if op.name == "identity" and cfg.get("right", "dual") == "dual":
         # the assembled matrix is the Gram projection
@@ -307,17 +300,6 @@ def cmd_galerkin_certify(cfg, out, seed):
     payload["measured_probe_norm"] = measured
     payload["sound"] = bool(measured <= cert.certified_bound * (1 + 1e-8))
     io.save_json(payload, out / f"certificate_{case}.json")
-    return 0
-
-
-def cmd_galerkin_probe(cfg, out, seed):
-    frame, right = _load_frame_pair(cfg)
-    op = build_operator(cfg, frame.ambient_dim)
-    probe = {
-        "roundtrip_residual": roundtrip_check(op, frame, right),
-        "kappa": kappa_factorization_probe(op, frame, right),
-    }
-    io.save_json(probe, out / "galerkin_probe.json")
     return 0
 
 
@@ -367,7 +349,6 @@ COMMANDS = {
     ("frame", "diag"): cmd_frame_diag,
     ("galerkin", "assemble"): cmd_galerkin_assemble,
     ("galerkin", "certify"): cmd_galerkin_certify,
-    ("galerkin", "probe"): cmd_galerkin_probe,
     ("solve", "fs"): cmd_solve_fs,
     ("solve", "fg"): cmd_solve_fg,
 }
@@ -383,7 +364,6 @@ FLAGS = {
     ("frame", "diag"): ("frame", "algebra", "s", "threshold", "p_grid", "weight_powers"),
     ("galerkin", "assemble"): ("frame", "right") + _OPERATOR_FLAGS,
     ("galerkin", "certify"): ("matrix", "case", "p", "w1_power", "w2_power"),
-    ("galerkin", "probe"): ("frame", "right") + _OPERATOR_FLAGS,
     ("solve", "fs"): ("n", "schedule", "levels", "start_level") + _SOLVE_FLAGS,
     ("solve", "fg"): ("frame",) + _SOLVE_FLAGS,
 }

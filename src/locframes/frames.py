@@ -1,6 +1,7 @@
 """Frames and their canonical operators: analysis, synthesis, frame operator, Gram."""
 
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,10 +15,6 @@ from .linalg import field_array
 
 BOUND_RANK_TOL = 1e-10
 TIGHT_REL_TOL = 1e-10
-
-# above this condition number the frame-operator inverse falls back from
-# Cholesky to an eigendecomposition
-CHOLESKY_COND_CAP = 1e8
 
 
 class FrameBounds:
@@ -216,7 +213,8 @@ def canonical_dual(frame: Frame):
     """Frame of S^{-1} psi_k.
 
     A Gabor frame's dual is the Gabor system of its dual window.  Any
-    other frame takes the Cholesky path, with an eigensolver fallback.
+    other frame solves S X = V with one LU factorization of S; the bounds
+    check has already rejected any S with lambda_min <= 1e-10 lambda_max.
     The frame keeps its dual and the dual refers back to the frame only
     weakly, so that the pair forms no reference cycle: both are freed as
     soon as the caller drops the frame, not at the next cyclic collection.
@@ -226,15 +224,8 @@ def canonical_dual(frame: Frame):
         bounds = frame_bounds(frame)
         if frame.lattice is not None:
             dual_vectors = gabor_system(_walnut_dual_window(frame), *frame.lattice)
-        elif bounds.upper / bounds.lower <= CHOLESKY_COND_CAP:
-            s = frame_operator(frame)
-            ch = np.linalg.cholesky(s)
-            half = np.linalg.solve(ch, frame.vectors)
-            dual_vectors = np.linalg.solve(np.conj(ch.T), half)
         else:
-            w, u = np.linalg.eigh(frame_operator(frame))
-            w = np.where(w > BOUND_RANK_TOL * w[-1], w, np.inf)
-            dual_vectors = u @ ((np.conj(u.T) @ frame.vectors) / w[:, None])
+            dual_vectors = np.linalg.solve(frame_operator(frame), frame.vectors)
         dual = Frame(
             dual_vectors,
             frame.index_set,
@@ -257,17 +248,13 @@ def gram(left: Frame, right: Frame):
     return np.conj(left.vectors.T) @ right.vectors
 
 
+@dataclass
 class RieszResult:
     """Outcome of the Riesz-sequence test: bounds, or a not-riesz flag."""
 
-    def __init__(self, bounds, riesz, gram_rank):
-        self.bounds = bounds
-        self.riesz = riesz
-        self.gram_rank = gram_rank
-
-    def __repr__(self):
-        tag = "riesz" if self.riesz else "not-riesz"
-        return f"RieszResult({tag}, bounds={self.bounds})"
+    bounds: FrameBounds
+    riesz: bool
+    gram_rank: int
 
 
 def riesz_bounds(frame: Frame):

@@ -39,22 +39,21 @@ RANGE_SEED = 0
 class LinearOperator:
     """Linear map given as a dense matrix or an apply-closure.
 
-    Closures are materialized by column probes only when a dense view
-    is requested, so kernel operators never have to be formed eagerly.
+    ``dense()`` is the one view every consumer reads.  A closure is
+    materialized by n column probes on first request and kept, so kernel
+    operators never have to be formed eagerly.
     """
 
-    def __init__(self, apply, shape, adjoint_apply=None, matrix=None, name="op"):
+    def __init__(self, apply, shape, matrix=None, name="op"):
         self._apply = apply
         self.shape = tuple(shape)
-        self._adjoint_apply = adjoint_apply
         self._matrix = None if matrix is None else field_array(matrix)
         self.name = name
 
     @classmethod
     def from_matrix(cls, m, name="op"):
         m = field_array(m)
-        return cls(lambda f: m @ f, m.shape, adjoint_apply=lambda f: np.conj(m.T) @ f,
-                   matrix=m, name=name)
+        return cls(lambda f: m @ f, m.shape, matrix=m, name=name)
 
     @classmethod
     def identity(cls, n):
@@ -73,26 +72,6 @@ class LinearOperator:
             cols = [self.apply(e) for e in np.eye(self.shape[1], dtype=complex).T]
             self._matrix = np.stack(cols, axis=1)
         return self._matrix
-
-    def adjoint_apply(self, f):
-        if self._adjoint_apply is not None:
-            return np.asarray(self._adjoint_apply(f), dtype=complex)
-        return np.conj(self.dense().T) @ np.asarray(f, dtype=complex)
-
-    def linearity_residual(self, seed=0, probes=5):
-        """Max relative defect of apply(a f + b g) - a apply(f) - b apply(g)."""
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        n = self.shape[1]
-        for _ in range(probes):
-            f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            a, b = rng.standard_normal(2)
-            lhs = self.apply(a * f + b * g)
-            rhs = a * self.apply(f) + b * self.apply(g)
-            denom = max(np.linalg.norm(rhs), 1e-300)
-            worst = max(worst, np.linalg.norm(lhs - rhs) / denom)
-        return worst
 
 
 def as_operator(op):
@@ -141,16 +120,6 @@ class GalerkinMatrix:
         r_left, r_right = analysis_qr(self.left_frame)[1], analysis_qr(self.right_frame)[1]
         return r_left @ self.generator.dense() @ np.conj(r_right.T)
 
-    def reproduction_residual(self):
-        """Entrywise defect against a fresh assembly from the generator."""
-        if self.generator is None:
-            raise InvalidInputError("no generating operator recorded")
-        fresh = galerkin_matrix(self.generator, self.left_frame, self.right_frame)
-        denom = max(np.abs(self.entries).max(), 1e-300)
-        # the fresh assembly is ours: take the difference in its buffer
-        np.subtract(fresh.entries, self.entries, out=fresh.entries)
-        return float(np.abs(fresh.entries).max() / denom)
-
     def idempotency_residual(self):
         """||M M - M||_2 = ||C (Q_right^* Q_left) C - C||_2 for the core C."""
         return float(np.linalg.norm(_core_product(self, self) - self.core, 2))
@@ -171,15 +140,11 @@ def _check_maps(op, left: Frame, right: Frame):
 
 def galerkin_matrix(op, left: Frame, right: Frame,
                     domain_space=None, codomain_space=None):
-    """Assemble M_{k,l} = <O xi_l, phi_k> column by column."""
+    """Assemble M_{k,l} = <O xi_l, phi_k> as Phi^* O Xi, the one K x K
+    product; a closure operator is materialized through ``dense()``."""
     op = as_operator(op)
     _check_maps(op, left, right)
-    if op._matrix is not None:
-        entries = np.conj(left.vectors.T) @ (op.dense() @ right.vectors)
-    else:
-        cols = [analysis(left, op.apply(right.vectors[:, l]))
-                for l in range(right.size)]
-        entries = np.stack(cols, axis=1)
+    entries = np.conj(left.vectors.T) @ (op.dense() @ right.vectors)
     return GalerkinMatrix(entries, left, right, domain_space, codomain_space,
                           generator=op)
 
@@ -196,9 +161,8 @@ def operator_from_matrix(m, left: Frame, right: Frame):
     def apply(h):
         return synthesis(left, entries @ analysis(right, h))
 
-    out = LinearOperator(apply, (left.ambient_dim, right.ambient_dim),
-                         name=f"O[{left.name},{right.name}]")
-    return out
+    return LinearOperator(apply, (left.ambient_dim, right.ambient_dim),
+                          name=f"O[{left.name},{right.name}]")
 
 
 def roundtrip_check(op, phi: Frame, psi: Frame):

@@ -133,17 +133,6 @@ class IndexSet:
             and self.scales == other.scales
         )
 
-    def subset(self, indices):
-        """Restriction to a list of integer index positions (order kept)."""
-        idx = np.asarray(indices, dtype=int)
-        return IndexSet(
-            [self.labels[i] for i in idx],
-            self.positions[idx],
-            self.metric,
-            moduli=self.moduli,
-            scales=self.scales,
-        )
-
     # -- metric ------------------------------------------------------------
 
     def distance_matrix(self, other=None):

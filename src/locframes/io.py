@@ -66,11 +66,18 @@ def save_array(base, arr, sidecar):
 
 
 def load_array(base):
+    """The array and the sidecar of a container; a missing, truncated or
+    unparsable file is an ``InputFileError``."""
     base = Path(base)
     try:
-        return np.load(base.with_suffix(".npy")), load_json(base.with_suffix(".json"))
+        arr, sidecar = np.load(base.with_suffix(".npy")), load_json(base.with_suffix(".json"))
     except FileNotFoundError as err:
         raise InputFileError(f"no container at {base}: {err.filename} is missing") from err
+    except ValueError as err:
+        raise InputFileError(f"unreadable container at {base}: {err}") from err
+    if not isinstance(sidecar, dict):
+        raise InputFileError(f"{base.with_suffix('.json')} must hold a JSON object")
+    return arr, sidecar
 
 
 def save_frame(base, frame: Frame):
@@ -88,14 +95,16 @@ def load_frame(base):
     vectors, sidecar = load_array(base)
     if sidecar.get("container") != "frame":
         raise InputFileError(f"{base} is not a frame container")
-    meta = sidecar.get("meta", {})
-    return Frame(
-        vectors,
-        IndexSet.from_dict(sidecar["index_set"]),
-        name=sidecar["name"],
-        meta=meta,
-        lattice=gabor_lattice(vectors, meta),
-    )
+    try:
+        index_set = IndexSet.from_dict(sidecar["index_set"])
+        name = sidecar["name"]
+        meta = dict(sidecar.get("meta", {}))
+    except (KeyError, TypeError, ValueError) as err:
+        raise InputFileError(f"{base} has a malformed frame sidecar: {err!r}") from err
+    if not isinstance(name, str):
+        raise InputFileError(f"{base} has a frame name {name!r} that is not a string")
+    return Frame(vectors, index_set, name=name, meta=meta,
+                 lattice=gabor_lattice(vectors, meta))
 
 
 def save_galerkin_matrix(base, gm, extra=None):

@@ -16,6 +16,9 @@ from .linalg import field_array, range_spectrum
 PROJECTION_TOL = 1e-10
 DEFAULT_TOL = 1e-8
 STAGNATION_WINDOW = 50
+# a subframe bound ratio d_N / c_N above this at any level raises the
+# schedule's uniformity flag
+UNIFORMITY_RATIO_CAP = 1e8
 # largest Frobenius-relative defect ||M - M^*||_F / ||M||_F for which a
 # matrix counts as Hermitian and CG runs on it directly
 HERMITIAN_TOL = 1e-8
@@ -66,11 +69,12 @@ class ProjectionSchedule:
     pilot vector.  One SVD of each level's vectors V_N gives the subframe
     bounds (extreme nonzero eigenvalues of S_N = V_N V_N^*) and an
     orthonormal basis Q_N of the level's span (``bases``).  A flag is
-    raised when the ratio of the bounds exceeds ``ratio_cap`` at any level.
+    raised when the ratio of the bounds exceeds ``UNIFORMITY_RATIO_CAP`` at
+    any level.
     """
 
     def __init__(self, frame: Frame, selection="centered", pilot=None,
-                 start=8, ratio_cap=1e8, levels=None, n_levels=None):
+                 start=8, levels=None, n_levels=None):
         self.frame = frame
         self.selection = selection
         k = frame.size
@@ -102,7 +106,7 @@ class ProjectionSchedule:
             c_n, d_n = float(pos[-1]), float(pos[0])
             self.bases.append(q)
             self.subframe_bounds.append((c_n, d_n))
-            if d_n / c_n > ratio_cap:
+            if d_n / c_n > UNIFORMITY_RATIO_CAP:
                 self.uniformity_flag = True
 
     def _ordering(self, selection, pilot):
@@ -197,7 +201,6 @@ class IterationResult:
     residuals: list = field(default_factory=list)
     energies: list = field(default_factory=list)
     normal_equations: bool = False
-    rate_estimate: float = None
     diverged: bool = False
 
 
@@ -320,13 +323,12 @@ def richardson_solve(m, b, relaxation, tol=1e-10, max_iter=None):
         rel = np.linalg.norm(r) / bnorm
         residuals.append(rel)
         if rel <= tol:
-            return IterationResult(x, updates, True, residuals, rate_estimate=rho)
+            return IterationResult(x, updates, True, residuals)
         if rel > 10 * residuals[0]:
-            return IterationResult(x, updates, False, residuals,
-                                   rate_estimate=rho, diverged=True)
+            return IterationResult(x, updates, False, residuals, diverged=True)
         x = x + relaxation * r
         updates += 1
-    return IterationResult(x, max_iter, False, residuals, rate_estimate=rho)
+    return IterationResult(x, max_iter, False, residuals)
 
 
 # -- one solve kernel ---------------------------------------------------------

@@ -108,12 +108,6 @@ class TestIndexSetMetric:
         with pytest.raises(MetricMismatchError):
             IndexSet.ring(8).distance_matrix(IndexSet.ring(12))
 
-    def test_subset_keeps_geometry(self):
-        ring = IndexSet.ring(8)
-        sub = ring.subset([0, 3, 5])
-        assert sub.moduli == ring.moduli
-        assert len(sub) == 3
-
 
 # -- dual pairing -------------------------------------------------------------
 

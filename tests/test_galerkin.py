@@ -51,10 +51,6 @@ class TestLinearOperator:
         op = LinearOperator(lambda f: kernel @ f, (4, 4))
         assert np.allclose(op.dense(), kernel)
 
-    def test_linearity_residual(self, rng):
-        op = LinearOperator.from_matrix(random_matrix(rng, 8))
-        assert op.linearity_residual() <= 1e-12
-
     def test_dimension_check(self):
         op = LinearOperator.identity(4)
         with pytest.raises(Exception, match="domain"):
@@ -99,11 +95,6 @@ class TestGalerkinAssembly:
             e[l] = 1.0
             column = analysis(frame, op @ synthesis(frame, e))
             assert np.allclose(gm.entries[:, l], column, atol=1e-12)
-
-    def test_reproduction_residual(self, suite_frames, rng):
-        frame = suite_frames["gabor16"]
-        gm = galerkin_matrix(random_matrix(rng, 16), frame, frame)
-        assert gm.reproduction_residual() <= 1e-12
 
 
 class TestOperatorFromMatrix:
@@ -755,13 +746,3 @@ class TestNumberField:
                 assert real.details[key] == pytest.approx(value, rel=1e-12)
         assert certificate_probe_norm(entries, real) == pytest.approx(
             certificate_probe_norm(entries.astype(complex), cplx), rel=1e-12)
-
-    @pytest.mark.parametrize("name", ["translates", "gabor16"])
-    def test_reproduction_residual_in_place_is_exact(self, suite_frames, name):
-        frame = suite_frames[name]
-        n = frame.ambient_dim
-        gm = galerkin_matrix(make_test_operator("identity_minus_kernel", n, theta=0.5),
-                             frame, canonical_dual(frame))
-        fresh = galerkin_matrix(gm.generator, gm.left_frame, gm.right_frame).entries
-        expected = np.abs(fresh - gm.entries).max() / np.abs(gm.entries).max()
-        assert gm.reproduction_residual() == expected

@@ -151,16 +151,16 @@ class TestCLI:
         assert cert["sound"]
         assert cert["measured_probe_norm"] <= cert["certified_bound"] * (1 + 1e-8)
 
-    def test_galerkin_certify_singular_pseudoinverse_error(self, tmp_path):
+    def test_galerkin_assemble_reports_singular_operator(self, tmp_path):
         run_cli("frame", "build", "--kind", "onb", "--n", "8",
                 "--out-dir", tmp_path)
-        code = run_cli("galerkin", "probe", "--frame", tmp_path / "frame",
+        code = run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
                        "--right", "self", "--op-kind", "diagonal",
                        "--spectrum", "1,1,1,1,1,1,1,0",
-                       "--out-dir", tmp_path / "probe")
-        assert code == 2
-        err = json.loads((tmp_path / "probe" / "error.json").read_text())
-        assert err["code"] == "bijectivity"
+                       "--out-dir", tmp_path / "gal")
+        assert code == 0
+        rep = json.loads((tmp_path / "gal" / "galerkin_report.json").read_text())
+        assert rep["kappa"]["code"] == "bijectivity"
 
     def test_solve_fs_converges(self, tmp_path):
         assert run_cli("solve", "fs", "--op-kind", "identity_minus_kernel",
@@ -257,6 +257,40 @@ class TestCLIContract:
         run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
                 "--out-dir", tmp_path / "gal")
         assert run_cli("frame", "diag", "--frame", tmp_path / "gal" / "galerkin",
+                       "--out-dir", tmp_path / "diag") == 2
+        assert self.error(tmp_path / "diag") == "input-file"
+
+    @staticmethod
+    def drop_index_set(frame):
+        sidecar = json.loads(frame.with_suffix(".json").read_text())
+        del sidecar["index_set"]
+        frame.with_suffix(".json").write_text(json.dumps(sidecar))
+
+    @staticmethod
+    def break_json(frame):
+        frame.with_suffix(".json").write_text('{"container": "frame",')
+
+    @staticmethod
+    def truncate_npy(frame):
+        npy = frame.with_suffix(".npy")
+        npy.write_bytes(npy.read_bytes()[:60])
+
+    @staticmethod
+    def list_sidecar(frame):
+        frame.with_suffix(".json").write_text("[1, 2]")
+
+    @staticmethod
+    def number_name(frame):
+        sidecar = json.loads(frame.with_suffix(".json").read_text())
+        sidecar["name"] = 5
+        frame.with_suffix(".json").write_text(json.dumps(sidecar))
+
+    @pytest.mark.parametrize("damage", ["drop_index_set", "break_json", "truncate_npy",
+                                        "list_sidecar", "number_name"])
+    def test_malformed_frame_container(self, tmp_path, damage):
+        run_cli("frame", "build", "--kind", "onb", "--n", "8", "--out-dir", tmp_path)
+        getattr(self, damage)(tmp_path / "frame")
+        assert run_cli("frame", "diag", "--frame", tmp_path / "frame",
                        "--out-dir", tmp_path / "diag") == 2
         assert self.error(tmp_path / "diag") == "input-file"
 
@@ -562,13 +596,13 @@ class TestGaborContainers:
 
 class TestGaborNoDenseFactorizations:
     """On a Gabor frame, frame build, galerkin assemble and solve fg run no
-    Householder QR of the K x n analysis matrix and no n x n Cholesky or
-    eigvalsh."""
+    Householder QR of the K x n analysis matrix and no n x n solve,
+    Cholesky or eigvalsh."""
 
     @staticmethod
     def guard(monkeypatch):
         shapes = {}
-        for name in ("qr", "cholesky", "eigvalsh"):
+        for name in ("qr", "solve", "cholesky", "eigvalsh"):
             original = getattr(np.linalg, name)
 
             def recorded(a, *args, _original=original, _name=name, **kwargs):
@@ -592,7 +626,9 @@ class TestGaborNoDenseFactorizations:
                        "--b", "4", "--out-dir", tmp_path) == 0
         self.run_pipeline(tmp_path, tmp_path / "frame")
         assert shapes["qr"] and all(len(s) == 3 for s in shapes["qr"])
-        assert (32, 32) not in shapes.get("cholesky", []) + shapes.get("eigvalsh", [])
+        dense = [s for name in ("solve", "cholesky", "eigvalsh")
+                 for s in shapes.get(name, [])]
+        assert (32, 32) not in dense
 
     def test_guard_sees_the_dense_path(self, tmp_path, monkeypatch):
         frame = make_gabor_frame(32, 4, 4, gaussian_window(32))
@@ -602,7 +638,7 @@ class TestGaborNoDenseFactorizations:
         shapes = self.guard(monkeypatch)
         self.run_pipeline(tmp_path, tmp_path / "frame")
         assert (64, 32) in shapes["qr"]
-        assert (32, 32) in shapes["cholesky"]
+        assert (32, 32) in shapes["solve"] and (32, 32) in shapes["eigvalsh"]
 
 
 class TestWorkCounts:
@@ -626,12 +662,14 @@ class TestWorkCounts:
                 "--b", "4", "--out-dir", tmp_path)
         calls = self.count(monkeypatch, "galerkin_matrix",
                            [locframes.galerkin, locframes.cli])
-        # identity against the dual also reports the idempotency residual
+        # identity against the dual also reports the idempotency residual;
+        # every diagnostic works on the n x n cores, so the entries are
+        # the one K x K matrix
         assert run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
                        "--out-dir", tmp_path / "gal") == 0
         assert "idempotency_residual" in json.loads(
             (tmp_path / "gal" / "galerkin_report.json").read_text())
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("argv", [
         ("--kind", "gabor", "--n", "32", "--a", "4", "--b", "4"),
