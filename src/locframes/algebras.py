@@ -64,14 +64,26 @@ def _checked(a, rows, cols):
     return a, cols
 
 
+def decay_envelope(d, s):
+    """(1 + d)^s as a new array; one that overflows float64 on the
+    distances ``d`` is an ``InvalidInputError``."""
+    try:
+        with np.errstate(over="raise"):
+            m = d + 1.0
+            m **= s
+    except FloatingPointError as err:
+        raise InvalidInputError(f"decay envelope (1 + d)^{s} overflows float64 "
+                                f"at distances up to {np.max(d):g}") from err
+    return m
+
+
 def algebra_norms(a, s, rows: IndexSet, cols: IndexSet = None):
     """Jaffard and Schur-weighted norms from one weighted matrix |a| (1 + d)^s.
 
     Both depend on ``a`` only through |a|, so magnitudes may be passed.
     """
     a, cols = _checked(a, rows, cols)
-    m = rows.distance_matrix(cols) + 1.0
-    m **= s
+    m = decay_envelope(rows.distance_matrix(cols), s)
     m *= np.abs(a)
     return {
         JAFFARD: float(np.max(m)),
@@ -159,26 +171,33 @@ def algebra_product_constant(spec: MatrixAlgebraSpec, left: IndexSet, middle: In
     return float(2.0**spec.s * mass)
 
 
+def weight_admissible(spec: MatrixAlgebraSpec, weight, dim):
+    """The admissibility rule on a lattice of dimension ``dim``.
+
+    Polynomial weights (1 + |k|)^t pass iff t = 0 or |t| <= s - dim - 0.5.
+    An explicit weight has no asymptotic family to extrapolate and passes;
+    ``admissible_weight_check`` bounds it by its envelope.
+    """
+    if weight.family == "polynomial":
+        t = weight.parameter
+        return t == 0.0 or abs(t) <= spec.s - dim - ADMISSIBILITY_EPS
+    if weight.family == "explicit":
+        return True
+    raise InvalidInputError(
+        f"admissibility rule undefined for weight family {weight.family!r}"
+    )
+
+
 def admissible_weight_check(spec: MatrixAlgebraSpec, weight, index_set: IndexSet):
     """Decide whether every algebra member acts boundedly on all l^p_w.
 
-    Polynomial weights (1 + |k|)^t pass iff |t| <= s - d - 0.5; the
-    constant weight always passes.  The returned bound is the Schur
+    The verdict is ``weight_admissible``.  The returned bound is the Schur
     norm of the decay envelope conjugated by the weight, valid for all
     p simultaneously.
     """
     if not np.all(weight.values > 0):
         raise InvalidInputError("weight must be strictly positive")
-    if weight.family == "polynomial":
-        t = weight.parameter
-        admissible = t == 0.0 or abs(t) <= spec.s - index_set.dim - ADMISSIBILITY_EPS
-    elif weight.family == "explicit":
-        # no asymptotic family to extrapolate; judged by the envelope bound
-        admissible = True
-    else:
-        raise InvalidInputError(
-            f"admissibility rule undefined for weight family {weight.family!r}"
-        )
+    admissible = weight_admissible(spec, weight, index_set.dim)
     d = index_set.distance_matrix()
     w = weight.values
     ratio = np.maximum(w[:, None] / w[None, :], w[None, :] / w[:, None])

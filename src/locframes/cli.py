@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .algebras import MatrixAlgebraSpec, admissible_weight_check
+from .algebras import MatrixAlgebraSpec, weight_admissible
 from .errors import ConfigError, DivergedError, InputFileError, LocframesError
 from .frames import (
     canonical_dual,
@@ -204,6 +204,9 @@ def cmd_frame_diag(cfg, out, seed):
     frame = io.load_frame(Path(_required(cfg, "frame")))
     alg = MatrixAlgebraSpec(cfg.get("algebra", "jaffard"), cfg.get("s", 3.0),
                             cfg.get("threshold", 1e3))
+    # weights first: a power that overflows exits before any report is written
+    weights = [Weight.polynomial(t, frame.index_set)
+               for t in cfg.get("weight_powers", [0.0, 1.0])]
     grams = GramMagnitudes(frame)
     try:
         res = dual_localization_check(frame, alg, grams)
@@ -216,9 +219,7 @@ def cmd_frame_diag(cfg, out, seed):
     io.save_json(diag, out / "localization.json")
     io.shells_to_csv(out / "shells.csv", primal.fit)
 
-    weights = [Weight.polynomial(t, frame.index_set)
-               for t in cfg.get("weight_powers", [0.0, 1.0])]
-    admissible = {w.parameter: admissible_weight_check(alg, w, frame.index_set)["admissible"]
+    admissible = {w.parameter: weight_admissible(alg, w, frame.index_set.dim)
                   for w in weights}
     spaces = [SeqSpaceSpec(p, w) for p in cfg.get("p_grid", [1.0, 2.0, math.inf])
               for w in weights]

@@ -192,6 +192,13 @@ class IndexSet:
                 per_axis.append(_axis_distance(ps, qo, False, None))
         return np.maximum.reduce(per_axis)
 
+    def is_torus_grid(self, n1, n2):
+        """True when this set is laid out as ``torus_grid(n1, n2)``: the
+        circular (n1, n2) torus, positions in row-major order."""
+        grid = np.indices((n1, n2)).reshape(2, -1).T
+        return (self.metric == CIRCULAR and self.moduli == (n1, n2)
+                and np.array_equal(self.positions, grid))
+
     def distance_to_origin(self):
         """Distance of every index position to the lattice origin."""
         per_axis = [

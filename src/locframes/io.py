@@ -56,18 +56,37 @@ def save_csv(path, header, rows):
     return path
 
 
+# bytes of the array held in memory at a time while a container is written
+WRITE_CHUNK_BYTES = 1 << 22
+
+
 def save_array(base, arr, sidecar):
-    """Array container: <base>.npy (column-major) + <base>.json."""
+    """Array container: <base>.npy (column-major) + <base>.json.
+
+    The bytes are those of ``np.save(np.asfortranarray(arr))``, written a
+    few columns at a time instead of from a full column-major copy.
+    """
     base = Path(base)
     base.parent.mkdir(parents=True, exist_ok=True)
-    np.save(base.with_suffix(".npy"), np.asfortranarray(arr))
+    arr = np.atleast_1d(arr)   # as np.asfortranarray does
+    header = np.lib.format.header_data_from_array_1_0(arr)
+    # a column-major array with at most one axis longer than 1 (or none
+    # at all) is row-major too, and np.save records it as such
+    header["fortran_order"] = arr.size > 0 and sum(n > 1 for n in arr.shape) > 1
+    # rows of ``flat``, in order, are the file's data in order
+    flat = arr.T if header["fortran_order"] else arr
+    step = max(1, WRITE_CHUNK_BYTES // max(1, flat[:1].nbytes))
+    with open(base.with_suffix(".npy"), "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for start in range(0, len(flat), step):
+            fh.write(flat[start:start + step].tobytes())
     save_json(sidecar, base.with_suffix(".json"))
     return base
 
 
 def load_array(base):
     """The array and the sidecar of a container; a missing, truncated or
-    unparsable file is an ``InputFileError``."""
+    unparsable file, or a NaN or infinite entry, is an ``InputFileError``."""
     base = Path(base)
     try:
         arr, sidecar = np.load(base.with_suffix(".npy")), load_json(base.with_suffix(".json"))
@@ -77,6 +96,8 @@ def load_array(base):
         raise InputFileError(f"unreadable container at {base}: {err}") from err
     if not isinstance(sidecar, dict):
         raise InputFileError(f"{base.with_suffix('.json')} must hold a JSON object")
+    if np.issubdtype(arr.dtype, np.inexact) and not np.isfinite(arr).all():
+        raise InputFileError(f"{base.with_suffix('.npy')} holds NaN or infinite entries")
     return arr, sidecar
 
 

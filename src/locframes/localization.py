@@ -8,17 +8,20 @@ import numpy as np
 
 from .algebras import (
     FIT_MARGIN,
+    JAFFARD,
+    SCHUR_WEIGHTED,
     DecayFit,
     MatrixAlgebraSpec,
-    algebra_product_constant,
-    admissible_weight_check,
     algebra_norms,
+    algebra_product_constant,
+    decay_envelope,
     fit_shells,
     shell_maxima,
+    weight_admissible,
 )
 from .errors import ContractError, InsufficientDataError, NotLocalizedError
 from .frames import Frame, analysis, canonical_dual, frame_bounds, gram, synthesis
-from .indexing import IndexSet
+from .indexing import IndexSet, ShellPartition
 from .linalg import pseudo_inverse
 from .weights import (
     DEFAULT_SCHEDULE,
@@ -56,8 +59,98 @@ class LocalizationReport:
         }
 
 
+class DenseMagnitudes:
+    """|G(left, right)| as a K x K array: the reference, used for every
+    pair that is not a lattice pair."""
+
+    def __init__(self, left: Frame, right: Frame):
+        self.values = np.abs(gram(left, right))
+        self.rows, self.cols = left.index_set, right.index_set
+
+    def algebra_norms(self, s):
+        return algebra_norms(self.values, s, self.rows, self.cols)
+
+    def shell_maxima(self):
+        return shell_maxima(self.values, self.rows, self.cols)
+
+    def weighted_sums(self, w):
+        """Largest column and row sums of diag(w) |G| diag(1/w)."""
+        col_sums = (w @ self.values) / w
+        row_sums = w * (self.values @ (1.0 / w))
+        return float(col_sums.max()), float(row_sums.max())
+
+
+class LatticeProfile:
+    """|G(left, right)| of a lattice pair, read from the one K-vector
+    g = |Phi_left^* psi_0|.
+
+    Both frames are Gabor systems on one lattice and share one index set,
+    the row-major (mt, mf) torus of lattice points.  pi(l)^* pi(m) is a
+    phase times pi(m - l), so |G|_{k,l} = g[lambda_k - lambda_l], the
+    difference taken on the torus: |G| is a 2-D circulant (the Gram of a
+    Gabor system is a twisted convolution; Groechenig, JFAA 2004).  Every
+    lattice difference occurs in each row and each column, so the
+    distance to the origin d_0 stands for the distance matrix.
+    """
+
+    def __init__(self, left: Frame, right: Frame):
+        self.index_set = left.index_set
+        self.shape = tuple(int(m) for m in self.index_set.moduli)
+        # |psi_0^T conj(Phi)| = |Phi^* psi_0|, without a conjugated copy of Phi
+        self.values = np.abs(np.conj(right.vectors[:, 0]) @ left.vectors)
+
+    def algebra_norms(self, s):
+        """Jaffard: max of g (1 + d_0)^s; Schur: its sum, which every row
+        and every column of |G| (1 + d)^s shares."""
+        m = decay_envelope(self.index_set.distance_to_origin(), s)
+        m *= self.values
+        return {JAFFARD: float(m.max()), SCHUR_WEIGHTED: float(m.sum())}
+
+    def shell_maxima(self):
+        shells = ShellPartition.of(self.index_set.distance_to_origin())
+        return [(float(d), float(m))
+                for d, m in zip(shells.distances, shells.maxima(self.values))]
+
+    @cached_property
+    def _spectrum(self):
+        return np.fft.rfft2(self.values.reshape(self.shape))
+
+    def weighted_sums(self, w):
+        """Largest column and row sums of diag(w) |G| diag(1/w).
+
+        The column sums are the circular correlation of w with g over the
+        torus, divided by w; the row sums are w times the convolution of
+        g with 1/w.  Both are FFTs of size K.  Their rounding is of order
+        u log K relative to the largest terms, so a steep weight, whose
+        values span many orders of magnitude, loses that range in
+        relative accuracy where w is small.
+        """
+        w = w.reshape(self.shape)
+        col_sums = np.fft.irfft2(np.fft.rfft2(w) * np.conj(self._spectrum),
+                                 s=self.shape) / w
+        row_sums = w * np.fft.irfft2(self._spectrum * np.fft.rfft2(1.0 / w),
+                                     s=self.shape)
+        return float(col_sums.max()), float(row_sums.max())
+
+
+def gram_magnitudes(left: Frame, right: Frame):
+    """|G(left, right)|: a ``LatticeProfile`` for a lattice pair, else a
+    ``DenseMagnitudes``.
+
+    A lattice pair is two frames with the same ``lattice`` (a, b) that
+    share one index set laid out as ``IndexSet.torus_grid(n/a, n/b)``.
+    """
+    if (left.lattice is not None and left.lattice == right.lattice
+            and left.index_set is right.index_set):
+        n, (a, b) = left.ambient_dim, left.lattice
+        if left.index_set.is_torus_grid(n // a, n // b):
+            return LatticeProfile(left, right)
+    return DenseMagnitudes(left, right)
+
+
 class GramMagnitudes:
-    """|G| and |G_dual| of one frame, each formed on first use and kept.
+    """|G| and |G_dual| of one frame (see ``gram_magnitudes``), each formed
+    on first use and kept.
 
     ``dual_localization_check`` and ``equivalence_grid`` share one
     instance, so that neither Gram is formed twice.
@@ -68,12 +161,12 @@ class GramMagnitudes:
 
     @cached_property
     def primal(self):
-        return np.abs(gram(self.frame, self.frame))
+        return gram_magnitudes(self.frame, self.frame)
 
     @cached_property
     def dual(self):
         dual = canonical_dual(self.frame)
-        return np.abs(gram(dual, dual))
+        return gram_magnitudes(dual, dual)
 
 
 def localization_report(left: Frame, right: Frame, alg: MatrixAlgebraSpec, mags=None):
@@ -83,13 +176,12 @@ def localization_report(left: Frame, right: Frame, alg: MatrixAlgebraSpec, mags=
     decay exponent not more than a small margin below s.  A Gram whose
     off-diagonal mass dies before four shells (e.g. the identity) counts
     as superpolynomially localized.  Norms and shells are all read from
-    one |G|, which the caller may pass as ``mags``.
+    one ``gram_magnitudes``, which the caller may pass as ``mags``.
     """
     if mags is None:
-        mags = np.abs(gram(left, right))
-    rows, cols = left.index_set, right.index_set
-    norms = algebra_norms(mags, alg.s, rows, cols)
-    shells = shell_maxima(mags, rows, cols)
+        mags = gram_magnitudes(left, right)
+    norms = mags.algebra_norms(alg.s)
+    shells = mags.shell_maxima()
     try:
         fit = fit_shells(shells)
     except InsufficientDataError:
@@ -211,8 +303,7 @@ class CoorbitSpec:
         self.space = space
         self.algebra = algebra
         if algebra is not None:
-            chk = admissible_weight_check(algebra, space.weight, frame.index_set)
-            if not chk["admissible"]:
+            if not weight_admissible(algebra, space.weight, frame.index_set.dim):
                 raise ContractError(
                     f"weight not admissible for {algebra.kind}(s={algebra.s})"
                 )
@@ -230,13 +321,6 @@ def coorbit_pairing(f, h, spec: CoorbitSpec):
     return dual_pairing(analysis(dual, f), analysis(spec.frame, h))
 
 
-def _l1_linf_norms(mags, w):
-    """l^1 and l^inf norms of diag(w) |G| diag(1/w): max column and row sums."""
-    col_sums = (w @ mags) / w
-    row_sums = w * (mags @ (1.0 / w))
-    return float(col_sums.max()), float(row_sums.max())
-
-
 def _lp_norm(l1_linf, p):
     """Exact for p in {1, inf}; the interpolation upper bound in between."""
     l1, linf = l1_linf
@@ -248,7 +332,8 @@ def equivalence_grid(frame: Frame, spaces, grams=None):
 
     |G| and |G_dual| come from ``grams`` (formed here when not given), and
     each distinct weight object costs one pass of weighted row and column
-    sums over each of them.
+    sums over each of them: matrix-vector products, or FFTs of a lattice
+    profile.
     """
     grams = GramMagnitudes(frame) if grams is None else grams
     mags = (grams.primal, grams.dual)
@@ -257,7 +342,7 @@ def equivalence_grid(frame: Frame, spaces, grams=None):
     for space in spaces:
         if id(space.weight) not in sums:
             w = space.weight.on(frame.index_set).values
-            sums[id(space.weight)] = [_l1_linf_norms(m, w) for m in mags]
+            sums[id(space.weight)] = [m.weighted_sums(w) for m in mags]
         primal_sums, dual_sums = sums[id(space.weight)]
         p = space.effective_p
         out.append((1.0 / _lp_norm(dual_sums, p), _lp_norm(primal_sums, p)))

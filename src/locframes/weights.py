@@ -31,6 +31,8 @@ class Weight:
             raise InvalidInputError("weight must be a nonempty 1-D sequence")
         if not np.all(v > 0):
             raise InvalidInputError("weight values must be strictly positive")
+        if not np.all(np.isfinite(v)):
+            raise InvalidInputError("weight values must be finite")
         self.values = v
         self.values.setflags(write=False)
         self.family = family

@@ -28,6 +28,7 @@ from locframes import (
     seq_norm,
     seq_space_included,
 )
+from locframes.algebras import weight_admissible
 from locframes.indexing import IndexSet
 from locframes.opnorms import exact_operator_norm
 
@@ -56,6 +57,11 @@ class TestSeqNorm:
         c = np.array([1.0, 0.5, 0.25, 0.125])
         w = Weight(2.0 ** np.arange(4))
         assert seq_norm(c, SeqSpaceSpec(2, w)) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+    def test_weight_values_positive_and_finite(self, bad):
+        with pytest.raises(InvalidInputError):
+            Weight(np.array([1.0, bad, 2.0]))
 
     def test_length_mismatch(self):
         with pytest.raises(Exception, match="length"):
@@ -101,6 +107,17 @@ class TestIndexSetMetric:
         assert d.shape == (4, 16)
         assert d[1, 4] == 0.0   # coarse index 1 sits at ambient position 4
         assert d[0, 15] == 1.0  # wraps around the common torus
+
+    def test_torus_grid_layout(self):
+        grid = IndexSet.torus_grid(3, 4, scales=(2.0, 5.0))
+        assert grid.is_torus_grid(3, 4)
+        assert not grid.is_torus_grid(4, 3)
+        assert not IndexSet.torus_grid(4, 3).is_torus_grid(3, 4)
+        column_major = np.lexsort(grid.positions.T)
+        assert not IndexSet(range(12), grid.positions[column_major], "circular",
+                            moduli=(3, 4)).is_torus_grid(3, 4)
+        assert not IndexSet(range(12), grid.positions, "absolute").is_torus_grid(3, 4)
+        assert not IndexSet.ring(12).is_torus_grid(3, 4)
 
     def test_mismatched_ambient_period_rejected(self):
         from locframes import MetricMismatchError
@@ -237,6 +254,13 @@ class TestAlgebraNorms:
         for _ in range(20):
             a = random_complex(rng, 32, 32)
             assert np.linalg.norm(a, 2) <= schur_weighted_norm(a, 0.0, iset) + 1e-10
+
+    def test_overflowing_envelope_rejected(self):
+        # (1 + 192)^300 overflows float64; at the parent both norms read NaN
+        ring = IndexSet.ring(384)
+        with pytest.raises(InvalidInputError, match="overflows"):
+            jaffard_norm(np.eye(384), 300.0, ring)
+        assert jaffard_norm(np.eye(384), 100.0, ring) == 1.0
 
     def test_operator_norm_against_weighted_sums(self):
         rng = np.random.default_rng(31)
@@ -422,6 +446,15 @@ class TestAdmissibleWeights:
             MatrixAlgebraSpec("jaffard", 2.0), Weight.polynomial(3.0, iset), iset
         )
         assert not out["admissible"]
+
+    @pytest.mark.parametrize("t", [-2.0, -0.5, 0.0, 0.5, 0.6, 1.0, 3.0])
+    def test_rule_is_the_check_verdict(self, t):
+        iset = IndexSet.torus_grid(6, 6)
+        spec = MatrixAlgebraSpec("jaffard", 3.0)
+        weight = Weight.polynomial(t, iset)
+        verdict = admissible_weight_check(spec, weight, iset)["admissible"]
+        assert weight_admissible(spec, weight, iset.dim) == verdict
+        assert verdict == (abs(t) <= 0.5)
 
     def test_constant_weight_always_admissible(self):
         iset = IndexSet.line(32)

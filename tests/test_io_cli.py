@@ -5,13 +5,21 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import locframes
-from locframes import io, make_gabor_frame, gaussian_window, galerkin_matrix
+from locframes import (
+    Frame,
+    IndexSet,
+    galerkin_matrix,
+    gaussian_window,
+    io,
+    make_gabor_frame,
+)
 from locframes.cli import main
 from locframes.galerkin import LinearOperator
 from locframes.weights import SeqSpaceSpec, Weight
@@ -39,6 +47,31 @@ class TestContainers:
         assert sidecar["left_frame"] == frame.name
         assert sidecar["ambient_dim"] == 16
         assert sidecar["domain_space"]["p"] == 2
+
+    @pytest.mark.parametrize("name", ["1-D", "C", "F", "strided", "empty",
+                                      "empty columns", "row", "3-D", "chunked"])
+    def test_array_bytes_equal_np_save_of_fortran_copy(self, tmp_path, monkeypatch, name):
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+        arr = {
+            "1-D": rng.standard_normal(7),
+            "C": c,
+            "F": np.asfortranarray(c),
+            "strided": rng.standard_normal((10, 12))[::2, 1::3],
+            "empty": np.zeros((0, 3)),
+            "empty columns": np.zeros((3, 0), dtype=complex),
+            "row": np.ones((1, 5)),
+            "3-D": rng.standard_normal((2, 3, 4)),
+            "chunked": c,
+        }[name]
+        if name == "chunked":
+            # a chunk smaller than one column: one column per write
+            monkeypatch.setattr(io, "WRITE_CHUNK_BYTES", 8)
+        io.save_array(tmp_path / "a", arr, {})
+        reference = tmp_path / "ref.npy"
+        np.save(reference, np.asfortranarray(arr))
+        assert (tmp_path / "a.npy").read_bytes() == reference.read_bytes()
+        assert np.array_equal(io.load_array(tmp_path / "a")[0], arr)
 
     def test_json_deterministic_key_order(self, tmp_path):
         p1 = io.save_json({"b": 1.5, "a": [1, 2]}, tmp_path / "x.json")
@@ -293,6 +326,68 @@ class TestCLIContract:
         assert run_cli("frame", "diag", "--frame", tmp_path / "frame",
                        "--out-dir", tmp_path / "diag") == 2
         assert self.error(tmp_path / "diag") == "input-file"
+
+    @staticmethod
+    def poison(base, value=np.nan):
+        """Write ``value`` into the first entry of a container's array."""
+        npy = base.with_suffix(".npy")
+        arr = np.load(npy)
+        arr.flat[0] = value
+        np.save(npy, arr)
+
+    @pytest.mark.parametrize("argv", [("frame", "diag"), ("galerkin", "assemble"),
+                                      ("solve", "fg")], ids="-".join)
+    def test_non_finite_frame_container(self, tmp_path, argv):
+        # at the parent: LinAlgError tracebacks (eigenvalues or SVD did not
+        # converge), exit 1
+        run_cli("frame", "build", "--kind", "onb", "--n", "8", "--out-dir", tmp_path)
+        self.poison(tmp_path / "frame")
+        assert run_cli(*argv, "--frame", tmp_path / "frame",
+                       "--out-dir", tmp_path / "out") == 2
+        assert self.error(tmp_path / "out") == "input-file"
+
+    @pytest.mark.parametrize("case, value", [("inf_inf", np.nan), ("two_two", np.nan),
+                                             ("inf_inf", np.inf)])
+    def test_non_finite_galerkin_container(self, tmp_path, case, value):
+        # at the parent inf_inf exited 0 with certified_bound NaN, and
+        # two_two ended in a traceback
+        run_cli("frame", "build", "--kind", "onb", "--n", "8", "--out-dir", tmp_path)
+        run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
+                "--out-dir", tmp_path / "gal")
+        self.poison(tmp_path / "gal" / "galerkin", value)
+        assert run_cli("galerkin", "certify", "--matrix", tmp_path / "gal" / "galerkin",
+                       "--case", case, "--out-dir", tmp_path / "cert") == 2
+        assert self.error(tmp_path / "cert") == "input-file"
+        assert not (tmp_path / "cert" / f"certificate_{case}.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--w1-power", "--w2-power"])
+    @pytest.mark.parametrize("power", ["400", "-400"])
+    def test_certify_weight_out_of_range(self, tmp_path, flag, power):
+        # at the parent a power of 400 exited 0: --w1-power with sound true
+        # and bound 0.253 against a measured 0.0, --w2-power with an
+        # infinite certified bound
+        run_cli("frame", "build", "--kind", "onb", "--n", "8", "--out-dir", tmp_path)
+        run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
+                "--out-dir", tmp_path / "gal")
+        assert run_cli("galerkin", "certify", "--matrix", tmp_path / "gal" / "galerkin",
+                       "--case", "inf_inf", flag, power,
+                       "--out-dir", tmp_path / "cert") == 2
+        assert self.error(tmp_path / "cert") == "invalid-input"
+        assert not (tmp_path / "cert" / "certificate_inf_inf.json").exists()
+
+    @pytest.mark.parametrize("kind", [("--kind", "perturbed-onb", "--n", "48"),
+                                      ("--kind", "gabor", "--n", "32", "--a", "4",
+                                       "--b", "4")], ids=["dense", "lattice"])
+    @pytest.mark.parametrize("setting", [("--weight-powers", "0,1e308"),
+                                         ("--s", "1000")], ids=["weight", "envelope"])
+    def test_frame_diag_overflow(self, tmp_path, kind, setting):
+        # at the parent: NaN bounds, and NaN or Infinity norms; (1 + d)^1000
+        # overflows for every d >= 2, so on both of these small index sets
+        run_cli("frame", "build", *kind, "--out-dir", tmp_path)
+        assert run_cli("frame", "diag", "--frame", tmp_path / "frame", *setting,
+                       "--out-dir", tmp_path / "diag") == 2
+        assert self.error(tmp_path / "diag") == "invalid-input"
+        assert not (tmp_path / "diag" / "localization.json").exists()
 
     def test_gabor_build_without_lattice_steps(self, tmp_path):
         assert run_cli("frame", "build", "--kind", "gabor", "--n", "16",
@@ -671,15 +766,45 @@ class TestWorkCounts:
             (tmp_path / "gal" / "galerkin_report.json").read_text())
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("argv", [
-        ("--kind", "gabor", "--n", "32", "--a", "4", "--b", "4"),
-        ("--kind", "perturbed-onb", "--n", "48"),
-    ])
-    def test_frame_diag_forms_three_grams(self, tmp_path, monkeypatch, argv):
-        run_cli("frame", "build", *argv, "--out-dir", tmp_path)
+    def diag_gram_calls(self, tmp_path, monkeypatch):
         calls = self.count(monkeypatch, "gram",
                            [locframes.frames, locframes.localization, locframes.galerkin])
         assert run_cli("frame", "diag", "--frame", tmp_path / "frame",
                        "--out-dir", tmp_path / "diag") == 0
         assert json.loads((tmp_path / "diag" / "localization.json").read_text())["member"]
-        assert len(calls) == 3
+        return len(calls)
+
+    @pytest.mark.parametrize("argv, grams", [
+        # a Gabor frame reads its three Gram magnitudes from lattice profiles
+        (("--kind", "gabor", "--n", "32", "--a", "4", "--b", "4"), 0),
+        (("--kind", "perturbed-onb", "--n", "48"), 3),
+    ], ids=["gabor", "perturbed"])
+    def test_frame_diag_gram_calls(self, tmp_path, monkeypatch, argv, grams):
+        run_cli("frame", "build", *argv, "--out-dir", tmp_path)
+        assert self.diag_gram_calls(tmp_path, monkeypatch) == grams
+
+    def test_gabor_frame_diag_holds_no_gram(self, tmp_path):
+        # K = 4096: one K x K float64 array is 134 MB; the frame and its
+        # dual are 33.5 MB each
+        run_cli("frame", "build", "--kind", "gabor", "--n", "512", "--a", "8",
+                "--b", "8", "--out-dir", tmp_path)
+        tracemalloc.start()
+        try:
+            assert run_cli("frame", "diag", "--frame", tmp_path / "frame",
+                           "--out-dir", tmp_path / "diag") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * 4096 * 8
+
+    def test_gabor_container_off_the_torus_grid_runs_dense(self, tmp_path, monkeypatch):
+        frame = make_gabor_frame(32, 4, 4, gaussian_window(32))
+        iset = frame.index_set
+        # the same positions in column-major order
+        order = np.lexsort(iset.positions.T)
+        moved = IndexSet([iset.labels[k] for k in order], iset.positions[order],
+                         iset.metric, moduli=iset.moduli, scales=iset.scales)
+        io.save_frame(tmp_path / "frame", Frame(frame.vectors, moved,
+                                                name=frame.name, meta=frame.meta))
+        assert io.load_frame(tmp_path / "frame").lattice == (4, 4)
+        assert self.diag_gram_calls(tmp_path, monkeypatch) == 3

@@ -4,6 +4,8 @@ The distance matrix and shell partition of an index set, the Gram
 magnitudes behind the algebra norms and the decay fit, the equivalence
 grid of ``frame diag`` and the batched probe norm are each checked on
 every suite frame against the formula they stand for, written out here.
+Gabor frames read their Gram magnitudes from one lattice profile; they
+are checked against a profile reference and against the dense Gram.
 """
 
 import json
@@ -16,6 +18,7 @@ from locframes import (
     MatrixAlgebraSpec,
     SeqSpaceSpec,
     Weight,
+    admissible_weight_check,
     canonical_dual,
     dual_localization_check,
     equivalence_constants,
@@ -23,10 +26,17 @@ from locframes import (
     io,
     localization_report,
 )
-from locframes.algebras import SHELL_FLOOR
+from locframes.algebras import SHELL_FLOOR, fit_shells
 from locframes.cli import main
 from locframes.errors import NotLocalizedError
+from locframes.frames import Frame, gabor_system, make_gabor_frame
 from locframes.galerkin import _probe_norm
+from locframes.localization import (
+    DenseMagnitudes,
+    LatticeProfile,
+    equivalence_grid,
+    gram_magnitudes,
+)
 
 RTOL = 1e-12
 
@@ -43,20 +53,40 @@ def reference_distances(iset):
     return d
 
 
+def shells_and_exponent(mags, d):
+    """Max of ``mags`` per distance in ``d`` (rounded to 9 places) and the
+    log-log fitted exponent of the shells above the noise floor."""
+    dist = np.round(d, 9)
+    shells = [(float(r), float(mags[dist == r].max())) for r in np.unique(dist)]
+    usable = [(r, m) for r, m in shells if m >= SHELL_FLOOR]
+    exponent = math.inf
+    if len(usable) >= 4:
+        exponent = -np.polyfit(np.log1p([r for r, _ in usable]),
+                               np.log([m for _, m in usable]), 1)[0]
+    return shells, exponent
+
+
 def reference_report(g, iset, s):
     """Jaffard norm, Schur norm, shell maxima and fitted exponent of g."""
     d = reference_distances(iset)
     weighted = np.abs(g) * (1.0 + d) ** s
     jaffard = weighted.max()
     schur = max(weighted.sum(axis=1).max(), weighted.sum(axis=0).max())
-    dist = np.round(d, 9)
-    shells = [(float(r), float(np.abs(g)[dist == r].max())) for r in np.unique(dist)]
-    usable = [(r, m) for r, m in shells if m >= SHELL_FLOOR]
-    exponent = math.inf
-    if len(usable) >= 4:
-        exponent = -np.polyfit(np.log1p([r for r, _ in usable]),
-                               np.log([m for _, m in usable]), 1)[0]
-    return jaffard, schur, shells, exponent
+    return (jaffard, schur) + shells_and_exponent(np.abs(g), d)
+
+
+def reference_profile_report(left, right, s):
+    """The same four quantities of a lattice pair from its profile.
+
+    |G|_{k,l} = g[lambda_k - lambda_l] with g = |G[:, 0]|, so every row
+    holds each lattice difference once: the Jaffard norm is the max and
+    the Schur norm the sum of g (1 + d_0)^s, and shell r holds the g at
+    distance r from the origin, position 0 of the torus grid.
+    """
+    g = np.abs(np.conj(right.vectors[:, 0]) @ left.vectors)
+    d0 = reference_distances(left.index_set)[:, 0]
+    weighted = g * (1.0 + d0) ** s
+    return (weighted.max(), weighted.sum()) + shells_and_exponent(g, d0)
 
 
 def reports_of(frame, alg):
@@ -98,8 +128,12 @@ class TestLocalizationFromOneGram:
             dual = canonical_dual(frame)
             pairs = [(frame, frame), (dual, dual), (frame, dual)]
             for rep, (left, right) in zip(reports_of(frame, alg), pairs):
-                jaffard, schur, shells, exponent = reference_report(
-                    gram(left, right), frame.index_set, alg.s)
+                if frame.lattice is None:
+                    jaffard, schur, shells, exponent = reference_report(
+                        gram(left, right), frame.index_set, alg.s)
+                else:
+                    jaffard, schur, shells, exponent = reference_profile_report(
+                        left, right, alg.s)
                 assert rep.norms["jaffard"] == pytest.approx(jaffard, rel=RTOL), name
                 assert rep.norms["schur_weighted"] == pytest.approx(schur, rel=RTOL), name
                 assert rep.fit.shell_maxima == shells, name
@@ -160,6 +194,102 @@ class TestEquivalenceGrid:
                                                rtol=RTOL, err_msg=name)
                     np.testing.assert_allclose(got, self.reference(frame, p, t),
                                                rtol=RTOL, err_msg=name)
+
+
+class TestLatticeProfileAgainstDense:
+    """A Gabor frame's profile reports against those of its dense twin."""
+
+    ALG = MatrixAlgebraSpec("jaffard", 3.0)
+    P_GRID = (1.0, 1.5, 2.0, math.inf, 0.0)
+    POWERS = (-1.0, 0.0, 0.5, 1.0, 2.0)
+
+    @staticmethod
+    def rounding_bound(left, right):
+        """gamma_{n+2} max ||phi_k|| max ||psi_l||: the a-priori error of a
+        computed n-term complex inner product (Higham, 2nd ed., 3.6)."""
+        u = np.finfo(float).eps / 2
+        gamma = (left.ambient_dim + 2) * u / (1 - (left.ambient_dim + 2) * u)
+        return (gamma * np.linalg.norm(left.vectors, axis=0).max()
+                * np.linalg.norm(right.vectors, axis=0).max())
+
+    def test_localization_reports(self, gabor_twins):
+        frame, twin = gabor_twins
+        got, want = (dual_localization_check(f, self.ALG) for f in (frame, twin))
+        assert got.exponent_drop_flagged == want.exponent_drop_flagged
+        dual = canonical_dual(frame)
+        pairs = [(frame, frame), (dual, dual), (frame, dual)]
+        for rep, ref, (left, right) in zip(got.reports(), want.reports(), pairs):
+            assert rep.member == ref.member
+            for kind in ("jaffard", "schur_weighted"):
+                assert rep.norms[kind] == pytest.approx(ref.norms[kind], rel=RTOL)
+            bound = self.rounding_bound(left, right)
+            assert [d for d, _ in rep.fit.shell_maxima] == [
+                d for d, _ in ref.fit.shell_maxima]
+            for (_, m), (_, m_ref) in zip(rep.fit.shell_maxima, ref.fit.shell_maxima):
+                assert abs(m - m_ref) <= bound
+            assert rep.fit.fitted_exponent == fit_shells(
+                rep.fit.shell_maxima).fitted_exponent
+
+    def test_equivalence_grid(self, gabor_twins):
+        frame, twin = gabor_twins
+        spaces = [SeqSpaceSpec(p, Weight.polynomial(t, frame.index_set))
+                  for p in self.P_GRID for t in self.POWERS]
+        np.testing.assert_allclose(equivalence_grid(frame, spaces),
+                                   equivalence_grid(twin, spaces), rtol=RTOL)
+
+    def test_frame_diag_against_dense_container(self, gabor_twins, tmp_path):
+        frame, _ = gabor_twins
+        io.save_frame(tmp_path / "lattice", frame)
+        # a container whose meta does not say gabor loads as a general frame
+        io.save_frame(tmp_path / "dense", Frame(frame.vectors, frame.index_set,
+                                                name=frame.name))
+        outs = {}
+        for name in ("lattice", "dense"):
+            assert main(["frame", "diag", "--frame", str(tmp_path / name),
+                         "--weight-powers", "0,0.5,1,2", "--s", "3",
+                         "--out-dir", str(tmp_path / f"{name}-diag")]) == 0
+            outs[name] = [json.loads((tmp_path / f"{name}-diag" / f).read_text())
+                          for f in ("localization.json", "equivalence.json")]
+        (loc, equiv), (loc_ref, equiv_ref) = outs["lattice"], outs["dense"]
+        assert loc["member"] == loc_ref["member"]
+        assert loc.get("exponent_drop_flagged") == loc_ref.get("exponent_drop_flagged")
+        for entry, ref in zip(equiv["grid"], equiv_ref["grid"], strict=True):
+            assert entry["weight_admissible"] == ref["weight_admissible"]
+            # the rule alone decides, as the envelope check did
+            weight = Weight.polynomial(entry["weight_power"], frame.index_set)
+            assert entry["weight_admissible"] == admissible_weight_check(
+                self.ALG, weight, frame.index_set)["admissible"]
+            np.testing.assert_allclose((entry["lower"], entry["upper"]),
+                                       (ref["lower"], ref["upper"]), rtol=RTOL)
+
+    def test_two_windows_on_one_lattice(self):
+        # a Gabor frame, its dual and their pair all have symmetric profiles,
+        # g(nu) = g(-nu); two windows give one that is not, so this checks
+        # which way the lattice differences are taken
+        n, a, b = 48, 4, 6
+        x = np.arange(n)
+        window = np.exp(-np.pi * (x - 5.0) ** 2 / n) * (1 + 0.3 * np.cos(x))
+        frame = make_gabor_frame(n, a, b, window)
+        other = Frame(gabor_system(np.roll(window, 7) * np.exp(6j * np.pi * x / n), a, b),
+                      frame.index_set, name="other", lattice=(a, b))
+        profile = gram_magnitudes(frame, other)
+        assert isinstance(profile, LatticeProfile)
+        g = profile.values.reshape(profile.shape)
+        assert np.abs(g - np.roll(g[::-1, ::-1], 1, axis=(0, 1))).max() > 0.1 * g.max()
+        dense = DenseMagnitudes(frame, other)
+        for kind, value in profile.algebra_norms(3.0).items():
+            assert value == pytest.approx(dense.algebra_norms(3.0)[kind], rel=RTOL)
+        bound = self.rounding_bound(frame, other)
+        for (d, m), (d_ref, m_ref) in zip(profile.shell_maxima(), dense.shell_maxima(),
+                                          strict=True):
+            assert d == d_ref and abs(m - m_ref) <= bound
+        # radial weights cannot tell a correlation from a convolution with
+        # the mirrored profile; an explicit weight can
+        weights = [Weight.polynomial(t, frame.index_set) for t in self.POWERS]
+        weights.append(Weight(np.random.default_rng(1).uniform(0.5, 2.0, frame.size)))
+        for w in weights:
+            np.testing.assert_allclose(profile.weighted_sums(w.values),
+                                       dense.weighted_sums(w.values), rtol=RTOL)
 
 
 def looped_probe_norm(m, out_space, in_space, probes, seed):
