@@ -3,10 +3,10 @@
 from .algebras import (
     DecayFit,
     MatrixAlgebraSpec,
-    admissible_weight_check,
     decay_fit,
     jaffard_norm,
     schur_weighted_norm,
+    weight_admissible,
 )
 from .errors import (
     BijectivityError,

@@ -8,6 +8,7 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidInputError
 from .indexing import IndexSet
 from .opnorms import schur_test_bound
+from .weights import decay_envelope
 
 JAFFARD = "jaffard"
 SCHUR_WEIGHTED = "schur_weighted"
@@ -62,19 +63,6 @@ def _checked(a, rows, cols):
             f"({len(rows)}, {len(cols)})"
         )
     return a, cols
-
-
-def decay_envelope(d, s):
-    """(1 + d)^s as a new array; one that overflows float64 on the
-    distances ``d`` is an ``InvalidInputError``."""
-    try:
-        with np.errstate(over="raise"):
-            m = d + 1.0
-            m **= s
-    except FloatingPointError as err:
-        raise InvalidInputError(f"decay envelope (1 + d)^{s} overflows float64 "
-                                f"at distances up to {np.max(d):g}") from err
-    return m
 
 
 def algebra_norms(a, s, rows: IndexSet, cols: IndexSet = None):
@@ -175,8 +163,7 @@ def weight_admissible(spec: MatrixAlgebraSpec, weight, dim):
     """The admissibility rule on a lattice of dimension ``dim``.
 
     Polynomial weights (1 + |k|)^t pass iff t = 0 or |t| <= s - dim - 0.5.
-    An explicit weight has no asymptotic family to extrapolate and passes;
-    ``admissible_weight_check`` bounds it by its envelope.
+    An explicit weight has no asymptotic family to extrapolate and passes.
     """
     if weight.family == "polynomial":
         t = weight.parameter
@@ -186,20 +173,3 @@ def weight_admissible(spec: MatrixAlgebraSpec, weight, dim):
     raise InvalidInputError(
         f"admissibility rule undefined for weight family {weight.family!r}"
     )
-
-
-def admissible_weight_check(spec: MatrixAlgebraSpec, weight, index_set: IndexSet):
-    """Decide whether every algebra member acts boundedly on all l^p_w.
-
-    The verdict is ``weight_admissible``.  The returned bound is the Schur
-    norm of the decay envelope conjugated by the weight, valid for all
-    p simultaneously.
-    """
-    if not np.all(weight.values > 0):
-        raise InvalidInputError("weight must be strictly positive")
-    admissible = weight_admissible(spec, weight, index_set.dim)
-    d = index_set.distance_matrix()
-    w = weight.values
-    ratio = np.maximum(w[:, None] / w[None, :], w[None, :] / w[:, None])
-    env = (1.0 + d) ** (-spec.s) * ratio
-    return {"admissible": bool(admissible), "worst_p_norm_bound": schur_test_bound(env)}

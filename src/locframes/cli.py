@@ -49,7 +49,7 @@ from .solver import (
     frame_galerkin_solve,
     make_test_operator,
 )
-from .weights import SeqSpaceSpec, Weight
+from .weights import SeqSpaceSpec, Weight, decay_envelope
 
 
 def _finite(value):
@@ -292,8 +292,8 @@ def cmd_galerkin_certify(cfg, out, seed):
         raise InputFileError(f"{path} holds no matrix with a valid ambient_dim")
     case = cfg.get("case", "inf_inf")
     k_out, k_in = entries.shape
-    w1 = Weight((1.0 + np.arange(k_in)) ** cfg.get("w1_power", 0.0))
-    w2 = Weight((1.0 + np.arange(k_out)) ** cfg.get("w2_power", 0.0))
+    w1 = Weight(decay_envelope(np.arange(k_in), cfg.get("w1_power", 0.0)))
+    w2 = Weight(decay_envelope(np.arange(k_out), cfg.get("w2_power", 0.0)))
     cert = schur_certificate(entries, case, p=cfg.get("p", 2.0), weights=(w1, w2),
                              rank_bound=rank_bound)
     measured = certificate_probe_norm(entries, cert, probes=200, seed=seed)

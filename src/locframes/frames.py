@@ -15,6 +15,8 @@ from .linalg import field_array
 
 BOUND_RANK_TOL = 1e-10
 TIGHT_REL_TOL = 1e-10
+# columns per block of the norms taken in Frame.__init__
+NORM_BLOCK = 256
 
 
 class FrameBounds:
@@ -59,9 +61,13 @@ class Frame:
             raise DimensionMismatchError(
                 f"{v.shape[1]} vectors but {len(index_set)} indices"
             )
-        norms = np.linalg.norm(v, axis=0)
+        # in column blocks: no temporary as large as the frame
+        norms = np.empty(v.shape[1])
+        for j in range(0, v.shape[1], NORM_BLOCK):
+            norms[j:j + NORM_BLOCK] = np.linalg.norm(v[:, j:j + NORM_BLOCK], axis=0)
         if np.any(norms == 0):
             raise InvalidInputError("frame must not contain zero vectors")
+        self._min_norm = float(norms.min(initial=np.inf))
         # a read-only view: the caller's array stays writable
         self.vectors = v.view()
         self.vectors.setflags(write=False)
@@ -88,7 +94,7 @@ class Frame:
         return self.size / self.ambient_dim
 
     def min_vector_norm(self):
-        return float(np.min(np.linalg.norm(self.vectors, axis=0)))
+        return self._min_norm
 
     def __repr__(self):
         return f"Frame({self.name!r}, n={self.ambient_dim}, K={self.size})"

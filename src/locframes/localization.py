@@ -14,7 +14,6 @@ from .algebras import (
     MatrixAlgebraSpec,
     algebra_norms,
     algebra_product_constant,
-    decay_envelope,
     fit_shells,
     shell_maxima,
     weight_admissible,
@@ -27,6 +26,7 @@ from .weights import (
     DEFAULT_SCHEDULE,
     InclusionReport,
     SeqSpaceSpec,
+    decay_envelope,
     dual_pairing,
     seq_norm,
     seq_space_included,

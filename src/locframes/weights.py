@@ -18,6 +18,22 @@ DEFAULT_SCHEDULE = (16, 32, 64, 128, 256, 512, 1024)
 _DIVERGENCE_GROWTH = 1.15
 
 
+def decay_envelope(d, s):
+    """(1 + d)^s as a new array, for decay envelopes and polynomial weights.
+
+    One that overflows float64 on the distances ``d`` is an
+    ``InvalidInputError``, raised before numpy warns of the overflow.
+    """
+    try:
+        with np.errstate(over="raise"):
+            m = d + 1.0
+            m **= s
+    except FloatingPointError as err:
+        raise InvalidInputError(f"(1 + d)^{s} overflows float64 "
+                                f"at distances up to {np.max(d):g}") from err
+    return m
+
+
 class Weight:
     """Strictly positive weight sequence over an index set.
 
@@ -42,7 +58,7 @@ class Weight:
     def polynomial(cls, t, index_set: IndexSet):
         """(1 + |k|)^t with |k| the metric distance to the origin."""
         r = index_set.distance_to_origin()
-        return cls((1.0 + r) ** t, family="polynomial", parameter=float(t))
+        return cls(decay_envelope(r, t), family="polynomial", parameter=float(t))
 
     @classmethod
     def exponential(cls, a, index_set: IndexSet):

@@ -1,6 +1,7 @@
 """Frame constructors and the four canonical operators."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from locframes import (
     Frame,
     IndexSet,
+    InvalidInputError,
     NotAFrameError,
     SeqSpaceSpec,
     Weight,
@@ -316,6 +318,22 @@ class TestConstructors:
         assert 0.5 <= a <= b <= 1.6
         norm = jaffard_norm(gram(frame, frame), 3.0, frame.index_set)
         assert np.isfinite(norm) and norm <= 1.5
+
+    def test_column_norms_hold_no_frame_sized_temporary(self):
+        # K = 4096: the frame is 33.5 MB
+        gabor = make_gabor_frame(512, 8, 8, gaussian_window(512))
+        v = np.array(gabor.vectors)
+        tracemalloc.start()
+        try:
+            frame = Frame(v, gabor.index_set)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < v.nbytes / 4
+        assert frame.min_vector_norm() == np.linalg.norm(v, axis=0).min()
+        v[:, 300] = 0   # past the first column block
+        with pytest.raises(InvalidInputError, match="zero vectors"):
+            Frame(v, gabor.index_set)
 
     def test_perturbed_onb_deterministic(self):
         f1 = make_perturbed_onb(16, 2, 5)

@@ -282,8 +282,6 @@ class TestSchurCertificates:
         w = Weight.ones(8)
         cert = schur_certificate(np.eye(8), "two_two", weights=(w, w))
         assert cert.details["svd_ground_truth"] == pytest.approx(1.0)
-        assert all(v == pytest.approx(1.0)
-                   for v in cert.details["diagonal_roots"].values())
         assert 1.0 <= cert.certified_bound <= 8 ** (1 / 40) + 1e-12
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
@@ -297,8 +295,6 @@ class TestSchurCertificates:
         assert np.isfinite(cert.certified_bound)
         assert truth <= cert.certified_bound * (1 + 1e-8)
         assert cert.certified_bound <= truth * 40 ** (1 / 40) * (1 + 1e-8)
-        assert all(np.isfinite(v) and v <= truth**2 * (1 + 1e-8)
-                   for v in cert.details["diagonal_roots"].values())
 
     @pytest.mark.parametrize("case", ["inf_inf", "one_inf", "one_p", "two_two"])
     def test_probe_norms_never_exceed_bounds(self, rng, case):
@@ -315,22 +311,13 @@ class TestSchurCertificates:
                 assert cert.details["svd_ground_truth"] <= \
                     cert.certified_bound * (1 + 1e-8)
 
-    def test_inf_one_absolute_sum_and_greedy(self, rng):
+    def test_inf_one_absolute_sum(self, rng):
         w = Weight.ones(10)
         m = random_matrix(rng, 10)
         cert = schur_certificate(m, "inf_one", weights=(w, w))
         assert cert.certified_bound == pytest.approx(np.abs(m).sum())
-        assert cert.details["greedy_subset_quantity"] <= cert.certified_bound
         measured = certificate_probe_norm(m, cert, probes=100)
         assert measured <= cert.certified_bound * (1 + 1e-8)
-
-    def test_inf_zero_reports_tail(self, rng):
-        iset = IndexSet.line(16)
-        d = iset.distance_matrix()
-        m = (1.0 + d) ** -2.0
-        w = Weight.ones(16)
-        cert = schur_certificate(m, "inf_zero", weights=(w, w))
-        assert "tail_row_sum_mean" in cert.details
 
     def test_unknown_case_rejected(self):
         w = Weight.ones(4)
@@ -542,17 +529,12 @@ def dense_two_two(mb):
     c = float(np.max(np.real(np.diag(g))))
     g /= c
     top = float(np.linalg.eigvalsh(g)[-1])
-    roots = {1: c * float(np.max(np.real(np.diag(g))))}
     for n in (2, 4, 8, 16):
         g = g @ g
-        roots[n] = c * float(np.max(np.real(np.diag(g)))) ** (1.0 / n)
         if n == 4:
             g4 = g
-    diag_k = np.real(np.einsum("ij,ji->i", g, g4))
-    roots[20] = c * float(np.max(diag_k)) ** (1.0 / 20)
-    trace_k = c * float(np.sum(diag_k)) ** (1.0 / 20)
-    return math.sqrt(trace_k), {"diagonal_roots": {str(n): v for n, v in roots.items()},
-                                "trace_k": trace_k, "svd_ground_truth": math.sqrt(c * top)}
+    trace_k = c * float(np.real(np.einsum("ij,ji->", g, g4))) ** (1.0 / 20)
+    return math.sqrt(trace_k), {"trace_k": trace_k, "svd_ground_truth": math.sqrt(c * top)}
 
 
 def _frame_pairs():
@@ -613,8 +595,6 @@ class TestFactoredDiagnosticsAgreeWithDense:
         assert cert.details["trace_k"] == pytest.approx(details["trace_k"], rel=1e-12)
         assert cert.details["svd_ground_truth"] == pytest.approx(
             details["svd_ground_truth"], rel=1e-12)
-        for n, root in details["diagonal_roots"].items():
-            assert cert.details["diagonal_roots"][n] == pytest.approx(root, rel=1e-12)
 
 
 class TestTwoTwoRangeFinder:

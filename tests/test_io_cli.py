@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,22 @@ class TestCLI:
         )
         assert cert["sound"]
         assert cert["measured_probe_norm"] <= cert["certified_bound"] * (1 + 1e-8)
+
+    @pytest.mark.parametrize("case", ["inf_inf", "inf_zero", "one_inf", "one_p",
+                                      "inf_one", "two_two"])
+    def test_certificate_details_hold_only_certified_values(self, tmp_path, case):
+        run_cli("frame", "build", "--kind", "gabor", "--n", "16", "--a", "4",
+                "--b", "2", "--out-dir", tmp_path)
+        run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
+                "--out-dir", tmp_path / "gal")
+        assert run_cli("galerkin", "certify", "--matrix", tmp_path / "gal" / "galerkin",
+                       "--case", case, "--out-dir", tmp_path / "cert") == 0
+        cert = json.loads((tmp_path / "cert" / f"certificate_{case}.json").read_text())
+        assert set(cert) == {"case", "certified_bound", "details",
+                             "measured_probe_norm", "sound"}
+        assert set(cert["details"]) == {
+            "one_p": {"p"}, "two_two": {"trace_k", "range_residual", "svd_ground_truth"},
+        }.get(case, set())
 
     def test_galerkin_assemble_reports_singular_operator(self, tmp_path):
         run_cli("frame", "build", "--kind", "onb", "--n", "8",
@@ -369,9 +386,12 @@ class TestCLIContract:
         run_cli("frame", "build", "--kind", "onb", "--n", "8", "--out-dir", tmp_path)
         run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
                 "--out-dir", tmp_path / "gal")
-        assert run_cli("galerkin", "certify", "--matrix", tmp_path / "gal" / "galerkin",
-                       "--case", "inf_inf", flag, power,
-                       "--out-dir", tmp_path / "cert") == 2
+        # the weight is rejected before numpy warns of an overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("galerkin", "certify", "--matrix", tmp_path / "gal" / "galerkin",
+                           "--case", "inf_inf", flag, power,
+                           "--out-dir", tmp_path / "cert") == 2
         assert self.error(tmp_path / "cert") == "invalid-input"
         assert not (tmp_path / "cert" / "certificate_inf_inf.json").exists()
 
@@ -384,8 +404,10 @@ class TestCLIContract:
         # at the parent: NaN bounds, and NaN or Infinity norms; (1 + d)^1000
         # overflows for every d >= 2, so on both of these small index sets
         run_cli("frame", "build", *kind, "--out-dir", tmp_path)
-        assert run_cli("frame", "diag", "--frame", tmp_path / "frame", *setting,
-                       "--out-dir", tmp_path / "diag") == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("frame", "diag", "--frame", tmp_path / "frame", *setting,
+                           "--out-dir", tmp_path / "diag") == 2
         assert self.error(tmp_path / "diag") == "invalid-input"
         assert not (tmp_path / "diag" / "localization.json").exists()
 

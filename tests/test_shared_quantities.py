@@ -18,13 +18,13 @@ from locframes import (
     MatrixAlgebraSpec,
     SeqSpaceSpec,
     Weight,
-    admissible_weight_check,
     canonical_dual,
     dual_localization_check,
     equivalence_constants,
     gram,
     io,
     localization_report,
+    weight_admissible,
 )
 from locframes.algebras import SHELL_FLOOR, fit_shells
 from locframes.cli import main
@@ -255,10 +255,9 @@ class TestLatticeProfileAgainstDense:
         assert loc.get("exponent_drop_flagged") == loc_ref.get("exponent_drop_flagged")
         for entry, ref in zip(equiv["grid"], equiv_ref["grid"], strict=True):
             assert entry["weight_admissible"] == ref["weight_admissible"]
-            # the rule alone decides, as the envelope check did
             weight = Weight.polynomial(entry["weight_power"], frame.index_set)
-            assert entry["weight_admissible"] == admissible_weight_check(
-                self.ALG, weight, frame.index_set)["admissible"]
+            assert entry["weight_admissible"] == weight_admissible(
+                self.ALG, weight, frame.index_set.dim)
             np.testing.assert_allclose((entry["lower"], entry["upper"]),
                                        (ref["lower"], ref["upper"]), rtol=RTOL)
 
