@@ -34,8 +34,15 @@ def _span_basis(vectors):
     relative to the largest, descending (the subframe bounds are the last
     and the first), and the orthonormal basis Q_N of their left singular
     vectors.  Working on V_N instead of S_N keeps the span accurate when
-    S_N is ill-conditioned.
+    S_N is ill-conditioned.  A coordinate family, whose columns each hold
+    one entry of modulus exactly 1 in rows no two columns share, is
+    orthonormal as it stands: it is its own span basis, every sigma^2 is
+    1, and no SVD is taken (an O(n N) check).
     """
+    nonzero = vectors != 0
+    if ((nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) <= 1).all()
+            and (np.abs(vectors[nonzero]) == 1).all()):
+        return np.ones(vectors.shape[1]), vectors
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
     w = s**2
     keep = w > PROJECTION_TOL * w[0]
@@ -66,9 +73,10 @@ class ProjectionSchedule:
 
     ``centered`` grows blocks doubling in size around the middle index;
     ``energy_greedy`` orders indices by decreasing analysis energy of a
-    pilot vector.  One SVD of each level's vectors V_N gives the subframe
-    bounds (extreme nonzero eigenvalues of S_N = V_N V_N^*) and an
-    orthonormal basis Q_N of the level's span (``bases``).  A flag is
+    pilot vector.  ``_span_basis`` of each level's vectors V_N gives the
+    subframe bounds (extreme nonzero eigenvalues of S_N = V_N V_N^*) and an
+    orthonormal basis Q_N of the level's span (``bases``): one SVD of V_N,
+    or none for a coordinate family such as an ONB's levels.  A flag is
     raised when the ratio of the bounds exceeds ``UNIFORMITY_RATIO_CAP`` at
     any level.
     """
@@ -373,7 +381,9 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
     number, and ``solve_system`` solves the level.  Residuals and errors
     against a dense reference solution are recorded.  A level whose
     compressed system is numerically singular is flagged and the schedule
-    continues.
+    continues.  The last section is A itself: when it is numerically
+    singular, no reference is computed and ``error`` stays None, unless
+    the caller passed ``reference``.
     """
     a = as_operator(a)
     y = np.asarray(y, dtype=complex)
@@ -382,14 +392,6 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
         raise InvalidInputError("finite sections need a square system")
     dense = a.dense()
     contraction = float(np.linalg.norm(np.eye(n) - dense, 2))
-    if reference is None:
-        try:
-            # the real and imaginary parts of y as two right sides, so that
-            # a real A is factored in real arithmetic
-            parts = np.linalg.solve(dense, np.stack((y.real, y.imag), axis=1))
-            reference = parts[:, 0] + 1j * parts[:, 1]
-        except np.linalg.LinAlgError:
-            reference = None
     report = SolveReport(
         method=method,
         converged=False,
@@ -402,8 +404,8 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
         span = (q, np.conj(q.T))
         spectrum = range_spectrum(span, span, dense, factors=method == "direct")
         s = spectrum.values
-        rec = LevelRecord(size=len(lv), residual=math.inf,
-                          singular=bool(s.size < q.shape[1]))
+        deficient = bool(s.size < q.shape[1])
+        rec = LevelRecord(size=len(lv), residual=math.inf, singular=deficient)
         if s.size:
             rec.inverse_norm = float(1.0 / s[-1])
             rec.kappa_dagger = spectrum.kappa
@@ -419,10 +421,22 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
             rec.singular = True
         else:
             rec.residual = float(np.linalg.norm(dense @ x - y))
-            if reference is not None:
-                rec.error = float(np.linalg.norm(x - reference))
         solutions.append(x)
         report.levels.append(rec)
+    # the last level's section is A: a rank-deficient one makes a dense
+    # solve of A rounding noise (norm ~ 1/eps), not a reference
+    if reference is None and not deficient:
+        try:
+            # the real and imaginary parts of y as two right sides, so that
+            # a real A is factored in real arithmetic
+            parts = np.linalg.solve(dense, np.stack((y.real, y.imag), axis=1))
+            reference = parts[:, 0] + 1j * parts[:, 1]
+        except np.linalg.LinAlgError:
+            pass
+    if reference is not None:
+        for rec, x in zip(report.levels, solutions):
+            if x is not None:
+                rec.error = float(np.linalg.norm(x - reference))
     inv_norms = [r.inverse_norm for r in report.levels if r.inverse_norm is not None]
     report.sup_inverse_norm = max(inv_norms) if inv_norms else None
 

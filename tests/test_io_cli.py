@@ -231,6 +231,20 @@ class TestCLI:
         rep = json.loads((tmp_path / "solve_fs.json").read_text())
         assert not rep["converged"]
 
+    @pytest.mark.parametrize("method", ["direct", "cg", "richardson"])
+    def test_solve_fs_singular_operator_reports_no_error(self, tmp_path, method):
+        # A 1 = 0 at theta = 1: sigma_min ~ 1e-16, yet a dense solve does
+        # not raise, and its solution of norm ~ 1e16 is no reference
+        with pytest.warns(UserWarning, match="singular"):
+            code = run_cli("solve", "fs", "--op-kind", "identity_minus_kernel",
+                           "--theta", "1", "--n", "16", "--method", method,
+                           "--out-dir", tmp_path)
+        assert code == 3
+        assert json.loads((tmp_path / "error.json").read_text())["code"] == "diverged"
+        rep = json.loads((tmp_path / "solve_fs.json").read_text())
+        assert [lv["error"] for lv in rep["levels"]] == [None, None]
+        assert rep["levels"][-1]["singular"]
+
     def test_solve_fg_identity(self, tmp_path):
         run_cli("frame", "build", "--kind", "onb", "--n", "16",
                 "--out-dir", tmp_path)
@@ -787,6 +801,23 @@ class TestWorkCounts:
         assert "idempotency_residual" in json.loads(
             (tmp_path / "gal" / "galerkin_report.json").read_text())
         assert len(calls) == 1
+
+    def test_solve_fs_spends_no_svd_on_span_bases(self, tmp_path, monkeypatch):
+        # the levels of the standard basis are their own span bases
+        svds = self.count(monkeypatch, "svd", [np.linalg])
+        per_basis = []
+        span_basis = locframes.solver._span_basis
+
+        def counted_span_basis(vectors):
+            before = len(svds)
+            result = span_basis(vectors)
+            per_basis.append(len(svds) - before)
+            return result
+
+        monkeypatch.setattr(locframes.solver, "_span_basis", counted_span_basis)
+        assert run_cli("solve", "fs", "--n", "64", "--out-dir", tmp_path) == 0
+        assert per_basis == [0, 0, 0, 0]  # levels N = 8, 16, 32, 64
+        assert len(svds) == 4  # one per level core
 
     def diag_gram_calls(self, tmp_path, monkeypatch):
         calls = self.count(monkeypatch, "gram",

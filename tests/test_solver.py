@@ -8,6 +8,8 @@ import pytest
 
 from locframes import (
     ContractError,
+    Frame,
+    IndexSet,
     InvalidInputError,
     LinearOperator,
     ProjectionSchedule,
@@ -24,7 +26,7 @@ from locframes import (
     richardson_solve,
     subframe_projection,
 )
-from locframes.solver import PROJECTION_TOL
+from locframes.solver import PROJECTION_TOL, _span_basis
 
 from conftest import complex_copy
 
@@ -104,6 +106,88 @@ class TestGaborSchedule:
             sigma = np.linalg.svd(core, compute_uv=False)
             assert rec.inverse_norm == pytest.approx(1 / sigma[-1], rel=1e-12)
             assert not rec.singular
+
+
+def svd_basis(vectors):
+    """The SVD path's span basis: left singular vectors above the cutoff."""
+    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
+    return u[:, s**2 > PROJECTION_TOL * s[0] ** 2]
+
+
+def count_svds(monkeypatch):
+    calls = []
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+class TestCoordinateSpanBasis:
+    """Unit coordinate vectors are their own span basis and take no SVD."""
+
+    def test_onb_schedule_takes_no_svd(self, monkeypatch):
+        calls = count_svds(monkeypatch)
+        ProjectionSchedule(make_onb(64))
+        assert calls == []
+        gabor = ProjectionSchedule(make_gabor_frame(32, 4, 4, gaussian_window(32)))
+        assert len(calls) == len(gabor.levels)
+
+    def test_level_bases_are_the_svd_bases_up_to_signs(self):
+        onb = make_onb(64)
+        sched = ProjectionSchedule(onb)
+        for lv, q, bounds in zip(sched.levels, sched.bases, sched.subframe_bounds):
+            u = svd_basis(onb.vectors[:, lv])
+            signs = np.sum(u * q, axis=0)
+            assert np.all(np.abs(signs) == 1)
+            assert np.allclose(q, u * signs, rtol=0, atol=1e-15)
+            assert bounds == (1.0, 1.0)
+
+    def test_permuted_unimodular_family(self, monkeypatch):
+        n = 8
+        phases = np.array([1, -1, 1j, -1j, 1j, 1, -1j, -1])
+        vectors = np.eye(n)[:, np.random.default_rng(4).permutation(n)] * phases
+        frame = Frame(vectors, IndexSet.ring(n), "coordinates")
+        subset = [0, 2, 5, 6]
+        calls = count_svds(monkeypatch)
+        p = subframe_projection(frame, subset).dense()
+        assert calls == []
+        q = svd_basis(frame.vectors[:, subset])
+        assert np.abs(p - q @ np.conj(q.T)).max() <= 1e-15
+        w, basis = _span_basis(frame.vectors[:, subset])
+        assert np.array_equal(w, np.ones(4))
+        assert np.array_equal(basis, frame.vectors[:, subset])
+
+    @pytest.mark.parametrize("columns, spectrum", [
+        ([[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]], [2, 1]),
+        ([[2, 0, 0, 0], [0, 1, 0, 0]], [4, 1]),
+        ([[1, 0, 0, 1], [0, 1, 0, 0]], [2, 1]),
+    ], ids=["repeated-e1", "2e1", "two-nonzeros"])
+    def test_other_families_take_the_svd(self, monkeypatch, columns, spectrum):
+        vectors = np.array(columns, dtype=float).T
+        calls = count_svds(monkeypatch)
+        w, q = _span_basis(vectors)
+        assert len(calls) == 1
+        assert w == pytest.approx(spectrum, rel=1e-15)
+        assert q.shape == (4, len(spectrum))
+
+    @pytest.mark.parametrize("method", ["direct", "cg", "richardson"])
+    def test_reports_match_svd_bases(self, rng, method):
+        n = 64
+        onb = make_onb(n)
+        a = make_test_operator("identity_minus_kernel", n, theta=0.5)
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        sched = ProjectionSchedule(onb)
+        reference = ProjectionSchedule(onb)
+        reference.bases = [svd_basis(onb.vectors[:, lv]) for lv in reference.levels]
+        rep, x = finite_section_solve(a, y, sched, method=method)
+        ref_rep, ref_x = finite_section_solve(a, y, reference, method=method)
+        assert rep.converged
+        assert_reports_agree(rep, ref_rep, np.linalg.norm(y))
+        assert np.linalg.norm(x - ref_x) <= 1e-12 * np.linalg.norm(ref_x)
 
 
 class TestProjectionSchedule:
@@ -239,6 +323,25 @@ class TestFiniteSections:
                                               method="cg")
         assert rep.levels[-1].singular
         assert not rep.converged
+
+    @pytest.mark.parametrize("method", ["direct", "cg", "richardson"])
+    def test_singular_operator_reports_no_error(self, rng, method):
+        # A 1 = 0: a dense solve of A returns rounding noise of norm ~ 1e16,
+        # which is no reference for the N = 8 level, nonsingular as it is
+        n = 16
+        with pytest.warns(UserWarning, match="singular"):
+            a = make_test_operator("identity_minus_kernel", n, theta=1.0)
+        y = rng.standard_normal(n)
+        sched = ProjectionSchedule(make_onb(n))
+        with np.errstate(all="ignore"):
+            rep, _ = finite_section_solve(a, y, sched, method=method)
+            kept, _ = finite_section_solve(a, y, sched, method=method,
+                                           reference=np.zeros(n))
+        assert rep.levels[-1].singular and not rep.levels[0].singular
+        assert not rep.converged
+        assert [lv.error for lv in rep.levels] == [None] * len(rep.levels)
+        # a caller's reference is kept: against 0 the error is ||x_N||
+        assert kept.levels[0].error > 0
 
     def test_explicit_level_count(self):
         sched = ProjectionSchedule(make_onb(64), n_levels=3)
