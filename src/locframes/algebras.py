@@ -21,6 +21,9 @@ SHELL_FLOOR = 1e-14
 # still counts as a member at finite scale
 FIT_MARGIN = 0.25
 
+# fewest usable distance shells a decay fit accepts
+MIN_SHELLS = 4
+
 # margin in the polynomial-weight admissibility rule |t| <= s - d - eps
 ADMISSIBILITY_EPS = 0.5
 
@@ -42,6 +45,8 @@ class MatrixAlgebraSpec:
             raise InvalidInputError(f"unknown algebra kind {self.kind!r}")
         if self.s <= 0:
             raise InvalidInputError("decay exponent must be positive")
+        if self.membership_threshold <= 0:
+            raise InvalidInputError("membership threshold must be positive")
 
     def norm(self, a, rows: IndexSet, cols: IndexSet = None):
         return algebra_norms(a, self.s, rows, cols)[self.kind]
@@ -120,16 +125,16 @@ def shell_maxima(a, rows: IndexSet, cols: IndexSet = None):
             for d, m in zip(shells.distances, shells.maxima(np.abs(a)))]
 
 
-def fit_shells(shells, min_shells=4):
+def fit_shells(shells):
     """Least-squares fit of log(shell max) against -s log(1 + distance).
 
-    Shells whose maximum sits below the noise floor are dropped; fewer
-    than ``min_shells`` usable shells raise ``InsufficientDataError``.
+    Shells whose maximum sits below ``SHELL_FLOOR`` are dropped; fewer
+    than ``MIN_SHELLS`` usable shells raise ``InsufficientDataError``.
     """
     usable = [(d, m) for d, m in shells if m >= SHELL_FLOOR]
-    if len(usable) < min_shells:
+    if len(usable) < MIN_SHELLS:
         raise InsufficientDataError(
-            f"{len(usable)} usable distance shells, need {min_shells}"
+            f"{len(usable)} usable distance shells, need {MIN_SHELLS}"
         )
     x = np.log1p([d for d, _ in usable])
     y = np.log([m for _, m in usable])
@@ -142,9 +147,9 @@ def fit_shells(shells, min_shells=4):
     )
 
 
-def decay_fit(a, rows: IndexSet, cols: IndexSet = None, min_shells=4):
+def decay_fit(a, rows: IndexSet, cols: IndexSet = None):
     """``fit_shells`` on the shell maxima of ``a``."""
-    return fit_shells(shell_maxima(a, rows, cols), min_shells)
+    return fit_shells(shell_maxima(a, rows, cols))
 
 
 def algebra_product_constant(spec: MatrixAlgebraSpec, left: IndexSet, middle: IndexSet):

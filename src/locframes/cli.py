@@ -96,8 +96,7 @@ _SETTING_TYPES = {
     "n": _size,
     **dict.fromkeys(("a", "b", "step", "levels", "start_level"), _integer),
     **dict.fromkeys(("s", "threshold", "p", "w1_power", "w2_power", "width",
-                     "exponent", "decay_s", "tol", "theta", "tail",
-                     "tail_exponent"), _finite),
+                     "exponent", "decay_s", "tol", "theta"), _finite),
     **dict.fromkeys(("frame", "matrix", "right"), os.fspath),
     # float() reads "inf" and "infinity" in any case
     "p_grid": lambda value: [float(t) for t in _tokens(value)],
@@ -143,11 +142,9 @@ def build_frame(cfg, seed):
     if kind == "translates":
         n = _required(cfg, "n")
         iset = IndexSet.ring(n)
-        gen = np.zeros(n)
-        gen[0] = 1.0
-        gen += cfg.get("tail", 0.25) * (
-            1.0 + iset.distance_to_origin()
-        ) ** -cfg.get("tail_exponent", 3.0)
+        # a unit spike plus the tail 0.25 (1 + |k|)^-3
+        gen = 0.25 * (1.0 + iset.distance_to_origin()) ** -3.0
+        gen[0] += 1.0
         return make_translates_frame(n, cfg.get("step", 1), gen)
     if kind == "perturbed-onb":
         return make_perturbed_onb(_required(cfg, "n"), cfg.get("decay_s", 3.0), seed)
@@ -259,12 +256,7 @@ def _load_frame_pair(cfg):
 def cmd_galerkin_assemble(cfg, out, seed):
     frame, right = _load_frame_pair(cfg)
     op = build_operator(cfg, frame.ambient_dim)
-    w = Weight.ones(frame.size)
-    wr = Weight.ones(right.size)
-    gm = galerkin_matrix(
-        op, frame, right,
-        domain_space=SeqSpaceSpec(2, wr), codomain_space=SeqSpaceSpec(2, w),
-    )
+    gm = galerkin_matrix(op, frame, right)
     io.save_galerkin_matrix(out / "galerkin", gm, extra={"operator": op.name})
     report = {
         "roundtrip_residual": roundtrip_check(op, frame, right),

@@ -17,7 +17,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
 )
-from .frames import Frame, analysis, analysis_qr, canonical_dual, gram, synthesis
+from .frames import Frame, analysis_qr, canonical_dual, gram
 from .linalg import field_array, range_spectrum, singular_kappa
 from .opnorms import exact_operator_norm, space_operator_norm, weighted_matrix
 from .weights import SeqSpaceSpec, seq_norm
@@ -36,27 +36,24 @@ RANGE_SEED = 0
 
 
 class LinearOperator:
-    """Linear map given as a dense matrix or an apply-closure.
+    """Linear map held as its dense matrix, with a name for reports.
 
-    ``dense()`` is the one view every consumer reads.  A closure is
-    materialized by n column probes on first request and kept, so kernel
-    operators never have to be formed eagerly.
+    ``dense()`` is the one view every consumer reads; real matrices stay
+    real (``field_array``).
     """
 
-    def __init__(self, apply, shape, matrix=None, name="op"):
-        self._apply = apply
-        self.shape = tuple(shape)
-        self._matrix = None if matrix is None else field_array(matrix)
+    def __init__(self, matrix, name="op"):
+        self._matrix = field_array(matrix)
+        self.shape = self._matrix.shape
         self.name = name
 
     @classmethod
     def from_matrix(cls, m, name="op"):
-        m = field_array(m)
-        return cls(lambda f: m @ f, m.shape, matrix=m, name=name)
+        return cls(m, name)
 
     @classmethod
     def identity(cls, n):
-        return cls.from_matrix(np.eye(n), name="identity")
+        return cls(np.eye(n), name="identity")
 
     def apply(self, f):
         f = np.asarray(f, dtype=complex)
@@ -64,12 +61,9 @@ class LinearOperator:
             raise DimensionMismatchError(
                 f"operator domain {self.shape[1]}, got vector {f.shape}"
             )
-        return np.asarray(self._apply(f), dtype=complex)
+        return self._matrix @ f
 
     def dense(self):
-        if self._matrix is None:
-            cols = [self.apply(e) for e in np.eye(self.shape[1], dtype=complex).T]
-            self._matrix = np.stack(cols, axis=1)
         return self._matrix
 
 
@@ -81,19 +75,18 @@ def as_operator(op):
 
 @dataclass
 class GalerkinMatrix:
-    """Matrix <O xi_l, phi_k> tagged with its generating frames.
+    """Matrix <O xi_l, phi_k> with its generating frames and operator.
 
     With the frames' analysis QRs V^* = Q R the matrix equals
     ``q_left @ core @ q_right^*``, where Q has orthonormal columns and the
-    core R_left O R_right^* is at most n x n.
+    core R_left O R_right^* is at most n x n.  The sequence spaces it acts
+    between are not part of it: ``schur_certificate`` takes their weights.
     """
 
     entries: np.ndarray
     left_frame: Frame
     right_frame: Frame
-    domain_space: SeqSpaceSpec = None
-    codomain_space: SeqSpaceSpec = None
-    generator: LinearOperator = None
+    generator: LinearOperator
 
     @property
     def shape(self):
@@ -114,8 +107,6 @@ class GalerkinMatrix:
 
     @cached_property
     def core(self):
-        if self.generator is None:
-            raise InvalidInputError("no generating operator recorded")
         r_left, r_right = analysis_qr(self.left_frame)[1], analysis_qr(self.right_frame)[1]
         return r_left @ self.generator.dense() @ np.conj(r_right.T)
 
@@ -137,30 +128,24 @@ def _check_maps(op, left: Frame, right: Frame):
         )
 
 
-def galerkin_matrix(op, left: Frame, right: Frame,
-                    domain_space=None, codomain_space=None):
+def galerkin_matrix(op, left: Frame, right: Frame):
     """Assemble M_{k,l} = <O xi_l, phi_k> as Phi^* O Xi, the one K x K
-    product; a closure operator is materialized through ``dense()``."""
+    product."""
     op = as_operator(op)
     _check_maps(op, left, right)
     entries = np.conj(left.vectors.T) @ (op.dense() @ right.vectors)
-    return GalerkinMatrix(entries, left, right, domain_space, codomain_space,
-                          generator=op)
+    return GalerkinMatrix(entries, left, right, generator=op)
 
 
 def operator_from_matrix(m, left: Frame, right: Frame):
-    """D_left o M o C_right as a lazily materialized operator."""
+    """D_left o M o C_right as the n x n matrix Phi_left M Phi_right^*."""
     entries = m.entries if isinstance(m, GalerkinMatrix) else np.asarray(m)
     if entries.shape != (left.size, right.size):
         raise DimensionMismatchError(
             f"matrix {entries.shape} against frame sizes "
             f"({left.size}, {right.size})"
         )
-
-    def apply(h):
-        return synthesis(left, entries @ analysis(right, h))
-
-    return LinearOperator(apply, (left.ambient_dim, right.ambient_dim),
+    return LinearOperator(left.vectors @ entries @ np.conj(right.vectors.T),
                           name=f"O[{left.name},{right.name}]")
 
 
@@ -414,10 +399,9 @@ def _two_two(mb, rank_bound=None):
 def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
     """Evaluate one of the Schur-test boundedness criteria.
 
-    ``m`` may be a GalerkinMatrix carrying space specs (whose weights are
-    used) and its rank bound, or a plain matrix with explicit
-    ``weights=(w_in, w_out)`` and an optional ``rank_bound`` for
-    ``two_two``.
+    ``weights=(w_in, w_out)`` is required.  ``m`` is a plain matrix with an
+    optional ``rank_bound`` for ``two_two``, or a GalerkinMatrix, which
+    supplies its own rank bound.
     The cases with a closed form report ``exact_operator_norm`` of the
     conjugated matrix, ``inf_one`` its total absolute sum.  Only
     ``one_p`` (its p) and ``two_two`` (its trace root, range residual and
@@ -425,17 +409,12 @@ def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
     """
     if case not in CERTIFICATE_CASES:
         raise InvalidInputError(f"unsupported certificate case {case!r}")
+    if weights is None:
+        raise InvalidInputError("a certificate needs weights=(w_in, w_out)")
     if isinstance(m, GalerkinMatrix):
-        entries = m.entries
-        rank_bound = m.rank_bound
-        if weights is None:
-            if m.domain_space is None or m.codomain_space is None:
-                raise InvalidInputError("matrix carries no space specs; pass weights")
-            weights = (m.domain_space.weight, m.codomain_space.weight)
+        entries, rank_bound = m.entries, m.rank_bound
     else:
         entries = np.asarray(m)
-        if weights is None:
-            raise InvalidInputError("plain matrices need explicit weights")
     w1, w2 = weights
     mb = weighted_matrix(entries, w2.values, w1.values)
     details = {}
@@ -470,8 +449,6 @@ def galerkin_pseudoinverse(m: GalerkinMatrix, phi: Frame, psi: Frame):
     with the original matrix reproduces the range projection
     gram(dual psi, psi).
     """
-    if m.generator is None:
-        raise InvalidInputError("pseudo-inversion needs the generating operator")
     dense = m.generator.dense()
     if dense.shape[0] != dense.shape[1]:
         raise BijectivityError("generating operator must be square")

@@ -1,9 +1,9 @@
 """Binary containers with JSON sidecars, plus report and CSV writers.
 
 Arrays go into ``<base>.npy`` in column-major layout; everything the
-array does not carry (index geometry, constructor parameters, space
-specs) lives in ``<base>.json``.  All writers are deterministic so that
-identical runs produce byte-identical artifacts.
+array does not carry (index geometry, constructor parameters, the
+ambient dimension) lives in ``<base>.json``.  All writers are
+deterministic so that identical runs produce byte-identical artifacts.
 """
 
 import json
@@ -136,10 +136,6 @@ def save_galerkin_matrix(base, gm, extra=None):
         "shape": list(gm.shape),
         "ambient_dim": gm.rank_bound,
     }
-    if gm.domain_space is not None:
-        sidecar["domain_space"] = gm.domain_space.to_dict()
-    if gm.codomain_space is not None:
-        sidecar["codomain_space"] = gm.codomain_space.to_dict()
     if extra:
         sidecar.update(extra)
     return save_array(base, gm.entries, sidecar)

@@ -24,43 +24,42 @@ def field_array(x):
     return np.asarray(x, dtype=np.result_type(x, float))
 
 
-def _rank(s, rank_tol):
-    """Count of descending singular values above ``rank_tol * s[0]``."""
+def _rank(s):
+    """Count of descending singular values above ``DEFAULT_RANK_TOL * s[0]``."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
 
 
-def pseudo_inverse(m, rank_tol=DEFAULT_RANK_TOL):
+def pseudo_inverse(m):
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
 
-    Singular values below ``rank_tol * sigma_max`` are treated as zero.
+    Singular values below ``DEFAULT_RANK_TOL * sigma_max`` are treated as
+    zero.
     """
     m = np.asarray(m)
-    if not 0.0 < rank_tol < 1.0:
-        raise InvalidInputError("rank_tol must lie in (0, 1)")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=m.dtype)
-    inv = np.where(s > rank_tol * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    inv = np.where(s > DEFAULT_RANK_TOL * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return np.conj(vh.T) @ (inv[:, None] * np.conj(u.T))
 
 
-def numerical_rank(m, rank_tol=DEFAULT_RANK_TOL):
-    return _rank(np.linalg.svd(np.asarray(m), compute_uv=False), rank_tol)
+def numerical_rank(m):
+    return _rank(np.linalg.svd(np.asarray(m), compute_uv=False))
 
 
-def singular_kappa(s, rank_tol=DEFAULT_RANK_TOL):
+def singular_kappa(s):
     """Largest over smallest nonzero value of descending singular values."""
-    rank = _rank(s, rank_tol)
+    rank = _rank(s)
     if rank == 0:
         raise InvalidInputError("condition number of the zero matrix is undefined")
     return float(s[0] / s[rank - 1])
 
 
-def generalized_condition_number(m, rank_tol=DEFAULT_RANK_TOL):
+def generalized_condition_number(m):
     """Ratio of the largest to the smallest nonzero singular value."""
-    return singular_kappa(np.linalg.svd(np.asarray(m), compute_uv=False), rank_tol)
+    return singular_kappa(np.linalg.svd(np.asarray(m), compute_uv=False))
 
 
 @dataclass(frozen=True)
@@ -123,4 +122,4 @@ def range_spectrum(left, right, x=None, factors=False):
     else:
         u = vh = None
         s = np.linalg.svd(core, compute_uv=False)
-    return RangeSpectrum(s[:_rank(s, DEFAULT_RANK_TOL)], q_l, q_r, core, u, vh)
+    return RangeSpectrum(s[:_rank(s)], q_l, q_r, core, u, vh)

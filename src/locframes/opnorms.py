@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-from .weights import SeqSpaceSpec
+from .weights import SeqSpaceSpec, column_p_norms
 
 _INF = math.inf
 
@@ -56,7 +56,7 @@ def exact_operator_norm(m, p_in, p_out):
             return float(m.max())
         if p_out == 1.0:
             return float(m.sum(axis=0).max())
-        return float(((m**p_out).sum(axis=0) ** (1.0 / p_out)).max())
+        return float(column_p_norms(m, p_out).max())
     if p_in == _INF and p_out == _INF:
         return float(m.sum(axis=1).max())
     raise InvalidInputError(f"no exact formula for l^{p_in} -> l^{p_out}")

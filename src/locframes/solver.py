@@ -71,9 +71,12 @@ def subframe_projection(frame: Frame, subset):
 class ProjectionSchedule:
     """Nested index subsets K_1 c K_2 c ... c K with per-level span bases.
 
-    ``centered`` grows blocks doubling in size around the middle index;
-    ``energy_greedy`` orders indices by decreasing analysis energy of a
-    pilot vector.  ``_span_basis`` of each level's vectors V_N gives the
+    The levels are the first m indices of one ordering, for sizes m that
+    double from ``start`` (or ``n_levels`` sizes halving down from K) and
+    end at K, so they are strictly nested and the last is the full index
+    set.  ``centered`` orders indices by distance to the middle index;
+    ``energy_greedy`` by decreasing analysis energy of a pilot vector.
+    ``_span_basis`` of each level's vectors V_N gives the
     subframe bounds (extreme nonzero eigenvalues of S_N = V_N V_N^*) and an
     orthonormal basis Q_N of the level's span (``bases``): one SVD of V_N,
     or none for a coordinate family such as an ONB's levels.  A flag is
@@ -82,30 +85,26 @@ class ProjectionSchedule:
     """
 
     def __init__(self, frame: Frame, selection="centered", pilot=None,
-                 start=8, levels=None, n_levels=None):
+                 start=8, n_levels=None):
         self.frame = frame
         self.selection = selection
         k = frame.size
-        if levels is not None:
-            self.levels = [np.asarray(lv, dtype=int) for lv in levels]
+        if n_levels is not None:
+            if n_levels < 1:
+                raise InvalidInputError("need at least one level")
+            sizes = sorted({max(1, round(k * 2.0 ** -(n_levels - 1 - i)))
+                            for i in range(n_levels)})
         else:
-            if n_levels is not None:
-                if n_levels < 1:
-                    raise InvalidInputError("need at least one level")
-                sizes = sorted({max(1, round(k * 2.0 ** -(n_levels - 1 - i)))
-                                for i in range(n_levels)})
-            else:
-                if start < 1:
-                    raise InvalidInputError(f"start level must be >= 1, got {start}")
-                sizes = []
-                m = min(start, k)
-                while m < k:
-                    sizes.append(m)
-                    m *= 2
-                sizes.append(k)
-            order = self._ordering(selection, pilot)
-            self.levels = [np.sort(order[:m]) for m in sizes]
-        self._validate()
+            if start < 1:
+                raise InvalidInputError(f"start level must be >= 1, got {start}")
+            sizes = []
+            m = min(start, k)
+            while m < k:
+                sizes.append(m)
+                m *= 2
+            sizes.append(k)
+        order = self._ordering(selection, pilot)
+        self.levels = [np.sort(order[:m]) for m in sizes]
         self.bases = []
         self.subframe_bounds = []
         self.uniformity_flag = False
@@ -128,19 +127,6 @@ class ProjectionSchedule:
             coeff = analysis(self.frame, pilot)
             return np.argsort(-np.abs(coeff), kind="stable")
         raise InvalidInputError(f"unknown selection {selection!r}")
-
-    def _validate(self):
-        k = self.frame.size
-        prev = set()
-        for lv in self.levels:
-            cur = set(lv.tolist())
-            if not prev < cur and prev != set():
-                raise InvalidInputError("schedule levels must be strictly nested")
-            if prev == cur:
-                raise InvalidInputError("schedule levels must grow strictly")
-            prev = cur
-        if prev != set(range(k)):
-            raise InvalidInputError("final level must cover the full index set")
 
     def projection(self, i):
         name = f"P[{self.frame.name}:{len(self.levels[i])}]"
@@ -207,7 +193,6 @@ class IterationResult:
     iterations: int
     converged: bool
     residuals: list = field(default_factory=list)
-    energies: list = field(default_factory=list)
     normal_equations: bool = False
     diverged: bool = False
 
@@ -217,28 +202,23 @@ def _hermitian_defect(m):
     return float(np.linalg.norm(m - np.conj(m.T)) / max(np.linalg.norm(m), 1e-300))
 
 
-def cg_solve(m, b, tol=1e-10, max_iter=None, normal_equations=False,
-             track_energy=False):
+def cg_solve(m, b, tol=1e-10, max_iter=None):
     """Conjugate gradients for Hermitian positive semidefinite systems.
 
     ``b`` must lie in the range (project through the Gram projection
-    first); an unreachable right side surfaces as a contract error.
-    With ``normal_equations`` the iteration runs on M* M instead, which
-    lifts the Hermitian requirement.
+    first); an unreachable right side surfaces as a contract error.  A
+    matrix that fails the Frobenius Hermitian test (``HERMITIAN_TOL``) is
+    solved through the normal equations M* M c = M* b, and the result
+    says so in ``normal_equations``.
     """
     m, b = field_array(m), field_array(b)
-    if normal_equations:
-        m2 = np.conj(m.T) @ m
-        res = cg_solve(m2, np.conj(m.T) @ b, tol=tol, max_iter=max_iter,
-                       track_energy=track_energy)
+    if _hermitian_defect(m) > HERMITIAN_TOL:
+        res = cg_solve(np.conj(m.T) @ m, np.conj(m.T) @ b, tol=tol,
+                       max_iter=max_iter)
         res.normal_equations = True
         return res
     # promoted once: a real m against a complex b would be cast on every product
     m = np.asarray(m, dtype=np.result_type(m, b))
-    if _hermitian_defect(m) > HERMITIAN_TOL:
-        raise ContractError(
-            "matrix is not Hermitian; set normal_equations=True to fall back"
-        )
     k = m.shape[0]
     if max_iter is None:
         max_iter = 10 * k
@@ -253,7 +233,6 @@ def cg_solve(m, b, tol=1e-10, max_iter=None, normal_equations=False,
     p = r.copy()
     rs = np.real(np.vdot(r, r))
     residuals = [1.0]
-    energies = []
     best = 1.0
     since_best = 0
     it = 0
@@ -267,11 +246,8 @@ def cg_solve(m, b, tol=1e-10, max_iter=None, normal_equations=False,
         r = r - alpha * mp
         rs_new = np.real(np.vdot(r, r))
         residuals.append(math.sqrt(rs_new) / bnorm)
-        if track_energy:
-            energies.append(float(np.real(np.vdot(x, m @ x)) / 2
-                                  - np.real(np.vdot(b, x))))
         if residuals[-1] <= tol:
-            return IterationResult(x, it, True, residuals, energies)
+            return IterationResult(x, it, True, residuals)
         if residuals[-1] < best * (1 - 1e-12):
             best, since_best = residuals[-1], 0
         else:
@@ -287,7 +263,7 @@ def cg_solve(m, b, tol=1e-10, max_iter=None, normal_equations=False,
         raise ContractError(
             f"right side has a component outside the range (floor {floor:.3e})"
         )
-    return IterationResult(x, it, residuals[-1] <= tol, residuals, energies)
+    return IterationResult(x, it, residuals[-1] <= tol, residuals)
 
 
 def richardson_solve(m, b, relaxation, tol=1e-10, max_iter=None):
@@ -347,8 +323,8 @@ def solve_system(spectrum, b, method, tol):
 
     ``direct`` applies the pseudo-inverse; ``cg`` and ``richardson`` run
     on the r x r core C with right side Q_l^* b, and the result is lifted
-    back with Q_r.  CG takes the normal equations when C fails the
-    Frobenius Hermitian test, which Q does not change; Richardson relaxes
+    back with Q_r.  CG takes the normal equations when C fails its
+    Hermitian test, which Q does not change; Richardson relaxes
     with 2 / (sigma_max + sigma_min) over the nonzero singular values.
     """
     if method == "direct":
@@ -356,8 +332,7 @@ def solve_system(spectrum, b, method, tol):
     core = spectrum.core
     rhs = np.conj(spectrum.q_left.T) @ b
     if method == "cg":
-        res = cg_solve(core, rhs, tol=tol,
-                       normal_equations=_hermitian_defect(core) > HERMITIAN_TOL)
+        res = cg_solve(core, rhs, tol=tol)
     elif method == "richardson":
         s = spectrum.values
         relaxation = 2.0 / (s[0] + s[-1]) if s.size else 1.0

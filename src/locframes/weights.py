@@ -87,13 +87,6 @@ class Weight:
     def __len__(self):
         return len(self.values)
 
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "parameter": self.parameter,
-            "values": self.values.tolist(),
-        }
-
 
 def _check_p(p):
     p = float(p)
@@ -134,8 +127,15 @@ class SeqSpaceSpec:
     def on(self, index_set: IndexSet):
         return SeqSpaceSpec(self.p, self.weight.on(index_set))
 
-    def to_dict(self):
-        return {"p": self.p, "weight": self.weight.to_dict()}
+
+def column_p_norms(a, p):
+    """p-norms of the columns of a nonnegative ``a`` (of ``a`` if 1-D) as
+    ||x||_p = s ||x / s||_p for the largest entry s, so that no power
+    overflows or underflows at any scale or p; a zero column has norm 0."""
+    s = np.max(a, axis=0)
+    x = a / np.where(s > 0, s, 1.0)
+    x **= p
+    return s * np.sum(x, axis=0) ** (1.0 / p)
 
 
 def seq_norm(c, spec: SeqSpaceSpec):
@@ -158,7 +158,7 @@ def seq_norm(c, spec: SeqSpaceSpec):
     elif p == 2.0:
         out = np.linalg.norm(wc, axis=0 if c.ndim == 2 else None)
     else:
-        out = np.sum(wc**p, axis=0) ** (1.0 / p)
+        out = column_p_norms(wc, p)
     return float(out) if c.ndim == 1 else out
 
 
@@ -199,9 +199,8 @@ def _inclusion_certificate(a: SeqSpaceSpec, b: SeqSpaceSpec, index_set: IndexSet
     pa, pb = a.effective_p, b.effective_p
     if pa <= pb:
         return float(np.max(ratio)), "sup(w_b/w_a)"
-    inv_r = 1.0 / pb - (0.0 if pa == P_INF else 1.0 / pa)
-    r = 1.0 / inv_r
-    return float(np.sum(ratio**r) ** inv_r), f"l^{r:g} norm of w_b/w_a"
+    r = 1.0 / (1.0 / pb - (0.0 if pa == P_INF else 1.0 / pa))
+    return float(column_p_norms(ratio, r)), f"l^{r:g} norm of w_b/w_a"
 
 
 def seq_space_included(a: SeqSpaceSpec, b: SeqSpaceSpec, schedule=DEFAULT_SCHEDULE):

@@ -62,6 +62,21 @@ class TestSeqNorm:
         with pytest.raises(InvalidInputError):
             Weight(np.array([1.0, bad, 2.0]))
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_general_p_holds_at_extreme_scales(self, scale):
+        # |x|^3 underflows at 1e-200 and overflows at 1e200 unless each
+        # column is scaled by its largest entry first
+        c = np.array([1.0, -2.0, 0.5j, 0.0])
+        spec = SeqSpaceSpec(3, Weight(np.array([1.0, 0.5, 2.0, 1.0])))
+        unit = seq_norm(c, spec)
+        assert seq_norm(scale * c, spec) == pytest.approx(scale * unit, rel=1e-14)
+        columns = np.stack([scale * c, np.zeros(4)], axis=1)
+        assert np.array_equal(seq_norm(columns, spec) == 0, [False, True])
+        assert seq_norm(columns, spec)[0] == pytest.approx(scale * unit, rel=1e-14)
+        a = np.abs(np.stack([c, 2 * c, np.zeros(4)], axis=1))
+        assert exact_operator_norm(scale * a, 1, 3) == pytest.approx(
+            scale * exact_operator_norm(a, 1, 3), rel=1e-14)
+
     def test_length_mismatch(self):
         with pytest.raises(Exception, match="length"):
             seq_norm(np.ones(3), SeqSpaceSpec(2, Weight.ones(4)))
@@ -187,6 +202,16 @@ class TestInclusion:
         b = SeqSpaceSpec(1, Weight.polynomial(-2.0, IndexSet.line(8)))
         rep = seq_space_included(a, b)
         assert rep.included and not rep.divergent
+
+    @pytest.mark.parametrize("scale", [1e-3, 10.0])
+    def test_large_exponent_ratio_norm(self, scale):
+        # l^2 into l^1.99 takes the l^398 norm of the weight ratio: ratio^398
+        # underflowed to a certificate of 0 at 1e-3 and overflowed at 10
+        a = SeqSpaceSpec(2, Weight(np.ones(64)))
+        b = SeqSpaceSpec(1.99, Weight(np.full(64, scale)))
+        r = 1 / (1 / 1.99 - 1 / 2)
+        rep = seq_space_included(a, b)
+        assert rep.certificate == pytest.approx(scale * 64 ** (1 / r), rel=1e-12)
 
 
 # -- algebra norms ------------------------------------------------------------
@@ -329,10 +354,6 @@ class TestPseudoInverse:
         assert np.linalg.norm(p @ a @ p - p) <= 1e-10 * np.linalg.norm(p)
         assert np.linalg.norm(np.conj((a @ p).T) - a @ p) <= 1e-10
         assert np.linalg.norm(np.conj((p @ a).T) - p @ a) <= 1e-10
-
-    def test_rank_tol_validation(self):
-        with pytest.raises(InvalidInputError):
-            pseudo_inverse(np.eye(2), rank_tol=2.0)
 
     def test_kappa_identity_and_diag(self):
         assert generalized_condition_number(np.eye(5)) == pytest.approx(1.0)

@@ -1,6 +1,7 @@
 """Container round-trips, CLI subcommands, exit codes, determinism."""
 
 import json
+import math
 import os
 import resource
 import subprocess
@@ -38,16 +39,14 @@ class TestContainers:
 
     def test_galerkin_matrix_roundtrip(self, tmp_path):
         frame = make_gabor_frame(16, 4, 2, gaussian_window(16))
-        w = Weight.ones(frame.size)
-        gm = galerkin_matrix(LinearOperator.identity(16), frame, frame,
-                             domain_space=SeqSpaceSpec(2, w),
-                             codomain_space=SeqSpaceSpec(2, w))
-        io.save_galerkin_matrix(tmp_path / "m", gm)
+        gm = galerkin_matrix(LinearOperator.identity(16), frame, frame)
+        io.save_galerkin_matrix(tmp_path / "m", gm, extra={"operator": "identity"})
         entries, sidecar = io.load_array(tmp_path / "m")
         assert np.array_equal(entries, gm.entries)
+        assert sorted(sidecar) == ["ambient_dim", "container", "left_frame",
+                                   "operator", "right_frame", "shape"]
         assert sidecar["left_frame"] == frame.name
         assert sidecar["ambient_dim"] == 16
-        assert sidecar["domain_space"]["p"] == 2
 
     @pytest.mark.parametrize("name", ["1-D", "C", "F", "strided", "empty",
                                       "empty columns", "row", "3-D", "chunked"])
@@ -301,6 +300,25 @@ class TestCLI:
                 assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
+    @pytest.mark.parametrize("p, powers", [("600", "0"), ("2000", "0"), ("400", "1")])
+    def test_one_p_certificate_at_large_p(self, tmp_path, p, powers):
+        # redundancy 4, entries at most 1/4: at the parent |m|^p underflowed
+        # (bound 0.0, sound false) or overflowed with a RuntimeWarning
+        # (bound Infinity at powers 1)
+        run_cli("frame", "build", "--kind", "gabor", "--n", "32", "--a", "4",
+                "--b", "2", "--out-dir", tmp_path)
+        run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
+                "--out-dir", tmp_path / "gal")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("galerkin", "certify", "--matrix", tmp_path / "gal" / "galerkin",
+                           "--case", "one_p", "--p", p, "--w1-power", powers,
+                           "--w2-power", powers, "--out-dir", tmp_path / "cert") == 0
+        cert = json.loads((tmp_path / "cert" / "certificate_one_p.json").read_text())
+        assert cert["sound"]
+        assert 0 < cert["certified_bound"] < math.inf
+
+
 class TestCLIContract:
     """Bad input exits 2 with error.json, never with a traceback."""
 
@@ -475,6 +493,16 @@ class TestCLIContract:
         assert run_cli("frame", "diag", "--frame", tmp_path / "frame", flag, value,
                        "--out-dir", tmp_path / "diag") == 2
         assert self.error(tmp_path / "diag") == "config"
+        assert not (tmp_path / "diag" / "localization.json").exists()
+
+    @pytest.mark.parametrize("threshold", ["0", "-1"])
+    def test_frame_diag_non_positive_threshold(self, tmp_path, threshold):
+        # no frame meets a cap <= 0; at the parent this exited 0 with a
+        # not-localized report
+        run_cli("frame", "build", "--kind", "onb", "--n", "8", "--out-dir", tmp_path)
+        assert run_cli("frame", "diag", "--frame", tmp_path / "frame",
+                       "--threshold", threshold, "--out-dir", tmp_path / "diag") == 2
+        assert self.error(tmp_path / "diag") == "invalid-input"
         assert not (tmp_path / "diag" / "localization.json").exists()
 
     @pytest.mark.parametrize("flag", ["--p", "--w1-power", "--w2-power"])
@@ -660,6 +688,21 @@ class TestGalerkinContainerRankBound:
         assert code == 0
         assert old["sound"] and new["sound"]
         assert old["certified_bound"] == pytest.approx(new["certified_bound"], rel=1e-12)
+
+    def test_container_with_space_tags_certifies_identically(self, tmp_path):
+        # older containers also recorded the unit-weight l^2 spaces of the
+        # matrix; certify reads only ambient_dim from the sidecar
+        matrix = self.assemble(tmp_path)
+        self.certify(matrix, tmp_path / "new")
+        sidecar = matrix.with_suffix(".json")
+        unit = {"p": 2.0, "weight": {"family": "polynomial", "parameter": 0.0,
+                                     "values": [1.0] * 64}}
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                       "domain_space": unit, "codomain_space": unit}))
+        code, _ = self.certify(matrix, tmp_path / "old")
+        assert code == 0
+        name = "certificate_two_two.json"
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
 
     @pytest.mark.parametrize("value", [0, "32", 2.5, True])
     def test_invalid_ambient_dim_rejected(self, tmp_path, value):

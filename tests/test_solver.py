@@ -209,13 +209,6 @@ class TestProjectionSchedule:
         for c, d in sched.subframe_bounds:
             assert 0 < c <= d
 
-    def test_explicit_levels_must_nest(self):
-        onb = make_onb(8)
-        with pytest.raises(InvalidInputError):
-            ProjectionSchedule(onb, levels=[[0, 1], [2, 3], list(range(8))])
-        with pytest.raises(InvalidInputError):
-            ProjectionSchedule(onb, levels=[[0, 1], [0, 1, 2]])  # missing full
-
 
 class TestFiniteSections:
     def test_identity_returns_projected_rhs(self, rng):
@@ -362,23 +355,19 @@ class TestCG:
             cg_solve(np.diag([1.0, 1.0, 0.0]), np.array([1.0, 1.0, 1.0]),
                      max_iter=25)
 
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ContractError, match="Hermitian"):
-            cg_solve(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
+    def test_non_hermitian_takes_normal_equations(self):
+        m = np.array([[1.0, 2.0], [0.0, 1.0]])
+        res = cg_solve(m, np.ones(2))
+        assert res.normal_equations and res.converged
+        assert np.allclose(m @ res.c, np.ones(2), atol=1e-10)
+        assert not cg_solve(m @ m.T, np.ones(2)).normal_equations
 
     def test_normal_equations_fallback(self, rng):
         m = rng.standard_normal((12, 12)) + 3 * np.eye(12)
         b = rng.standard_normal(12)
-        res = cg_solve(m, b, normal_equations=True)
+        res = cg_solve(m, b)
         assert res.normal_equations
         assert np.linalg.norm(m @ res.c - b) <= 1e-6
-
-    def test_energy_monotone(self, rng):
-        q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
-        m = q @ np.diag(rng.uniform(0.5, 5.0, 30)) @ q.T
-        res = cg_solve(m, rng.standard_normal(30), track_energy=True)
-        en = res.energies
-        assert all(x >= y - 1e-10 for x, y in zip(en, en[1:]))
 
 
 class TestRichardson:
