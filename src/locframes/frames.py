@@ -133,23 +133,38 @@ def frame_operator(frame: Frame):
     return frame._frame_op
 
 
-def _walnut_qr(frame: Frame):
-    """Batched QR B_t = Q_t R_t of the Walnut blocks of a Gabor frame.
+def _walnut_blocks(frame: Frame):
+    """The Walnut blocks B_t (mf x mt x b) of a Gabor frame.
 
     With window w on the lattice (a, b), mt = n/a and mf = n/b, the
     analysis matrix factors as V^* = (I_mt (x) F^*) diag_t(B_t) P: F is
     the unitary DFT of size mf, P groups x by t = x mod mf, and the
     mt x b block B_t[m, p] = sqrt(mf) conj(w[(t + p mf - m a) mod n]).
-    Returns Q (mf x mt x b) and R (mf x b x b).
     """
+    n = frame.ambient_dim
+    a, b = frame.lattice
+    mt, mf = n // a, n // b
+    x = (np.arange(mf)[:, None, None] + mf * np.arange(b)
+         - a * np.arange(mt)[:, None]) % n
+    return np.sqrt(mf) * np.conj(frame.vectors[x, 0])
+
+
+def _walnut_qr(frame: Frame):
+    """Batched QR B_t = Q_t R_t of the Walnut blocks: Q (mf x mt x b), R (mf x b x b)."""
     if frame._walnut is None:
-        n = frame.ambient_dim
-        a, b = frame.lattice
-        mt, mf = n // a, n // b
-        x = (np.arange(mf)[:, None, None] + mf * np.arange(b)
-             - a * np.arange(mt)[:, None]) % n
-        frame._walnut = np.linalg.qr(np.sqrt(mf) * np.conj(frame.vectors[x, 0]))
+        frame._walnut = np.linalg.qr(_walnut_blocks(frame))
     return frame._walnut
+
+
+def _grouped(x, mf):
+    """The rows of ``x`` grouped by P: entry [t, p] holds row t + p mf."""
+    return x.reshape(-1, mf, x.shape[1]).transpose(1, 0, 2)
+
+
+def shared_lattice(left: Frame, right: Frame):
+    """Whether both frames are Gabor frames of one ambient dimension and lattice."""
+    return left.lattice is not None and (
+        (left.lattice, left.ambient_dim) == (right.lattice, right.ambient_dim))
 
 
 def analysis_qr(frame: Frame):
@@ -165,18 +180,59 @@ def analysis_qr(frame: Frame):
         if frame.lattice is None:
             q, r = np.linalg.qr(np.conj(frame.vectors.T))
         else:
-            q_t, r_t = _walnut_qr(frame)
-            mf, mt, b = q_t.shape
+            q_t = _walnut_qr(frame)[0]
+            mf, mt = q_t.shape[:2]
             t = np.arange(mf)
             dft = np.exp(-2j * np.pi * ((t[:, None] * t) % mf) / mf) / np.sqrt(mf)
             q = (dft[:, :, None] * q_t.transpose(1, 0, 2)[:, None]).reshape(mt * mf, -1)
-            r = np.zeros((mf, b, b, mf), dtype=r_t.dtype)
-            r[t, :, :, t] = r_t
-            r = r.reshape(mf * b, -1)
+            r = analysis_r_product(frame, np.eye(frame.ambient_dim))
         q.setflags(write=False)
         r.setflags(write=False)
         frame._analysis_qr = (q, r)
     return frame._analysis_qr
+
+
+def analysis_r_product(frame: Frame, x, adjoint=False):
+    """R X, or X R^* with ``adjoint``, for the factor R of ``analysis_qr``: for
+    a Gabor frame R = diag_t(R_t) P, and R X is one batched product over the
+    mf Walnut blocks R_t, n^2 b flops instead of n^3."""
+    if frame.lattice is None:
+        r = analysis_qr(frame)[1]
+        return x @ np.conj(r.T) if adjoint else r @ x
+    if adjoint:
+        return np.conj(analysis_r_product(frame, np.conj(x.T)).T)
+    r_t = _walnut_qr(frame)[1]
+    return (r_t @ _grouped(x, len(r_t))).reshape(frame.ambient_dim, -1)
+
+
+def frame_core(left: Frame, right: Frame, x):
+    """R_l X R_r^*, the n x n core of the Galerkin matrix V_l^* X V_r."""
+    return analysis_r_product(right, analysis_r_product(left, x), adjoint=True)
+
+
+def gram_core_spectrum(left: Frame, right: Frame):
+    """Singular values, descending, of the Gram core R_l R_r^*: for Gabor
+    frames on one lattice those of its mf diagonal blocks R_t^l R_t^r*."""
+    if not shared_lattice(left, right):
+        core = analysis_qr(left)[1] @ np.conj(analysis_qr(right)[1].T)
+        return np.linalg.svd(core, compute_uv=False)
+    blocks = _walnut_qr(left)[1] @ np.conj(_walnut_qr(right)[1].transpose(0, 2, 1))
+    return np.sort(np.linalg.svd(blocks, compute_uv=False).ravel())[::-1]
+
+
+def mixed_frame_operator(left: Frame, right: Frame, x=None):
+    """V_left V_right^* X, with X = I by default.
+
+    For Gabor frames on one lattice V_left V_right^* = P^* diag_t(D_t) P
+    with the b x b blocks D_t = B_t^left* B_t^right (n m b flops); any
+    other pair takes V_left (V_right^* X)."""
+    if not shared_lattice(left, right):
+        v = np.conj(right.vectors.T)
+        return left.vectors @ v if x is None else left.vectors @ (v @ x)
+    if x is None:
+        x = np.eye(left.ambient_dim)
+    blocks = np.conj(_walnut_blocks(left).transpose(0, 2, 1)) @ _walnut_blocks(right)
+    return (blocks @ _grouped(x, len(blocks))).transpose(1, 0, 2).reshape(x.shape)
 
 
 def frame_bounds(frame: Frame):

@@ -17,8 +17,9 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
 )
-from .frames import Frame, analysis_qr, canonical_dual, gram
-from .linalg import field_array, range_spectrum, singular_kappa
+from .frames import (Frame, analysis_qr, analysis_r_product, canonical_dual, frame_core,
+                     gram, gram_core_spectrum, mixed_frame_operator)
+from .linalg import field_array, generalized_condition_number, singular_kappa
 from .opnorms import exact_operator_norm, space_operator_norm, weighted_matrix
 from .weights import SeqSpaceSpec, seq_norm
 
@@ -39,7 +40,7 @@ class LinearOperator:
     """Linear map held as its dense matrix, with a name for reports.
 
     ``dense()`` is the one view every consumer reads; real matrices stay
-    real (``field_array``).
+    real (``field_array``).  Its singular values are computed once.
     """
 
     def __init__(self, matrix, name="op"):
@@ -65,6 +66,11 @@ class LinearOperator:
 
     def dense(self):
         return self._matrix
+
+    @cached_property
+    def singular_values(self):
+        """Singular values of the matrix, descending."""
+        return np.linalg.svd(self._matrix, compute_uv=False)
 
 
 def as_operator(op):
@@ -107,8 +113,7 @@ class GalerkinMatrix:
 
     @cached_property
     def core(self):
-        r_left, r_right = analysis_qr(self.left_frame)[1], analysis_qr(self.right_frame)[1]
-        return r_left @ self.generator.dense() @ np.conj(r_right.T)
+        return frame_core(self.left_frame, self.right_frame, self.generator.dense())
 
     def idempotency_residual(self):
         """||M M - M||_2 = ||C (Q_right^* Q_left) C - C||_2 for the core C."""
@@ -160,10 +165,10 @@ def roundtrip_check(op, phi: Frame, psi: Frame):
     op = as_operator(op)
     _check_maps(op, phi, psi)
     dense = op.dense()
-    scale = max(np.linalg.norm(dense, 2), 1e-300)
+    scale = max(op.singular_values[0], 1e-300)
     phid, psid = canonical_dual(phi), canonical_dual(psi)
-    left = phi.vectors @ np.conj(phid.vectors.T)
-    right = psid.vectors @ np.conj(psi.vectors.T)
+    left = mixed_frame_operator(phi, phid)
+    right = mixed_frame_operator(psid, psi)
     first = left @ dense @ right
     second = np.conj(left.T) @ dense @ np.conj(right.T)
     r1 = np.linalg.norm(first - dense, 2) / scale
@@ -181,10 +186,9 @@ def compose_rule_check(op1, op2, phi: Frame, psi: Frame, xi: Frame):
     op1, op2 = as_operator(op1), as_operator(op2)
     _check_maps(op1, phi, xi)
     _check_maps(op2, xi, psi)
-    xid = canonical_dual(xi)
-    left = analysis_qr(phi)[1] @ op1.dense()
-    right = op2.dense() @ np.conj(analysis_qr(psi)[1].T)
-    defect = left @ (right - xi.vectors @ (np.conj(xid.vectors.T) @ right))
+    left = analysis_r_product(phi, op1.dense())
+    right = analysis_r_product(psi, op2.dense(), adjoint=True)
+    defect = left @ (right - mixed_frame_operator(xi, canonical_dual(xi), right))
     lhs = left @ right
     return float(np.linalg.norm(defect) / max(np.linalg.norm(lhs), 1e-300))
 
@@ -487,19 +491,19 @@ def kappa_factorization_probe(op, phi: Frame, psi: Frame):
     submultiplicative in general, so neither direction is enforced: the
     probe reports both sides, their ratio, and whether lhs <= rhs held.
     The K x K matrices M(phi,psi), G(phi,psi) and G(dual psi,psi) have
-    their spectra computed in the frames' ranges.
+    their spectra computed in the frames' ranges (``frame_core``,
+    ``gram_core_spectrum``).
     """
     op = as_operator(op)
-    dense = op.dense()
-    s = np.linalg.svd(dense, compute_uv=False)
-    if not s[-1] * OPERATOR_COND_CAP >= s[0]:
+    _check_maps(op, phi, psi)
+    _check_maps(op, psi, psi)
+    s = op.singular_values
+    if not (s[0] > 0 and s[-1] * OPERATOR_COND_CAP >= s[0]):
         raise BijectivityError("operator must be invertible for the kappa probe")
-    qr_phi, qr_psi = analysis_qr(phi), analysis_qr(psi)
-    qr_psid = analysis_qr(canonical_dual(psi))
-    lhs = range_spectrum(qr_phi, qr_psi, dense).kappa
+    lhs = generalized_condition_number(frame_core(phi, psi, op.dense()))
     rhs = (
-        range_spectrum(qr_phi, qr_psi).kappa
-        * range_spectrum(qr_psid, qr_psi).kappa
+        singular_kappa(gram_core_spectrum(phi, psi))
+        * singular_kappa(gram_core_spectrum(canonical_dual(psi), psi))
         * singular_kappa(s)
     )
     return {

@@ -117,9 +117,14 @@ def range_spectrum(left, right, x=None, factors=False):
                 f"operator {x.shape} does not map {n_r} -> {n_l}"
             )
         core = r_l @ x @ np.conj(r_r.T)
+    return core_spectrum(q_l, core, q_r, factors)
+
+
+def core_spectrum(q_left, core, q_right, factors=False):
+    """``range_spectrum`` of Q_l C Q_r^* for a core C the caller has formed."""
     if factors:
         u, s, vh = np.linalg.svd(core, full_matrices=False)
     else:
         u = vh = None
         s = np.linalg.svd(core, compute_uv=False)
-    return RangeSpectrum(s[:_rank(s)], q_l, q_r, core, u, vh)
+    return RangeSpectrum(s[:_rank(s)], q_left, q_right, core, u, vh)

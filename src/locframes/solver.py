@@ -2,16 +2,16 @@
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, InvalidInputError
-from .frames import Frame, analysis, analysis_qr, synthesis
+from .frames import Frame, analysis, analysis_qr, frame_core, synthesis
 # galerkin_matrix is re-exported: callers import it from this module
 from .galerkin import LinearOperator, as_operator, galerkin_matrix  # noqa: F401
 from .indexing import IndexSet
-from .linalg import field_array, range_spectrum
+from .linalg import core_spectrum, field_array
 
 PROJECTION_TOL = 1e-10
 DEFAULT_TOL = 1e-8
@@ -47,6 +47,15 @@ def _span_basis(vectors):
     w = s**2
     keep = w > PROJECTION_TOL * w[0]
     return w[keep], u[:, keep]
+
+
+def _section_core(q, a):
+    """Q_N^* A Q_N: the submatrix A[k][:, k] when the orthonormal Q_N holds
+    only zeros and ones, so that it selects the columns k of the identity."""
+    if ((q == 0) | (q == 1)).all():
+        k = np.argmax(q != 0, axis=0)
+        return a[np.ix_(k, k)]
+    return np.conj(q.T) @ a @ q
 
 
 def _projector(q, name):
@@ -147,15 +156,9 @@ class LevelRecord:
     singular: bool = False
 
     def to_dict(self):
-        return {
-            "N": self.size,
-            "residual": self.residual,
-            "error": self.error,
-            "inverse_norm": self.inverse_norm,
-            "iterations": self.iterations,
-            "kappa_dagger": self.kappa_dagger,
-            "singular": self.singular,
-        }
+        record = asdict(self)
+        record["N"] = record.pop("size")
+        return record
 
 
 @dataclass
@@ -171,17 +174,7 @@ class SolveReport:
     message: str = ""
 
     def to_dict(self):
-        return {
-            "method": self.method,
-            "converged": self.converged,
-            "levels": [lv.to_dict() for lv in self.levels],
-            "contraction_norm": self.contraction_norm,
-            "contraction_sufficient": self.contraction_sufficient,
-            "sup_inverse_norm": self.sup_inverse_norm,
-            "uniformity_flag": self.uniformity_flag,
-            "stabilized_at": self.stabilized_at,
-            "message": self.message,
-        }
+        return {**asdict(self), "levels": [lv.to_dict() for lv in self.levels]}
 
 
 # -- iterative kernels --------------------------------------------------------
@@ -376,8 +369,8 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
     )
     solutions = []
     for lv, q in zip(schedule.levels, schedule.bases):
-        span = (q, np.conj(q.T))
-        spectrum = range_spectrum(span, span, dense, factors=method == "direct")
+        spectrum = core_spectrum(q, _section_core(q, dense), q,
+                                 factors=method == "direct")
         s = spectrum.values
         deficient = bool(s.size < q.shape[1])
         rec = LevelRecord(size=len(lv), residual=math.inf, singular=deficient)
@@ -455,8 +448,9 @@ def frame_galerkin_solve(op, g, phi: Frame, method="cg", tol=DEFAULT_TOL):
     """
     op = as_operator(op)
     g = np.asarray(g, dtype=complex)
-    qr = analysis_qr(phi)
-    spectrum = range_spectrum(qr, qr, op.dense(), factors=method == "direct")
+    q = analysis_qr(phi)[0]
+    spectrum = core_spectrum(q, frame_core(phi, phi, op.dense()), q,
+                             factors=method == "direct")
     kappa = spectrum.kappa  # a zero operator has none and is rejected here
     res = solve_system(spectrum, analysis(phi, g), method, min(tol * 1e-2, 1e-10))
     f = synthesis(phi, res.c)

@@ -7,6 +7,7 @@ import pytest
 
 from locframes import (
     BijectivityError,
+    DimensionMismatchError,
     IndexSet,
     InvalidInputError,
     LinearOperator,
@@ -25,6 +26,7 @@ from locframes import (
     make_gabor_frame,
     make_onb,
     make_test_operator,
+    make_translates_frame,
     matrixrep_norm_bound,
     operator_from_matrix,
     operator_norm_bound,
@@ -33,12 +35,18 @@ from locframes import (
     schur_certificate,
     seq_norm,
 )
+from locframes.frames import (
+    frame_core,
+    gram_core_spectrum,
+    mixed_frame_operator,
+    shared_lattice,
+)
 from locframes.galerkin import _range_projection_defect, certificate_probe_norm
 from locframes.linalg import generalized_condition_number, pseudo_inverse
 from locframes.opnorms import weighted_matrix
 from locframes.solver import HERMITIAN_TOL, _hermitian_defect, frame_galerkin_solve
 
-from conftest import complex_copy
+from conftest import complex_copy, decaying_generator, dense_twin
 
 
 def random_matrix(rng, n, m=None):
@@ -377,6 +385,18 @@ class TestPseudoInverseAndKappa:
             c = analysis(canonical_dual(frame), f)
             assert np.linalg.norm(dag @ (gm.entries @ c) - c) <= 1e-9 * np.linalg.norm(c)
 
+    def test_kappa_rejects_the_zero_operator(self):
+        # 0 * cap >= 0 must not pass for an invertible operator
+        onb = make_onb(8)
+        with pytest.raises(BijectivityError):
+            kappa_factorization_probe(np.zeros((8, 8)), onb, onb)
+
+    @pytest.mark.parametrize("op_n, left_n, right_n", [(16, 8, 8), (8, 8, 16)])
+    def test_kappa_rejects_mismatched_shapes(self, op_n, left_n, right_n):
+        op = np.eye(op_n, right_n if left_n != right_n else op_n)
+        with pytest.raises(DimensionMismatchError):
+            kappa_factorization_probe(op, make_onb(left_n), make_onb(right_n))
+
     def test_kappa_identity_with_onb(self):
         onb = make_onb(8)
         out = kappa_factorization_probe(LinearOperator.identity(8), onb, onb)
@@ -542,7 +562,74 @@ def _frame_pairs():
             if a == b or {a, b} <= {"onb", "gabor64", "translates", "ponb"}]
 
 
+def lattice_partner(frame, partner):
+    """The right frame of a lattice pair: the dual, the frame itself, or a
+    frame of a second, narrower Gaussian window on the same lattice."""
+    if partner == "dual":
+        return canonical_dual(frame)
+    if partner == "self":
+        return frame
+    n, (a, b) = frame.ambient_dim, frame.lattice
+    return make_gabor_frame(n, a, b, gaussian_window(n, width=0.75 * np.sqrt(n)))
+
+
 class TestFactoredDiagnosticsAgreeWithDense:
+    @pytest.mark.parametrize("partner", ["dual", "self", "window"])
+    def test_lattice_pairs_match_dense_twins(self, gabor_twins, partner):
+        # the Walnut-block path of a lattice pair against the same vectors
+        # without their lattice, which take the dense path
+        phi = gabor_twins[0]
+        psi = lattice_partner(phi, partner)
+        assert shared_lattice(phi, psi)
+        pairs = ((phi, psi), (gabor_twins[1], dense_twin(psi)))
+        op = make_test_operator("identity_minus_kernel", phi.ambient_dim, theta=0.5)
+        for left, right in pairs:
+            assert roundtrip_check(op, left, right) <= 1e-12
+            assert compose_rule_check(op, op, left, right, left) <= 1e-12
+        kappa, dense_kappa = (kappa_factorization_probe(op, *pair) for pair in pairs)
+        for key in ("lhs", "rhs", "ratio"):
+            assert kappa[key] == pytest.approx(dense_kappa[key], rel=1e-12)
+        assert kappa["submultiplicative"] == dense_kappa["submultiplicative"]
+        gm = galerkin_matrix(op, phi, psi)
+        dense_core = (analysis_qr(phi)[1] @ op.dense()
+                      @ np.conj(analysis_qr(psi)[1].T))
+        assert np.linalg.norm(gm.core - dense_core) <= 1e-12 * np.linalg.norm(dense_core)
+        factored = gm.q_left @ gm.core @ np.conj(gm.q_right.T)
+        assert np.linalg.norm(factored - gm.entries) <= 1e-12 * np.linalg.norm(gm.entries)
+
+    def test_lattice_solve_spectrum_matches_dense_twin(self, gabor_twins):
+        frame, dense = gabor_twins
+        op = make_test_operator("identity_minus_kernel", frame.ambient_dim,
+                                theta=0.5).dense()
+        structured = np.linalg.svd(frame_core(frame, frame, op), compute_uv=False)
+        reference = range_spectrum(analysis_qr(dense), analysis_qr(dense), op).values
+        assert structured.shape == reference.shape
+        assert np.max(np.abs(structured - reference)) <= 1e-12 * reference[0]
+
+    @pytest.mark.parametrize("other", ["lattice", "translates"])
+    def test_unshared_lattices_take_the_dense_gram_path(self, other):
+        phi = make_gabor_frame(32, 4, 4, gaussian_window(32))
+        psi = (make_gabor_frame(32, 2, 4, gaussian_window(32)) if other == "lattice"
+               else make_translates_frame(32, 1, decaying_generator(32)))
+        assert not shared_lattice(phi, psi) and not shared_lattice(psi, phi)
+        core = analysis_qr(phi)[1] @ np.conj(analysis_qr(psi)[1].T)
+        assert np.array_equal(gram_core_spectrum(phi, psi),
+                              np.linalg.svd(core, compute_uv=False))
+
+    def test_unshared_lattices_take_the_dense_mixed_operator(self, rng):
+        # K = 128 on both lattices, so that V_phi V_psi^* is defined
+        phi, psi = (make_gabor_frame(64, a, b, gaussian_window(64))
+                    for a, b in ((4, 8), (8, 4)))
+        assert not shared_lattice(phi, psi)
+        x = random_matrix(rng, 64)
+        v = np.conj(psi.vectors.T)
+        assert np.array_equal(mixed_frame_operator(phi, psi), phi.vectors @ v)
+        assert np.array_equal(mixed_frame_operator(phi, psi, x), phi.vectors @ (v @ x))
+
+    def test_lattices_of_different_moduli_are_not_shared(self):
+        phi, psi = (make_gabor_frame(n, 4, 4, gaussian_window(n)) for n in (32, 64))
+        assert phi.lattice == psi.lattice and not shared_lattice(phi, psi)
+
     @pytest.mark.parametrize("left, right", _frame_pairs())
     def test_assemble_report_residuals(self, suite_frames, left, right):
         phi, psi = suite_frames[left], suite_frames[right]

@@ -26,7 +26,7 @@ from locframes import (
     richardson_solve,
     subframe_projection,
 )
-from locframes.solver import PROJECTION_TOL, _span_basis
+from locframes.solver import PROJECTION_TOL, _section_core, _span_basis
 
 from conftest import complex_copy
 
@@ -173,6 +173,17 @@ class TestCoordinateSpanBasis:
         assert len(calls) == 1
         assert w == pytest.approx(spectrum, rel=1e-15)
         assert q.shape == (4, len(spectrum))
+
+    def test_selection_core_is_the_gathered_submatrix(self, rng):
+        n = 16
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        k = np.array([3, 0, 9, 4])
+        q = np.eye(n)[:, k]
+        assert np.array_equal(_section_core(q, a), a[np.ix_(k, k)])
+        assert np.array_equal(_section_core(q, a), np.conj(q.T) @ a @ q)
+        flipped = q * np.array([1, -1, 1, 1])
+        assert np.array_equal(_section_core(flipped, a),
+                              np.conj(flipped.T) @ a @ flipped)
 
     @pytest.mark.parametrize("method", ["direct", "cg", "richardson"])
     def test_reports_match_svd_bases(self, rng, method):
