@@ -19,7 +19,7 @@ from .errors import (
 )
 from .frames import (Frame, analysis_qr, analysis_r_product, canonical_dual, frame_core,
                      gram, gram_core_spectrum, mixed_frame_operator)
-from .linalg import field_array, generalized_condition_number, singular_kappa
+from .linalg import field_array, generalized_condition_number, singular_kappa, square_svd
 from .opnorms import exact_operator_norm, space_operator_norm, weighted_matrix
 from .weights import SeqSpaceSpec, seq_norm
 
@@ -40,7 +40,8 @@ class LinearOperator:
     """Linear map held as its dense matrix, with a name for reports.
 
     ``dense()`` is the one view every consumer reads; real matrices stay
-    real (``field_array``).  Its singular values are computed once.
+    real (``field_array``).  Its singular values are computed once, by
+    ``square_svd``.
     """
 
     def __init__(self, matrix, name="op"):
@@ -70,7 +71,7 @@ class LinearOperator:
     @cached_property
     def singular_values(self):
         """Singular values of the matrix, descending."""
-        return np.linalg.svd(self._matrix, compute_uv=False)
+        return square_svd(self._matrix)[1]
 
 
 def as_operator(op):

@@ -2,8 +2,11 @@
 
 Galerkin and Gram matrices V_l^* X V_r of two frames, and finite
 sections P_N A P_N, are decomposed in their ranges, see ``range_spectrum``.
+A square matrix that is Hermitian to rounding takes its singular values
+from one Hermitian eigendecomposition, see ``square_svd``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +14,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidInputError
 
 DEFAULT_RANK_TOL = 1e-10
+EPS = np.finfo(float).eps
 
 
 def field_array(x):
@@ -29,6 +33,55 @@ def _rank(s):
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
+
+
+def hermitian_defect(m):
+    """Frobenius-relative defect ||M - M^*||_F / ||M||_F of a square M.
+
+    Both norms are taken of M / max|M_ij|, so that neither overflows nor
+    underflows.  The zero matrix has defect 0, a non-finite M has inf.
+    """
+    top = np.abs(m).max(initial=0.0)
+    if not np.isfinite(top):
+        return math.inf
+    if top == 0.0:
+        return 0.0
+    m = m / top
+    return float(np.linalg.norm(np.conj(m.T) - m) / np.linalg.norm(m))
+
+
+def _hermitian_part(m):
+    """H = (M + M^*) / 2 when M is square and ||M - M^*||_F <= n u ||M||_F
+    for its order n and the unit roundoff u, else None."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or hermitian_defect(m) > len(m) * EPS:
+        return None
+    return m + 0.5 * (np.conj(m.T) - m)
+
+
+def square_svd(m, vectors=False):
+    """Singular values of M, descending, as ``(u, s, vh, decomposition)``.
+
+    A matrix that passes the Hermitian test of ``_hermitian_part`` takes one
+    ``eigh`` (``eigvalsh`` without ``vectors``) of H = (M + M^*) / 2:
+    H = V diag(lambda) V^* gives s = |lambda|, u = V and vh = sign(lambda) V^*,
+    with the sign of a zero lambda taken as +1.  By Weyl's inequality each
+    value is within ||M - M^*||_F / 2 of a singular value of M.  Any other
+    matrix takes ``np.linalg.svd``.  ``decomposition`` names the path,
+    ``"eigh"`` or ``"svd"``; u and vh are None without ``vectors``.
+    """
+    m = np.asarray(m)
+    h = _hermitian_part(m)
+    if h is None:
+        if vectors:
+            return (*np.linalg.svd(m, full_matrices=False), "svd")
+        return None, np.linalg.svd(m, compute_uv=False), None, "svd"
+    if not vectors:
+        return None, np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1], None, "eigh"
+    w, v = np.linalg.eigh(h)
+    order = np.argsort(-np.abs(w), kind="stable")
+    w, u = w[order], v[:, order]
+    vh = np.where(w < 0, -1.0, 1.0)[:, None] * np.conj(u.T)
+    return u, np.abs(w), vh, "eigh"
 
 
 def pseudo_inverse(m):
@@ -67,13 +120,15 @@ class RangeSpectrum:
     """Nonzero singular values of A = Q_l C Q_r^* and, on request, A^+.
 
     ``core`` is C; ``values`` are its singular values above the relative
-    rank cutoff, descending.
+    rank cutoff, descending.  ``decomposition`` is the path ``square_svd``
+    took on C, ``"eigh"`` or ``"svd"``.
     """
 
     values: np.ndarray
     q_left: np.ndarray
     q_right: np.ndarray
     core: np.ndarray
+    decomposition: str
     u: np.ndarray = None
     vh: np.ndarray = None
 
@@ -121,10 +176,7 @@ def range_spectrum(left, right, x=None, factors=False):
 
 
 def core_spectrum(q_left, core, q_right, factors=False):
-    """``range_spectrum`` of Q_l C Q_r^* for a core C the caller has formed."""
-    if factors:
-        u, s, vh = np.linalg.svd(core, full_matrices=False)
-    else:
-        u = vh = None
-        s = np.linalg.svd(core, compute_uv=False)
-    return RangeSpectrum(s[:_rank(s)], q_left, q_right, core, u, vh)
+    """``range_spectrum`` of Q_l C Q_r^* for a core C the caller has formed,
+    decomposed by ``square_svd``."""
+    u, s, vh, decomposition = square_svd(core, vectors=factors)
+    return RangeSpectrum(s[:_rank(s)], q_left, q_right, core, decomposition, u, vh)

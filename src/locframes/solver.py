@@ -11,7 +11,7 @@ from .frames import Frame, analysis, analysis_qr, frame_core, synthesis
 # galerkin_matrix is re-exported: callers import it from this module
 from .galerkin import LinearOperator, as_operator, galerkin_matrix  # noqa: F401
 from .indexing import IndexSet
-from .linalg import core_spectrum, field_array
+from .linalg import core_spectrum, field_array, hermitian_defect, square_svd
 
 PROJECTION_TOL = 1e-10
 DEFAULT_TOL = 1e-8
@@ -154,6 +154,8 @@ class LevelRecord:
     iterations: int = 0
     kappa_dagger: float = None
     singular: bool = False
+    # the path square_svd took on the level's core: "eigh" or "svd"
+    decomposition: str = None
 
     def to_dict(self):
         record = asdict(self)
@@ -190,11 +192,6 @@ class IterationResult:
     diverged: bool = False
 
 
-def _hermitian_defect(m):
-    """Frobenius-relative defect ||M - M^*||_F / ||M||_F, an O(K^2) check."""
-    return float(np.linalg.norm(m - np.conj(m.T)) / max(np.linalg.norm(m), 1e-300))
-
-
 def cg_solve(m, b, tol=1e-10, max_iter=None):
     """Conjugate gradients for Hermitian positive semidefinite systems.
 
@@ -205,7 +202,7 @@ def cg_solve(m, b, tol=1e-10, max_iter=None):
     says so in ``normal_equations``.
     """
     m, b = field_array(m), field_array(b)
-    if _hermitian_defect(m) > HERMITIAN_TOL:
+    if hermitian_defect(m) > HERMITIAN_TOL:
         res = cg_solve(np.conj(m.T) @ m, np.conj(m.T) @ b, tol=tol,
                        max_iter=max_iter)
         res.normal_equations = True
@@ -359,7 +356,7 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
     if a.shape[0] != a.shape[1] or y.shape != (n,):
         raise InvalidInputError("finite sections need a square system")
     dense = a.dense()
-    contraction = float(np.linalg.norm(np.eye(n) - dense, 2))
+    contraction = float(square_svd(np.eye(n) - dense)[1][0])
     report = SolveReport(
         method=method,
         converged=False,
@@ -373,7 +370,8 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
                                  factors=method == "direct")
         s = spectrum.values
         deficient = bool(s.size < q.shape[1])
-        rec = LevelRecord(size=len(lv), residual=math.inf, singular=deficient)
+        rec = LevelRecord(size=len(lv), residual=math.inf, singular=deficient,
+                          decomposition=spectrum.decomposition)
         if s.size:
             rec.inverse_norm = float(1.0 / s[-1])
             rec.kappa_dagger = spectrum.kappa
@@ -457,7 +455,8 @@ def frame_galerkin_solve(op, g, phi: Frame, method="cg", tol=DEFAULT_TOL):
     residual = float(np.linalg.norm(op.apply(f) - g))
     rel = residual / max(np.linalg.norm(g), 1e-300)
     level = LevelRecord(size=phi.size, residual=residual,
-                        iterations=res.iterations, kappa_dagger=kappa)
+                        iterations=res.iterations, kappa_dagger=kappa,
+                        decomposition=spectrum.decomposition)
     report = SolveReport(
         method=method,
         converged=bool(rel <= tol and res.converged and not res.diverged),

@@ -1,5 +1,7 @@
 """Index sets, weighted norms, algebra norms, decay fits, pseudo-inverse."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from locframes import (
     generalized_condition_number,
     jaffard_norm,
     make_gabor_frame,
+    make_onb,
     make_test_operator,
     make_translates_frame,
     pseudo_inverse,
@@ -28,8 +31,12 @@ from locframes import (
     seq_space_included,
     weight_admissible,
 )
+from locframes import linalg
+from locframes.galerkin import LinearOperator
 from locframes.indexing import IndexSet
+from locframes.linalg import DEFAULT_RANK_TOL, core_spectrum, hermitian_defect, square_svd
 from locframes.opnorms import exact_operator_norm
+from locframes.solver import ProjectionSchedule, finite_section_solve
 
 
 def random_complex(rng, *shape):
@@ -446,6 +453,160 @@ class TestRangeSpectrum:
             range_spectrum(qr16, qr16, np.eye(64))
         with pytest.raises(InvalidInputError):
             range_spectrum(qr16, qr16).pinv_apply(np.ones(32))
+
+
+# -- singular values of square matrices -----------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def hermitian_with_spectrum(rng, eigenvalues, field=float):
+    """V diag(eigenvalues) V^* for a random unitary V, Hermitian in storage."""
+    n = len(eigenvalues)
+    a = rng.standard_normal((n, n)) if field is float else random_complex(rng, n, n)
+    v = np.linalg.qr(a)[0]
+    h = (v * np.asarray(eigenvalues)) @ np.conj(v.T)
+    return 0.5 * (h + np.conj(h.T))
+
+
+def with_hermitian_defect(h, ratio):
+    """h with its (0, 1) entry moved off the Hermitian part so that
+    ||C - C^*||_F = ratio * n u ||C||_F: the pair (0, 1), (1, 0) is zeroed
+    and C[0, 1] = e gives ||C - C^*||_F = sqrt(2) e exactly."""
+    c = h.copy()
+    c[0, 1] = c[1, 0] = 0.0
+    e = ratio * len(c) * EPS * np.linalg.norm(c) / np.sqrt(2.0)
+    c[0, 1] = e
+    return c
+
+
+def square_cases():
+    rng = np.random.default_rng(61)
+    h = hermitian_with_spectrum(rng, [4.0, -3.0, 2.5, -2.0, 1.5, -1.0, 0.75, -0.5, 3.5, -1.25])
+    return {
+        "real_indefinite": (h, "eigh"),
+        "complex_hermitian": (hermitian_with_spectrum(
+            rng, [2.0, -1.0, 0.5, -3.0, 1.5, 1.0, -0.25, 2.5], complex), "eigh"),
+        "rank_deficient": (make_test_operator(
+            "diagonal", 8, spectrum=[3, -2, 0, 1, 0, -5, 0.5, 0]).dense(), "eigh"),
+        "zero": (np.zeros((6, 6)), "eigh"),
+        "defect_below": (with_hermitian_defect(h, 1 - 1e-6), "eigh"),
+        "defect_above": (with_hermitian_defect(h, 1 + 1e-6), "svd"),
+        "non_hermitian": (rng.standard_normal((9, 9)), "svd"),
+        "complex_non_hermitian": (random_complex(rng, 7, 7), "svd"),
+    }
+
+
+SQUARE_CASES = square_cases()
+
+
+def hermitian_rule(c):
+    """The Hermitian test at a moderate scale, where neither norm under- or
+    overflows."""
+    return np.linalg.norm(c - np.conj(c.T)) <= len(c) * EPS * np.linalg.norm(c)
+
+
+class TestSquareSvd:
+    @pytest.mark.parametrize("name", SQUARE_CASES)
+    def test_path_follows_the_rule(self, name):
+        c, path = SQUARE_CASES[name]
+        assert hermitian_rule(c) == (path == "eigh")
+        for vectors in (False, True):
+            assert square_svd(c, vectors)[3] == path
+            assert core_spectrum(np.eye(len(c)), c, np.eye(len(c)), vectors).decomposition == path
+
+    @pytest.mark.parametrize("name", SQUARE_CASES)
+    def test_values_rank_and_singular_match_svd(self, name):
+        c, _ = SQUARE_CASES[name]
+        n = len(c)
+        reference = np.linalg.svd(c, compute_uv=False)
+        rank = np.count_nonzero(reference > DEFAULT_RANK_TOL * reference[0]) if reference[0] else 0
+        for vectors in (False, True):
+            s = square_svd(c, vectors)[1]
+            assert np.all(s[:-1] >= s[1:])
+            assert np.abs(s - reference).max() <= n * EPS * reference[0]
+            spectrum = core_spectrum(np.eye(n), c, np.eye(n), vectors)
+            assert spectrum.values.size == rank
+            assert (spectrum.values.size < n) == (rank < n)
+
+    @pytest.mark.parametrize("name", SQUARE_CASES)
+    def test_pseudo_inverse_matches_numpy(self, name):
+        c, _ = SQUARE_CASES[name]
+        n = len(c)
+        u, s, vh, _ = square_svd(c, vectors=True)
+        assert np.abs((u * s) @ vh - c).max() <= 10 * n * EPS * max(s[0], 1e-300)
+        dagger = core_spectrum(np.eye(n), c, np.eye(n), factors=True).pinv_apply(np.eye(n))
+        reference = np.linalg.pinv(c, rcond=DEFAULT_RANK_TOL)
+        assert dagger.dtype == reference.dtype
+        assert np.abs(dagger - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("name", ["non_hermitian", "complex_non_hermitian", "defect_above"])
+    def test_non_hermitian_takes_the_svd_bit_for_bit(self, name):
+        c, _ = SQUARE_CASES[name]
+        for got, ref in zip(square_svd(c, vectors=True), np.linalg.svd(c, full_matrices=False)):
+            assert np.array_equal(got, ref)
+        values = np.linalg.svd(c, compute_uv=False)
+        assert np.array_equal(square_svd(c)[1], values)
+        assert np.array_equal(LinearOperator(c).singular_values, values)
+        spectrum = core_spectrum(np.eye(len(c)), c, np.eye(len(c)))
+        assert np.array_equal(spectrum.values, values[:spectrum.values.size])
+
+    def test_contraction_norm_of_a_non_hermitian_operator_is_the_svd_norm(self, rng):
+        a = np.eye(16) + 0.1 * rng.standard_normal((16, 16))
+        report, _ = finite_section_solve(a, np.ones(16), ProjectionSchedule(make_onb(16)))
+        assert report.contraction_norm == np.linalg.norm(np.eye(16) - a, 2)
+        assert {lv.decomposition for lv in report.levels} == {"svd"}
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    @pytest.mark.parametrize("name", ["real_indefinite", "defect_below", "defect_above",
+                                      "non_hermitian"])
+    def test_rule_holds_at_extreme_scales(self, name, scale):
+        # ||C||_F^2 underflows at 1e-200 and overflows at 1e200 unless the
+        # norms are taken of C scaled by its largest entry
+        c, path = SQUARE_CASES[name]
+        assert hermitian_defect(scale * c) == pytest.approx(hermitian_defect(c), rel=1e-12)
+        _, s, _, decomposition = square_svd(scale * c)
+        assert decomposition == path
+        assert np.allclose(s, scale * square_svd(c)[1], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_takes_the_svd(self, bad):
+        c = np.eye(4)
+        c[1, 1] = bad
+        assert linalg._hermitian_part(c) is None
+        try:
+            reference = np.linalg.svd(c, compute_uv=False)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                square_svd(c)
+        else:
+            assert np.array_equal(square_svd(c)[1], reference, equal_nan=True)
+
+    @pytest.mark.parametrize("method", ["direct", "cg", "richardson"])
+    def test_finite_sections_match_the_svd_path(self, monkeypatch, method):
+        # an indefinite diagonal with zeros: levels are singular where they
+        # hold a zero of the spectrum
+        spectrum = [3, -2, 0, 1, 0.5, -5, 2, 0, 1.5, -1, 4, -0.5, 0, 2.5, -3, 1]
+        op = make_test_operator("diagonal", 16, spectrum=spectrum)
+        y = np.arange(1.0, 17.0) + 0.5j
+        schedule = ProjectionSchedule(make_onb(16), start=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report, x = finite_section_solve(op, y, schedule, method=method)
+            monkeypatch.setattr(linalg, "_hermitian_part", lambda m: None)
+            ref, ref_x = finite_section_solve(op, y, schedule, method=method)
+        assert report.contraction_norm == pytest.approx(ref.contraction_norm, rel=1e-15)
+        assert report.converged == ref.converged
+        assert report.stabilized_at == ref.stabilized_at
+        for got, want in zip(report.levels, ref.levels):
+            assert (got.decomposition, want.decomposition) == ("eigh", "svd")
+            assert got.singular == want.singular
+            assert got.iterations == want.iterations
+            for key in ("inverse_norm", "kappa_dagger"):
+                assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-13)
+        assert any(lv.singular for lv in report.levels)
+        if ref_x is not None:
+            assert np.linalg.norm(x - ref_x) <= 1e-13 * np.linalg.norm(ref_x)
 
 
 # -- admissible weights -------------------------------------------------------

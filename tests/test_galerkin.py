@@ -42,9 +42,9 @@ from locframes.frames import (
     shared_lattice,
 )
 from locframes.galerkin import _range_projection_defect, certificate_probe_norm
-from locframes.linalg import generalized_condition_number, pseudo_inverse
+from locframes.linalg import generalized_condition_number, hermitian_defect, pseudo_inverse
 from locframes.opnorms import weighted_matrix
-from locframes.solver import HERMITIAN_TOL, _hermitian_defect, frame_galerkin_solve
+from locframes.solver import HERMITIAN_TOL, frame_galerkin_solve
 
 from conftest import complex_copy, decaying_generator, dense_twin
 
@@ -473,7 +473,7 @@ class TestFrameGalerkinSpectrum:
         skew = (a - np.conj(a.T)) / np.linalg.norm(a - np.conj(a.T))
         target = factor * HERMITIAN_TOL
         m = h + skew * target * np.linalg.norm(h) / np.sqrt(4 - target**2)
-        assert _hermitian_defect(m) == pytest.approx(target, rel=1e-6)
+        assert hermitian_defect(m) == pytest.approx(target, rel=1e-6)
         g = random_matrix(rng, n, 1)[:, 0]
         f, rep = frame_galerkin_solve(m, g, make_onb(n), method="cg", tol=1e-8)
         assert ("normal equations" in rep.message) == normal_equations

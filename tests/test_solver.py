@@ -534,6 +534,18 @@ def assert_reports_agree(real, cplx, scale):
                 assert abs(getattr(lr, key) - getattr(lc, key)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("method", ["direct", "cg"])
+def test_frame_galerkin_records_the_decomposition(rng, method):
+    frame = make_onb(16)
+    g = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    symmetric = make_test_operator("identity_minus_kernel", 16, theta=0.5)
+    skewed = np.eye(16) + 0.1 * rng.standard_normal((16, 16))
+    for op, path in ((symmetric, "eigh"), (skewed, "svd")):
+        _, rep = frame_galerkin_solve(op, g, frame, method=method)
+        assert rep.converged
+        assert rep.to_dict()["levels"][0]["decomposition"] == path
+
+
 class TestNumberField:
     """Real frames and operators are solved in real arithmetic, with the
     results of the same inputs cast to complex128."""
@@ -606,5 +618,5 @@ class TestNumberField:
         assert main(["solve", "fs", "--n", "32", "--method", method,
                      "--op-kind", "identity_minus_kernel", "--theta", "0.5",
                      "--out-dir", str(tmp_path)]) == 0
-        assert sum(name == "svd" for name, _ in seen) >= 2
+        assert sum(name in ("svd", "eigh", "eigvalsh") for name, _ in seen) >= 2
         assert all(dt == np.float64 for _, dtypes in seen for dt in dtypes), seen
