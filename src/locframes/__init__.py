@@ -59,7 +59,6 @@ from .linalg import (
     generalized_condition_number,
     numerical_rank,
     pseudo_inverse,
-    range_spectrum,
 )
 from .localization import (
     CoorbitSpec,

@@ -38,9 +38,6 @@ class FrameBounds:
     def __repr__(self):
         return f"FrameBounds({self.lower:.6g}, {self.upper:.6g})"
 
-    def to_dict(self):
-        return {"lower": self.lower, "upper": self.upper, "tight": self.tight}
-
 
 class Frame:
     """Finite vector family psi_k, stored as columns of an n x K matrix.
@@ -185,11 +182,19 @@ def analysis_qr(frame: Frame):
             t = np.arange(mf)
             dft = np.exp(-2j * np.pi * ((t[:, None] * t) % mf) / mf) / np.sqrt(mf)
             q = (dft[:, :, None] * q_t.transpose(1, 0, 2)[:, None]).reshape(mt * mf, -1)
-            r = analysis_r_product(frame, np.eye(frame.ambient_dim))
+            r = analysis_r(frame)
         q.setflags(write=False)
         r.setflags(write=False)
         frame._analysis_qr = (q, r)
     return frame._analysis_qr
+
+
+def analysis_r(frame: Frame):
+    """The factor R of ``analysis_qr`` without Q: a Gabor frame forms it from
+    its Walnut blocks, a general frame reads its cached Householder R."""
+    if frame.lattice is None:
+        return analysis_qr(frame)[1]
+    return analysis_r_product(frame, np.eye(frame.ambient_dim))
 
 
 def analysis_r_product(frame: Frame, x, adjoint=False):
@@ -197,7 +202,7 @@ def analysis_r_product(frame: Frame, x, adjoint=False):
     a Gabor frame R = diag_t(R_t) P, and R X is one batched product over the
     mf Walnut blocks R_t, n^2 b flops instead of n^3."""
     if frame.lattice is None:
-        r = analysis_qr(frame)[1]
+        r = analysis_r(frame)
         return x @ np.conj(r.T) if adjoint else r @ x
     if adjoint:
         return np.conj(analysis_r_product(frame, np.conj(x.T)).T)
@@ -214,7 +219,7 @@ def gram_core_spectrum(left: Frame, right: Frame):
     """Singular values, descending, of the Gram core R_l R_r^*: for Gabor
     frames on one lattice those of its mf diagonal blocks R_t^l R_t^r*."""
     if not shared_lattice(left, right):
-        core = analysis_qr(left)[1] @ np.conj(analysis_qr(right)[1].T)
+        core = analysis_r(left) @ np.conj(analysis_r(right).T)
         return np.linalg.svd(core, compute_uv=False)
     blocks = _walnut_qr(left)[1] @ np.conj(_walnut_qr(right)[1].transpose(0, 2, 1))
     return np.sort(np.linalg.svd(blocks, compute_uv=False).ravel())[::-1]

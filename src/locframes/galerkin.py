@@ -17,8 +17,8 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
 )
-from .frames import (Frame, analysis_qr, analysis_r_product, canonical_dual, frame_core,
-                     gram, gram_core_spectrum, mixed_frame_operator)
+from .frames import (Frame, analysis_qr, analysis_r, analysis_r_product, canonical_dual,
+                     frame_core, gram, gram_core_spectrum, mixed_frame_operator)
 from .linalg import field_array, generalized_condition_number, singular_kappa, square_svd
 from .opnorms import exact_operator_norm, space_operator_norm, weighted_matrix
 from .weights import SeqSpaceSpec, seq_norm
@@ -479,8 +479,7 @@ def _range_projection_defect(dagger: GalerkinMatrix, m: GalerkinMatrix):
     dagger M and G share the outer factors Q_{dual psi} and Q_psi^*, so
     both norms are those of n x n cores.
     """
-    projection = (analysis_qr(dagger.left_frame)[1]
-                  @ np.conj(analysis_qr(m.right_frame)[1].T))
+    projection = analysis_r(dagger.left_frame) @ np.conj(analysis_r(m.right_frame).T)
     residual = np.linalg.norm(_core_product(dagger, m) - projection, 2)
     return float(residual / max(np.linalg.norm(projection, 2), 1.0))
 

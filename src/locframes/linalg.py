@@ -1,7 +1,8 @@
 """SVD-based pseudo-inversion and generalized condition numbers.
 
 Galerkin and Gram matrices V_l^* X V_r of two frames, and finite
-sections P_N A P_N, are decomposed in their ranges, see ``range_spectrum``.
+sections P_N A P_N, are decomposed through their small cores, see
+``core_spectrum``.
 A square matrix that is Hermitian to rounding takes its singular values
 from one Hermitian eigendecomposition, see ``square_svd``.
 """
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidInputError
+from .errors import InvalidInputError
 
 DEFAULT_RANK_TOL = 1e-10
 EPS = np.finfo(float).eps
@@ -116,17 +117,15 @@ def generalized_condition_number(m):
 
 
 @dataclass(frozen=True)
-class RangeSpectrum:
-    """Nonzero singular values of A = Q_l C Q_r^* and, on request, A^+.
+class CoreSpectrum:
+    """Nonzero singular values of a square core C and, on request, C^+.
 
-    ``core`` is C; ``values`` are its singular values above the relative
-    rank cutoff, descending.  ``decomposition`` is the path ``square_svd``
-    took on C, ``"eigh"`` or ``"svd"``.
+    ``values`` are the singular values of C above the relative rank
+    cutoff, descending.  ``decomposition`` is the path ``square_svd`` took
+    on C, ``"eigh"`` or ``"svd"``.
     """
 
     values: np.ndarray
-    q_left: np.ndarray
-    q_right: np.ndarray
     core: np.ndarray
     decomposition: str
     u: np.ndarray = None
@@ -138,45 +137,25 @@ class RangeSpectrum:
         return singular_kappa(self.values)
 
     def pinv_apply(self, b):
-        """A^+ b = Q_r C^+ Q_l^* b; needs the factors."""
+        """C^+ b; needs the factors."""
         if self.u is None:
             raise InvalidInputError("spectrum was computed without factors")
         k = self.values.size
-        y = np.conj(self.u[:, :k].T) @ (np.conj(self.q_left.T) @ b)
+        y = np.conj(self.u[:, :k].T) @ b
         y = y / self.values.reshape((k,) + (1,) * (y.ndim - 1))
-        return self.q_right @ (np.conj(self.vh[:k].T) @ y)
+        return np.conj(self.vh[:k].T) @ y
 
 
-def range_spectrum(left, right, x=None, factors=False):
-    """Spectrum of Q_l R_l X R_r^* Q_r^* from its small core R_l X R_r^*.
+def core_spectrum(core, factors=False):
+    """Spectrum of a square core C, decomposed once by ``square_svd``.
 
-    ``left`` and ``right`` are pairs (Q, R), Q with orthonormal columns:
-    the thin QR factors V^* = Q R of a frame's analysis matrix, which give
-    the Galerkin matrix V_l^* X V_r, or (Q_N, Q_N^*) for an orthonormal
-    basis Q_N of a subspace, which give the section P_N X P_N.  ``x``
-    defaults to the identity (a cross-Gram matrix).  Only the core is
-    decomposed.  With ``factors`` its singular vectors are kept so that
-    the pseudo-inverse can be applied.  The rank cutoff is
-    ``DEFAULT_RANK_TOL`` relative to the largest singular value.
+    The Galerkin matrix V_l^* X V_r = Q_l (R_l X R_r^*) Q_r^* of two frames
+    with analysis QRs V^* = Q R, and the finite section P_N A P_N =
+    Q_N (Q_N^* A Q_N) Q_N^*, carry exactly the nonzero singular values of
+    their cores; callers lift core solutions with their own factors.  With
+    ``factors`` the singular vectors are kept so that the pseudo-inverse
+    can be applied.  The rank cutoff is ``DEFAULT_RANK_TOL`` relative to
+    the largest singular value.
     """
-    (q_l, r_l), (q_r, r_r) = left, right
-    n_l, n_r = r_l.shape[1], r_r.shape[1]
-    if x is None:
-        if n_l != n_r:
-            raise DimensionMismatchError(f"ambient dims differ: {n_l} vs {n_r}")
-        core = r_l @ np.conj(r_r.T)
-    else:
-        x = np.asarray(x)
-        if x.shape != (n_l, n_r):
-            raise DimensionMismatchError(
-                f"operator {x.shape} does not map {n_r} -> {n_l}"
-            )
-        core = r_l @ x @ np.conj(r_r.T)
-    return core_spectrum(q_l, core, q_r, factors)
-
-
-def core_spectrum(q_left, core, q_right, factors=False):
-    """``range_spectrum`` of Q_l C Q_r^* for a core C the caller has formed,
-    decomposed by ``square_svd``."""
     u, s, vh, decomposition = square_svd(core, vectors=factors)
-    return RangeSpectrum(s[:_rank(s)], q_left, q_right, core, decomposition, u, vh)
+    return CoreSpectrum(s[:_rank(s)], core, decomposition, u, vh)

@@ -19,7 +19,8 @@ from .algebras import (
     weight_admissible,
 )
 from .errors import ContractError, InsufficientDataError, NotLocalizedError
-from .frames import Frame, analysis, canonical_dual, frame_bounds, gram, synthesis
+from .frames import (Frame, analysis, canonical_dual, frame_bounds, gram, shared_lattice,
+                     synthesis)
 from .indexing import IndexSet, ShellPartition
 from .linalg import pseudo_inverse
 from .weights import (
@@ -137,11 +138,10 @@ def gram_magnitudes(left: Frame, right: Frame):
     """|G(left, right)|: a ``LatticeProfile`` for a lattice pair, else a
     ``DenseMagnitudes``.
 
-    A lattice pair is two frames with the same ``lattice`` (a, b) that
+    A lattice pair is two frames with a ``shared_lattice`` (a, b) that
     share one index set laid out as ``IndexSet.torus_grid(n/a, n/b)``.
     """
-    if (left.lattice is not None and left.lattice == right.lattice
-            and left.index_set is right.index_set):
+    if shared_lattice(left, right) and left.index_set is right.index_set:
         n, (a, b) = left.ambient_dim, left.lattice
         if left.index_set.is_torus_grid(n // a, n // b):
             return LatticeProfile(left, right)
@@ -253,15 +253,6 @@ class TransitivityReport:
     constant: float
     holds: bool
     duality_residual: float
-
-    def to_dict(self):
-        return {
-            "hypothesis_norms": list(self.hypothesis_norms),
-            "conclusion_norm": self.conclusion_norm,
-            "constant": self.constant,
-            "holds": self.holds,
-            "duality_residual": self.duality_residual,
-        }
 
 
 def transitivity_check(psi, phi, phi_dual, xi, alg: MatrixAlgebraSpec):

@@ -6,8 +6,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, InvalidInputError
-from .frames import Frame, analysis, analysis_qr, frame_core, synthesis
+from .errors import ContractError, DimensionMismatchError, InvalidInputError
+from .frames import Frame, analysis, analysis_r, frame_core
 # galerkin_matrix is re-exported: callers import it from this module
 from .galerkin import LinearOperator, as_operator, galerkin_matrix  # noqa: F401
 from .indexing import IndexSet
@@ -153,7 +153,10 @@ class LevelRecord:
     inverse_norm: float = None
     iterations: int = 0
     kappa_dagger: float = None
+    # the level's core is rank-deficient
     singular: bool = False
+    # the Richardson iteration ran away on the level
+    diverged: bool = False
     # the path square_svd took on the level's core: "eigh" or "svd"
     decomposition: str = None
 
@@ -309,28 +312,23 @@ def richardson_solve(m, b, relaxation, tol=1e-10, max_iter=None):
 
 
 def solve_system(spectrum, b, method, tol):
-    """Solve A c = b for A = Q_l C Q_r^* given by its ``range_spectrum``.
+    """Solve C c = b for the core C of a ``core_spectrum``.
 
     ``direct`` applies the pseudo-inverse; ``cg`` and ``richardson`` run
-    on the r x r core C with right side Q_l^* b, and the result is lifted
-    back with Q_r.  CG takes the normal equations when C fails its
-    Hermitian test, which Q does not change; Richardson relaxes
-    with 2 / (sigma_max + sigma_min) over the nonzero singular values.
+    on C.  CG takes the normal equations when C fails its Hermitian test;
+    Richardson relaxes with 2 / (sigma_max + sigma_min) over the nonzero
+    singular values.  The caller maps its right side into the core's
+    coordinates and lifts the solution back.
     """
     if method == "direct":
         return IterationResult(spectrum.pinv_apply(b), 0, True)
-    core = spectrum.core
-    rhs = np.conj(spectrum.q_left.T) @ b
     if method == "cg":
-        res = cg_solve(core, rhs, tol=tol)
-    elif method == "richardson":
+        return cg_solve(spectrum.core, b, tol=tol)
+    if method == "richardson":
         s = spectrum.values
         relaxation = 2.0 / (s[0] + s[-1]) if s.size else 1.0
-        res = richardson_solve(core, rhs, relaxation, tol=tol)
-    else:
-        raise InvalidInputError(f"unknown method {method!r}")
-    res.c = spectrum.q_right @ res.c
-    return res
+        return richardson_solve(spectrum.core, b, relaxation, tol=tol)
+    raise InvalidInputError(f"unknown method {method!r}")
 
 
 # -- finite sections ----------------------------------------------------------
@@ -342,13 +340,13 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
 
     Each level's section is Q_N C Q_N^* with the core C = Q_N^* A Q_N, which
     carries exactly the nonzero singular values of P_N A P_N; its spectrum
-    gives the singular flag, the inverse norm and the generalized condition
-    number, and ``solve_system`` solves the level.  Residuals and errors
-    against a dense reference solution are recorded.  A level whose
-    compressed system is numerically singular is flagged and the schedule
-    continues.  The last section is A itself: when it is numerically
-    singular, no reference is computed and ``error`` stays None, unless
-    the caller passed ``reference``.
+    gives the singular flag (a rank below N), the inverse norm and the
+    generalized condition number, and ``solve_system`` solves C c = Q_N^* y
+    for x = Q_N c.  Residuals and errors against a dense reference solution
+    are recorded.  A level that is singular, or whose iteration diverges,
+    is flagged and the schedule continues.  The last section is A itself:
+    when it is numerically singular, no reference is computed and
+    ``error`` stays None, unless the caller passed ``reference``.
     """
     a = as_operator(a)
     y = np.asarray(y, dtype=complex)
@@ -366,7 +364,7 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
     )
     solutions = []
     for lv, q in zip(schedule.levels, schedule.bases):
-        spectrum = core_spectrum(q, _section_core(q, dense), q,
+        spectrum = core_spectrum(_section_core(q, dense),
                                  factors=method == "direct")
         s = spectrum.values
         deficient = bool(s.size < q.shape[1])
@@ -377,15 +375,13 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
             rec.kappa_dagger = spectrum.kappa
         x = None
         try:
-            res = solve_system(spectrum, y, method, tol * 1e-2)
-            rec.iterations = res.iterations
+            res = solve_system(spectrum, np.conj(q.T) @ y, method, tol * 1e-2)
+            rec.iterations, rec.diverged = res.iterations, res.diverged
             if not res.diverged:
-                x = res.c
+                x = q @ res.c
         except ContractError:
             pass
-        if x is None:
-            rec.singular = True
-        else:
+        if x is not None:
             rec.residual = float(np.linalg.norm(dense @ x - y))
         solutions.append(x)
         report.levels.append(rec)
@@ -437,26 +433,29 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
 def frame_galerkin_solve(op, g, phi: Frame, method="cg", tol=DEFAULT_TOL):
     """Solve O f = g through the frame system matrix M(phi,phi)(O).
 
-    The right side C_phi g lies in the range of the analysis operator,
-    where the singular system matrix is uniquely solvable; the ambient
-    solution is synthesized from the range solution.  M is never
-    assembled: its spectrum is computed once, in that n-dimensional range,
-    and gives kappa^dagger, and ``solve_system`` solves on its core.  The
-    final check compares ||O f - g|| against the requested tolerance.
+    With the analysis QR V^* = Q R, M = Q (R O R^*) Q^*, and the right
+    side C_phi g = Q R g lies in the range of Q, where the singular system
+    matrix is uniquely solvable.  M is never assembled, nor is Q: the
+    spectrum of the n x n core R O R^* gives kappa^dagger,
+    ``solve_system`` solves the core with right side R g, and the ambient
+    solution is f = V Q c = R^* c.  The final check compares ||O f - g||
+    against the requested tolerance.
     """
     op = as_operator(op)
     g = np.asarray(g, dtype=complex)
-    q = analysis_qr(phi)[0]
-    spectrum = core_spectrum(q, frame_core(phi, phi, op.dense()), q,
-                             factors=method == "direct")
+    if g.shape != (phi.ambient_dim,):
+        raise DimensionMismatchError(
+            f"vector of length {g.shape} against ambient dim {phi.ambient_dim}")
+    spectrum = core_spectrum(frame_core(phi, phi, op.dense()), factors=method == "direct")
     kappa = spectrum.kappa  # a zero operator has none and is rejected here
-    res = solve_system(spectrum, analysis(phi, g), method, min(tol * 1e-2, 1e-10))
-    f = synthesis(phi, res.c)
+    r = analysis_r(phi)
+    res = solve_system(spectrum, r @ g, method, min(tol * 1e-2, 1e-10))
+    f = np.conj(r.T) @ res.c
     residual = float(np.linalg.norm(op.apply(f) - g))
     rel = residual / max(np.linalg.norm(g), 1e-300)
     level = LevelRecord(size=phi.size, residual=residual,
                         iterations=res.iterations, kappa_dagger=kappa,
-                        decomposition=spectrum.decomposition)
+                        diverged=res.diverged, decomposition=spectrum.decomposition)
     report = SolveReport(
         method=method,
         converged=bool(rel <= tol and res.converged and not res.diverged),

@@ -27,10 +27,11 @@ from locframes import (
     make_onb,
     make_perturbed_onb,
     make_translates_frame,
-    range_spectrum,
     riesz_bounds,
     synthesis,
 )
+from locframes.frames import analysis_r, frame_core
+from locframes.linalg import core_spectrum
 from locframes.opnorms import (
     exact_operator_norm,
     rayleigh_lower_l2,
@@ -376,6 +377,16 @@ class TestGaborStructure:
         assert np.linalg.norm(np.conj(q.T) @ q - np.eye(q.shape[1]), 2) <= 1e-13
         assert not q.flags.writeable and not r.flags.writeable
 
+    def test_r_without_q(self, gabor_twins):
+        # a Gabor frame forms R from its Walnut blocks and leaves the
+        # analysis QR unformed; a dense frame reads the R of its QR
+        frame, dense = gabor_twins
+        fresh = Frame(frame.vectors, frame.index_set, lattice=frame.lattice)
+        r = analysis_r(fresh)
+        assert fresh._analysis_qr is None
+        assert np.array_equal(r, analysis_qr(fresh)[1])
+        assert analysis_r(dense) is analysis_qr(dense)[1]
+
     def test_critical_gaussian_rank_matches_dense(self):
         frame = make_gabor_frame(16, 4, 4, gaussian_window(16))
         ranks = []
@@ -420,7 +431,8 @@ class TestNumberField:
             assert real == pytest.approx(cplx, rel=1e-12)
         dual, dual_twin = canonical_dual(frame).vectors, canonical_dual(twin).vectors
         assert np.linalg.norm(dual - dual_twin) <= 1e-12 * np.linalg.norm(dual)
-        spectra = [range_spectrum(analysis_qr(f), analysis_qr(f)) for f in (frame, twin)]
+        spectra = [core_spectrum(frame_core(f, f, np.eye(f.ambient_dim)))
+                   for f in (frame, twin)]
         assert spectra[0].core.dtype == np.float64
         assert spectra[0].values.shape == spectra[1].values.shape
         assert np.allclose(spectra[0].values, spectra[1].values, rtol=1e-12, atol=0)

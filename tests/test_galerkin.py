@@ -30,7 +30,6 @@ from locframes import (
     matrixrep_norm_bound,
     operator_from_matrix,
     operator_norm_bound,
-    range_spectrum,
     roundtrip_check,
     schur_certificate,
     seq_norm,
@@ -42,7 +41,8 @@ from locframes.frames import (
     shared_lattice,
 )
 from locframes.galerkin import _range_projection_defect, certificate_probe_norm
-from locframes.linalg import generalized_condition_number, hermitian_defect, pseudo_inverse
+from locframes.linalg import (core_spectrum, generalized_condition_number, hermitian_defect,
+                              pseudo_inverse)
 from locframes.opnorms import weighted_matrix
 from locframes.solver import HERMITIAN_TOL, frame_galerkin_solve
 
@@ -489,7 +489,7 @@ class TestGaborStructureAgreesWithDense:
         op = make_test_operator("identity_minus_kernel", gabor_twins[0].ambient_dim,
                                 theta=0.5).dense()
         structured, dense = (
-            range_spectrum(analysis_qr(f), analysis_qr(canonical_dual(f)), op).values
+            core_spectrum(frame_core(f, canonical_dual(f), op)).values
             for f in gabor_twins
         )
         assert structured.shape == dense.shape
@@ -602,7 +602,7 @@ class TestFactoredDiagnosticsAgreeWithDense:
         op = make_test_operator("identity_minus_kernel", frame.ambient_dim,
                                 theta=0.5).dense()
         structured = np.linalg.svd(frame_core(frame, frame, op), compute_uv=False)
-        reference = range_spectrum(analysis_qr(dense), analysis_qr(dense), op).values
+        reference = core_spectrum(frame_core(dense, dense, op)).values
         assert structured.shape == reference.shape
         assert np.max(np.abs(structured - reference)) <= 1e-12 * reference[0]
 

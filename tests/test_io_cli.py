@@ -257,6 +257,25 @@ class TestCLI:
         assert [lv["error"] for lv in rep["levels"]] == [None, None]
         assert rep["levels"][-1]["singular"]
 
+    @pytest.mark.parametrize("method", ["direct", "richardson"])
+    def test_solve_fs_divergence_is_not_singularity(self, tmp_path, method):
+        # every centered section of this diagonal is invertible and
+        # indefinite, with inverse norms 4 and 8: the relaxation
+        # 2 / (sigma_max + sigma_min) cannot contract on them, so Richardson
+        # diverges on both levels where direct solves them
+        spectrum = "1,-2,0.5,3,-0.25,4,-1.5,2,1,-3,0.75,2.5,-0.5,1.25,-4,0.125"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            code = run_cli("solve", "fs", "--n", "16", "--op-kind", "diagonal",
+                           f"--spectrum={spectrum}", "--method", method,
+                           "--out-dir", tmp_path)
+        diverged = method == "richardson"
+        assert code == (3 if diverged else 0)
+        levels = json.loads((tmp_path / "solve_fs.json").read_text())["levels"]
+        assert [(lv["singular"], lv["diverged"]) for lv in levels] == [(False, diverged)] * 2
+        assert [lv["inverse_norm"] for lv in levels] == [4.0, 8.0]
+        assert (tmp_path / "solution_fs.npy").exists() is not diverged
+
     def test_solve_fg_identity(self, tmp_path):
         run_cli("frame", "build", "--kind", "onb", "--n", "16",
                 "--out-dir", tmp_path)

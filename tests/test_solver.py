@@ -1,6 +1,7 @@
 """Subframe projections, finite sections, frame-Galerkin solves, iterations."""
 
 import inspect
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -470,6 +471,31 @@ class TestFrameGalerkinSolve:
             warnings.simplefilter("error", UserWarning)
             f, rep = frame_galerkin_solve(op, g, frame, method="richardson")
         assert rep.converged
+
+    def test_richardson_divergence_is_recorded(self, rng):
+        # invertible and indefinite: 2 / (sigma_max + sigma_min) cannot contract
+        a = make_test_operator("diagonal", 16, spectrum=(-1.0) ** np.arange(16) + 0.5)
+        with pytest.warns(UserWarning, match="diverge"):
+            _, rep = frame_galerkin_solve(a, rng.standard_normal(16) + 0j, make_onb(16),
+                                          method="richardson")
+        level = rep.levels[0]
+        assert level.diverged and not level.singular and not rep.converged
+
+    @pytest.mark.parametrize("method", ["cg", "direct", "richardson"])
+    def test_gabor_solve_forms_no_k_by_n_array(self, rng, method):
+        # K = 4096, n = 256: one K x n complex array is 16 MB; the solve
+        # works on the n x n core and lifts with R, never with Q
+        frame = make_gabor_frame(256, 4, 4, gaussian_window(256))
+        op = make_test_operator("identity_minus_kernel", 256, theta=0.5)
+        g = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        tracemalloc.start()
+        try:
+            _, rep = frame_galerkin_solve(op, g, frame, method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert peak < frame.size * frame.ambient_dim * 16
 
     def test_non_hermitian_operator_flags_normal_equations(self, suite_frames, rng):
         frame = suite_frames["gabor16"]
