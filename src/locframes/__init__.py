@@ -26,7 +26,7 @@ from .frames import (
     Frame,
     FrameBounds,
     analysis,
-    analysis_qr,
+    analysis_r,
     canonical_dual,
     frame_bounds,
     frame_operator,

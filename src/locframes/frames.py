@@ -45,8 +45,9 @@ class Frame:
     Immutable; the canonical operators are computed once on first use and
     frozen (safe to share across threads afterwards).  ``lattice`` is
     (a, b) when the vectors are exactly ``gabor_system(vectors[:, 0], a, b)``;
-    the analysis QR, the bounds and the dual then factor through the
-    frame's Walnut blocks instead of dense n x n and K x n work.
+    R, the bounds and the dual then factor through the frame's Walnut
+    blocks.  The one factorization a frame holds (``_r``) is R of V^* = Q R,
+    Q never formed: the Walnut R_t of a Gabor frame, else the Householder R.
     """
 
     def __init__(self, vectors, index_set: IndexSet, name="frame", meta=None,
@@ -72,11 +73,10 @@ class Frame:
         self.name = name
         self.meta = dict(meta or {})
         self.lattice = lattice
-        self._walnut = None
+        self._r = None
         self._frame_op = None
         self._bounds = None
         self._dual = None
-        self._analysis_qr = None
 
     @property
     def ambient_dim(self):
@@ -146,11 +146,14 @@ def _walnut_blocks(frame: Frame):
     return np.sqrt(mf) * np.conj(frame.vectors[x, 0])
 
 
-def _walnut_qr(frame: Frame):
-    """Batched QR B_t = Q_t R_t of the Walnut blocks: Q (mf x mt x b), R (mf x b x b)."""
-    if frame._walnut is None:
-        frame._walnut = np.linalg.qr(_walnut_blocks(frame))
-    return frame._walnut
+def _r_factor(frame: Frame):
+    """The cached R: the R_t (mf x b x b) of a Gabor frame's Walnut blocks
+    B_t = Q_t R_t, or the Householder R of V^* = Q R; Q is never formed."""
+    if frame._r is None:
+        v = np.conj(frame.vectors.T) if frame.lattice is None else _walnut_blocks(frame)
+        frame._r = np.linalg.qr(v, mode="r")
+        frame._r.setflags(write=False)
+    return frame._r
 
 
 def _grouped(x, mf):
@@ -164,41 +167,18 @@ def shared_lattice(left: Frame, right: Frame):
         (left.lattice, left.ambient_dim) == (right.lattice, right.ambient_dim))
 
 
-def analysis_qr(frame: Frame):
-    """Factorization V^* = Q R of the analysis matrix, Q with orthonormal columns.
-
-    Q is K x r and R is r x n, r = min(K, n), so Q spans the range of the
-    analysis operator whenever the family spans C^n.  R is upper
-    triangular (Householder QR) for a general frame.  For a Gabor frame
-    R is block-sparse: Q[(m, j), (t, p)] = e^{-2 pi i j t / mf} Q_t[m, p] / sqrt(mf)
-    and R[(t, p), t + p' mf] = R_t[p, p'] from the Walnut blocks.
-    """
-    if frame._analysis_qr is None:
-        if frame.lattice is None:
-            q, r = np.linalg.qr(np.conj(frame.vectors.T))
-        else:
-            q_t = _walnut_qr(frame)[0]
-            mf, mt = q_t.shape[:2]
-            t = np.arange(mf)
-            dft = np.exp(-2j * np.pi * ((t[:, None] * t) % mf) / mf) / np.sqrt(mf)
-            q = (dft[:, :, None] * q_t.transpose(1, 0, 2)[:, None]).reshape(mt * mf, -1)
-            r = analysis_r(frame)
-        q.setflags(write=False)
-        r.setflags(write=False)
-        frame._analysis_qr = (q, r)
-    return frame._analysis_qr
-
-
 def analysis_r(frame: Frame):
-    """The factor R of ``analysis_qr`` without Q: a Gabor frame forms it from
-    its Walnut blocks, a general frame reads its cached Householder R."""
+    """The factor R (r x n, r = min(K, n)) of the analysis matrix V^* = Q R,
+    Q with orthonormal columns, which is never formed.  A general frame
+    reads its cached Householder R; a Gabor frame forms the block-sparse
+    R[(t, p), t + p' mf] = R_t[p, p'] from its Walnut R_t."""
     if frame.lattice is None:
-        return analysis_qr(frame)[1]
+        return _r_factor(frame)
     return analysis_r_product(frame, np.eye(frame.ambient_dim))
 
 
 def analysis_r_product(frame: Frame, x, adjoint=False):
-    """R X, or X R^* with ``adjoint``, for the factor R of ``analysis_qr``: for
+    """R X, or X R^* with ``adjoint``, for the factor R of ``analysis_r``: for
     a Gabor frame R = diag_t(R_t) P, and R X is one batched product over the
     mf Walnut blocks R_t, n^2 b flops instead of n^3."""
     if frame.lattice is None:
@@ -206,7 +186,7 @@ def analysis_r_product(frame: Frame, x, adjoint=False):
         return x @ np.conj(r.T) if adjoint else r @ x
     if adjoint:
         return np.conj(analysis_r_product(frame, np.conj(x.T)).T)
-    r_t = _walnut_qr(frame)[1]
+    r_t = _r_factor(frame)
     return (r_t @ _grouped(x, len(r_t))).reshape(frame.ambient_dim, -1)
 
 
@@ -221,7 +201,7 @@ def gram_core_spectrum(left: Frame, right: Frame):
     if not shared_lattice(left, right):
         core = analysis_r(left) @ np.conj(analysis_r(right).T)
         return np.linalg.svd(core, compute_uv=False)
-    blocks = _walnut_qr(left)[1] @ np.conj(_walnut_qr(right)[1].transpose(0, 2, 1))
+    blocks = _r_factor(left) @ np.conj(_r_factor(right).transpose(0, 2, 1))
     return np.sort(np.linalg.svd(blocks, compute_uv=False).ravel())[::-1]
 
 
@@ -252,7 +232,7 @@ def frame_bounds(frame: Frame):
         if frame.lattice is None:
             w = np.linalg.eigvalsh(frame_operator(frame))
         else:
-            s = np.linalg.svd(_walnut_qr(frame)[1], compute_uv=False)
+            s = np.linalg.svd(_r_factor(frame), compute_uv=False)
             w = np.sort(s.ravel() ** 2)
         lmin, lmax = float(w[0]), float(w[-1])
         if lmax <= 0 or lmin <= BOUND_RANK_TOL * lmax:
@@ -268,8 +248,8 @@ def frame_bounds(frame: Frame):
 
 def _walnut_dual_window(frame: Frame):
     """gamma = S^{-1} w for the window w: gamma_t = R_t^{-1} R_t^{-*} w_t,
-    with w_t[p] = w[t + p mf] as in ``_walnut_qr``."""
-    r_t = _walnut_qr(frame)[1]
+    with w_t[p] = w[t + p mf] as in ``_walnut_blocks``."""
+    r_t = _r_factor(frame)
     mf, b = r_t.shape[:2]
     w_t = frame.vectors[:, 0].reshape(b, mf).T[:, :, None]
     half = np.linalg.solve(np.conj(r_t.transpose(0, 2, 1)), w_t)
@@ -342,7 +322,9 @@ def gaussian_window(n, width=None):
     """Periodized, l^2-normalized Gaussian on Z_n.
 
     ``width`` is the standard-width parameter; the default sqrt(n) is the
-    self-dual choice for square time-frequency lattices.
+    self-dual choice for square time-frequency lattices.  Entries below
+    tiny / eps^2 are zero, so that no slow subnormal enters the window or
+    its modulations (at the default width, from n = 810 on).
     """
     if n < 1:
         raise InvalidInputError(f"window length must be positive, got {n}")
@@ -354,7 +336,9 @@ def gaussian_window(n, width=None):
     g = np.zeros(n)
     for j in range(-3, 4):
         g += np.exp(-np.pi * (x + j * n) ** 2 / width**2)
-    return g / np.linalg.norm(g)
+    g /= np.linalg.norm(g)
+    g[g < np.finfo(float).tiny / np.finfo(float).eps ** 2] = 0.0
+    return g
 
 
 def make_onb(n, name="onb"):

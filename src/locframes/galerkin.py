@@ -17,8 +17,8 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
 )
-from .frames import (Frame, analysis_qr, analysis_r, analysis_r_product, canonical_dual,
-                     frame_core, gram, gram_core_spectrum, mixed_frame_operator)
+from .frames import (Frame, analysis_r, analysis_r_product, canonical_dual, frame_core,
+                     gram, gram_core_spectrum, mixed_frame_operator)
 from .linalg import field_array, generalized_condition_number, singular_kappa, square_svd
 from .opnorms import exact_operator_norm, space_operator_norm, weighted_matrix
 from .weights import SeqSpaceSpec, seq_norm
@@ -84,10 +84,10 @@ def as_operator(op):
 class GalerkinMatrix:
     """Matrix <O xi_l, phi_k> with its generating frames and operator.
 
-    With the frames' analysis QRs V^* = Q R the matrix equals
-    ``q_left @ core @ q_right^*``, where Q has orthonormal columns and the
-    core R_left O R_right^* is at most n x n.  The sequence spaces it acts
-    between are not part of it: ``schur_certificate`` takes their weights.
+    With the frames' analysis factors V^* = Q R (``analysis_r``; Q is never
+    formed) the matrix equals Q_left core Q_right^*, with the at most n x n
+    core R_left O R_right^*.  The sequence spaces it acts between are not
+    part of it: ``schur_certificate`` takes their weights.
     """
 
     entries: np.ndarray
@@ -104,27 +104,22 @@ class GalerkinMatrix:
         """The ambient dimension, which the rank cannot exceed."""
         return min(self.left_frame.ambient_dim, self.right_frame.ambient_dim)
 
-    @property
-    def q_left(self):
-        return analysis_qr(self.left_frame)[0]
-
-    @property
-    def q_right(self):
-        return analysis_qr(self.right_frame)[0]
-
     @cached_property
     def core(self):
         return frame_core(self.left_frame, self.right_frame, self.generator.dense())
 
     def idempotency_residual(self):
-        """||M M - M||_2 = ||C (Q_right^* Q_left) C - C||_2 for the core C."""
+        """||M M - M||_2 = ||R_l O (V_r V_l^*) O R_r^* - C||_2 for the core C."""
         return float(np.linalg.norm(_core_product(self, self) - self.core, 2))
 
 
 def _core_product(first: GalerkinMatrix, second: GalerkinMatrix):
-    """Core of ``first.entries @ second.entries`` between first.q_left and
-    second.q_right: C_1 (Q_1r^* Q_2l) C_2."""
-    return first.core @ (np.conj(first.q_right.T) @ second.q_left) @ second.core
+    """Core of ``first.entries @ second.entries``, C_1 (Q_1r^* Q_2l) C_2 =
+    R_1l O_1 (V_1r V_2l^*) O_2 R_2r^*: no inverse of R, so K < n is fine,
+    and on a lattice pair the middle factor is block-diagonal."""
+    o1, o2 = first.generator.dense(), second.generator.dense()
+    middle = mixed_frame_operator(first.right_frame, second.left_frame, o2)
+    return frame_core(first.left_frame, second.right_frame, o1 @ middle)
 
 
 def _check_maps(op, left: Frame, right: Frame):

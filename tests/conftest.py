@@ -6,6 +6,7 @@ import pytest
 from locframes import (
     Frame,
     IndexSet,
+    analysis_r,
     gaussian_window,
     make_gabor_frame,
     make_onb,
@@ -32,6 +33,12 @@ def mercedes_frame():
 def complex_copy(frame):
     """The frame with its vectors cast to complex128."""
     return Frame(frame.vectors.astype(complex), frame.index_set, name=frame.name)
+
+
+def analysis_q(frame):
+    """Q = V^* R^+ of the analysis matrix V^* = Q R, which the package never
+    forms: for lifting an n x n core back to K x K."""
+    return np.conj(frame.vectors.T) @ np.linalg.pinv(analysis_r(frame))
 
 
 def dense_twin(frame):

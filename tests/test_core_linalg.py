@@ -5,14 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import decaying_generator
+from conftest import analysis_q, decaying_generator
 from locframes import (
     InsufficientDataError,
     InvalidInputError,
     MatrixAlgebraSpec,
     SeqSpaceSpec,
     Weight,
-    analysis_qr,
+    analysis_r,
     canonical_dual,
     decay_fit,
     dual_pairing,
@@ -396,7 +396,7 @@ def assert_core_spectrum_matches_dense(left, right, x):
     assert np.abs(spec.values - s[:rank]).max() <= 1e-12 * s[0]
     assert spec.kappa == pytest.approx(generalized_condition_number(dense), rel=1e-12)
     dagger = pseudo_inverse(dense)
-    core_dagger = analysis_qr(right)[0] @ spec.pinv_apply(np.conj(analysis_qr(left)[0].T))
+    core_dagger = analysis_q(right) @ spec.pinv_apply(np.conj(analysis_q(left).T))
     assert np.abs(core_dagger - dagger).max() <= 1e-12 * np.abs(dagger).max()
 
 
@@ -437,11 +437,16 @@ class TestRangeSpectrum:
         assert_core_spectrum_matches_dense(gab, riesz_sequence(), op)
 
     def test_qr_is_cached_and_frozen(self, suite_frames):
-        frame = suite_frames["gabor16"]
-        q, r = analysis_qr(frame)
-        assert analysis_qr(frame)[0] is q
-        assert q.shape == (32, 16) and r.shape == (16, 16)
-        assert not q.flags.writeable and not r.flags.writeable
+        # a dense frame caches R itself, a Gabor frame its Walnut R_t
+        dense, gabor = suite_frames["ponb"], suite_frames["gabor16"]
+        r = analysis_r(dense)
+        assert analysis_r(dense) is r
+        assert r.shape == (64, 64) and not r.flags.writeable
+        assert analysis_r(gabor).shape == (16, 16)
+        r_t = gabor._r
+        analysis_r(gabor)
+        assert gabor._r is r_t
+        assert r_t.shape == (8, 2, 2) and not r_t.flags.writeable
 
     def test_missing_factors_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -15,7 +15,6 @@ from locframes import (
     SeqSpaceSpec,
     Weight,
     analysis,
-    analysis_qr,
     canonical_dual,
     dual_pairing,
     frame_bounds,
@@ -38,7 +37,8 @@ from locframes.opnorms import (
     weighted_matrix,
 )
 
-from conftest import complex_copy, decaying_generator, dense_twin, mercedes_frame
+from conftest import (analysis_q, complex_copy, decaying_generator, dense_twin,
+                      mercedes_frame)
 
 
 def random_vec(rng, n):
@@ -281,6 +281,19 @@ class TestConstructors:
         assert frame_bounds(frame).tight
         assert a == pytest.approx(16.0)
 
+    def test_gaussian_gabor_frame_holds_no_subnormals(self):
+        # at n = 1024 the Gaussian's tail lies below the smallest normal
+        # double; those entries, and their modulations, are exact zeros
+        def subnormals(z):
+            parts = np.stack([z.real, z.imag])
+            return np.count_nonzero((parts != 0) & (np.abs(parts) < np.finfo(float).tiny))
+
+        frame = make_gabor_frame(1024, 32, 16, gaussian_window(1024))
+        arrays = (gaussian_window(1024), gaussian_window(2048), frame.vectors,
+                  canonical_dual(frame).vectors)
+        assert [subnormals(z) for z in arrays] == [0, 0, 0, 0]
+        assert np.count_nonzero(frame.vectors[:, 0] == 0) > 0
+
     def test_gabor_too_few_vectors(self):
         with pytest.raises(NotAFrameError):
             make_gabor_frame(16, 8, 4, gaussian_window(16))
@@ -368,24 +381,39 @@ class TestGaborStructure:
             assert got == pytest.approx(ref, rel=1e-12)
 
     def test_structured_qr_factors_the_analysis_matrix(self, gabor_twins):
+        # V^* = Q R with orthonormal Q: R^* R = S and V^* R^{-1} is Q
         frame, _ = gabor_twins
-        q, r = analysis_qr(frame)
-        v_star = np.conj(frame.vectors.T)
-        assert q.shape == (frame.size, frame.ambient_dim)
+        r = analysis_r(frame)
         assert r.shape == (frame.ambient_dim, frame.ambient_dim)
-        assert relative_gap(q @ r, v_star) <= 1e-14
+        assert relative_gap(np.conj(r.T) @ r, frame_operator(frame)) <= 1e-14
+        q = analysis_q(frame)
         assert np.linalg.norm(np.conj(q.T) @ q - np.eye(q.shape[1]), 2) <= 1e-13
-        assert not q.flags.writeable and not r.flags.writeable
 
     def test_r_without_q(self, gabor_twins):
-        # a Gabor frame forms R from its Walnut blocks and leaves the
-        # analysis QR unformed; a dense frame reads the R of its QR
+        # a Gabor frame holds the Walnut R_t and forms R from them; a dense
+        # frame caches the frozen R of its Householder QR
         frame, dense = gabor_twins
+        n, b = frame.ambient_dim, frame.lattice[1]
         fresh = Frame(frame.vectors, frame.index_set, lattice=frame.lattice)
         r = analysis_r(fresh)
-        assert fresh._analysis_qr is None
-        assert np.array_equal(r, analysis_qr(fresh)[1])
-        assert analysis_r(dense) is analysis_qr(dense)[1]
+        assert fresh._r.shape == (n // b, b, b)
+        assert not fresh._r.flags.writeable
+        assert np.array_equal(r, analysis_r(frame))
+        r_dense = analysis_r(dense)
+        assert dense._r is r_dense and analysis_r(dense) is r_dense
+        assert r_dense.shape == (n, n) and not r_dense.flags.writeable
+
+    def test_dense_r_peaks_near_one_analysis_matrix(self):
+        # the lattice-free twin of Gabor 256/4/4, K = 4096: V^* and the QR's
+        # workspace, but no K x n Q
+        frame = dense_twin(make_gabor_frame(256, 4, 4, gaussian_window(256)))
+        tracemalloc.start()
+        try:
+            analysis_r(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * frame.vectors.nbytes
 
     def test_critical_gaussian_rank_matches_dense(self):
         frame = make_gabor_frame(16, 4, 4, gaussian_window(16))
@@ -418,8 +446,7 @@ class TestNumberField:
     @pytest.mark.parametrize("name", REAL_FRAMES)
     def test_real_frame_stays_real(self, suite_frames, name):
         frame = suite_frames[name]
-        q, r = analysis_qr(frame)
-        for arr in (frame.vectors, frame_operator(frame), q, r,
+        for arr in (frame.vectors, frame_operator(frame), analysis_r(frame),
                     canonical_dual(frame).vectors, gram(frame, frame)):
             assert arr.dtype == np.float64
 

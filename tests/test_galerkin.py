@@ -1,6 +1,7 @@
 """Galerkin matrix representation, Schur certificates, invertibility."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from locframes import (
     SeqSpaceSpec,
     Weight,
     analysis,
-    analysis_qr,
+    analysis_r,
     bounded_equiv_check,
     canonical_dual,
     compose_rule_check,
@@ -46,7 +47,7 @@ from locframes.linalg import (core_spectrum, generalized_condition_number, hermi
 from locframes.opnorms import weighted_matrix
 from locframes.solver import HERMITIAN_TOL, frame_galerkin_solve
 
-from conftest import complex_copy, decaying_generator, dense_twin
+from conftest import analysis_q, complex_copy, decaying_generator, dense_twin
 
 
 def random_matrix(rng, n, m=None):
@@ -591,10 +592,9 @@ class TestFactoredDiagnosticsAgreeWithDense:
             assert kappa[key] == pytest.approx(dense_kappa[key], rel=1e-12)
         assert kappa["submultiplicative"] == dense_kappa["submultiplicative"]
         gm = galerkin_matrix(op, phi, psi)
-        dense_core = (analysis_qr(phi)[1] @ op.dense()
-                      @ np.conj(analysis_qr(psi)[1].T))
+        dense_core = analysis_r(phi) @ op.dense() @ np.conj(analysis_r(psi).T)
         assert np.linalg.norm(gm.core - dense_core) <= 1e-12 * np.linalg.norm(dense_core)
-        factored = gm.q_left @ gm.core @ np.conj(gm.q_right.T)
+        factored = analysis_q(phi) @ gm.core @ np.conj(analysis_q(psi).T)
         assert np.linalg.norm(factored - gm.entries) <= 1e-12 * np.linalg.norm(gm.entries)
 
     def test_lattice_solve_spectrum_matches_dense_twin(self, gabor_twins):
@@ -612,7 +612,7 @@ class TestFactoredDiagnosticsAgreeWithDense:
         psi = (make_gabor_frame(32, 2, 4, gaussian_window(32)) if other == "lattice"
                else make_translates_frame(32, 1, decaying_generator(32)))
         assert not shared_lattice(phi, psi) and not shared_lattice(psi, phi)
-        core = analysis_qr(phi)[1] @ np.conj(analysis_qr(psi)[1].T)
+        core = analysis_r(phi) @ np.conj(analysis_r(psi).T)
         assert np.array_equal(gram_core_spectrum(phi, psi),
                               np.linalg.svd(core, compute_uv=False))
 
@@ -661,10 +661,24 @@ class TestFactoredDiagnosticsAgreeWithDense:
         assert gm.idempotency_residual() <= 1e-12
         assert dense_idempotency(gm) <= 1e-12
 
+    def test_idempotency_forms_no_analysis_sized_array(self):
+        # K = 1024, n = 64: the residual reads the cores and the Walnut
+        # blocks, never a K x n factor
+        frame = make_gabor_frame(64, 2, 2, gaussian_window(64))
+        gm = galerkin_matrix(LinearOperator.identity(64), frame, canonical_dual(frame))
+        tracemalloc.start()
+        try:
+            residual = gm.idempotency_residual()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual <= 1e-12
+        assert peak < frame.vectors.nbytes
+
     def test_entries_equal_factored_form(self, suite_frames, rng):
         phi, psi = suite_frames["gabor64"], suite_frames["translates"]
         gm = galerkin_matrix(random_matrix(rng, 64), phi, psi)
-        factored = gm.q_left @ gm.core @ np.conj(gm.q_right.T)
+        factored = analysis_q(phi) @ gm.core @ np.conj(analysis_q(psi).T)
         assert np.linalg.norm(factored - gm.entries) <= 1e-12 * np.linalg.norm(gm.entries)
         assert gm.rank_bound == 64
 
