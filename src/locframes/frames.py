@@ -45,9 +45,9 @@ class Frame:
     Immutable; the canonical operators are computed once on first use and
     frozen (safe to share across threads afterwards).  ``lattice`` is
     (a, b) when the vectors are exactly ``gabor_system(vectors[:, 0], a, b)``;
-    R, the bounds and the dual then factor through the frame's Walnut
-    blocks.  The one factorization a frame holds (``_r``) is R of V^* = Q R,
-    Q never formed: the Walnut R_t of a Gabor frame, else the Householder R.
+    the bounds and the dual then factor through its Walnut blocks.  The one
+    factorization a frame holds (``_r``) is the R_t of its Walnut blocks
+    B_t = Q_t R_t, Q never formed; without a lattice, the one block V^*.
     """
 
     def __init__(self, vectors, index_set: IndexSet, name="frame", meta=None,
@@ -131,13 +131,16 @@ def frame_operator(frame: Frame):
 
 
 def _walnut_blocks(frame: Frame):
-    """The Walnut blocks B_t (mf x mt x b) of a Gabor frame.
+    """The Walnut blocks B_t (mf x mt x b) of the analysis matrix V^*.
 
     With window w on the lattice (a, b), mt = n/a and mf = n/b, the
     analysis matrix factors as V^* = (I_mt (x) F^*) diag_t(B_t) P: F is
     the unitary DFT of size mf, P groups x by t = x mod mf, and the
     mt x b block B_t[m, p] = sqrt(mf) conj(w[(t + p mf - m a) mod n]).
+    Without a lattice mf = 1, F = [1], P = I: one K x n block B_0 = V^*.
     """
+    if frame.lattice is None:
+        return np.conj(frame.vectors.T)[None]
     n = frame.ambient_dim
     a, b = frame.lattice
     mt, mf = n // a, n // b
@@ -147,11 +150,10 @@ def _walnut_blocks(frame: Frame):
 
 
 def _r_factor(frame: Frame):
-    """The cached R: the R_t (mf x b x b) of a Gabor frame's Walnut blocks
-    B_t = Q_t R_t, or the Householder R of V^* = Q R; Q is never formed."""
+    """The cached R_t (mf x r_b x b) of the Walnut blocks B_t = Q_t R_t;
+    Q_t is never formed."""
     if frame._r is None:
-        v = np.conj(frame.vectors.T) if frame.lattice is None else _walnut_blocks(frame)
-        frame._r = np.linalg.qr(v, mode="r")
+        frame._r = np.linalg.qr(_walnut_blocks(frame), mode="r")
         frame._r.setflags(write=False)
     return frame._r
 
@@ -162,32 +164,29 @@ def _grouped(x, mf):
 
 
 def shared_lattice(left: Frame, right: Frame):
-    """Whether both frames are Gabor frames of one ambient dimension and lattice."""
-    return left.lattice is not None and (
-        (left.lattice, left.ambient_dim) == (right.lattice, right.ambient_dim))
+    """Whether both frames have one Walnut block layout: lattice, n and K."""
+    return ((left.lattice, left.ambient_dim, left.size)
+            == (right.lattice, right.ambient_dim, right.size))
 
 
 def analysis_r(frame: Frame):
     """The factor R (r x n, r = min(K, n)) of the analysis matrix V^* = Q R,
-    Q with orthonormal columns, which is never formed.  A general frame
-    reads its cached Householder R; a Gabor frame forms the block-sparse
-    R[(t, p), t + p' mf] = R_t[p, p'] from its Walnut R_t."""
-    if frame.lattice is None:
-        return _r_factor(frame)
+    Q with orthonormal columns, which is never formed: R_0 itself for one
+    block, else the block-sparse R[(t, p), t + p' mf] = R_t[p, p']."""
+    r_t = _r_factor(frame)
+    if len(r_t) == 1:
+        return r_t[0]
     return analysis_r_product(frame, np.eye(frame.ambient_dim))
 
 
 def analysis_r_product(frame: Frame, x, adjoint=False):
-    """R X, or X R^* with ``adjoint``, for the factor R of ``analysis_r``: for
-    a Gabor frame R = diag_t(R_t) P, and R X is one batched product over the
-    mf Walnut blocks R_t, n^2 b flops instead of n^3."""
-    if frame.lattice is None:
-        r = analysis_r(frame)
-        return x @ np.conj(r.T) if adjoint else r @ x
+    """R X, or X R^* with ``adjoint``, for the factor R of ``analysis_r``:
+    R = diag_t(R_t) P, and R X is one batched product over the mf Walnut
+    blocks R_t, n^2 b flops instead of n^3 for a Gabor frame."""
     if adjoint:
         return np.conj(analysis_r_product(frame, np.conj(x.T)).T)
     r_t = _r_factor(frame)
-    return (r_t @ _grouped(x, len(r_t))).reshape(frame.ambient_dim, -1)
+    return (r_t @ _grouped(x, len(r_t))).reshape(-1, x.shape[1])
 
 
 def frame_core(left: Frame, right: Frame, x):
@@ -196,8 +195,8 @@ def frame_core(left: Frame, right: Frame, x):
 
 
 def gram_core_spectrum(left: Frame, right: Frame):
-    """Singular values, descending, of the Gram core R_l R_r^*: for Gabor
-    frames on one lattice those of its mf diagonal blocks R_t^l R_t^r*."""
+    """Singular values, descending, of the Gram core R_l R_r^*: for frames of
+    one block layout those of its mf diagonal blocks R_t^l R_t^r*."""
     if not shared_lattice(left, right):
         core = analysis_r(left) @ np.conj(analysis_r(right).T)
         return np.linalg.svd(core, compute_uv=False)
@@ -208,15 +207,17 @@ def gram_core_spectrum(left: Frame, right: Frame):
 def mixed_frame_operator(left: Frame, right: Frame, x=None):
     """V_left V_right^* X, with X = I by default.
 
-    For Gabor frames on one lattice V_left V_right^* = P^* diag_t(D_t) P
+    For frames of one block layout V_left V_right^* = P^* diag_t(D_t) P
     with the b x b blocks D_t = B_t^left* B_t^right (n m b flops); any
     other pair takes V_left (V_right^* X)."""
     if not shared_lattice(left, right):
         v = np.conj(right.vectors.T)
         return left.vectors @ v if x is None else left.vectors @ (v @ x)
-    if x is None:
-        x = np.eye(left.ambient_dim)
     blocks = np.conj(_walnut_blocks(left).transpose(0, 2, 1)) @ _walnut_blocks(right)
+    if x is None:
+        if len(blocks) == 1:
+            return blocks[0]
+        x = np.eye(left.ambient_dim)
     return (blocks @ _grouped(x, len(blocks))).transpose(1, 0, 2).reshape(x.shape)
 
 
@@ -410,12 +411,9 @@ def make_gabor_frame(n, a, b, window, name=None):
     )
 
 
-def make_translates_frame(n, step, generator, name=None, require_frame=True):
-    """Circular shifts of a generator by multiples of ``step``.
-
-    With ``require_frame`` the family must have at least n members;
-    disable it to build Riesz sequences for subspaces.
-    """
+def make_translates_frame(n, step, generator, name=None):
+    """Circular shifts of a generator by multiples of ``step``; the family
+    must have at least n members to span C^n."""
     if min(n, step) < 1:
         raise InvalidInputError(f"n = {n} and step {step} must be positive")
     if n % step:
@@ -424,7 +422,7 @@ def make_translates_frame(n, step, generator, name=None, require_frame=True):
     if g.shape != (n,):
         raise DimensionMismatchError("generator length must equal n")
     k = n // step
-    if require_frame and k < n:
+    if k < n:
         raise NotAFrameError(f"{k} translates cannot span C^{n}")
     vectors = np.stack([np.roll(g, m * step) for m in range(k)], axis=1)
     iset = IndexSet.ring(k, scale=float(step))

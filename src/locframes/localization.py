@@ -138,10 +138,10 @@ def gram_magnitudes(left: Frame, right: Frame):
     """|G(left, right)|: a ``LatticeProfile`` for a lattice pair, else a
     ``DenseMagnitudes``.
 
-    A lattice pair is two frames with a ``shared_lattice`` (a, b) that
-    share one index set laid out as ``IndexSet.torus_grid(n/a, n/b)``.
+    A lattice pair is two Gabor frames with a ``shared_lattice`` (a, b)
+    that share one index set laid out as ``IndexSet.torus_grid(n/a, n/b)``.
     """
-    if shared_lattice(left, right) and left.index_set is right.index_set:
+    if left.lattice and shared_lattice(left, right) and left.index_set is right.index_set:
         n, (a, b) = left.ambient_dim, left.lattice
         if left.index_set.is_torus_grid(n // a, n // b):
             return LatticeProfile(left, right)

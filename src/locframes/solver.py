@@ -195,7 +195,7 @@ class IterationResult:
     diverged: bool = False
 
 
-def cg_solve(m, b, tol=1e-10, max_iter=None):
+def cg_solve(m, b, tol=1e-10):
     """Conjugate gradients for Hermitian positive semidefinite systems.
 
     ``b`` must lie in the range (project through the Gram projection
@@ -206,15 +206,12 @@ def cg_solve(m, b, tol=1e-10, max_iter=None):
     """
     m, b = field_array(m), field_array(b)
     if hermitian_defect(m) > HERMITIAN_TOL:
-        res = cg_solve(np.conj(m.T) @ m, np.conj(m.T) @ b, tol=tol,
-                       max_iter=max_iter)
+        res = cg_solve(np.conj(m.T) @ m, np.conj(m.T) @ b, tol=tol)
         res.normal_equations = True
         return res
     # promoted once: a real m against a complex b would be cast on every product
     m = np.asarray(m, dtype=np.result_type(m, b))
     k = m.shape[0]
-    if max_iter is None:
-        max_iter = 10 * k
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         return IterationResult(np.zeros(k, dtype=m.dtype), 0, True, [0.0])
@@ -229,7 +226,7 @@ def cg_solve(m, b, tol=1e-10, max_iter=None):
     best = 1.0
     since_best = 0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 10 * k + 1):
         mp = m @ p
         denom = np.real(np.vdot(p, mp))
         if denom <= curvature_floor * np.real(np.vdot(p, p)):
@@ -259,19 +256,17 @@ def cg_solve(m, b, tol=1e-10, max_iter=None):
     return IterationResult(x, it, residuals[-1] <= tol, residuals)
 
 
-def richardson_solve(m, b, relaxation, tol=1e-10, max_iter=None):
+def richardson_solve(m, b, relaxation, tol=1e-10):
     """Damped Richardson iteration c <- c + relaxation (b - M c).
 
     The contraction factor on the range is estimated by power iteration
     and a warning is emitted when it is not < 1; runaway residuals mark
-    the result diverged instead of looping to ``max_iter``.
+    the result diverged instead of looping to the cap of 10 k updates.
     """
     m, b = field_array(m), field_array(b)
     # promoted once: a real m against a complex b would be cast on every product
     m = np.asarray(m, dtype=np.result_type(m, b))
     k = m.shape[0]
-    if max_iter is None:
-        max_iter = 10 * k
     # the power iteration starts in the field of the iteration
     rng = np.random.default_rng(1)
     start = rng.standard_normal(k) + 1j * rng.standard_normal(k)
@@ -295,7 +290,7 @@ def richardson_solve(m, b, relaxation, tol=1e-10, max_iter=None):
     x = np.zeros(k, dtype=m.dtype)
     residuals = []
     updates = 0
-    while updates <= max_iter:
+    while updates <= 10 * k:
         r = b - m @ x
         rel = np.linalg.norm(r) / bnorm
         residuals.append(rel)
@@ -305,7 +300,7 @@ def richardson_solve(m, b, relaxation, tol=1e-10, max_iter=None):
             return IterationResult(x, updates, False, residuals, diverged=True)
         x = x + relaxation * r
         updates += 1
-    return IterationResult(x, max_iter, False, residuals)
+    return IterationResult(x, 10 * k, False, residuals)
 
 
 # -- one solve kernel ---------------------------------------------------------

@@ -41,6 +41,13 @@ def analysis_q(frame):
     return np.conj(frame.vectors.T) @ np.linalg.pinv(analysis_r(frame))
 
 
+def riesz_sequence():
+    """16 translates in C^64: K < n, a basis of a subspace only."""
+    g = decaying_generator(64)
+    return Frame(np.stack([np.roll(g, 4 * m) for m in range(16)], axis=1),
+                 IndexSet.ring(16, scale=4.0))
+
+
 def dense_twin(frame):
     """The frame without its Gabor lattice: every operator takes the dense path."""
     return Frame(frame.vectors, frame.index_set, name=frame.name, meta=frame.meta)

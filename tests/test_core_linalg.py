@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import analysis_q, decaying_generator
+from conftest import analysis_q, riesz_sequence
 from locframes import (
     InsufficientDataError,
     InvalidInputError,
@@ -20,7 +20,6 @@ from locframes import (
     jaffard_norm,
     make_onb,
     make_test_operator,
-    make_translates_frame,
     pseudo_inverse,
     schur_weighted_norm,
     seq_norm,
@@ -400,11 +399,6 @@ def assert_core_spectrum_matches_dense(left, right, x):
     assert np.abs(core_dagger - dagger).max() <= 1e-12 * np.abs(dagger).max()
 
 
-def riesz_sequence():
-    """16 translates in C^64: K < n, a basis of a subspace only."""
-    return make_translates_frame(64, 4, decaying_generator(64), require_frame=False)
-
-
 class TestRangeSpectrum:
     @pytest.mark.parametrize("name", ["onb", "gabor16", "gabor64", "gabor144",
                                       "translates", "ponb"])
@@ -437,10 +431,12 @@ class TestRangeSpectrum:
         assert_core_spectrum_matches_dense(gab, riesz_sequence(), op)
 
     def test_qr_is_cached_and_frozen(self, suite_frames):
-        # a dense frame caches R itself, a Gabor frame its Walnut R_t
+        # a dense frame caches its one block R_0, a Gabor frame its Walnut R_t
         dense, gabor = suite_frames["ponb"], suite_frames["gabor16"]
         r = analysis_r(dense)
-        assert analysis_r(dense) is r
+        r_0 = dense._r
+        assert np.shares_memory(analysis_r(dense), r_0) and dense._r is r_0
+        assert r_0.shape == (1, 64, 64) and not r_0.flags.writeable
         assert r.shape == (64, 64) and not r.flags.writeable
         assert analysis_r(gabor).shape == (16, 16)
         r_t = gabor._r

@@ -391,7 +391,7 @@ class TestGaborStructure:
 
     def test_r_without_q(self, gabor_twins):
         # a Gabor frame holds the Walnut R_t and forms R from them; a dense
-        # frame caches the frozen R of its Householder QR
+        # frame holds its one block R_0, and R is a view of it
         frame, dense = gabor_twins
         n, b = frame.ambient_dim, frame.lattice[1]
         fresh = Frame(frame.vectors, frame.index_set, lattice=frame.lattice)
@@ -400,7 +400,8 @@ class TestGaborStructure:
         assert not fresh._r.flags.writeable
         assert np.array_equal(r, analysis_r(frame))
         r_dense = analysis_r(dense)
-        assert dense._r is r_dense and analysis_r(dense) is r_dense
+        assert dense._r.shape == (1, n, n) and not dense._r.flags.writeable
+        assert np.shares_memory(r_dense, dense._r)
         assert r_dense.shape == (n, n) and not r_dense.flags.writeable
 
     def test_dense_r_peaks_near_one_analysis_matrix(self):

@@ -26,6 +26,7 @@ from locframes import (
     kappa_factorization_probe,
     make_gabor_frame,
     make_onb,
+    make_perturbed_onb,
     make_test_operator,
     make_translates_frame,
     matrixrep_norm_bound,
@@ -47,7 +48,7 @@ from locframes.linalg import (core_spectrum, generalized_condition_number, hermi
 from locframes.opnorms import weighted_matrix
 from locframes.solver import HERMITIAN_TOL, frame_galerkin_solve
 
-from conftest import analysis_q, complex_copy, decaying_generator, dense_twin
+from conftest import analysis_q, complex_copy, decaying_generator, dense_twin, riesz_sequence
 
 
 def random_matrix(rng, n, m=None):
@@ -629,6 +630,21 @@ class TestFactoredDiagnosticsAgreeWithDense:
     def test_lattices_of_different_moduli_are_not_shared(self):
         phi, psi = (make_gabor_frame(n, 4, 4, gaussian_window(n)) for n in (32, 64))
         assert phi.lattice == psi.lattice and not shared_lattice(phi, psi)
+
+    def test_dense_frames_of_one_size_take_the_one_block_rules(self, rng):
+        # a frame without a lattice is one Walnut block B_0 = V^*: a dense
+        # pair of one size shares that layout, a Riesz sequence does not
+        f = make_perturbed_onb(64, 3, 7)
+        d = canonical_dual(f)
+        assert shared_lattice(f, d) and shared_lattice(d, f)
+        riesz = riesz_sequence()
+        assert not shared_lattice(f, riesz) and not shared_lattice(riesz, f)
+        reference = np.linalg.qr(np.conj(f.vectors.T), mode="r")
+        assert np.array_equal(analysis_r(f), reference)
+        x = random_matrix(rng, 64)
+        dense = f.vectors @ (np.conj(d.vectors.T) @ x)
+        gap = np.linalg.norm(mixed_frame_operator(f, d, x) - dense)
+        assert gap <= 1e-13 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("left, right", _frame_pairs())
     def test_assemble_report_residuals(self, suite_frames, left, right):

@@ -835,7 +835,8 @@ class TestGaborNoDenseFactorizations:
         assert run_cli("frame", "build", "--kind", "gabor", "--n", "32", "--a", "4",
                        "--b", "4", "--out-dir", tmp_path) == 0
         self.run_pipeline(tmp_path, tmp_path / "frame")
-        assert shapes["qr"] and all(len(s) == 3 for s in shapes["qr"])
+        # the mf = 8 Walnut blocks, never the one dense block (1, 64, 32)
+        assert shapes["qr"] and all(s == (8, 8, 4) for s in shapes["qr"])
         dense = [s for name in ("solve", "cholesky", "eigvalsh")
                  for s in shapes.get(name, [])]
         assert (32, 32) not in dense
@@ -847,7 +848,7 @@ class TestGaborNoDenseFactorizations:
             frame.index_set, name=frame.name, meta=frame.meta))
         shapes = self.guard(monkeypatch)
         self.run_pipeline(tmp_path, tmp_path / "frame")
-        assert (64, 32) in shapes["qr"]
+        assert (1, 64, 32) in shapes["qr"]
         assert (32, 32) in shapes["solve"] and (32, 32) in shapes["eigvalsh"]
 
 

@@ -364,8 +364,7 @@ class TestCG:
 
     def test_rhs_outside_range_is_contract_error(self):
         with pytest.raises(ContractError, match="range"):
-            cg_solve(np.diag([1.0, 1.0, 0.0]), np.array([1.0, 1.0, 1.0]),
-                     max_iter=25)
+            cg_solve(np.diag([1.0, 1.0, 0.0]), np.array([1.0, 1.0, 1.0]))
 
     def test_non_hermitian_takes_normal_equations(self):
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
