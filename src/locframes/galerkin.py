@@ -20,10 +20,10 @@ from .errors import (
 from .frames import (Frame, analysis_r, analysis_r_product, canonical_dual, frame_core,
                      gram, gram_core_spectrum, mixed_frame_operator)
 from .linalg import field_array, generalized_condition_number, singular_kappa, square_svd
-from .opnorms import exact_operator_norm, space_operator_norm, weighted_matrix
+from .opnorms import norm_reduction, space_operator_norm, weighted_matrix
 from .weights import SeqSpaceSpec, seq_norm
 
-KAPPA_SLACK = 1e-8
+CHECK_SLACK = 1e-8
 PSEUDOINVERSE_CHECK_TOL = 1e-9
 OPERATOR_COND_CAP = 1e12
 # the two_two range finder: extra columns over the rank bound, the first
@@ -291,8 +291,8 @@ def bounded_equiv_check(op, phi: Frame, psi: Frame, spaces, probes=100, seed=0):
                * space_operator_norm(gram(psid, phi), in_ref, in_space))
     backward = (space_operator_norm(gram(psid, psid), out_space, out_space)
                 * space_operator_norm(gram(canonical_dual(phi), psi), in_space, in_ref))
-    ok_forward = m_norm <= forward * o_certified * (1 + KAPPA_SLACK)
-    ok_backward = measured_o <= backward * m_norm * (1 + KAPPA_SLACK)
+    ok_forward = m_norm <= forward * o_certified * (1 + CHECK_SLACK)
+    ok_backward = measured_o <= backward * m_norm * (1 + CHECK_SLACK)
     return {
         "matrix_norm": m_norm,
         "operator_norm_measured": measured_o,
@@ -325,18 +325,25 @@ def _case_exponents(case, p):
 
 @dataclass
 class BoundCertificate:
-    """Certified operator-norm bound from a Schur-type criterion."""
+    """Certified operator-norm bound from a Schur-type criterion, with its witness."""
 
     case: str
     certified_bound: float
     weights: tuple
+    witness: np.ndarray
+    witness_lower_bound: float
     details: dict = field(default_factory=dict)
 
     def to_dict(self):
+        bound, lower = self.certified_bound, self.witness_lower_bound
         return {
             "case": self.case,
-            "certified_bound": self.certified_bound,
+            "certified_bound": bound,
             "details": dict(self.details),
+            "witness_lower_bound": lower,
+            "sound": bool(lower <= bound * (1 + CHECK_SLACK)),
+            "tight": None if self.case in ("inf_one", "two_two") else
+                     bool(bound <= lower * (1 + CHECK_SLACK)),
         }
 
     def probe_spaces(self):
@@ -346,8 +353,15 @@ class BoundCertificate:
         return SeqSpaceSpec(p_in, w1), SeqSpaceSpec(p_out, w2)
 
 
+def _phase(v):
+    """v / |v| entrywise, 0 where v is 0.  Divided by parts: numpy's complex
+    division by a subnormal |v| overflows."""
+    mag = np.where(v == 0, 1.0, np.abs(v))
+    return v.real / mag + 1j * (v.imag / mag) if np.iscomplexobj(v) else v / mag
+
+
 def _two_two(mb, rank_bound=None):
-    """Trace-power bound on ||mb||_2 from a randomized range finder.
+    """Trace-power bound on ||mb||_2 from a randomized range finder, and B^* v.
 
     Q = qr(mb Omega) for a Gaussian Omega with l columns.  With
     B = Q^* mb and the residual E = mb - Q B, ||mb||_2 <= ||B||_2 + ||E||_F,
@@ -360,8 +374,17 @@ def _two_two(mb, rank_bound=None):
     Everything is divided by c, the largest squared column norm of mb:
     the top eigenvalue of G / c then lies in [1, K] up to the residual, so
     no power overflows or underflows at any scale, and the root is
-    scaled back by c.
+    scaled back by c; a c out of range is brought in by scaling mb by 2^-k.
     """
+    c = float(np.max(np.einsum("ij,ij->j", np.conj(mb), mb).real, initial=0.0))
+    shift = 0 if np.finfo(float).tiny <= c < math.inf else max(
+        int(np.frexp(np.max(np.abs(mb), initial=0.0))[1]), -1021)
+    if shift:   # trace_k ~ ||mb||_2^2 may then exceed float64
+        bound, details, witness = _two_two(mb * 2.0 ** -shift, rank_bound)
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(bound, shift)), {
+                key: float(np.ldexp(value, 2 * shift if key == "trace_k" else shift))
+                for key, value in details.items()}, witness
     k_out, k_in = mb.shape
     if rank_bound is None:
         widest = min(k_out, k_in)
@@ -380,11 +403,10 @@ def _two_two(mb, rank_bound=None):
         if residual <= target or cols == widest:
             break
         cols = min(2 * cols, widest)
-    c = float(np.max(np.einsum("ij,ij->j", np.conj(mb), mb).real, initial=0.0))
     c = c if c > 0 else 1.0
     b /= math.sqrt(c)
     h = b @ np.conj(b.T)
-    top = max(float(np.linalg.eigvalsh(h)[-1]), 0.0)
+    eigenvalues, vectors = np.linalg.eigh(h)
     h2 = h @ h
     h4 = h2 @ h2
     h10 = (h4 @ h4) @ h2
@@ -392,20 +414,25 @@ def _two_two(mb, rank_bound=None):
     return math.sqrt(trace_k) + residual, {
         "trace_k": trace_k,
         "range_residual": residual,
-        "svd_ground_truth": math.sqrt(c * top),
-    }
+        "svd_ground_truth": math.sqrt(c * max(float(eigenvalues[-1]), 0.0)),
+    }, np.conj(np.conj(vectors[:, -1]) @ b)   # B^* v for the top eigenvector v
 
 
 def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
-    """Evaluate one of the Schur-test boundedness criteria.
+    """Evaluate one of the Schur-test boundedness criteria, with a witness.
 
     ``weights=(w_in, w_out)`` is required.  ``m`` is a plain matrix with an
     optional ``rank_bound`` for ``two_two``, or a GalerkinMatrix, which
     supplies its own rank bound.
     The cases with a closed form report ``exact_operator_norm`` of the
-    conjugated matrix, ``inf_one`` its total absolute sum.  Only
+    conjugated matrix mb, ``inf_one`` its total absolute sum.  Only
     ``one_p`` (its p) and ``two_two`` (its trace root, range residual and
-    top singular value) carry details.
+    top singular value) carry details.  ``witness_lower_bound`` is
+    ||M x|| / ||x|| in the weighted spaces for x = y / w_in, where the witness
+    y attains the closed forms: the unit vector of the largest column of |mb|
+    (``one_inf``, ``one_p``) or the conjugate phases of its largest row
+    (``inf_inf``, ``inf_zero``).  For ``two_two`` and ``inf_one`` (NP-hard in
+    general) it is only a lower bound: B^* v, and Boyd's power method.
     """
     if case not in CERTIFICATE_CASES:
         raise InvalidInputError(f"unsupported certificate case {case!r}")
@@ -418,22 +445,39 @@ def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
     w1, w2 = weights
     mb = weighted_matrix(entries, w2.values, w1.values)
     details = {}
+    if case == "one_p":
+        p = float(p)
+        if not 1.0 <= p < math.inf:
+            raise InvalidInputError("one_p requires a finite exponent p >= 1")
+        details["p"] = p
+    p_in, p_out = _case_exponents(case, p)
     if case == "two_two":
-        bound, details = _two_two(mb, rank_bound)
-    elif case == "inf_one":
-        bound = float(np.abs(mb).sum())
+        bound, details, witness = _two_two(mb, rank_bound)
     else:
-        if case == "one_p":
-            p = float(p)
-            if not 1.0 <= p < math.inf:
-                raise InvalidInputError("one_p requires a finite exponent p >= 1")
-            details["p"] = p
-        bound = exact_operator_norm(mb, *_case_exponents(case, p))
-    return BoundCertificate(case, bound, (w1, w2), details)
+        a = np.abs(mb)
+        reduction = norm_reduction(a, p_in, math.inf if case == "inf_one" else p_out)
+        top = int(reduction.argmax())
+        bound = float(a.sum() if case == "inf_one" else reduction.max())
+        witness = np.eye(1, mb.shape[1], top)[0] if p_in == 1.0 else _phase(np.conj(mb[top]))
+    if case == "inf_one":
+        # Boyd's power method from the inf_inf witness: a step
+        # y <- phase(mb^* phase(mb y)) cannot lower ||mb y||_1; at most 3
+        z = mb @ witness
+        for _ in range(3):
+            step = _phase(np.conj(np.conj(_phase(z)) @ mb))
+            z_step = mb @ step
+            if np.abs(z_step).sum() <= np.abs(z).sum():
+                break
+            witness, z = step, z_step
+    x = witness / w1.values
+    norm_in = seq_norm(x, SeqSpaceSpec(p_in, w1))
+    lower = seq_norm(entries @ x, SeqSpaceSpec(p_out, w2)) / norm_in if norm_in else 0.0
+    return BoundCertificate(case, bound, (w1, w2), witness, lower, details)
 
 
 def certificate_probe_norm(entries, cert: BoundCertificate, probes=200, seed=0):
-    """Empirical norm of the matrix on the certificate's space pair."""
+    """Empirical norm of the matrix on the certificate's space pair over Gaussian
+    probes, which only this and the library's Galerkin norm bounds still draw."""
     in_space, out_space = cert.probe_spaces()
     return _probe_norm(np.asarray(entries), out_space, in_space,
                        probes=probes, seed=seed)
@@ -505,5 +549,5 @@ def kappa_factorization_probe(op, phi: Frame, psi: Frame):
         "lhs": lhs,
         "rhs": rhs,
         "ratio": lhs / rhs,
-        "submultiplicative": bool(lhs <= rhs * (1 + KAPPA_SLACK)),
+        "submultiplicative": bool(lhs <= rhs * (1 + CHECK_SLACK)),
     }

@@ -50,15 +50,18 @@ def exact_operator_norm(m, p_in, p_out):
     p_out = _INF if p_out == 0 else float(p_out)
     if p_in == 2.0 and p_out == 2.0:
         return float(np.linalg.norm(m, 2))
-    m = np.abs(np.asarray(m))
+    return float(norm_reduction(np.abs(np.asarray(m)), p_in, p_out).max())
+
+
+def norm_reduction(a, p_in, p_out):
+    """Column p_out-norms (p_in = 1) or row sums (inf -> inf) of a nonnegative
+    ``a``: the largest is its exact norm, and its argmax locates a witness."""
     if p_in == 1.0:
         if p_out == _INF:
-            return float(m.max())
-        if p_out == 1.0:
-            return float(m.sum(axis=0).max())
-        return float(column_p_norms(m, p_out).max())
+            return a.max(axis=0)
+        return a.sum(axis=0) if p_out == 1.0 else column_p_norms(a, p_out)
     if p_in == _INF and p_out == _INF:
-        return float(m.sum(axis=1).max())
+        return a.sum(axis=1)
     raise InvalidInputError(f"no exact formula for l^{p_in} -> l^{p_out}")
 
 

@@ -139,7 +139,8 @@ def column_p_norms(a, p):
 
 
 def seq_norm(c, spec: SeqSpaceSpec):
-    """Weighted norm ||w c||_p; sup norm for p in {0, inf}.
+    """Weighted norm ||w c||_p, scaled as ``column_p_norms`` for p > 1; sup
+    norm for p in {0, inf}.
 
     A K x m array gives the norms of its m columns as an array.
     """
@@ -155,8 +156,6 @@ def seq_norm(c, spec: SeqSpaceSpec):
         out = np.max(wc, axis=0)
     elif p == 1.0:
         out = np.sum(wc, axis=0)
-    elif p == 2.0:
-        out = np.linalg.norm(wc, axis=0 if c.ndim == 2 else None)
     else:
         out = column_p_norms(wc, p)
     return float(out) if c.ndim == 1 else out

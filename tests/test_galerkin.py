@@ -1,5 +1,6 @@
 """Galerkin matrix representation, Schur certificates, invertibility."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,6 +24,7 @@ from locframes import (
     galerkin_pseudoinverse,
     gaussian_window,
     gram,
+    io,
     kappa_factorization_probe,
     make_gabor_frame,
     make_onb,
@@ -42,11 +44,14 @@ from locframes.frames import (
     mixed_frame_operator,
     shared_lattice,
 )
-from locframes.galerkin import _range_projection_defect, certificate_probe_norm
+from locframes.cli import main as cli_main
+from locframes.galerkin import (CERTIFICATE_CASES, _range_projection_defect,
+                                 certificate_probe_norm)
 from locframes.linalg import (core_spectrum, generalized_condition_number, hermitian_defect,
                               pseudo_inverse)
-from locframes.opnorms import weighted_matrix
+from locframes.opnorms import exact_operator_norm, weighted_matrix
 from locframes.solver import HERMITIAN_TOL, frame_galerkin_solve
+from locframes.weights import decay_envelope
 
 from conftest import analysis_q, complex_copy, decaying_generator, dense_twin, riesz_sequence
 
@@ -776,6 +781,115 @@ class TestTwoTwoRangeFinder:
         bare = schur_certificate(gm.entries, "two_two", weights=(w, w))
         assert cert.certified_bound == pytest.approx(bare.certified_bound, rel=1e-12)
         assert cert.certified_bound >= np.linalg.norm(gm.entries, 2)
+
+
+CLOSED_FORM_CASES = ("inf_inf", "inf_zero", "one_inf", "one_p")
+
+
+def inf_one_by_signs(mb):
+    """Exact ||mb||_{inf -> 1} of a small real matrix: the largest
+    ||mb s||_1 over the 2^K sign vectors s, the extreme points of the ball."""
+    k = mb.shape[1]
+    signs = 1.0 - 2.0 * ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1)
+    return float(np.abs(mb @ signs.T).sum(axis=0).max())
+
+
+class TestCertificateWitness:
+    """Each certificate's witness lower bound, checked against exact norms."""
+
+    @staticmethod
+    def exact_norm(m, cert):
+        """Exact norm of m in the certificate's spaces, or None for a
+        complex inf_one, which has no finite search."""
+        w1, w2 = cert.weights
+        mb = weighted_matrix(m, w2.values, w1.values)
+        if cert.case == "inf_one":
+            return None if np.iscomplexobj(mb) else inf_one_by_signs(mb)
+        in_space, out_space = cert.probe_spaces()
+        return exact_operator_norm(mb, in_space.p, out_space.p)
+
+    def check(self, m, cert):
+        lower, bound = cert.witness_lower_bound, cert.certified_bound
+        exact = self.exact_norm(m, cert)
+        assert 0 < lower <= bound * (1 + 1e-12)
+        if exact is not None:
+            assert lower <= exact * (1 + 1e-12)
+            assert exact <= bound * (1 + 1e-12)
+        if cert.case in CLOSED_FORM_CASES:
+            assert lower == pytest.approx(bound, rel=1e-12)
+        summary = cert.to_dict()
+        assert summary["sound"] is True
+        assert summary["tight"] is (True if cert.case in CLOSED_FORM_CASES else None)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-12, 1e-6, 1.0, 1e6, 1e12, 1e200])
+    @pytest.mark.parametrize("case", CERTIFICATE_CASES)
+    def test_random_matrices(self, case, scale, field):
+        rng = np.random.default_rng(7)
+        for k_out, k_in in ((9, 9), (7, 10), (10, 6)):
+            m = scale * (random_matrix(rng, k_out, k_in) if field == "complex"
+                         else rng.standard_normal((k_out, k_in)))
+            w1 = Weight(decay_envelope(np.arange(k_in), 0.5))
+            w2 = Weight(decay_envelope(np.arange(k_out), 1.0))
+            self.check(m, schur_certificate(m, case, p=3.0, weights=(w1, w2)))
+
+    @pytest.mark.parametrize("case", CERTIFICATE_CASES)
+    def test_suite_galerkin_matrices(self, suite_frames, case):
+        for name, frame in suite_frames.items():
+            op = make_test_operator("identity_minus_kernel", frame.ambient_dim, theta=0.5)
+            gm = galerkin_matrix(op, frame, canonical_dual(frame))
+            w = Weight.polynomial(1.0, frame.index_set)
+            cert = schur_certificate(gm, case, p=3.0, weights=(w, w))
+            if case == "inf_one":
+                # no exact norm at these sizes; the bound still dominates
+                assert 0 < cert.witness_lower_bound <= cert.certified_bound, name
+            else:
+                self.check(gm.entries, cert)
+
+    @pytest.mark.parametrize("case", CLOSED_FORM_CASES)
+    def test_moved_bound_fails_a_check(self, rng, case):
+        m = random_matrix(rng, 12)
+        w = Weight(decay_envelope(np.arange(12), 1.0))
+        cert = schur_certificate(m, case, p=3.0, weights=(w, w))
+        bound = cert.certified_bound
+        low = dataclasses.replace(cert, certified_bound=bound * (1 - 1e-6)).to_dict()
+        high = dataclasses.replace(cert, certified_bound=bound * (1 + 1e-6)).to_dict()
+        assert low["sound"] is False and low["tight"] is True
+        assert high["sound"] is True and high["tight"] is False
+
+    @pytest.mark.parametrize("case", CERTIFICATE_CASES)
+    def test_zero_matrix(self, case):
+        w = Weight(decay_envelope(np.arange(6), 1.0))
+        cert = schur_certificate(np.zeros((6, 6)), case, weights=(w, w))
+        summary = cert.to_dict()
+        assert summary["certified_bound"] == 0.0
+        assert summary["witness_lower_bound"] == 0.0
+        assert summary["sound"] is True
+        assert summary["tight"] is (True if case in CLOSED_FORM_CASES else None)
+
+    def test_inf_one_ascent_beats_its_start(self):
+        # the signs (1, 1, -1) of the largest row give ||m y||_1 = 11; one
+        # ascent step reaches y = (1, 1, 1) and the exact norm 13
+        m = np.array([[2.0, 3.0, -1.0], [1.0, 3.0, 1.0], [2.0, 1.0, 1.0]])
+        w = Weight.ones(3)
+        cert = schur_certificate(m, "inf_one", weights=(w, w))
+        assert cert.witness_lower_bound == inf_one_by_signs(m) == 13.0
+        assert np.array_equal(cert.witness, np.ones(3))
+        assert cert.certified_bound == 15.0
+
+    def test_certificates_do_not_depend_on_the_seed(self, tmp_path):
+        frame = make_gabor_frame(16, 4, 2, gaussian_window(16))
+        gm = galerkin_matrix(LinearOperator.identity(16), frame, canonical_dual(frame))
+        io.save_galerkin_matrix(tmp_path / "galerkin", gm, extra={"operator": "identity"})
+        for case in CERTIFICATE_CASES:
+            texts = []
+            for seed in ("1", "2"):
+                out = tmp_path / f"seed{seed}"
+                assert cli_main(["galerkin", "certify", "--matrix", str(tmp_path / "galerkin"),
+                                 "--case", case, "--w1-power", "1", "--w2-power", "1",
+                                 "--seed", seed, "--out-dir", str(out)]) == 0
+                texts.append((out / f"certificate_{case}.json").read_bytes())
+            assert texts[0] == texts[1], case
 
 
 REAL_PAIRS = [("onb", "onb"), ("translates", "translates"), ("onb", "translates")]

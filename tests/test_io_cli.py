@@ -181,8 +181,9 @@ class TestCLI:
         cert = json.loads(
             (tmp_path / "cert" / "certificate_inf_inf.json").read_text()
         )
-        assert cert["sound"]
-        assert cert["measured_probe_norm"] <= cert["certified_bound"] * (1 + 1e-8)
+        assert cert["sound"] and cert["tight"]
+        assert cert["witness_lower_bound"] <= cert["certified_bound"] * (1 + 1e-8)
+        assert cert["certified_bound"] <= cert["witness_lower_bound"] * (1 + 1e-8)
 
     @pytest.mark.parametrize("case", ["inf_inf", "inf_zero", "one_inf", "one_p",
                                       "inf_one", "two_two"])
@@ -195,7 +196,7 @@ class TestCLI:
                        "--case", case, "--out-dir", tmp_path / "cert") == 0
         cert = json.loads((tmp_path / "cert" / f"certificate_{case}.json").read_text())
         assert set(cert) == {"case", "certified_bound", "details",
-                             "measured_probe_norm", "sound"}
+                             "witness_lower_bound", "sound", "tight"}
         assert set(cert["details"]) == {
             "one_p": {"p"}, "two_two": {"trace_k", "range_residual", "svd_ground_truth"},
         }.get(case, set())
@@ -350,6 +351,30 @@ class TestCLI:
         cert = json.loads((tmp_path / "cert" / "certificate_one_p.json").read_text())
         assert cert["sound"]
         assert 0 < cert["certified_bound"] < math.inf
+
+
+    @pytest.mark.parametrize("case", ["inf_inf", "inf_zero", "one_inf", "one_p",
+                                      "inf_one", "two_two"])
+    @pytest.mark.parametrize("flag", ["--w1-power", "--w2-power"])
+    def test_witness_at_largest_weight_power(self, tmp_path, flag, case):
+        # K = 32: (1 + k)^t reaches 32^t, finite up to t = 204; at the parent
+        # two_two's squares overflowed there (bound NaN) and the probes'
+        # x = c / w_in norms overflowed (one_p measured Infinity)
+        run_cli("frame", "build", "--kind", "gabor", "--n", "16", "--a", "4",
+                "--b", "2", "--out-dir", tmp_path)
+        run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
+                "--out-dir", tmp_path / "gal")
+        largest = math.floor(math.log(np.finfo(float).max) / math.log(32))
+        certify = ("galerkin", "certify", "--matrix", tmp_path / "gal" / "galerkin",
+                   "--case", case, "--out-dir", tmp_path / "cert", flag)
+        assert largest == 204 and run_cli(*certify, largest + 1) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*certify, largest) == 0
+        cert = json.loads((tmp_path / "cert" / f"certificate_{case}.json").read_text())
+        assert 0 < cert["witness_lower_bound"] < math.inf
+        assert cert["certified_bound"] < math.inf and cert["sound"]
+        assert cert["tight"] is (None if case in ("inf_one", "two_two") else True)
 
 
 class TestCLIContract:
