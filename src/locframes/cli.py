@@ -16,7 +16,8 @@ import numpy as np
 
 from . import io
 from .algebras import MatrixAlgebraSpec, weight_admissible
-from .errors import ConfigError, DivergedError, InputFileError, LocframesError
+from .errors import (ConfigError, DivergedError, InputFileError, InvalidInputError,
+                     LocframesError)
 from .frames import (
     canonical_dual,
     frame_bounds,
@@ -285,8 +286,12 @@ def cmd_galerkin_certify(cfg, out, seed):
     k_out, k_in = entries.shape
     w1 = Weight(decay_envelope(np.arange(k_in), cfg.get("w1_power", 0.0)))
     w2 = Weight(decay_envelope(np.arange(k_out), cfg.get("w2_power", 0.0)))
-    cert = schur_certificate(entries, case, p=cfg.get("p", 2.0), weights=(w1, w2),
-                             rank_bound=rank_bound)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            cert = schur_certificate(entries, case, p=cfg.get("p", 2.0),
+                                     weights=(w1, w2), rank_bound=rank_bound)
+    except FloatingPointError as err:
+        raise InvalidInputError(f"the weighted {case} norms leave float64 ({err})") from err
     io.save_json(cert.to_dict(), out / f"certificate_{case}.json")
     return 0
 
@@ -421,12 +426,6 @@ def main(argv=None):
         except MemoryError as err:
             raise ConfigError(
                 f"the requested sizes do not fit in memory ({err})") from err
-    except NotLocalizedError as err:
-        # non-member frames are reported, not failed
-        io.save_json({"verdict": "not-localized", **err.payload(),
-                      "report": err.report.to_dict() if err.report else None},
-                     out / "localization.json")
-        return 0
     except LocframesError as err:
         io.save_json(err.payload(), out / "error.json")
         print(json.dumps(err.payload()), file=sys.stderr)

@@ -342,14 +342,14 @@ def gaussian_window(n, width=None):
     return g
 
 
-def make_onb(n, name="onb"):
+def make_onb(n):
     """Standard orthonormal basis of C^n on the cyclic index set Z_n."""
     if n < 1:
         raise InvalidInputError(f"dimension must be positive, got {n}")
     return Frame(
         np.eye(n),
         IndexSet.ring(n),
-        name=name,
+        name="onb",
         meta={"kind": "onb", "n": n},
     )
 
@@ -384,7 +384,7 @@ def gabor_lattice(vectors, meta):
     return (a, b)
 
 
-def make_gabor_frame(n, a, b, window, name=None):
+def make_gabor_frame(n, a, b, window):
     """Time-frequency shifts of a window on Z_n, see ``gabor_system``.
 
     Index positions sit on the (n/a) x (n/b) torus with axis scales (a, b).
@@ -405,13 +405,13 @@ def make_gabor_frame(n, a, b, window, name=None):
     return Frame(
         gabor_system(window, a, b),
         iset,
-        name=name or f"gabor{n}a{a}b{b}",
+        name=f"gabor{n}a{a}b{b}",
         meta={"kind": "gabor", "n": n, "a": a, "b": b},
         lattice=(a, b),
     )
 
 
-def make_translates_frame(n, step, generator, name=None):
+def make_translates_frame(n, step, generator):
     """Circular shifts of a generator by multiples of ``step``; the family
     must have at least n members to span C^n."""
     if min(n, step) < 1:
@@ -429,12 +429,12 @@ def make_translates_frame(n, step, generator, name=None):
     return Frame(
         vectors,
         iset,
-        name=name or f"translates{n}s{step}",
+        name=f"translates{n}s{step}",
         meta={"kind": "translates", "n": n, "step": step},
     )
 
 
-def make_perturbed_onb(n, decay_s, seed, name=None):
+def make_perturbed_onb(n, decay_s, seed):
     """Identity plus a random matrix with certified polynomial decay.
 
     Entries of the perturbation are bounded by 0.2 (1 + d(k,l))^{-decay_s}
@@ -450,6 +450,6 @@ def make_perturbed_onb(n, decay_s, seed, name=None):
     return Frame(
         np.eye(n) + e,
         iset,
-        name=name or f"ponb{n}s{decay_s}",
+        name=f"ponb{n}s{decay_s}",
         meta={"kind": "perturbed_onb", "n": n, "decay_s": decay_s, "seed": seed},
     )

@@ -67,8 +67,6 @@ class IndexSet:
         if len(set(map(str, self.labels))) != len(self.labels):
             raise InvalidInputError("index labels must be distinct")
         pos = np.atleast_2d(np.asarray(positions, dtype=float))
-        if pos.shape[0] == 1 and len(self.labels) > 1:
-            pos = pos.T
         if pos.shape[0] != len(self.labels):
             raise InvalidInputError("one position per label required")
         if pos.shape[1] not in (1, 2):

@@ -370,9 +370,9 @@ class CoorbitInclusionReport:
         }
 
 
-def _seq_witness_ratios(a, b, schedule, spike):
+def _seq_witness_ratios(a, b, spike):
     out = []
-    for n in schedule:
+    for n in DEFAULT_SCHEDULE:
         iset = IndexSet.line(n)
         sa, sb = a.on(iset), b.on(iset)
         if spike:
@@ -385,8 +385,7 @@ def _seq_witness_ratios(a, b, schedule, spike):
     return out
 
 
-def coorbit_inclusion(frame: Frame, a: SeqSpaceSpec, b: SeqSpaceSpec,
-                      schedule=DEFAULT_SCHEDULE):
+def coorbit_inclusion(frame: Frame, a: SeqSpaceSpec, b: SeqSpaceSpec):
     """Finite-scale realization of the inclusion equivalence.
 
     The verdict mirrors the sequence-space test.  For a non-inclusion an
@@ -395,19 +394,19 @@ def coorbit_inclusion(frame: Frame, a: SeqSpaceSpec, b: SeqSpaceSpec,
     """
     if frame.min_vector_norm() < NORM_BOUNDED_FLOOR:
         raise ContractError("frame is not norm-bounded below")
-    seq_rep = seq_space_included(a, b, schedule)
+    seq_rep = seq_space_included(a, b)
     if seq_rep.included:
         return CoorbitInclusionReport(True, seq_rep)
 
     spike = a.effective_p <= b.effective_p
-    ratios = _seq_witness_ratios(a, b, schedule, spike)
+    ratios = _seq_witness_ratios(a, b, spike)
 
     af, bf = a.on(frame.index_set), b.on(frame.index_set)
     spec_a = CoorbitSpec(frame, af)
     spec_b = CoorbitSpec(frame, bf)
     frame_ratios = []
     witness = None
-    sub = [n for n in schedule if n <= frame.size]
+    sub = [n for n in DEFAULT_SCHEDULE if n <= frame.size]
     if not sub or sub[-1] != frame.size:
         sub.append(frame.size)
     for n in sub:

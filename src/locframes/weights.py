@@ -45,8 +45,9 @@ class Weight:
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise InvalidInputError("weight must be a nonempty 1-D sequence")
-        if not np.all(v > 0):
-            raise InvalidInputError("weight values must be strictly positive")
+        if not np.all(v >= np.finfo(float).tiny):
+            raise InvalidInputError("weight values must be at least the smallest "
+                                    "normal float64, or their reciprocals overflow")
         if not np.all(np.isfinite(v)):
             raise InvalidInputError("weight values must be finite")
         self.values = v
@@ -129,18 +130,23 @@ class SeqSpaceSpec:
 
 
 def column_p_norms(a, p):
-    """p-norms of the columns of a nonnegative ``a`` (of ``a`` if 1-D) as
+    """p-norms of the columns of a nonnegative ``a`` (of ``a`` if 1-D): the
+    column max for p = inf, the plain column sum for p = 1, and otherwise
     ||x||_p = s ||x / s||_p for the largest entry s, so that no power
     overflows or underflows at any scale or p; a zero column has norm 0."""
+    if p == 1.0:
+        return np.sum(a, axis=0)
     s = np.max(a, axis=0)
+    if p == P_INF:
+        return s
     x = a / np.where(s > 0, s, 1.0)
     x **= p
     return s * np.sum(x, axis=0) ** (1.0 / p)
 
 
 def seq_norm(c, spec: SeqSpaceSpec):
-    """Weighted norm ||w c||_p, scaled as ``column_p_norms`` for p > 1; sup
-    norm for p in {0, inf}.
+    """Weighted norm ||w c||_p through ``column_p_norms``; the sup norm for
+    p in {0, inf}.
 
     A K x m array gives the norms of its m columns as an array.
     """
@@ -150,14 +156,7 @@ def seq_norm(c, spec: SeqSpaceSpec):
         raise DimensionMismatchError(
             f"sequence length {c.shape} does not match weight {w.shape}"
         )
-    wc = np.abs((w if c.ndim == 1 else w[:, None]) * c)
-    p = spec.effective_p
-    if p == P_INF:
-        out = np.max(wc, axis=0)
-    elif p == 1.0:
-        out = np.sum(wc, axis=0)
-    else:
-        out = column_p_norms(wc, p)
+    out = column_p_norms(np.abs((w if c.ndim == 1 else w[:, None]) * c), spec.effective_p)
     return float(out) if c.ndim == 1 else out
 
 
@@ -202,7 +201,7 @@ def _inclusion_certificate(a: SeqSpaceSpec, b: SeqSpaceSpec, index_set: IndexSet
     return float(column_p_norms(ratio, r)), f"l^{r:g} norm of w_b/w_a"
 
 
-def seq_space_included(a: SeqSpaceSpec, b: SeqSpaceSpec, schedule=DEFAULT_SCHEDULE):
+def seq_space_included(a: SeqSpaceSpec, b: SeqSpaceSpec):
     """Hoelder-type inclusion test l^{p_a}_{w_a} into l^{p_b}_{w_b}.
 
     Asymptotics are probed on a growing family of truncations built from
@@ -217,7 +216,7 @@ def seq_space_included(a: SeqSpaceSpec, b: SeqSpaceSpec, schedule=DEFAULT_SCHEDU
         if len(b.weight) != len(a.weight):
             raise DimensionMismatchError("explicit weights must share the index set")
     else:
-        sizes = list(schedule)
+        sizes = list(DEFAULT_SCHEDULE)
         sets = [IndexSet.line(n) for n in sizes]
     certs = []
     criterion = ""

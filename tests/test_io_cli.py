@@ -287,6 +287,73 @@ class TestCLI:
         assert rep["levels"][0]["iterations"] == 1
         assert rep["levels"][0]["decomposition"] == "eigh"
 
+    SOLVE_KEYS = {"contraction_norm", "contraction_sufficient", "converged", "levels",
+                  "message", "method", "stabilized_at", "sup_inverse_norm",
+                  "uniformity_flag"}
+    LEVEL_KEYS = {"N", "decomposition", "diverged", "error", "inverse_norm",
+                  "iterations", "kappa_dagger", "residual", "singular"}
+
+    def test_solve_fs_greedy_schedule(self, tmp_path):
+        assert run_cli("solve", "fs", "--n", "64", "--schedule", "greedy",
+                       "--op-kind", "identity_minus_kernel", "--theta", "0.5",
+                       "--out-dir", tmp_path) == 0
+        rep = json.loads((tmp_path / "solve_fs.json").read_text())
+        assert set(rep) == self.SOLVE_KEYS and rep["converged"]
+        assert [set(lv) for lv in rep["levels"]] == [self.LEVEL_KEYS] * 4
+        assert [lv["N"] for lv in rep["levels"]] == [8, 16, 32, 64]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "solution_fs.json", "solution_fs.npy", "solve_fs.json", "solve_fs_levels.csv"]
+
+    def test_solve_fs_bump_rhs(self, tmp_path):
+        n, theta = 64, 0.5
+        assert run_cli("solve", "fs", "--n", n, "--rhs", "bump",
+                       "--op-kind", "identity_minus_kernel", "--theta", theta,
+                       "--out-dir", tmp_path) == 0
+        rep = json.loads((tmp_path / "solve_fs.json").read_text())
+        assert set(rep) == self.SOLVE_KEYS and rep["converged"]
+        # oracle: I - theta T with T the row-normalized (1 + ring distance)^-3
+        # kernel, and a Gaussian bump of variance 0.01 n^2 / pi at n // 2
+        i = np.arange(n)
+        d = np.minimum(np.abs(i[:, None] - i), n - np.abs(i[:, None] - i))
+        t = (1.0 + d) ** -3.0
+        a = np.eye(n) - theta * t / t.sum(axis=1, keepdims=True)
+        y = np.exp(-np.pi * (i - n // 2) ** 2 / (0.02 * n * n))
+        x = np.load(tmp_path / "solution_fs.npy")
+        residual = np.linalg.norm(a @ x - y)
+        assert residual <= 1e-8 * np.linalg.norm(y)
+        assert rep["levels"][-1]["residual"] == pytest.approx(residual, rel=1e-6, abs=1e-14)
+
+    def test_galerkin_assemble_right_frame_path(self, tmp_path):
+        run_cli("frame", "build", "--kind", "gabor", "--n", "32", "--a", "4",
+                "--b", "4", "--out-dir", tmp_path / "gabor")
+        run_cli("frame", "build", "--kind", "perturbed-onb", "--n", "32",
+                "--out-dir", tmp_path / "ponb")
+        assert run_cli("galerkin", "assemble", "--frame", tmp_path / "gabor" / "frame",
+                       "--right", tmp_path / "ponb" / "frame",
+                       "--out-dir", tmp_path / "gal") == 0
+        report = json.loads((tmp_path / "gal" / "galerkin_report.json").read_text())
+        assert set(report) == {"composition_residual", "kappa", "roundtrip_residual"}
+        assert set(report["kappa"]) == {"lhs", "ratio", "rhs", "submultiplicative"}
+        entries, _ = io.load_array(tmp_path / "gal" / "galerkin")
+        gabor = io.load_frame(tmp_path / "gabor" / "frame")
+        ponb = io.load_frame(tmp_path / "ponb" / "frame")
+        expected = galerkin_matrix(LinearOperator.identity(32), gabor, ponb).entries
+        assert entries.shape == (64, 32) and np.array_equal(entries, expected)
+
+    def test_solve_fg_richardson_diverged_exit_three(self, tmp_path):
+        # invertible and indefinite: 2 / (sigma_max + sigma_min) cannot contract
+        run_cli("frame", "build", "--kind", "onb", "--n", "16", "--out-dir", tmp_path)
+        spectrum = ",".join(str(v) for v in (-1.0) ** np.arange(16) + 0.5)
+        with pytest.warns(UserWarning, match="diverge"):
+            code = run_cli("solve", "fg", "--frame", tmp_path / "frame",
+                           "--op-kind", "diagonal", f"--spectrum={spectrum}",
+                           "--method", "richardson", "--out-dir", tmp_path / "fg")
+        assert code == 3
+        assert json.loads((tmp_path / "fg" / "error.json").read_text())["code"] == "diverged"
+        rep = json.loads((tmp_path / "fg" / "solve_fg.json").read_text())
+        assert set(rep) == self.SOLVE_KEYS and not rep["converged"]
+        assert rep["levels"][0]["diverged"] and not rep["levels"][0]["singular"]
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "onb", "n": 4}))
@@ -484,6 +551,35 @@ class TestCLIContract:
                            "--out-dir", tmp_path / "cert") == 2
         assert self.error(tmp_path / "cert") == "invalid-input"
         assert not (tmp_path / "cert" / "certificate_inf_inf.json").exists()
+
+    @pytest.mark.parametrize("case", ["inf_inf", "inf_zero", "one_inf", "one_p",
+                                      "inf_one", "two_two"])
+    @pytest.mark.parametrize("lattice, weight", [
+        (("16", "4", "2"), ("--w1-power", "-210")),
+        (("16", "4", "2"), ("--w2-power", "204.79")),
+        (("32", "4", "4"), ("--w1-power", "-175")),
+    ], ids=["subnormal-w1", "near-overflow-w2", "subnormal-w1-k64"])
+    def test_certify_weights_leaving_float64(self, tmp_path, lattice, weight, case):
+        # at the parent each of these exited 0: the subnormal weights, whose
+        # reciprocals overflow, with NaN bounds, and the w2 weights near the
+        # float64 limit with an infinite inf_inf, inf_zero or inf_one bound
+        n, a, b = lattice
+        run_cli("frame", "build", "--kind", "gabor", "--n", n, "--a", a, "--b", b,
+                "--out-dir", tmp_path)
+        run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
+                "--out-dir", tmp_path / "gal")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("galerkin", "certify", "--matrix", tmp_path / "gal" / "galerkin",
+                           "--case", case, *weight, "--out-dir", tmp_path / "cert")
+        certificate = tmp_path / "cert" / f"certificate_{case}.json"
+        if weight[1] == "204.79" and case in ("one_inf", "one_p", "two_two"):
+            assert code == 0
+            cert = json.loads(certificate.read_text())
+            assert cert["sound"] and 0 < cert["certified_bound"] < math.inf
+        else:
+            assert code == 2 and self.error(tmp_path / "cert") == "invalid-input"
+            assert not certificate.exists()
 
     @pytest.mark.parametrize("kind", [("--kind", "perturbed-onb", "--n", "48"),
                                       ("--kind", "gabor", "--n", "32", "--a", "4",

@@ -27,6 +27,8 @@ from locframes import (
     richardson_solve,
     subframe_projection,
 )
+from locframes.frames import analysis_r, frame_core
+from locframes.linalg import core_spectrum, field_array
 from locframes.solver import PROJECTION_TOL, _section_core, _span_basis
 
 from conftest import complex_copy
@@ -406,6 +408,66 @@ class TestRichardson:
             res = richardson_solve(np.diag([1.0, 5.0]), np.ones(2), 1.9)
         assert res.diverged and not res.converged
 
+    def test_divergence_warns_once(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = richardson_solve(np.diag([1.0, 5.0]), np.ones(2), 1.9)
+        assert res.diverged
+        assert [str(w.message) for w in caught] == [
+            f"Richardson iteration diverged after {res.iterations} updates "
+            f"(relative residual {res.residuals[-1]:.3e})"]
+
+    def test_converged_and_capped_runs_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            converged = richardson_solve(np.diag([1.0, 1.5]), np.ones(2), 0.8)
+            # the second component contracts by 1 - 1e-6 per update: the run
+            # neither meets the tolerance nor runs away before the cap
+            capped = richardson_solve(np.diag([1.0, 1e-6]), np.ones(2), 1.0)
+        assert converged.converged and not converged.diverged
+        assert not capped.converged and not capped.diverged
+        assert capped.iterations == 20 and len(capped.residuals) == 21
+
+    @staticmethod
+    def reference_loop(m, b, relaxation, tol=1e-10):
+        """A copy of the Richardson loop: the reference whose iterates, counts
+        and residuals the kernel must match bit for bit."""
+        m, b = field_array(m), field_array(b)
+        m = np.asarray(m, dtype=np.result_type(m, b))
+        k = m.shape[0]
+        bnorm = max(np.linalg.norm(b), 1e-300)
+        x = np.zeros(k, dtype=m.dtype)
+        residuals = []
+        updates = 0
+        while updates <= 10 * k:
+            r = b - m @ x
+            rel = np.linalg.norm(r) / bnorm
+            residuals.append(rel)
+            if rel <= tol or rel > 10 * residuals[0]:
+                return x, updates, residuals
+            x = x + relaxation * r
+            updates += 1
+        return x, 10 * k, residuals
+
+    @pytest.mark.parametrize("name", ["onb", "gabor16", "gabor64", "gabor144",
+                                      "translates", "ponb"])
+    def test_bit_identical_to_reference_loop(self, suite_frames, rng, name):
+        frame = suite_frames[name]
+        n = frame.ambient_dim
+        op = make_test_operator("identity_minus_kernel", n, theta=0.5).dense()
+        for core in (frame_core(frame, frame, op),
+                     frame_core(frame, frame, np.diag((-1.0) ** np.arange(n) + 0.5))):
+            s = core_spectrum(core).values
+            relaxation = 2.0 / (s[0] + s[-1])
+            b = analysis_r(frame) @ (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                res = richardson_solve(core, b, relaxation)
+            c, iterations, residuals = self.reference_loop(core, b, relaxation)
+            assert np.array_equal(res.c, c) and res.c.dtype == c.dtype
+            assert res.iterations == iterations and res.residuals == residuals
+            assert res.diverged == bool(residuals[-1] > 10 * residuals[0])
+
 
 class TestFrameGalerkinSolve:
     def test_identity_operator_on_onb_single_iteration(self, rng):
@@ -461,8 +523,8 @@ class TestFrameGalerkinSolve:
         assert np.linalg.norm(f - np.linalg.solve(op.dense(), g)) <= 1e-6
 
     def test_richardson_on_redundant_frame_does_not_warn(self, rng):
-        # M is singular on C^K; the contraction is estimated on its core,
-        # where it is about (B - A) / (B + A) = 0.18
+        # M is singular on C^K; Richardson runs on its core, where it
+        # contracts by about (B - A) / (B + A) = 0.18
         frame = make_gabor_frame(64, 4, 4, gaussian_window(64))
         op = make_test_operator("identity_minus_kernel", 64, theta=0.5)
         g = rng.standard_normal(64) + 1j * rng.standard_normal(64)
