@@ -44,6 +44,7 @@ from .localization import (
     equivalence_grid,
 )
 from .solver import (
+    METHODS,
     ProjectionSchedule,
     finite_section_solve,
     frame_galerkin_solve,
@@ -148,7 +149,7 @@ def build_frame(cfg, seed):
         return make_translates_frame(n, cfg.get("step", 1), gen)
     if kind == "perturbed-onb":
         return make_perturbed_onb(_required(cfg, "n"), cfg.get("decay_s", 3.0), seed)
-    raise LocframesError(f"unknown frame kind {kind!r}")
+    raise InvalidInputError(f"unknown frame kind {kind!r}")
 
 
 def build_operator(cfg, n):
@@ -172,7 +173,7 @@ def make_rhs(cfg, n, seed):
     if kind == "bump":
         x = np.arange(n)
         return np.exp(-np.pi * (x - n // 2) ** 2 / (0.02 * n * n)).astype(complex)
-    raise LocframesError(f"unknown rhs kind {kind!r}")
+    raise InvalidInputError(f"unknown rhs kind {kind!r}")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -360,15 +361,16 @@ FLAGS = {
     ("solve", "fs"): ("n", "schedule", "levels", "start_level") + _SOLVE_FLAGS,
     ("solve", "fg"): ("frame",) + _SOLVE_FLAGS,
 }
-_CHOICES = {
-    "kind": ["onb", "gabor", "translates", "perturbed-onb"],
-    "algebra": ["jaffard", "schur_weighted"],
-    "case": list(CERTIFICATE_CASES),
-    "method": ["cg", "richardson", "direct"],
-    "schedule": ["centered", "greedy"],
-    "rhs": ["random", "bump"],
+# the values a setting takes, for --help; each command checks its own
+_HELP = {
+    "kind": "onb | gabor | translates | perturbed-onb",
+    "algebra": "jaffard | schur_weighted",
+    "case": " | ".join(CERTIFICATE_CASES),
+    "method": " | ".join(METHODS),
+    "schedule": "centered | greedy",
+    "rhs": "random | bump",
+    "right": "self | dual | path to a frame container",
 }
-_HELP = {"right": "self | dual | path to a frame container"}
 
 
 def make_parser():
@@ -381,13 +383,12 @@ def make_parser():
     for (group, name), keys in FLAGS.items():
         if group not in subs:
             subs[group] = groups.add_parser(group).add_subparsers(dest="sub", required=True)
-        sub = subs[group].add_parser(name)
+        sub = subs[group].add_parser(name, allow_abbrev=False)
         sub.add_argument("--config", help="JSON config file; flags override it")
         sub.add_argument("--out-dir", help='default "out"')
         sub.add_argument("--seed", help="default 0")
         for key in keys:
-            sub.add_argument("--" + key.replace("_", "-"), dest=key,
-                             choices=_CHOICES.get(key), help=_HELP.get(key))
+            sub.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key))
     return parser
 
 
@@ -406,7 +407,7 @@ def _load_config(path):
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    args, unknown = make_parser().parse_known_args(argv)
     # flags override the config file, which overrides these defaults
     out = Path(args.out_dir or "out")
     try:
@@ -419,7 +420,11 @@ def main(argv=None):
             out = Path(cfg.setdefault("out_dir", "out"))
         except (TypeError, ValueError) as err:
             raise ConfigError(f"--seed needs an integer, --out-dir a path: {err}") from err
+        if unknown:
+            raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
         out.mkdir(parents=True, exist_ok=True)
+        # an error.json of an earlier run would outlive this one's artifacts
+        (out / "error.json").unlink(missing_ok=True)
         _check_settings(cfg)
         try:
             return COMMANDS[(args.group, args.sub)](cfg, out, seed)

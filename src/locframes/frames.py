@@ -369,15 +369,17 @@ def gabor_system(window, a, b):
 
 
 def gabor_lattice(vectors, meta):
-    """(a, b) when ``meta`` describes a Gabor frame on Z_n and ``vectors``
-    equal the system ``gabor_system`` rebuilds from their first column;
-    otherwise None, and the frame is treated as a general one."""
+    """(a, b) when ``meta`` describes a Gabor frame on Z_n, on a lattice of
+    at least n points, and ``vectors`` equal the system ``gabor_system``
+    rebuilds from their first column; otherwise None, and the frame is
+    treated as a general one."""
     if meta.get("kind") != "gabor":
         return None
     n, a, b = (meta.get(key) for key in ("n", "a", "b"))
     if not all(type(v) is int and v > 0 for v in (n, a, b)) or n % a or n % b:
         return None
-    if vectors.shape != (n, (n // a) * (n // b)):
+    size = (n // a) * (n // b)
+    if size < n or vectors.shape != (n, size):
         return None
     if not np.array_equal(gabor_system(vectors[:, 0], a, b), vectors):
         return None

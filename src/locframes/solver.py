@@ -285,45 +285,57 @@ def richardson_solve(m, b, relaxation, tol=1e-10):
     return IterationResult(x, 10 * k, False, residuals)
 
 
-# -- one solve kernel ---------------------------------------------------------
+# -- one solve level ----------------------------------------------------------
+
+METHODS = ("direct", "cg", "richardson")
 
 
-def solve_system(spectrum, b, method, tol):
-    """Solve C c = b for the core C of a ``core_spectrum``.
+def _solve_level(core, b, method, tol, size):
+    """Decompose the core C of one level once and solve C c = b.
 
-    ``direct`` applies the pseudo-inverse; ``cg`` and ``richardson`` run
-    on C.  CG takes the normal equations when C fails its Hermitian test;
-    Richardson relaxes with 2 / (sigma_max + sigma_min) over the nonzero
-    singular values.  The caller maps its right side into the core's
-    coordinates and lifts the solution back.
+    C's one ``core_spectrum`` gives the ``LevelRecord``'s singular flag (a
+    rank below the order of C), inverse norm and kappa^dagger.  ``direct``
+    applies C^+; CG runs on C, or on the normal equations when C fails its
+    Hermitian test; Richardson relaxes with 2 / (sigma_max + sigma_min).
+    Returns the record, whose ``residual`` the caller fills, and the
+    ``IterationResult``, or None when CG finds b outside C's range.
     """
-    if method == "direct":
-        return IterationResult(spectrum.pinv_apply(b), 0, True)
-    if method == "cg":
-        return cg_solve(spectrum.core, b, tol=tol)
-    if method == "richardson":
-        s = spectrum.values
-        relaxation = 2.0 / (s[0] + s[-1]) if s.size else 1.0
-        return richardson_solve(spectrum.core, b, relaxation, tol=tol)
-    raise InvalidInputError(f"unknown method {method!r}")
+    if method not in METHODS:
+        raise InvalidInputError(f"unknown method {method!r}")
+    spectrum = core_spectrum(core, factors=method == "direct")
+    s = spectrum.values
+    rec = LevelRecord(size=size, residual=math.inf, singular=bool(s.size < len(core)),
+                      decomposition=spectrum.decomposition)
+    if s.size:
+        rec.inverse_norm, rec.kappa_dagger = float(1.0 / s[-1]), spectrum.kappa
+    try:
+        if method == "direct":
+            res = IterationResult(spectrum.pinv_apply(b), 0, True)
+        elif method == "cg":
+            res = cg_solve(core, b, tol=tol)
+        else:
+            relaxation = 2.0 / (s[0] + s[-1]) if s.size else 1.0
+            res = richardson_solve(core, b, relaxation, tol=tol)
+    except ContractError:
+        return rec, None
+    rec.iterations, rec.diverged = res.iterations, res.diverged
+    return rec, res
 
 
 # -- finite sections ----------------------------------------------------------
 
 
 def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
-                         tol=DEFAULT_TOL, reference=None):
+                         tol=DEFAULT_TOL):
     """Solve P_N A P_N x = P_N y over a nested projection schedule.
 
     Each level's section is Q_N C Q_N^* with the core C = Q_N^* A Q_N, which
-    carries exactly the nonzero singular values of P_N A P_N; its spectrum
-    gives the singular flag (a rank below N), the inverse norm and the
-    generalized condition number, and ``solve_system`` solves C c = Q_N^* y
-    for x = Q_N c.  Residuals and errors against a dense reference solution
-    are recorded.  A level that is singular, or whose iteration diverges,
-    is flagged and the schedule continues.  The last section is A itself:
-    when it is numerically singular, no reference is computed and
-    ``error`` stays None, unless the caller passed ``reference``.
+    carries exactly the nonzero singular values of P_N A P_N;
+    ``_solve_level`` solves C c = Q_N^* y for x = Q_N c.  Residuals and
+    errors against a dense reference solution are recorded.  A level that
+    is singular, or whose iteration diverges, is flagged and the schedule
+    continues.  The last section is A itself: when it is numerically
+    singular, no reference is computed and ``error`` stays None.
     """
     a = as_operator(a)
     y = np.asarray(y, dtype=complex)
@@ -331,51 +343,33 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
     if a.shape[0] != a.shape[1] or y.shape != (n,):
         raise InvalidInputError("finite sections need a square system")
     dense = a.dense()
-    contraction = float(square_svd(np.eye(n) - dense)[1][0])
-    report = SolveReport(
-        method=method,
-        converged=False,
-        contraction_norm=contraction,
-        contraction_sufficient=bool(contraction < 1),
-        uniformity_flag=schedule.uniformity_flag,
-    )
+    report = SolveReport(method=method, converged=False,
+                         uniformity_flag=schedule.uniformity_flag)
     solutions = []
     for lv, q in zip(schedule.levels, schedule.bases):
-        spectrum = core_spectrum(_section_core(q, dense),
-                                 factors=method == "direct")
-        s = spectrum.values
-        deficient = bool(s.size < q.shape[1])
-        rec = LevelRecord(size=len(lv), residual=math.inf, singular=deficient,
-                          decomposition=spectrum.decomposition)
-        if s.size:
-            rec.inverse_norm = float(1.0 / s[-1])
-            rec.kappa_dagger = spectrum.kappa
-        x = None
-        try:
-            res = solve_system(spectrum, np.conj(q.T) @ y, method, tol * 1e-2)
-            rec.iterations, rec.diverged = res.iterations, res.diverged
-            if not res.diverged:
-                x = q @ res.c
-        except ContractError:
-            pass
+        rec, res = _solve_level(_section_core(q, dense), np.conj(q.T) @ y, method,
+                                tol * 1e-2, len(lv))
+        x = None if res is None or res.diverged else q @ res.c
         if x is not None:
             rec.residual = float(np.linalg.norm(dense @ x - y))
         solutions.append(x)
         report.levels.append(rec)
+    report.contraction_norm = float(square_svd(np.eye(n) - dense)[1][0])
+    report.contraction_sufficient = bool(report.contraction_norm < 1)
     # the last level's section is A: a rank-deficient one makes a dense
     # solve of A rounding noise (norm ~ 1/eps), not a reference
-    if reference is None and not deficient:
+    if not report.levels[-1].singular:
         try:
             # the real and imaginary parts of y as two right sides, so that
             # a real A is factored in real arithmetic
             parts = np.linalg.solve(dense, np.stack((y.real, y.imag), axis=1))
-            reference = parts[:, 0] + 1j * parts[:, 1]
         except np.linalg.LinAlgError:
             pass
-    if reference is not None:
-        for rec, x in zip(report.levels, solutions):
-            if x is not None:
-                rec.error = float(np.linalg.norm(x - reference))
+        else:
+            reference = parts[:, 0] + 1j * parts[:, 1]
+            for rec, x in zip(report.levels, solutions):
+                if x is not None:
+                    rec.error = float(np.linalg.norm(x - reference))
     inv_norms = [r.inverse_norm for r in report.levels if r.inverse_norm is not None]
     report.sup_inverse_norm = max(inv_norms) if inv_norms else None
 
@@ -411,41 +405,35 @@ def frame_galerkin_solve(op, g, phi: Frame, method="cg", tol=DEFAULT_TOL):
 
     With the analysis QR V^* = Q R, M = Q (R O R^*) Q^*, and the right
     side C_phi g = Q R g lies in the range of Q, where the singular system
-    matrix is uniquely solvable.  M is never assembled, nor is Q: the
-    spectrum of the n x n core R O R^* gives kappa^dagger,
-    ``solve_system`` solves the core with right side R g, and the ambient
-    solution is f = V Q c = R^* c.  The final check compares ||O f - g||
-    against the requested tolerance.
+    matrix is uniquely solvable.  M is never assembled, nor is Q:
+    ``_solve_level`` solves the n x n core R O R^* with right side R g,
+    and the ambient solution is f = V Q c = R^* c.  A zero operator and a
+    right side outside the range of a singular core are rejected.  The
+    final check compares ||O f - g|| against the requested tolerance.
     """
     op = as_operator(op)
     g = np.asarray(g, dtype=complex)
     if g.shape != (phi.ambient_dim,):
         raise DimensionMismatchError(
             f"vector of length {g.shape} against ambient dim {phi.ambient_dim}")
-    spectrum = core_spectrum(frame_core(phi, phi, op.dense()), factors=method == "direct")
-    kappa = spectrum.kappa  # a zero operator has none and is rejected here
+    core = frame_core(phi, phi, op.dense())
+    if not core.any():
+        raise InvalidInputError("condition number of the zero matrix is undefined")
     r = analysis_r(phi)
-    res = solve_system(spectrum, r @ g, method, min(tol * 1e-2, 1e-10))
+    level, res = _solve_level(core, r @ g, method, min(tol * 1e-2, 1e-10), phi.size)
+    if res is None:
+        raise ContractError("right side has a component outside the range")
     f = np.conj(r.T) @ res.c
-    residual = float(np.linalg.norm(op.apply(f) - g))
-    rel = residual / max(np.linalg.norm(g), 1e-300)
-    level = LevelRecord(size=phi.size, residual=residual,
-                        iterations=res.iterations, kappa_dagger=kappa,
-                        diverged=res.diverged, decomposition=spectrum.decomposition)
-    report = SolveReport(
-        method=method,
-        converged=bool(rel <= tol and res.converged and not res.diverged),
-        levels=[level],
-        message="" if rel <= tol else
-        f"ambient residual {rel:.3e} above tolerance {tol:.1e}",
-    )
+    level.residual = float(np.linalg.norm(op.apply(f) - g))
+    rel = level.residual / max(np.linalg.norm(g), 1e-300)
+    notes = [] if rel <= tol else [f"ambient residual {rel:.3e} above tolerance {tol:.1e}"]
     if phi.size > phi.ambient_dim:
-        report.message = (report.message + " " if report.message else "") + \
-            "system matrix singular by redundancy; solved on the analysis range"
+        notes.append("system matrix singular by redundancy; solved on the analysis range")
     if res.normal_equations:
-        report.message = (report.message + " " if report.message else "") + \
-            "non-Hermitian system matrix; CG ran on the normal equations"
-    return f, report
+        notes.append("non-Hermitian system matrix; CG ran on the normal equations")
+    converged = bool(rel <= tol and res.converged and not res.diverged)
+    return f, SolveReport(method=method, converged=converged, levels=[level],
+                          message=" ".join(notes))
 
 
 # -- synthetic operators ------------------------------------------------------

@@ -1,17 +1,22 @@
 """Container round-trips, CLI subcommands, exit codes, determinism."""
 
+import contextlib
+import io as io_module
 import json
 import math
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import locframes
 from locframes import (
@@ -22,7 +27,9 @@ from locframes import (
     io,
     make_gabor_frame,
 )
+from locframes import cli
 from locframes.cli import main
+from locframes.frames import gabor_system
 from locframes.galerkin import LinearOperator
 from locframes.weights import SeqSpaceSpec, Weight
 
@@ -733,11 +740,69 @@ class TestCLIContract:
         ("solve", "fg", "--frame", "f", "--n", "8"),
         ("solve", "fg", "--frame", "f", "--levels", "2"),
         ("solve", "fs", "--frame", "f"),
+        # an unknown flag, a stray argument and abbreviations: --meth of
+        # --method, --a of frame diag's --algebra, --s of --seed or --step
+        ("solve", "fs", "--n", "16", "--bogus", "1"),
+        ("solve", "fs", "--n", "16", "extra"),
+        ("solve", "fs", "--n", "16", "--meth", "cg"),
+        ("frame", "diag", "--frame", "f", "--a", "3"),
+        ("frame", "build", "--kind", "onb", "--n", "8", "--s=1"),
     ])
     def test_flag_of_another_subcommand_rejected(self, tmp_path, argv):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*argv, "--out-dir", tmp_path)
-        assert exc.value.code == 2
+        assert run_cli(*argv, "--out-dir", tmp_path) == 2
+        assert self.error(tmp_path) == "config"
+        assert [p.name for p in tmp_path.iterdir()] == ["error.json"]
+
+    @staticmethod
+    def choice_inputs(tmp_path):
+        """A frame and a Galerkin matrix for the commands that read one."""
+        run_cli("frame", "build", "--kind", "onb", "--n", "8", "--out-dir", tmp_path)
+        run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
+                "--out-dir", tmp_path)
+        return {"frame": str(tmp_path / "frame"), "matrix": str(tmp_path / "galerkin")}
+
+    @pytest.mark.parametrize("command, key", [
+        (("frame", "build"), "kind"), (("frame", "diag"), "algebra"),
+        (("galerkin", "certify"), "case"), (("solve", "fs"), "method"),
+        (("solve", "fg"), "method"), (("solve", "fs"), "schedule"),
+        (("solve", "fs"), "rhs"), (("solve", "fg"), "rhs"),
+    ])
+    def test_unknown_choice_value(self, tmp_path, command, key):
+        # a flag and the same value in --config take one path: invalid-input
+        inputs = self.choice_inputs(tmp_path)
+        needs = [k for k in ("frame", "matrix") if k in cli.FLAGS[command]]
+        flags = [f"--{k}={inputs[k]}" for k in needs]
+        assert run_cli(*command, *flags, f"--{key}", "foo",
+                       "--out-dir", tmp_path / "flag") == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "foo", **{k: inputs[k] for k in needs}}))
+        assert run_cli(*command, "--config", cfg, "--out-dir", tmp_path / "config") == 2
+        for out in ("flag", "config"):
+            assert self.error(tmp_path / out) == "invalid-input"
+            assert "'foo'" in json.loads((tmp_path / out / "error.json").read_text())["message"]
+
+    def test_success_removes_stale_error(self, tmp_path):
+        assert run_cli("solve", "fs", "--n", "16", "--start-level", "0",
+                       "--out-dir", tmp_path) == 2
+        assert (tmp_path / "error.json").exists()
+        assert run_cli("solve", "fs", "--n", "16", "--out-dir", tmp_path) == 0
+        assert (tmp_path / "solve_fs.json").exists()
+        assert not (tmp_path / "error.json").exists()
+
+    @pytest.mark.parametrize("spectrum, method, code", [
+        ("0," * 15 + "0", "cg", "invalid-input"),
+        ("0," * 15 + "0", "direct", "invalid-input"),
+        ("0," + ",".join(["1"] * 15), "cg", "contract"),
+    ])
+    def test_solve_fg_rejections(self, tmp_path, spectrum, method, code):
+        # a zero operator has no system to solve; a singular one under CG
+        # cannot reach a random right side
+        run_cli("frame", "build", "--kind", "onb", "--n", "16", "--out-dir", tmp_path)
+        assert run_cli("solve", "fg", "--frame", tmp_path / "frame", "--op-kind",
+                       "diagonal", f"--spectrum={spectrum}", "--method", method,
+                       "--out-dir", tmp_path / "out") == 2
+        assert self.error(tmp_path / "out") == code
+        assert not (tmp_path / "out" / "solve_fg.json").exists()
 
 
 class TestIntegerSettings:
@@ -913,6 +978,22 @@ class TestGaborContainers:
         _, loaded = self.save(tmp_path, vectors)
         assert loaded.lattice is None
 
+    def test_undersized_lattice_is_not_a_frame(self, tmp_path):
+        # (16/8)(16/8) = 4 vectors in C^16: meta and vectors agree, but the
+        # family spans a 4-dimensional subspace
+        vectors = gabor_system(gaussian_window(16).astype(complex), 8, 8)
+        iset = IndexSet.torus_grid(2, 2, scales=(8.0, 8.0))
+        io.save_frame(tmp_path / "frame", locframes.Frame(
+            vectors, iset, meta={"kind": "gabor", "n": 16, "a": 8, "b": 8}))
+        loaded = io.load_frame(tmp_path / "frame")
+        assert loaded.lattice is None
+        with pytest.raises(locframes.NotAFrameError):
+            locframes.frame_bounds(loaded)
+        for argv in (("frame", "diag"), ("galerkin", "assemble")):
+            out = tmp_path / argv[0]
+            assert run_cli(*argv, "--frame", tmp_path / "frame", "--out-dir", out) == 2
+            assert TestCLIContract.error(out) == "not-a-frame"
+
     @pytest.mark.parametrize("meta", [{"kind": "onb"},
                                       {"kind": "gabor", "n": 64, "a": 8.0, "b": 4},
                                       {"kind": "gabor", "n": 64, "a": 4, "b": 8}])
@@ -1084,3 +1165,119 @@ class TestWorkCounts:
                                                 name=frame.name, meta=frame.meta))
         assert io.load_frame(tmp_path / "frame").lattice == (4, 4)
         assert self.diag_gram_calls(tmp_path, monkeypatch) == 3
+
+
+# -- every argv keeps the exit contract -----------------------------------------
+
+# the codes error.json may carry, by exit code
+EXIT_CODES = {2: {"dimension-mismatch", "metric-mismatch", "invalid-input", "config",
+                  "input-file", "not-a-frame", "insufficient-data", "contract",
+                  "not-localized", "bijectivity"},
+              3: {"diverged"}}
+# (valid, bad) values of each setting: bad ones are mistyped, out of range
+# or unknown; no size above 32, so that every drawn command runs in
+# milliseconds
+REAL = (["0.5", "1", "3"], ["-1", "0", "nan", "inf", "x", ""])
+SETTING_VALUES = {
+    "kind": (["onb", "gabor", "translates", "perturbed-onb"], ["foo"]),
+    "n": (["4", "8", "16", "32"], ["0", "-2", "8.5", "x", "", "1e300"]),
+    "a": (["1", "2", "4"], ["3", "0", "x"]), "b": (["1", "2", "4"], ["3", "0", "x"]),
+    "step": (["1"], ["2", "0", "x"]), "levels": (["1", "3"], ["0", "-1", "x"]),
+    "start_level": (["1", "4"], ["0", "-3", "2.5"]),
+    "width": REAL, "decay_s": REAL, "s": (REAL[0], REAL[1] + ["300"]),
+    "threshold": (["1e3", "10"], REAL[1]), "theta": (["0.5", "1", "1.2"], REAL[1]),
+    "exponent": (["2", "3"], REAL[1]), "p": (["1", "2", "2000"], REAL[1]),
+    "w1_power": (["0", "1", "-1"], ["-175", "400", "nan", "x"]),
+    "w2_power": (["0", "1", "204.79"], ["-400", "nan", "x"]),
+    "tol": (["1e-8", "1e-300"], ["0", "-1", "nan", "x"]),
+    "p_grid": (["1,2,inf", "0.5", "inf"], ["x", ""]),
+    "weight_powers": (["0,1", "-1"], ["1e308", "-400", "x", ""]),
+    "spectrum": (["1,2,3,4", "0,0,0,0,0,0,0,0", ",".join(["1", "-2"] * 4),
+                  "0," + ",".join(["1"] * 15)], ["x", "1,nan"]),
+    "algebra": (["jaffard", "schur_weighted"], ["foo"]),
+    "case": (list(locframes.galerkin.CERTIFICATE_CASES), ["foo"]),
+    "method": (["cg", "direct", "richardson"], ["foo"]),
+    "schedule": (["centered", "greedy"], ["foo"]), "rhs": (["random", "bump"], ["foo"]),
+    "op_kind": (["identity", "identity_minus_kernel", "helmholtz_toy", "diagonal"],
+                ["foo"]),
+}
+# the settings without which a command has nothing to read
+REQUIRED = {("frame", "build"): ("kind", "n"), ("frame", "diag"): ("frame",),
+            ("galerkin", "assemble"): ("frame",), ("galerkin", "certify"): ("matrix",),
+            ("solve", "fg"): ("frame",)}
+ALL_KEYS = sorted({key for keys in cli.FLAGS.values() for key in keys})
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Small frames and a Galerkin matrix, with (valid, bad) paths for the
+    settings that name a container."""
+    root = tmp_path_factory.mktemp("inputs")
+    for name, argv in {"onb": ("--kind", "onb", "--n", "8"),
+                       "gabor": ("--kind", "gabor", "--n", "16", "--a", "4", "--b", "2"),
+                       "translates": ("--kind", "translates", "--n", "8")}.items():
+        assert run_cli("frame", "build", *argv, "--out-dir", root / name) == 0
+    assert run_cli("galerkin", "assemble", "--frame", root / "gabor" / "frame",
+                   "--out-dir", root / "gal") == 0
+    frames = [str(root / name / "frame") for name in ("onb", "gabor", "translates")]
+    matrix, missing = str(root / "gal" / "galerkin"), str(root / "missing" / "frame")
+    return {"frame": (frames, [matrix, missing]),
+            "right": (frames + ["self", "dual"], [matrix, missing]),
+            "matrix": ([matrix], [frames[0], missing])}
+
+
+@st.composite
+def cli_argv(draw, paths):
+    """A subcommand with settings drawn from its FLAGS, each bad one time in
+    six and given as --flag=value, as --flag value or in --config; now and
+    then with a flag the subcommand does not take."""
+    command = draw(st.sampled_from(sorted(cli.FLAGS)))
+    keys = draw(st.lists(st.sampled_from(cli.FLAGS[command]), unique=True,
+                         max_size=len(cli.FLAGS[command])))
+    # integers() favours its bounds: a rare branch takes an inner value
+    if draw(st.integers(0, 9)) != 4:
+        keys = [*REQUIRED.get(command, ()), *keys]
+        keys = sorted(set(keys), key=keys.index)
+    if draw(st.integers(0, 4)) == 2:
+        keys.append(draw(st.sampled_from([k for k in ALL_KEYS + ["bogus"]
+                                          if k not in cli.FLAGS[command]])))
+    flags, config = [], {}
+    for key in keys:
+        valid, bad = {**SETTING_VALUES, **paths}.get(key, (["1"], []))
+        value = draw(st.sampled_from(bad if bad and draw(st.integers(0, 5)) == 3
+                                     else valid))
+        flag = "--" + key.replace("_", "-")
+        if key in cli.FLAGS[command] and draw(st.booleans()):
+            config[key] = value
+        else:
+            flags += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    seed = "x" if draw(st.integers(0, 9)) == 4 else draw(st.sampled_from(["0", "7"]))
+    return command, flags + [f"--seed={seed}"], config, draw(st.booleans())
+
+
+class TestCLIProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_exit_contract(self, cli_inputs, data):
+        command, flags, config, stale = data.draw(cli_argv(cli_inputs))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            if stale:
+                out.mkdir()
+                (out / "error.json").write_text('{"code": "stale", "message": ""}')
+            argv = [*command, *flags, "--out-dir", str(out)]
+            if config:
+                (Path(tmp) / "cfg.json").write_text(json.dumps(config))
+                argv += ["--config", str(Path(tmp) / "cfg.json")]
+            stderr = io_module.StringIO()
+            with contextlib.redirect_stderr(stderr), warnings.catch_warnings(), \
+                    np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                rc = main(argv)
+            assert rc in (0, 2, 3), argv
+            assert "Traceback" not in stderr.getvalue(), argv
+            error = out / "error.json"
+            if rc == 0:
+                assert not error.exists(), argv
+            else:
+                assert json.loads(error.read_text())["code"] in EXIT_CODES[rc], argv
