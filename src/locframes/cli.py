@@ -6,6 +6,7 @@ exits 0 on success, 2 on input/contract errors, 3 on divergence.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -377,13 +378,15 @@ def make_parser():
     parser = argparse.ArgumentParser(
         prog="locframes",
         description="frame diagnostics and frame-Galerkin operator solves",
+        exit_on_error=False,
     )
     groups = parser.add_subparsers(dest="group", required=True)
     subs = {}
     for (group, name), keys in FLAGS.items():
         if group not in subs:
-            subs[group] = groups.add_parser(group).add_subparsers(dest="sub", required=True)
-        sub = subs[group].add_parser(name, allow_abbrev=False)
+            subs[group] = groups.add_parser(group, exit_on_error=False).add_subparsers(
+                dest="sub", required=True)
+        sub = subs[group].add_parser(name, allow_abbrev=False, exit_on_error=False)
         sub.add_argument("--config", help="JSON config file; flags override it")
         sub.add_argument("--out-dir", help='default "out"')
         sub.add_argument("--seed", help="default 0")
@@ -407,10 +410,16 @@ def _load_config(path):
 
 
 def main(argv=None):
-    args, unknown = make_parser().parse_known_args(argv)
-    # flags override the config file, which overrides these defaults
-    out = Path(args.out_dir or "out")
+    # --out-dir is read on its own first: argparse's errors on the other flags go there
+    first = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    first.add_argument("--out-dir", nargs="?", const="out", default="out")
+    out = Path(first.parse_known_args(argv)[0].out_dir)
     try:
+        try:
+            args, unknown = make_parser().parse_known_args(argv)
+        except argparse.ArgumentError as err:
+            raise ConfigError(str(err)) from err
+        # flags override the config file, which overrides these defaults
         cfg = _load_config(args.config) if args.config else {}
         for key, value in vars(args).items():
             if key not in ("group", "sub", "config") and value is not None:
@@ -422,7 +431,10 @@ def main(argv=None):
             raise ConfigError(f"--seed needs an integer, --out-dir a path: {err}") from err
         if unknown:
             raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot make --out-dir {out}: {err.strerror}") from err
         # an error.json of an earlier run would outlive this one's artifacts
         (out / "error.json").unlink(missing_ok=True)
         _check_settings(cfg)
@@ -432,8 +444,10 @@ def main(argv=None):
             raise ConfigError(
                 f"the requested sizes do not fit in memory ({err})") from err
     except LocframesError as err:
-        io.save_json(err.payload(), out / "error.json")
         print(json.dumps(err.payload()), file=sys.stderr)
+        # an --out-dir that cannot be made holds no error.json either
+        with contextlib.suppress(OSError):
+            io.save_json(err.payload(), out / "error.json")
         return err.exit_code
 
 

@@ -70,19 +70,25 @@ def square_svd(m, vectors=False):
     matrix takes ``np.linalg.svd``.  ``decomposition`` names the path,
     ``"eigh"`` or ``"svd"``; u and vh are None without ``vectors``.
     """
+    return _square_svd(m, vectors)[:4]
+
+
+def _square_svd(m, vectors):
+    """``square_svd`` and the signed lambda of its eigh path, None on svd."""
     m = np.asarray(m)
     h = _hermitian_part(m)
     if h is None:
         if vectors:
-            return (*np.linalg.svd(m, full_matrices=False), "svd")
-        return None, np.linalg.svd(m, compute_uv=False), None, "svd"
+            return (*np.linalg.svd(m, full_matrices=False), "svd", None)
+        return None, np.linalg.svd(m, compute_uv=False), None, "svd", None
     if not vectors:
-        return None, np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1], None, "eigh"
+        w = np.linalg.eigvalsh(h)
+        return None, np.sort(np.abs(w))[::-1], None, "eigh", w
     w, v = np.linalg.eigh(h)
     order = np.argsort(-np.abs(w), kind="stable")
     w, u = w[order], v[:, order]
     vh = np.where(w < 0, -1.0, 1.0)[:, None] * np.conj(u.T)
-    return u, np.abs(w), vh, "eigh"
+    return u, np.abs(w), vh, "eigh", w
 
 
 def pseudo_inverse(m):
@@ -122,7 +128,8 @@ class CoreSpectrum:
 
     ``values`` are the singular values of C above the relative rank
     cutoff, descending.  ``decomposition`` is the path ``square_svd`` took
-    on C, ``"eigh"`` or ``"svd"``.
+    on C, ``"eigh"`` or ``"svd"``; on ``"eigh"``, ``eigenvalues`` are all
+    the signed eigenvalues of (C + C^*) / 2, none truncated.
     """
 
     values: np.ndarray
@@ -130,6 +137,7 @@ class CoreSpectrum:
     decomposition: str
     u: np.ndarray = None
     vh: np.ndarray = None
+    eigenvalues: np.ndarray = None
 
     @property
     def kappa(self):
@@ -157,5 +165,5 @@ def core_spectrum(core, factors=False):
     can be applied.  The rank cutoff is ``DEFAULT_RANK_TOL`` relative to
     the largest singular value.
     """
-    u, s, vh, decomposition = square_svd(core, vectors=factors)
-    return CoreSpectrum(s[:_rank(s)], core, decomposition, u, vh)
+    u, s, vh, decomposition, w = _square_svd(core, factors)
+    return CoreSpectrum(s[:_rank(s)], core, decomposition, u, vh, w)

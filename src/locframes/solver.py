@@ -297,8 +297,9 @@ def _solve_level(core, b, method, tol, size):
     rank below the order of C), inverse norm and kappa^dagger.  ``direct``
     applies C^+; CG runs on C, or on the normal equations when C fails its
     Hermitian test; Richardson relaxes with 2 / (sigma_max + sigma_min).
-    Returns the record, whose ``residual`` the caller fills, and the
-    ``IterationResult``, or None when CG finds b outside C's range.
+    Returns the record (the caller fills ``residual``), the ``IterationResult``
+    or None when CG finds b outside C's range, and the spectrum's signed
+    ``eigenvalues`` (None when C took the SVD).
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}")
@@ -317,9 +318,9 @@ def _solve_level(core, b, method, tol, size):
             relaxation = 2.0 / (s[0] + s[-1]) if s.size else 1.0
             res = richardson_solve(core, b, relaxation, tol=tol)
     except ContractError:
-        return rec, None
+        return rec, None, spectrum.eigenvalues
     rec.iterations, rec.diverged = res.iterations, res.diverged
-    return rec, res
+    return rec, res, spectrum.eigenvalues
 
 
 # -- finite sections ----------------------------------------------------------
@@ -347,14 +348,17 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
                          uniformity_flag=schedule.uniformity_flag)
     solutions = []
     for lv, q in zip(schedule.levels, schedule.bases):
-        rec, res = _solve_level(_section_core(q, dense), np.conj(q.T) @ y, method,
-                                tol * 1e-2, len(lv))
+        rec, res, lam = _solve_level(_section_core(q, dense), np.conj(q.T) @ y, method,
+                                     tol * 1e-2, len(lv))
         x = None if res is None or res.diverged else q @ res.c
         if x is not None:
             rec.residual = float(np.linalg.norm(dense @ x - y))
         solutions.append(x)
         report.levels.append(rec)
-    report.contraction_norm = float(square_svd(np.eye(n) - dense)[1][0])
+    # a square last Q makes its core Q^* A Q unitarily similar to A
+    reuse = lam is not None and q.shape[1] == n
+    report.contraction_norm = float(np.abs(1 - lam).max() if reuse
+                                    else square_svd(np.eye(n) - dense)[1][0])
     report.contraction_sufficient = bool(report.contraction_norm < 1)
     # the last level's section is A: a rank-deficient one makes a dense
     # solve of A rounding noise (norm ~ 1/eps), not a reference
@@ -420,7 +424,7 @@ def frame_galerkin_solve(op, g, phi: Frame, method="cg", tol=DEFAULT_TOL):
     if not core.any():
         raise InvalidInputError("condition number of the zero matrix is undefined")
     r = analysis_r(phi)
-    level, res = _solve_level(core, r @ g, method, min(tol * 1e-2, 1e-10), phi.size)
+    level, res, _ = _solve_level(core, r @ g, method, min(tol * 1e-2, 1e-10), phi.size)
     if res is None:
         raise ContractError("right side has a component outside the range")
     f = np.conj(r.T) @ res.c

@@ -789,6 +789,27 @@ class TestCLIContract:
         assert (tmp_path / "solve_fs.json").exists()
         assert not (tmp_path / "error.json").exists()
 
+    @pytest.mark.parametrize("argv", [("--n", "16", "--theta", "-inf"), ("--n",)])
+    def test_usage_error_writes_error_json(self, tmp_path, monkeypatch, argv):
+        # argparse's own errors: a dash-leading value that is no plain
+        # number, and a flag without its value
+        for out in ("--out-dir", tmp_path / "sep"), (f"--out-dir={tmp_path / 'eq'}",):
+            assert run_cli("solve", "fs", *argv, *out) == 2
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("solve", "fs", *argv) == 2
+        for out in ("sep", "eq", "out"):
+            message = json.loads((tmp_path / out / "error.json").read_text())
+            assert message["code"] == "config"
+            assert "expected one argument" in message["message"]
+
+    def test_out_dir_that_is_a_file(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        for out in (afile, afile / "sub"):
+            assert run_cli("solve", "fs", "--n", "16", "--out-dir", out) == 2
+            assert json.loads(capsys.readouterr().err)["code"] == "config"
+        assert afile.read_text() == "kept"
+
     @pytest.mark.parametrize("spectrum, method, code", [
         ("0," * 15 + "0", "cg", "invalid-input"),
         ("0," * 15 + "0", "direct", "invalid-input"),
@@ -1118,10 +1139,11 @@ class TestWorkCounts:
         assert run_cli("solve", "fs", "--n", "64", "--out-dir", tmp_path) == 0
         assert per_basis == [0, 0, 0, 0]  # levels N = 8, 16, 32, 64
         # the operator is symmetric: each level core takes one eigh (direct
-        # needs its vectors) and the contraction norm one eigvalsh
+        # needs its vectors), and the last level spans C^n, so its
+        # eigenvalues give the contraction norm without another decomposition
         assert len(svds) == 0
         assert [np.shape(args[0]) for args in eighs] == [(8, 8), (16, 16), (32, 32), (64, 64)]
-        assert [np.shape(args[0]) for args in eigvalshs] == [(64, 64)]
+        assert eigvalshs == []
 
     def diag_gram_calls(self, tmp_path, monkeypatch):
         calls = self.count(monkeypatch, "gram",
@@ -1177,7 +1199,8 @@ EXIT_CODES = {2: {"dimension-mismatch", "metric-mismatch", "invalid-input", "con
 # (valid, bad) values of each setting: bad ones are mistyped, out of range
 # or unknown; no size above 32, so that every drawn command runs in
 # milliseconds
-REAL = (["0.5", "1", "3"], ["-1", "0", "nan", "inf", "x", ""])
+# "-inf" given as a separate argument is an argparse usage error
+REAL = (["0.5", "1", "3"], ["-1", "-inf", "0", "nan", "inf", "x", ""])
 SETTING_VALUES = {
     "kind": (["onb", "gabor", "translates", "perturbed-onb"], ["foo"]),
     "n": (["4", "8", "16", "32"], ["0", "-2", "8.5", "x", "", "1e300"]),

@@ -27,8 +27,9 @@ from locframes import (
     richardson_solve,
     subframe_projection,
 )
+from locframes import solver
 from locframes.frames import analysis_r, frame_core
-from locframes.linalg import core_spectrum, field_array
+from locframes.linalg import core_spectrum, field_array, square_svd
 from locframes.solver import PROJECTION_TOL, _section_core, _span_basis
 
 from conftest import complex_copy
@@ -349,6 +350,71 @@ class TestFiniteSections:
     def test_explicit_level_count(self):
         sched = ProjectionSchedule(make_onb(64), n_levels=3)
         assert [len(lv) for lv in sched.levels] == [16, 32, 64]
+
+
+# the CI run's 16-entry indefinite spectrum with three entries set to zero:
+# ||I - A||_2 = |1 - (-4)| = 5
+INDEFINITE_WITH_ZEROS = [1, -2, 0, 3, -0.25, 4, -1.5, 0, 1, -3, 0.75, 2.5, 0, 1.25, -4, 0.125]
+
+
+def contraction_case(name, rng):
+    """(A, frame, whether square_svd(I - A) is taken) for one finite-section run."""
+    n = 32
+    if name == "kernel":
+        return make_test_operator("identity_minus_kernel", n, theta=0.5).dense(), make_onb(n), 0
+    if name == "singular_kernel":
+        with pytest.warns(UserWarning, match="singular"):
+            a = make_test_operator("identity_minus_kernel", n, theta=1.0)
+        return a.dense(), make_onb(n), 0
+    if name == "helmholtz":
+        return make_test_operator("helmholtz_toy", n).dense(), make_onb(n), 0
+    if name == "indefinite_with_zeros":
+        return np.diag(INDEFINITE_WITH_ZEROS), make_onb(16), 0
+    if name == "zeros_set_the_norm":
+        # the truncated zero eigenvalues, not the kept 1.5, give ||I - A||_2 = 1
+        return np.diag([1.5] * 8 + [0.0] * 8), make_onb(16), 0
+    if name == "perturbed_onb":
+        # the last Q is a square unitary from an SVD, not the identity
+        return make_test_operator("helmholtz_toy", n).dense(), make_perturbed_onb(n, 3.0, 5), 0
+    if name == "not_spanning":
+        # n - 1 coordinate vectors: the last level spans a hyperplane only
+        frame = Frame(np.eye(n)[:, 1:], IndexSet.ring(n - 1))
+        return make_test_operator("identity_minus_kernel", n, theta=0.5).dense(), frame, 1
+    # non-Hermitian: every core takes the SVD path
+    return np.eye(n) + 0.1 * rng.standard_normal((n, n)), make_onb(n), 1
+
+
+class TestContractionNorm:
+    """||I - A||_2 comes from the last level's eigenvalues when that level
+    spans C^n and took eigh, and from square_svd(I - A) otherwise."""
+
+    @pytest.mark.parametrize("method", ["direct", "cg"])
+    @pytest.mark.parametrize("name", ["kernel", "singular_kernel", "helmholtz",
+                                      "indefinite_with_zeros", "zeros_set_the_norm",
+                                      "perturbed_onb", "not_spanning", "non_hermitian"])
+    def test_matches_the_spectral_norm(self, rng, monkeypatch, name, method):
+        a, frame, fallbacks = contraction_case(name, rng)
+        n = len(a)
+        calls = []
+
+        def counted(m, vectors=False):
+            calls.append(m.shape)
+            return square_svd(m, vectors)
+
+        monkeypatch.setattr(solver, "square_svd", counted)
+        sched = ProjectionSchedule(frame)
+        with np.errstate(all="ignore"):
+            rep, _ = finite_section_solve(a, rng.standard_normal(n), sched, method=method)
+        eps = np.finfo(float).eps
+        expected = np.linalg.norm(np.eye(n) - a, 2)
+        assert abs(rep.contraction_norm - expected) <= n * eps * np.linalg.norm(a, 2)
+        # the verdict agrees with the one square_svd(I - A) gives
+        assert rep.contraction_sufficient == bool(square_svd(np.eye(n) - a)[1][0] < 1)
+        assert calls == [(n, n)] * fallbacks
+        assert (rep.levels[-1].decomposition == "eigh") == (name != "non_hermitian")
+        if name == "perturbed_onb":
+            q = sched.bases[-1]
+            assert q.shape == (n, n) and not np.allclose(q, np.eye(n))
 
 
 class TestCG:
