@@ -380,12 +380,13 @@ def make_parser():
         description="frame diagnostics and frame-Galerkin operator solves",
         exit_on_error=False,
     )
-    groups = parser.add_subparsers(dest="group", required=True)
+    # main raises ConfigError for a missing subcommand; required=True would exit instead
+    groups = parser.add_subparsers(dest="group")
     subs = {}
     for (group, name), keys in FLAGS.items():
         if group not in subs:
             subs[group] = groups.add_parser(group, exit_on_error=False).add_subparsers(
-                dest="sub", required=True)
+                dest="sub")
         sub = subs[group].add_parser(name, allow_abbrev=False, exit_on_error=False)
         sub.add_argument("--config", help="JSON config file; flags override it")
         sub.add_argument("--out-dir", help='default "out"')
@@ -413,12 +414,16 @@ def main(argv=None):
     # --out-dir is read on its own first: argparse's errors on the other flags go there
     first = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     first.add_argument("--out-dir", nargs="?", const="out", default="out")
-    out = Path(first.parse_known_args(argv)[0].out_dir)
+    out = first.parse_known_args(argv)[0].out_dir
+    # an empty --out-dir names no directory
+    out = Path(out) if out else None
     try:
         try:
             args, unknown = make_parser().parse_known_args(argv)
         except argparse.ArgumentError as err:
             raise ConfigError(str(err)) from err
+        if getattr(args, "sub", None) is None:
+            raise ConfigError("missing subcommand; see locframes --help")
         # flags override the config file, which overrides these defaults
         cfg = _load_config(args.config) if args.config else {}
         for key, value in vars(args).items():
@@ -426,9 +431,12 @@ def main(argv=None):
                 cfg[key] = value
         try:
             seed = _integer(cfg.setdefault("seed", 0))
-            out = Path(cfg.setdefault("out_dir", "out"))
+            out_dir = cfg.setdefault("out_dir", "out")
+            out = Path(out_dir) if out_dir != "" else None
         except (TypeError, ValueError) as err:
             raise ConfigError(f"--seed needs an integer, --out-dir a path: {err}") from err
+        if out is None:
+            raise ConfigError("--out-dir must not be empty")
         if unknown:
             raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
         try:
@@ -445,9 +453,10 @@ def main(argv=None):
                 f"the requested sizes do not fit in memory ({err})") from err
     except LocframesError as err:
         print(json.dumps(err.payload()), file=sys.stderr)
-        # an --out-dir that cannot be made holds no error.json either
-        with contextlib.suppress(OSError):
-            io.save_json(err.payload(), out / "error.json")
+        # an --out-dir that is empty or cannot be made holds no error.json
+        if out is not None:
+            with contextlib.suppress(OSError):
+                io.save_json(err.payload(), out / "error.json")
         return err.exit_code
 
 

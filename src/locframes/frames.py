@@ -11,7 +11,7 @@ from .errors import (
     NotAFrameError,
 )
 from .indexing import IndexSet
-from .linalg import field_array
+from .linalg import Spectrum, field_array
 
 BOUND_RANK_TOL = 1e-10
 TIGHT_REL_TOL = 1e-10
@@ -194,14 +194,14 @@ def frame_core(left: Frame, right: Frame, x):
     return analysis_r_product(right, analysis_r_product(left, x), adjoint=True)
 
 
-def gram_core_spectrum(left: Frame, right: Frame):
-    """Singular values, descending, of the Gram core R_l R_r^*: for frames of
-    one block layout those of its mf diagonal blocks R_t^l R_t^r*."""
+def gram_spectrum(left: Frame, right: Frame):
+    """``Spectrum`` of the Gram core R_l R_r^*, by its SVD: for frames of one
+    block layout the singular values of its mf diagonal blocks R_t^l R_t^r*."""
     if not shared_lattice(left, right):
         core = analysis_r(left) @ np.conj(analysis_r(right).T)
-        return np.linalg.svd(core, compute_uv=False)
+        return Spectrum(np.linalg.svd(core, compute_uv=False), "svd")
     blocks = _r_factor(left) @ np.conj(_r_factor(right).transpose(0, 2, 1))
-    return np.sort(np.linalg.svd(blocks, compute_uv=False).ravel())[::-1]
+    return Spectrum(np.sort(np.linalg.svd(blocks, compute_uv=False).ravel())[::-1], "svd")
 
 
 def mixed_frame_operator(left: Frame, right: Frame, x=None):

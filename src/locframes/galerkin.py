@@ -18,8 +18,8 @@ from .errors import (
     InvalidInputError,
 )
 from .frames import (Frame, analysis_r, analysis_r_product, canonical_dual, frame_core,
-                     gram, gram_core_spectrum, mixed_frame_operator)
-from .linalg import field_array, generalized_condition_number, singular_kappa, square_svd
+                     gram, gram_spectrum, mixed_frame_operator)
+from .linalg import field_array, spectrum
 from .opnorms import norm_reduction, space_operator_norm, weighted_matrix
 from .weights import SeqSpaceSpec, seq_norm
 
@@ -40,8 +40,7 @@ class LinearOperator:
     """Linear map held as its dense matrix, with a name for reports.
 
     ``dense()`` is the one view every consumer reads; real matrices stay
-    real (``field_array``).  Its singular values are computed once, by
-    ``square_svd``.
+    real (``field_array``).  Its ``spectrum`` is computed once.
     """
 
     def __init__(self, matrix, name="op"):
@@ -69,9 +68,9 @@ class LinearOperator:
         return self._matrix
 
     @cached_property
-    def singular_values(self):
-        """Singular values of the matrix, descending."""
-        return square_svd(self._matrix)[1]
+    def spectrum(self):
+        """The matrix's ``Spectrum``, without factors."""
+        return spectrum(self._matrix)
 
 
 def as_operator(op):
@@ -161,7 +160,7 @@ def roundtrip_check(op, phi: Frame, psi: Frame):
     op = as_operator(op)
     _check_maps(op, phi, psi)
     dense = op.dense()
-    scale = max(op.singular_values[0], 1e-300)
+    scale = max(op.spectrum.values[0], 1e-300)
     phid, psid = canonical_dual(phi), canonical_dual(psi)
     left = mixed_frame_operator(phi, phid)
     right = mixed_frame_operator(psid, psi)
@@ -496,7 +495,7 @@ def galerkin_pseudoinverse(m: GalerkinMatrix, phi: Frame, psi: Frame):
     dense = m.generator.dense()
     if dense.shape[0] != dense.shape[1]:
         raise BijectivityError("generating operator must be square")
-    s = m.generator.singular_values
+    s = m.generator.spectrum.values
     if not (s[0] > 0 and s[-1] * OPERATOR_COND_CAP >= s[0]):
         raise BijectivityError("generating operator numerically singular")
     inv = LinearOperator.from_matrix(np.linalg.inv(dense))
@@ -529,19 +528,19 @@ def kappa_factorization_probe(op, phi: Frame, psi: Frame):
     probe reports both sides, their ratio, and whether lhs <= rhs held.
     The K x K matrices M(phi,psi), G(phi,psi) and G(dual psi,psi) have
     their spectra computed in the frames' ranges (``frame_core``,
-    ``gram_core_spectrum``).
+    ``gram_spectrum``).
     """
     op = as_operator(op)
     _check_maps(op, phi, psi)
     _check_maps(op, psi, psi)
-    s = op.singular_values
+    s = op.spectrum.values
     if not (s[0] > 0 and s[-1] * OPERATOR_COND_CAP >= s[0]):
         raise BijectivityError("operator must be invertible for the kappa probe")
-    lhs = generalized_condition_number(frame_core(phi, psi, op.dense()))
+    lhs = spectrum(frame_core(phi, psi, op.dense())).kappa
     rhs = (
-        singular_kappa(gram_core_spectrum(phi, psi))
-        * singular_kappa(gram_core_spectrum(canonical_dual(psi), psi))
-        * singular_kappa(s)
+        gram_spectrum(phi, psi).kappa
+        * gram_spectrum(canonical_dual(psi), psi).kappa
+        * op.spectrum.kappa
     )
     return {
         "lhs": lhs,

@@ -11,7 +11,7 @@ from .frames import Frame, analysis, analysis_r, frame_core
 # galerkin_matrix is re-exported: callers import it from this module
 from .galerkin import LinearOperator, as_operator, galerkin_matrix  # noqa: F401
 from .indexing import IndexSet
-from .linalg import core_spectrum, field_array, hermitian_defect, square_svd
+from .linalg import field_array, hermitian_defect, spectrum
 
 PROJECTION_TOL = 1e-10
 DEFAULT_TOL = 1e-8
@@ -156,7 +156,7 @@ class LevelRecord:
     singular: bool = False
     # the Richardson iteration ran away on the level
     diverged: bool = False
-    # the path square_svd took on the level's core: "eigh" or "svd"
+    # the path spectrum took on the level's core: "eigh" or "svd"
     decomposition: str = None
 
     def to_dict(self):
@@ -293,7 +293,7 @@ METHODS = ("direct", "cg", "richardson")
 def _solve_level(core, b, method, tol, size):
     """Decompose the core C of one level once and solve C c = b.
 
-    C's one ``core_spectrum`` gives the ``LevelRecord``'s singular flag (a
+    C's one ``spectrum`` gives the ``LevelRecord``'s singular flag (a
     rank below the order of C), inverse norm and kappa^dagger.  ``direct``
     applies C^+; CG runs on C, or on the normal equations when C fails its
     Hermitian test; Richardson relaxes with 2 / (sigma_max + sigma_min).
@@ -303,24 +303,24 @@ def _solve_level(core, b, method, tol, size):
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}")
-    spectrum = core_spectrum(core, factors=method == "direct")
-    s = spectrum.values
+    spec = spectrum(core, vectors=method == "direct")
+    s = spec.values[:spec.rank]
     rec = LevelRecord(size=size, residual=math.inf, singular=bool(s.size < len(core)),
-                      decomposition=spectrum.decomposition)
+                      decomposition=spec.decomposition)
     if s.size:
-        rec.inverse_norm, rec.kappa_dagger = float(1.0 / s[-1]), spectrum.kappa
+        rec.inverse_norm, rec.kappa_dagger = float(1.0 / s[-1]), spec.kappa
     try:
         if method == "direct":
-            res = IterationResult(spectrum.pinv_apply(b), 0, True)
+            res = IterationResult(spec.pinv_apply(b), 0, True)
         elif method == "cg":
             res = cg_solve(core, b, tol=tol)
         else:
             relaxation = 2.0 / (s[0] + s[-1]) if s.size else 1.0
             res = richardson_solve(core, b, relaxation, tol=tol)
     except ContractError:
-        return rec, None, spectrum.eigenvalues
+        return rec, None, spec.eigenvalues
     rec.iterations, rec.diverged = res.iterations, res.diverged
-    return rec, res, spectrum.eigenvalues
+    return rec, res, spec.eigenvalues
 
 
 # -- finite sections ----------------------------------------------------------
@@ -358,7 +358,7 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
     # a square last Q makes its core Q^* A Q unitarily similar to A
     reuse = lam is not None and q.shape[1] == n
     report.contraction_norm = float(np.abs(1 - lam).max() if reuse
-                                    else square_svd(np.eye(n) - dense)[1][0])
+                                    else spectrum(np.eye(n) - dense).values[0])
     report.contraction_sufficient = bool(report.contraction_norm < 1)
     # the last level's section is A: a rank-deficient one makes a dense
     # solve of A rounding noise (norm ~ 1/eps), not a reference

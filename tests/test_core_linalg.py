@@ -1,5 +1,6 @@
 """Index sets, weighted norms, algebra norms, decay fits, pseudo-inverse."""
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -30,7 +31,7 @@ from locframes import linalg
 from locframes.frames import frame_core
 from locframes.galerkin import LinearOperator
 from locframes.indexing import IndexSet
-from locframes.linalg import DEFAULT_RANK_TOL, core_spectrum, hermitian_defect, square_svd
+from locframes.linalg import DEFAULT_RANK_TOL, hermitian_defect, spectrum
 from locframes.opnorms import exact_operator_norm
 from locframes.solver import ProjectionSchedule, finite_section_solve
 
@@ -388,11 +389,11 @@ def assert_core_spectrum_matches_dense(left, right, x):
     core C = R_l X R_r^*, against a dense SVD."""
     dense = np.conj(left.vectors.T) @ (right.vectors if x is None else x @ right.vectors)
     core = frame_core(left, right, np.eye(left.ambient_dim) if x is None else x)
-    spec = core_spectrum(core, factors=True)
+    spec = spectrum(core, vectors=True)
     s = np.linalg.svd(dense, compute_uv=False)
-    rank = spec.values.size
+    rank = spec.rank
     assert rank == np.count_nonzero(s > 1e-10 * s[0])
-    assert np.abs(spec.values - s[:rank]).max() <= 1e-12 * s[0]
+    assert np.abs(spec.values[:rank] - s[:rank]).max() <= 1e-12 * s[0]
     assert spec.kappa == pytest.approx(generalized_condition_number(dense), rel=1e-12)
     dagger = pseudo_inverse(dense)
     core_dagger = analysis_q(right) @ spec.pinv_apply(np.conj(analysis_q(left).T))
@@ -446,7 +447,7 @@ class TestRangeSpectrum:
 
     def test_missing_factors_rejected(self):
         with pytest.raises(InvalidInputError):
-            core_spectrum(np.eye(4)).pinv_apply(np.ones(4))
+            spectrum(np.eye(4)).pinv_apply(np.ones(4))
 
 
 # -- singular values of square matrices -----------------------------------------
@@ -500,50 +501,114 @@ def hermitian_rule(c):
     return np.linalg.norm(c - np.conj(c.T)) <= len(c) * EPS * np.linalg.norm(c)
 
 
-class TestSquareSvd:
+# the entry points that decompose a matrix: each takes linalg.spectrum, which
+# the first one reads at call time, so that taken_paths can record it
+ENTRIES = {
+    "spectrum": lambda c: linalg.spectrum(c).values,
+    "pseudo_inverse": linalg.pseudo_inverse,
+    "numerical_rank": linalg.numerical_rank,
+    "generalized_condition_number": linalg.generalized_condition_number,
+}
+
+
+def numpy_reference(c):
+    """Singular values, rank at the cutoff ``DEFAULT_RANK_TOL``, kappa (None
+    at rank 0) and pseudo-inverse of c, from ``np.linalg``."""
+    s = np.linalg.svd(c, compute_uv=False)
+    rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])) if s[0] else 0
+    return {
+        "spectrum": s,
+        "numerical_rank": rank,
+        "generalized_condition_number": float(s[0] / s[rank - 1]) if rank else None,
+        "pseudo_inverse": np.linalg.pinv(c, rcond=DEFAULT_RANK_TOL),
+    }
+
+
+def taken_paths(monkeypatch, entry, c):
+    """The decompositions ``linalg.spectrum`` took while ``entry`` ran on c."""
+    paths = []
+    take = linalg.spectrum
+
+    def recorded(m, vectors=False):
+        spec = take(m, vectors)
+        paths.append(spec.decomposition)
+        return spec
+
+    monkeypatch.setattr(linalg, "spectrum", recorded)
+    # kappa of the zero matrix raises after its one decomposition
+    with contextlib.suppress(InvalidInputError):
+        ENTRIES[entry](c)
+    return paths
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("name", SQUARE_CASES)
-    def test_path_follows_the_rule(self, name):
+    def test_path_follows_the_rule(self, monkeypatch, name, entry):
         c, path = SQUARE_CASES[name]
         assert hermitian_rule(c) == (path == "eigh")
+        assert taken_paths(monkeypatch, entry, c) == [path]
         for vectors in (False, True):
-            assert square_svd(c, vectors)[3] == path
-            assert core_spectrum(c, vectors).decomposition == path
+            assert spectrum(c, vectors).decomposition == path
 
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("name", SQUARE_CASES)
-    def test_values_rank_and_singular_match_svd(self, name):
+    def test_values_rank_and_singular_match_svd(self, name, entry):
         c, _ = SQUARE_CASES[name]
         n = len(c)
-        reference = np.linalg.svd(c, compute_uv=False)
-        rank = np.count_nonzero(reference > DEFAULT_RANK_TOL * reference[0]) if reference[0] else 0
-        for vectors in (False, True):
-            s = square_svd(c, vectors)[1]
-            assert np.all(s[:-1] >= s[1:])
-            assert np.abs(s - reference).max() <= n * EPS * reference[0]
-            spectrum = core_spectrum(c, vectors)
-            assert spectrum.values.size == rank
-            assert (spectrum.values.size < n) == (rank < n)
+        ref = numpy_reference(c)
+        s, rank = ref["spectrum"], ref["numerical_rank"]
+        # a backward error of n u ||C||_2 moves each singular value by at
+        # most that much, kappa by a relative n u (1 + kappa) and C^+ by
+        # 3 n u ||C||_2 ||C^+||_2^2 at a fixed rank
+        tol = n * EPS * s[0]
+        if entry == "spectrum":
+            for vectors in (False, True):
+                spec = spectrum(c, vectors)
+                assert np.all(spec.values[:-1] >= spec.values[1:])
+                assert np.abs(spec.values - s).max() <= tol
+                assert spec.rank == rank
+                assert (spec.rank < n) == (rank < n)
+        elif entry == "numerical_rank":
+            assert linalg.numerical_rank(c) == rank
+        elif entry == "generalized_condition_number":
+            kappa = ref[entry]
+            if kappa is None:
+                with pytest.raises(InvalidInputError):
+                    linalg.generalized_condition_number(c)
+            else:
+                got = linalg.generalized_condition_number(c)
+                assert abs(got - kappa) <= n * EPS * (1 + kappa) * kappa
+        else:
+            dagger, reference = linalg.pseudo_inverse(c), ref[entry]
+            assert dagger.dtype == reference.dtype
+            bound = 3 * tol / s[rank - 1] ** 2 if rank else 0.0
+            assert np.abs(dagger - reference).max() <= bound
 
     @pytest.mark.parametrize("name", SQUARE_CASES)
     def test_pseudo_inverse_matches_numpy(self, name):
         c, _ = SQUARE_CASES[name]
         n = len(c)
-        u, s, vh, _ = square_svd(c, vectors=True)
-        assert np.abs((u * s) @ vh - c).max() <= 10 * n * EPS * max(s[0], 1e-300)
-        dagger = core_spectrum(c, factors=True).pinv_apply(np.eye(n))
+        spec = spectrum(c, vectors=True)
+        s = spec.values
+        assert np.abs((spec.u * s) @ spec.vh - c).max() <= 10 * n * EPS * max(s[0], 1e-300)
+        dagger = spec.pinv_apply(np.eye(n))
         reference = np.linalg.pinv(c, rcond=DEFAULT_RANK_TOL)
         assert dagger.dtype == reference.dtype
         assert np.abs(dagger - reference).max() <= 1e-12 * np.abs(reference).max()
 
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("name", ["non_hermitian", "complex_non_hermitian", "defect_above"])
-    def test_non_hermitian_takes_the_svd_bit_for_bit(self, name):
+    def test_non_hermitian_takes_the_svd_bit_for_bit(self, name, entry):
         c, _ = SQUARE_CASES[name]
-        for got, ref in zip(square_svd(c, vectors=True), np.linalg.svd(c, full_matrices=False)):
-            assert np.array_equal(got, ref)
-        values = np.linalg.svd(c, compute_uv=False)
-        assert np.array_equal(square_svd(c)[1], values)
-        assert np.array_equal(LinearOperator(c).singular_values, values)
-        spectrum = core_spectrum(c)
-        assert np.array_equal(spectrum.values, values[:spectrum.values.size])
+        reference = numpy_reference(c)[entry]
+        assert np.array_equal(ENTRIES[entry](c), reference)
+        if entry == "spectrum":
+            assert np.array_equal(LinearOperator(c).spectrum.values, reference)
+            spec = spectrum(c, vectors=True)
+            for got, ref in zip((spec.u, spec.values, spec.vh),
+                                np.linalg.svd(c, full_matrices=False)):
+                assert np.array_equal(got, ref)
 
     def test_contraction_norm_of_a_non_hermitian_operator_is_the_svd_norm(self, rng):
         a = np.eye(16) + 0.1 * rng.standard_normal((16, 16))
@@ -559,9 +624,9 @@ class TestSquareSvd:
         # norms are taken of C scaled by its largest entry
         c, path = SQUARE_CASES[name]
         assert hermitian_defect(scale * c) == pytest.approx(hermitian_defect(c), rel=1e-12)
-        _, s, _, decomposition = square_svd(scale * c)
-        assert decomposition == path
-        assert np.allclose(s, scale * square_svd(c)[1], rtol=1e-13, atol=0)
+        spec = spectrum(scale * c)
+        assert spec.decomposition == path
+        assert np.allclose(spec.values, scale * spectrum(c).values, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_takes_the_svd(self, bad):
@@ -572,9 +637,9 @@ class TestSquareSvd:
             reference = np.linalg.svd(c, compute_uv=False)
         except np.linalg.LinAlgError:
             with pytest.raises(np.linalg.LinAlgError):
-                square_svd(c)
+                spectrum(c)
         else:
-            assert np.array_equal(square_svd(c)[1], reference, equal_nan=True)
+            assert np.array_equal(spectrum(c).values, reference, equal_nan=True)
 
     @pytest.mark.parametrize("method", ["direct", "cg", "richardson"])
     def test_finite_sections_match_the_svd_path(self, monkeypatch, method):

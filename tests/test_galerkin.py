@@ -40,15 +40,15 @@ from locframes import (
 )
 from locframes.frames import (
     frame_core,
-    gram_core_spectrum,
+    gram_spectrum,
     mixed_frame_operator,
     shared_lattice,
 )
 from locframes.cli import main as cli_main
 from locframes.galerkin import (CERTIFICATE_CASES, _range_projection_defect,
                                  certificate_probe_norm)
-from locframes.linalg import (core_spectrum, generalized_condition_number, hermitian_defect,
-                              pseudo_inverse)
+from locframes.linalg import (generalized_condition_number, hermitian_defect, pseudo_inverse,
+                              spectrum)
 from locframes.opnorms import exact_operator_norm, weighted_matrix
 from locframes.solver import HERMITIAN_TOL, frame_galerkin_solve
 from locframes.weights import decay_envelope
@@ -496,11 +496,12 @@ class TestGaborStructureAgreesWithDense:
         op = make_test_operator("identity_minus_kernel", gabor_twins[0].ambient_dim,
                                 theta=0.5).dense()
         structured, dense = (
-            core_spectrum(frame_core(f, canonical_dual(f), op)).values
-            for f in gabor_twins
+            spectrum(frame_core(f, canonical_dual(f), op)) for f in gabor_twins
         )
-        assert structured.shape == dense.shape
-        assert np.max(np.abs(structured - dense)) <= 1e-12 * dense[0]
+        rank = dense.rank
+        assert structured.rank == rank
+        difference = np.abs(structured.values[:rank] - dense.values[:rank])
+        assert np.max(difference) <= 1e-12 * dense.values[0]
 
     @pytest.mark.parametrize("method", ["cg", "richardson", "direct"])
     def test_solve_reports(self, gabor_twins, method):
@@ -608,7 +609,8 @@ class TestFactoredDiagnosticsAgreeWithDense:
         op = make_test_operator("identity_minus_kernel", frame.ambient_dim,
                                 theta=0.5).dense()
         structured = np.linalg.svd(frame_core(frame, frame, op), compute_uv=False)
-        reference = core_spectrum(frame_core(dense, dense, op)).values
+        spec = spectrum(frame_core(dense, dense, op))
+        reference = spec.values[:spec.rank]
         assert structured.shape == reference.shape
         assert np.max(np.abs(structured - reference)) <= 1e-12 * reference[0]
 
@@ -619,7 +621,9 @@ class TestFactoredDiagnosticsAgreeWithDense:
                else make_translates_frame(32, 1, decaying_generator(32)))
         assert not shared_lattice(phi, psi) and not shared_lattice(psi, phi)
         core = analysis_r(phi) @ np.conj(analysis_r(psi).T)
-        assert np.array_equal(gram_core_spectrum(phi, psi),
+        spec = gram_spectrum(phi, psi)
+        assert spec.decomposition == "svd"
+        assert np.array_equal(spec.values,
                               np.linalg.svd(core, compute_uv=False))
 
     def test_unshared_lattices_take_the_dense_mixed_operator(self, rng):

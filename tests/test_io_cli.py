@@ -389,6 +389,13 @@ class TestCLI:
         assert run_cli("frame", "build", "--config", cfg, "--out-dir", "flag") == 0
         assert (tmp_path / "flag" / "frame_summary.json").exists()
         assert not (tmp_path / "out").exists()
+        # neither given: the default out, which also takes the error of a
+        # config out_dir that is no path
+        assert run_cli("frame", "build", "--kind", "onb", "--n", "4") == 0
+        assert (tmp_path / "out" / "frame_summary.json").exists()
+        cfg.write_text(json.dumps({"kind": "onb", "n": 4, "out_dir": 5}))
+        assert run_cli("frame", "build", "--config", cfg) == 2
+        assert TestCLIContract.error(tmp_path / "out") == "config"
 
     def test_determinism_byte_identical(self, tmp_path):
         argsets = [
@@ -789,18 +796,42 @@ class TestCLIContract:
         assert (tmp_path / "solve_fs.json").exists()
         assert not (tmp_path / "error.json").exists()
 
-    @pytest.mark.parametrize("argv", [("--n", "16", "--theta", "-inf"), ("--n",)])
+    @pytest.mark.parametrize("argv", [("solve", "fs", "--n", "16", "--theta", "-inf"),
+                                      ("solve", "fs", "--n"), (), ("solve",)])
     def test_usage_error_writes_error_json(self, tmp_path, monkeypatch, argv):
         # argparse's own errors: a dash-leading value that is no plain
-        # number, and a flag without its value
+        # number and a flag without its value; and no subcommand at all
         for out in ("--out-dir", tmp_path / "sep"), (f"--out-dir={tmp_path / 'eq'}",):
-            assert run_cli("solve", "fs", *argv, *out) == 2
+            assert run_cli(*argv, *out) == 2
         monkeypatch.chdir(tmp_path)
-        assert run_cli("solve", "fs", *argv) == 2
+        assert run_cli(*argv) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eq", "out", "sep"]
         for out in ("sep", "eq", "out"):
+            assert [p.name for p in (tmp_path / out).iterdir()] == ["error.json"]
             message = json.loads((tmp_path / out / "error.json").read_text())
             assert message["code"] == "config"
-            assert "expected one argument" in message["message"]
+            if len(argv) > 2:
+                expected = "expected one argument"
+            elif out == "sep":
+                # with no subcommand, argparse reads the separate --out-dir
+                # value as the command name
+                expected = "invalid choice"
+            else:
+                expected = "missing subcommand"
+            assert expected in message["message"]
+
+    def test_empty_out_dir(self, tmp_path, monkeypatch, capsys):
+        # --out-dir=, --out-dir "" and "out_dir": "" in --config name no
+        # directory: nothing is written into the working directory
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": ""}))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        for out in (("--out-dir=",), ("--out-dir", ""), ("--config", cfg)):
+            assert run_cli("solve", "fs", "--n", "16", *out) == 2
+            assert json.loads(capsys.readouterr().err)["code"] == "config"
+        assert list(work.iterdir()) == []
 
     def test_out_dir_that_is_a_file(self, tmp_path, capsys):
         afile = tmp_path / "afile"

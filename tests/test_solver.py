@@ -29,7 +29,7 @@ from locframes import (
 )
 from locframes import solver
 from locframes.frames import analysis_r, frame_core
-from locframes.linalg import core_spectrum, field_array, square_svd
+from locframes.linalg import field_array, spectrum
 from locframes.solver import PROJECTION_TOL, _section_core, _span_basis
 
 from conftest import complex_copy
@@ -358,7 +358,7 @@ INDEFINITE_WITH_ZEROS = [1, -2, 0, 3, -0.25, 4, -1.5, 0, 1, -3, 0.75, 2.5, 0, 1.
 
 
 def contraction_case(name, rng):
-    """(A, frame, whether square_svd(I - A) is taken) for one finite-section run."""
+    """(A, frame, whether spectrum(I - A) is taken) for one finite-section run."""
     n = 32
     if name == "kernel":
         return make_test_operator("identity_minus_kernel", n, theta=0.5).dense(), make_onb(n), 0
@@ -386,7 +386,7 @@ def contraction_case(name, rng):
 
 class TestContractionNorm:
     """||I - A||_2 comes from the last level's eigenvalues when that level
-    spans C^n and took eigh, and from square_svd(I - A) otherwise."""
+    spans C^n and took eigh, and from spectrum(I - A) otherwise."""
 
     @pytest.mark.parametrize("method", ["direct", "cg"])
     @pytest.mark.parametrize("name", ["kernel", "singular_kernel", "helmholtz",
@@ -395,22 +395,24 @@ class TestContractionNorm:
     def test_matches_the_spectral_norm(self, rng, monkeypatch, name, method):
         a, frame, fallbacks = contraction_case(name, rng)
         n = len(a)
+        # whether each spectrum the solve takes is that of I - A: the
+        # fallback, not a level's core
         calls = []
 
         def counted(m, vectors=False):
-            calls.append(m.shape)
-            return square_svd(m, vectors)
+            calls.append(m.shape == (n, n) and np.array_equal(m, np.eye(n) - a))
+            return spectrum(m, vectors)
 
-        monkeypatch.setattr(solver, "square_svd", counted)
+        monkeypatch.setattr(solver, "spectrum", counted)
         sched = ProjectionSchedule(frame)
         with np.errstate(all="ignore"):
             rep, _ = finite_section_solve(a, rng.standard_normal(n), sched, method=method)
         eps = np.finfo(float).eps
         expected = np.linalg.norm(np.eye(n) - a, 2)
         assert abs(rep.contraction_norm - expected) <= n * eps * np.linalg.norm(a, 2)
-        # the verdict agrees with the one square_svd(I - A) gives
-        assert rep.contraction_sufficient == bool(square_svd(np.eye(n) - a)[1][0] < 1)
-        assert calls == [(n, n)] * fallbacks
+        # the verdict agrees with the one spectrum(I - A) gives
+        assert rep.contraction_sufficient == bool(spectrum(np.eye(n) - a).values[0] < 1)
+        assert calls == [False] * len(rep.levels) + [True] * fallbacks
         assert (rep.levels[-1].decomposition == "eigh") == (name != "non_hermitian")
         if name == "perturbed_onb":
             q = sched.bases[-1]
@@ -519,7 +521,8 @@ class TestRichardson:
         op = make_test_operator("identity_minus_kernel", n, theta=0.5).dense()
         for core in (frame_core(frame, frame, op),
                      frame_core(frame, frame, np.diag((-1.0) ** np.arange(n) + 0.5))):
-            s = core_spectrum(core).values
+            spec = spectrum(core)
+            s = spec.values[:spec.rank]
             relaxation = 2.0 / (s[0] + s[-1])
             b = analysis_r(frame) @ (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             with warnings.catch_warnings():
