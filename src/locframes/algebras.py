@@ -120,9 +120,7 @@ class DecayFit:
 def shell_maxima(a, rows: IndexSet, cols: IndexSet = None):
     """Max |entry| per distance shell, shells sorted by distance."""
     a, cols = _checked(a, rows, cols)
-    shells = rows.shells(cols)
-    return [(float(d), float(m))
-            for d, m in zip(shells.distances, shells.maxima(np.abs(a)))]
+    return rows.shells(cols).maxima(np.abs(a))
 
 
 def fit_shells(shells):

@@ -380,16 +380,21 @@ def make_parser():
         description="frame diagnostics and frame-Galerkin operator solves",
         exit_on_error=False,
     )
+    # --out-dir may precede the subcommand: every level reads it, and a level
+    # that is not given it keeps the value of an outer one (no default)
+    out_dir = dict(default=argparse.SUPPRESS, help='default "out"')
+    parser.add_argument("--out-dir", **out_dir)
     # main raises ConfigError for a missing subcommand; required=True would exit instead
     groups = parser.add_subparsers(dest="group")
     subs = {}
     for (group, name), keys in FLAGS.items():
         if group not in subs:
-            subs[group] = groups.add_parser(group, exit_on_error=False).add_subparsers(
-                dest="sub")
+            group_parser = groups.add_parser(group, exit_on_error=False)
+            group_parser.add_argument("--out-dir", **out_dir)
+            subs[group] = group_parser.add_subparsers(dest="sub")
         sub = subs[group].add_parser(name, allow_abbrev=False, exit_on_error=False)
         sub.add_argument("--config", help="JSON config file; flags override it")
-        sub.add_argument("--out-dir", help='default "out"')
+        sub.add_argument("--out-dir", **out_dir)
         sub.add_argument("--seed", help="default 0")
         for key in keys:
             sub.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key))

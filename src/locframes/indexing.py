@@ -10,11 +10,17 @@ ABSOLUTE = "absolute"
 CIRCULAR = "circular"
 
 
-def _axis_distance(p, q, circular, modulus):
-    d = np.abs(p - q)
-    if circular:
-        d = np.minimum(d, modulus - d)
-    return d
+def _distances(p, q, circular, moduli):
+    """Chebyshev distances between the rows of ``p`` (K x d) and of ``q``
+    (L x d): the max over axes of |p - q|, each axis wrapped around its
+    modulus when ``circular``.  Shape (K, L)."""
+    per_axis = []
+    for a in range(p.shape[1]):
+        d = np.abs(p[:, None, a] - q[None, :, a])
+        if circular:
+            d = np.minimum(d, moduli[a] - d)
+        per_axis.append(d)
+    return np.maximum.reduce(per_axis)
 
 
 @dataclass(frozen=True)
@@ -38,8 +44,9 @@ class ShellPartition:
         return cls(dist[starts], order, starts)
 
     def maxima(self, values):
-        """Max of ``values`` (shaped like the distance matrix) in each shell."""
-        return np.maximum.reduceat(np.ravel(values)[self.order], self.starts)
+        """(distance, max of ``values``) per shell; ``values`` is shaped like d."""
+        maxima = np.maximum.reduceat(np.ravel(values)[self.order], self.starts)
+        return [(float(d), float(m)) for d, m in zip(self.distances, maxima)]
 
 
 class IndexSet:
@@ -47,8 +54,6 @@ class IndexSet:
 
     Parameters
     ----------
-    labels : sequence
-        Distinct identifiers, one per index.
     positions : array_like, shape (K, d)
         Lattice coordinates of each index.
     metric : str
@@ -62,15 +67,10 @@ class IndexSet:
         lattices differ; within one set distances stay in lattice units.
     """
 
-    def __init__(self, labels, positions, metric=ABSOLUTE, moduli=None, scales=None):
-        self.labels = list(labels)
-        if len(set(map(str, self.labels))) != len(self.labels):
-            raise InvalidInputError("index labels must be distinct")
-        pos = np.atleast_2d(np.asarray(positions, dtype=float))
-        if pos.shape[0] != len(self.labels):
-            raise InvalidInputError("one position per label required")
-        if pos.shape[1] not in (1, 2):
-            raise InvalidInputError("positions must live in Z^1 or Z^2")
+    def __init__(self, positions, metric=ABSOLUTE, moduli=None, scales=None):
+        pos = np.asarray(positions, dtype=float)
+        if pos.ndim != 2 or pos.shape[1] not in (1, 2):
+            raise InvalidInputError("positions must be one row per index in Z^1 or Z^2")
         self.positions = pos
         if metric not in (ABSOLUTE, CIRCULAR):
             raise InvalidInputError(f"unknown metric {metric!r}")
@@ -89,7 +89,7 @@ class IndexSet:
         if len(self.scales) != self.dim:
             raise InvalidInputError("need one scale per axis")
         self.positions.setflags(write=False)
-        self._distances = None
+        self._self_distances = None
         self._shells = None
 
     # -- constructors ------------------------------------------------------
@@ -97,27 +97,25 @@ class IndexSet:
     @classmethod
     def line(cls, n):
         """0..n-1 on Z with the absolute metric."""
-        return cls(range(n), np.arange(n)[:, None], ABSOLUTE)
+        return cls(np.arange(n)[:, None], ABSOLUTE)
 
     @classmethod
     def ring(cls, n, scale=1.0):
         """0..n-1 on the n-torus (circular metric)."""
         if n < 1:
             raise InvalidInputError(f"a ring needs n >= 1, got {n}")
-        return cls(range(n), np.arange(n)[:, None], CIRCULAR, moduli=(n,), scales=(scale,))
+        return cls(np.arange(n)[:, None], CIRCULAR, moduli=(n,), scales=(scale,))
 
     @classmethod
     def torus_grid(cls, n1, n2, scales=(1.0, 1.0)):
         """Row-major (i, j) grid on the discrete torus Z_n1 x Z_n2."""
-        ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
-        pos = np.stack([ii.ravel(), jj.ravel()], axis=1)
-        labels = [f"{i},{j}" for i, j in pos]
-        return cls(labels, pos, CIRCULAR, moduli=(n1, n2), scales=scales)
+        return cls(np.indices((n1, n2)).reshape(2, -1).T, CIRCULAR,
+                   moduli=(n1, n2), scales=scales)
 
     # -- basic protocol ----------------------------------------------------
 
     def __len__(self):
-        return len(self.labels)
+        return self.positions.shape[0]
 
     @property
     def dim(self):
@@ -145,10 +143,10 @@ class IndexSet:
         """
         if other is not None and other is not self:
             return self._distances_to(other)
-        if self._distances is None:
-            self._distances = self._distances_to(self)
-            self._distances.setflags(write=False)
-        return self._distances
+        if self._self_distances is None:
+            self._self_distances = self._distances_to(self)
+            self._self_distances.setflags(write=False)
+        return self._self_distances
 
     def shells(self, other=None):
         """``ShellPartition`` of ``distance_matrix(other)``; cached for self."""
@@ -159,36 +157,23 @@ class IndexSet:
         return self._shells
 
     def _distances_to(self, other):
+        circular = self.metric == CIRCULAR
         if self.compatible_with(other):
-            axes = range(self.dim)
-            per_axis = [
-                _axis_distance(
-                    self.positions[:, None, a],
-                    other.positions[None, :, a],
-                    self.metric == CIRCULAR,
-                    self.moduli[a] if self.moduli else None,
-                )
-                for a in axes
-            ]
-            return np.maximum.reduce(per_axis)
+            return _distances(self.positions, other.positions, circular, self.moduli)
         if self.metric != other.metric:
             raise MetricMismatchError("cannot mix absolute and circular metrics")
         shared = min(self.dim, other.dim)
-        per_axis = []
+        p, q = (iset.positions[:, :shared] * iset.scales[:shared] for iset in (self, other))
+        if not circular:
+            return _distances(p, q, False, None)
+        periods = [m * s for m, s in zip(self.moduli, self.scales)]
         for a in range(shared):
-            ps = self.positions[:, None, a] * self.scales[a]
-            qo = other.positions[None, :, a] * other.scales[a]
-            if self.metric == CIRCULAR:
-                ms = self.moduli[a] * self.scales[a]
-                mo = other.moduli[a] * other.scales[a]
-                if abs(ms - mo) > 1e-9:
-                    raise MetricMismatchError(
-                        f"ambient period mismatch on axis {a}: {ms} vs {mo}"
-                    )
-                per_axis.append(_axis_distance(ps, qo, True, ms))
-            else:
-                per_axis.append(_axis_distance(ps, qo, False, None))
-        return np.maximum.reduce(per_axis)
+            mo = other.moduli[a] * other.scales[a]
+            if abs(periods[a] - mo) > 1e-9:
+                raise MetricMismatchError(
+                    f"ambient period mismatch on axis {a}: {periods[a]} vs {mo}"
+                )
+        return _distances(p, q, True, periods)
 
     def is_torus_grid(self, n1, n2):
         """True when this set is laid out as ``torus_grid(n1, n2)``: the
@@ -199,20 +184,12 @@ class IndexSet:
 
     def distance_to_origin(self):
         """Distance of every index position to the lattice origin."""
-        per_axis = [
-            _axis_distance(
-                self.positions[:, a],
-                0.0,
-                self.metric == CIRCULAR,
-                self.moduli[a] if self.moduli else None,
-            )
-            for a in range(self.dim)
-        ]
-        return np.maximum.reduce(per_axis)
+        origin = np.zeros((1, self.dim))
+        return _distances(self.positions, origin, self.metric == CIRCULAR,
+                          self.moduli)[:, 0]
 
     def to_dict(self):
         out = {
-            "labels": [str(x) for x in self.labels],
             "positions": np.asarray(self.positions).tolist(),
             "metric": self.metric,
             "scales": list(self.scales),
@@ -223,10 +200,6 @@ class IndexSet:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            d["labels"],
-            np.asarray(d["positions"], dtype=float),
-            d["metric"],
-            moduli=d.get("moduli"),
-            scales=d.get("scales"),
-        )
+        """The set that ``to_dict`` wrote; any other key is ignored."""
+        return cls(d["positions"], d["metric"],
+                   moduli=d.get("moduli"), scales=d.get("scales"))

@@ -108,9 +108,7 @@ class LatticeProfile:
         return {JAFFARD: float(m.max()), SCHUR_WEIGHTED: float(m.sum())}
 
     def shell_maxima(self):
-        shells = ShellPartition.of(self.index_set.distance_to_origin())
-        return [(float(d), float(m))
-                for d, m in zip(shells.distances, shells.maxima(self.values))]
+        return ShellPartition.of(self.index_set.distance_to_origin()).maxima(self.values)
 
     @cached_property
     def _spectrum(self):

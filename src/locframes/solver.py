@@ -15,7 +15,6 @@ from .linalg import field_array, hermitian_defect, spectrum
 
 PROJECTION_TOL = 1e-10
 DEFAULT_TOL = 1e-8
-STAGNATION_WINDOW = 50
 # a subframe bound ratio d_N / c_N above this at any level raises the
 # schedule's uniformity flag
 UNIFORMITY_RATIO_CAP = 1e8
@@ -222,8 +221,6 @@ def cg_solve(m, b, tol=1e-10):
     p = r.copy()
     rs = np.real(np.vdot(r, r))
     residuals = [1.0]
-    best = 1.0
-    since_best = 0
     it = 0
     for it in range(1, 10 * k + 1):
         mp = m @ p
@@ -237,15 +234,9 @@ def cg_solve(m, b, tol=1e-10):
         residuals.append(math.sqrt(rs_new) / bnorm)
         if residuals[-1] <= tol:
             return IterationResult(x, it, True, residuals)
-        if residuals[-1] < best * (1 - 1e-12):
-            best, since_best = residuals[-1], 0
-        else:
-            since_best += 1
-            if since_best >= STAGNATION_WINDOW:
-                break
         p = r + (rs_new / rs) * p
         rs = rs_new
-    # stalled: distinguish an unreachable right side from slow progress
+    # curvature floor or cap: tell an unreachable right side from slow progress
     best = np.linalg.lstsq(m, b, rcond=None)[0]
     floor = np.linalg.norm(m @ best - b) / bnorm
     if floor > 10 * tol:

@@ -100,17 +100,55 @@ class TestSeqNorm:
             assert seq_norm(c + d, spec) <= seq_norm(c, spec) + seq_norm(d, spec) + 1e-12
 
 
+INDEX_SETS = [
+    IndexSet.line(9),
+    IndexSet.ring(9),
+    IndexSet.torus_grid(4, 6, scales=(2.0, 1.0)),
+]
+
+
 class TestIndexSetMetric:
-    @pytest.mark.parametrize("iset", [
-        IndexSet.line(9),
-        IndexSet.ring(9),
-        IndexSet.torus_grid(4, 6, scales=(2.0, 1.0)),
-    ])
+    @pytest.mark.parametrize("iset", INDEX_SETS)
     def test_metric_axioms(self, iset):
         d = iset.distance_matrix()
         assert np.all(d >= 0)
         assert np.allclose(np.diag(d), 0.0)
         assert np.array_equal(d, d.T)
+
+    @pytest.mark.parametrize("iset", INDEX_SETS)
+    def test_distance_to_origin_is_the_origin_column(self, iset):
+        # index 0 sits at the origin of every one of these sets
+        assert not iset.positions[0].any()
+        assert np.array_equal(iset.distance_to_origin(), iset.distance_matrix()[:, 0])
+
+    @staticmethod
+    def ambient_reference(rows, cols):
+        """Max over the shared axes of |x - y| in ambient units, wrapped
+        around the ambient period on the circular metric; one entry at a time."""
+        shared = min(rows.dim, cols.dim)
+        d = np.zeros((len(rows), len(cols)))
+        for k in range(len(rows)):
+            for l in range(len(cols)):
+                for a in range(shared):
+                    x = rows.positions[k, a] * rows.scales[a]
+                    y = cols.positions[l, a] * cols.scales[a]
+                    gap = abs(x - y)
+                    if rows.metric == "circular":
+                        gap = min(gap, rows.moduli[a] * rows.scales[a] - gap)
+                    d[k, l] = max(d[k, l], gap)
+        return d
+
+    @pytest.mark.parametrize("rows, cols", [
+        (IndexSet.ring(4, scale=4.0), IndexSet.ring(16)),
+        (IndexSet.torus_grid(8, 4, scales=(2.0, 0.5)), IndexSet.ring(16)),
+        (IndexSet.ring(6, scale=1.5), IndexSet.torus_grid(3, 2, scales=(3.0, 1.0))),
+        (IndexSet.torus_grid(4, 6, scales=(2.0, 1.0)),
+         IndexSet.torus_grid(8, 3, scales=(1.0, 2.0))),
+        (IndexSet(np.arange(5)[:, None], scales=(3.0,)), IndexSet.line(13)),
+    ])
+    def test_cross_lattice_matches_ambient_reference(self, rows, cols):
+        assert not rows.compatible_with(cols)
+        assert np.array_equal(rows.distance_matrix(cols), self.ambient_reference(rows, cols))
 
     def test_circular_wraps(self):
         ring = IndexSet.ring(8)
@@ -132,10 +170,16 @@ class TestIndexSetMetric:
         assert not grid.is_torus_grid(4, 3)
         assert not IndexSet.torus_grid(4, 3).is_torus_grid(3, 4)
         column_major = np.lexsort(grid.positions.T)
-        assert not IndexSet(range(12), grid.positions[column_major], "circular",
+        assert not IndexSet(grid.positions[column_major], "circular",
                             moduli=(3, 4)).is_torus_grid(3, 4)
-        assert not IndexSet(range(12), grid.positions, "absolute").is_torus_grid(3, 4)
+        assert not IndexSet(grid.positions, "absolute").is_torus_grid(3, 4)
         assert not IndexSet.ring(12).is_torus_grid(3, 4)
+
+    @pytest.mark.parametrize("positions", [[0.0, 1.0], [], [[0.0, 1.0, 2.0]]])
+    def test_positions_are_one_row_per_index(self, positions):
+        # a flat pair would otherwise read as one point of Z^2
+        with pytest.raises(InvalidInputError, match="one row per index"):
+            IndexSet(positions)
 
     def test_mismatched_ambient_period_rejected(self):
         from locframes import MetricMismatchError

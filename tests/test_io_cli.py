@@ -43,6 +43,26 @@ class TestContainers:
         assert np.array_equal(loaded.vectors, frame.vectors)
         assert loaded.index_set.to_dict() == frame.index_set.to_dict()
         assert loaded.name == frame.name
+        # an index set is its positions, metric, moduli and scales
+        sidecar = json.loads(base.with_suffix(".json").read_text())
+        assert sorted(sidecar["index_set"]) == ["metric", "moduli", "positions", "scales"]
+
+    def test_sidecar_with_labels_loads(self, tmp_path):
+        # containers of earlier versions list one label per index; it is not read
+        frame = make_gabor_frame(16, 4, 2, gaussian_window(16))
+        io.save_frame(tmp_path / "frame", frame)
+        path = tmp_path / "frame.json"
+        sidecar = json.loads(path.read_text())
+        sidecar["index_set"]["labels"] = [
+            f"{i},{j}" for i, j in np.asarray(frame.index_set.positions, dtype=int)]
+        path.write_text(json.dumps(sidecar))
+        loaded = io.load_frame(tmp_path / "frame")
+        old, new = frame.index_set, loaded.index_set
+        assert new.to_dict() == old.to_dict()
+        assert np.array_equal(new.distance_matrix(), old.distance_matrix())
+        assert np.array_equal(loaded.vectors, frame.vectors)
+        assert (loaded.name, loaded.meta, loaded.lattice) == (frame.name, frame.meta,
+                                                              frame.lattice)
 
     def test_galerkin_matrix_roundtrip(self, tmp_path):
         frame = make_gabor_frame(16, 4, 2, gaussian_window(16))
@@ -792,7 +812,8 @@ class TestCLIContract:
         assert run_cli("solve", "fs", "--n", "16", "--start-level", "0",
                        "--out-dir", tmp_path) == 2
         assert (tmp_path / "error.json").exists()
-        assert run_cli("solve", "fs", "--n", "16", "--out-dir", tmp_path) == 0
+        # an --out-dir before the subcommand names the same directory
+        assert run_cli("--out-dir", tmp_path, "solve", "fs", "--n", "16") == 0
         assert (tmp_path / "solve_fs.json").exists()
         assert not (tmp_path / "error.json").exists()
 
@@ -800,24 +821,19 @@ class TestCLIContract:
                                       ("solve", "fs", "--n"), (), ("solve",)])
     def test_usage_error_writes_error_json(self, tmp_path, monkeypatch, argv):
         # argparse's own errors: a dash-leading value that is no plain
-        # number and a flag without its value; and no subcommand at all
+        # number and a flag without its value; and no subcommand at all.
+        # --out-dir goes after the arguments, or before the subcommand
         for out in ("--out-dir", tmp_path / "sep"), (f"--out-dir={tmp_path / 'eq'}",):
             assert run_cli(*argv, *out) == 2
+        assert run_cli("--out-dir", tmp_path / "pre", *argv) == 2
         monkeypatch.chdir(tmp_path)
         assert run_cli(*argv) == 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["eq", "out", "sep"]
-        for out in ("sep", "eq", "out"):
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eq", "out", "pre", "sep"]
+        for out in ("sep", "eq", "pre", "out"):
             assert [p.name for p in (tmp_path / out).iterdir()] == ["error.json"]
             message = json.loads((tmp_path / out / "error.json").read_text())
             assert message["code"] == "config"
-            if len(argv) > 2:
-                expected = "expected one argument"
-            elif out == "sep":
-                # with no subcommand, argparse reads the separate --out-dir
-                # value as the command name
-                expected = "invalid choice"
-            else:
-                expected = "missing subcommand"
+            expected = "expected one argument" if len(argv) > 2 else "missing subcommand"
             assert expected in message["message"]
 
     def test_empty_out_dir(self, tmp_path, monkeypatch, capsys):
@@ -1212,8 +1228,8 @@ class TestWorkCounts:
         iset = frame.index_set
         # the same positions in column-major order
         order = np.lexsort(iset.positions.T)
-        moved = IndexSet([iset.labels[k] for k in order], iset.positions[order],
-                         iset.metric, moduli=iset.moduli, scales=iset.scales)
+        moved = IndexSet(iset.positions[order], iset.metric, moduli=iset.moduli,
+                         scales=iset.scales)
         io.save_frame(tmp_path / "frame", Frame(frame.vectors, moved,
                                                 name=frame.name, meta=frame.meta))
         assert io.load_frame(tmp_path / "frame").lattice == (4, 4)

@@ -1,6 +1,7 @@
 """Subframe projections, finite sections, frame-Galerkin solves, iterations."""
 
 import inspect
+import json
 import tracemalloc
 import warnings
 
@@ -28,6 +29,7 @@ from locframes import (
     subframe_projection,
 )
 from locframes import solver
+from locframes.cli import main
 from locframes.frames import analysis_r, frame_core
 from locframes.linalg import field_array, spectrum
 from locframes.solver import PROJECTION_TOL, _section_core, _span_basis
@@ -427,6 +429,30 @@ class TestCG:
     def test_distinct_eigenvalues_terminate(self):
         res = cg_solve(np.diag(np.arange(1.0, 11.0)), np.ones(10))
         assert res.converged and res.iterations <= 10
+
+    # kappa = 1e6: the 2-norm residual of CG is not monotone, and from b = 1
+    # it first falls below its start at iteration 58
+    ILL_CONDITIONED = np.logspace(0, -6, 50)
+
+    def test_non_monotone_residual_runs_to_tolerance(self):
+        m, b = np.diag(self.ILL_CONDITIONED), np.ones(50)
+        res = cg_solve(m, b)
+        assert res.converged and res.iterations > 58
+        assert max(res.residuals[1:58]) > 1.0
+        assert np.linalg.norm(m @ res.c - b) <= 1e-9 * np.linalg.norm(b)
+
+    def test_ill_conditioned_section_matches_direct(self, tmp_path):
+        spectrum_flag = "--spectrum=" + ",".join(repr(float(v)) for v in self.ILL_CONDITIONED)
+        for method in ("cg", "direct"):
+            assert main(["solve", "fs", "--n", "50", "--op-kind", "diagonal", spectrum_flag,
+                         "--method", method, "--out-dir", str(tmp_path / method)]) == 0
+        cg, direct = (json.loads((tmp_path / m / "solve_fs.json").read_text())
+                      for m in ("cg", "direct"))
+        assert cg["converged"] and direct["converged"]
+        last = cg["levels"][-1]
+        assert last["kappa_dagger"] == pytest.approx(1e6) and not last["singular"]
+        x_cg, x_direct = (np.load(tmp_path / m / "solution_fs.npy") for m in ("cg", "direct"))
+        assert np.linalg.norm(x_cg - x_direct) <= 1e-8 * np.linalg.norm(x_direct)
 
     def test_rhs_outside_range_is_contract_error(self):
         with pytest.raises(ContractError, match="range"):
