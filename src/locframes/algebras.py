@@ -1,7 +1,7 @@
 """Solid matrix-algebra norms, off-diagonal decay fitting, admissible weights."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,11 +52,7 @@ class MatrixAlgebraSpec:
         return algebra_norms(a, self.s, rows, cols)[self.kind]
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "s": self.s,
-            "membership_threshold": self.membership_threshold,
-        }
+        return asdict(self)
 
 
 def _checked(a, rows, cols):
@@ -108,13 +104,8 @@ class DecayFit:
         return math.isinf(self.fitted_exponent)
 
     def to_dict(self):
-        return {
-            "fitted_exponent": self.fitted_exponent,
-            "residual": self.residual,
-            "shell_maxima": [
-                {"distance": d, "max_abs": m} for d, m in self.shell_maxima
-            ],
-        }
+        shells = [{"distance": d, "max_abs": m} for d, m in self.shell_maxima]
+        return {**asdict(self), "shell_maxima": shells}
 
 
 def shell_maxima(a, rows: IndexSet, cols: IndexSet = None):
@@ -168,11 +159,7 @@ def weight_admissible(spec: MatrixAlgebraSpec, weight, dim):
     Polynomial weights (1 + |k|)^t pass iff t = 0 or |t| <= s - dim - 0.5.
     An explicit weight has no asymptotic family to extrapolate and passes.
     """
-    if weight.family == "polynomial":
-        t = weight.parameter
-        return t == 0.0 or abs(t) <= spec.s - dim - ADMISSIBILITY_EPS
-    if weight.family == "explicit":
+    if weight.power is None:
         return True
-    raise InvalidInputError(
-        f"admissibility rule undefined for weight family {weight.family!r}"
-    )
+    t = weight.power
+    return t == 0.0 or abs(t) <= spec.s - dim - ADMISSIBILITY_EPS

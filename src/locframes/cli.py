@@ -96,7 +96,7 @@ def _tokens(value):
 # how each setting is read; a value that does not convert is a ConfigError
 _SETTING_TYPES = {
     "n": _size,
-    **dict.fromkeys(("a", "b", "step", "levels", "start_level"), _integer),
+    **dict.fromkeys(("a", "b", "levels", "start_level"), _integer),
     **dict.fromkeys(("s", "threshold", "p", "w1_power", "w2_power", "width",
                      "exponent", "decay_s", "tol", "theta"), _finite),
     **dict.fromkeys(("frame", "matrix", "right"), os.fspath),
@@ -147,7 +147,7 @@ def build_frame(cfg, seed):
         # a unit spike plus the tail 0.25 (1 + |k|)^-3
         gen = 0.25 * (1.0 + iset.distance_to_origin()) ** -3.0
         gen[0] += 1.0
-        return make_translates_frame(n, cfg.get("step", 1), gen)
+        return make_translates_frame(n, gen)
     if kind == "perturbed-onb":
         return make_perturbed_onb(_required(cfg, "n"), cfg.get("decay_s", 3.0), seed)
     raise InvalidInputError(f"unknown frame kind {kind!r}")
@@ -218,17 +218,17 @@ def cmd_frame_diag(cfg, out, seed):
     io.save_json(diag, out / "localization.json")
     io.shells_to_csv(out / "shells.csv", primal.fit)
 
-    admissible = {w.parameter: weight_admissible(alg, w, frame.index_set.dim)
+    admissible = {w.power: weight_admissible(alg, w, frame.index_set.dim)
                   for w in weights}
     spaces = [SeqSpaceSpec(p, w) for p in cfg.get("p_grid", [1.0, 2.0, math.inf])
               for w in weights]
     grid = [
         {
             "p": "inf" if space.p == math.inf else space.p,
-            "weight_power": space.weight.parameter,
+            "weight_power": space.weight.power,
             "lower": lo,
             "upper": up,
-            "weight_admissible": admissible[space.weight.parameter],
+            "weight_admissible": admissible[space.weight.power],
         }
         for space, (lo, up) in zip(spaces, equivalence_grid(frame, spaces, grams))
     ]
@@ -303,11 +303,8 @@ def cmd_solve_fs(cfg, out, seed):
     frame = make_onb(n)
     op = build_operator(cfg, n)
     y = make_rhs(cfg, n, seed)
-    selection = cfg.get("schedule", "centered")
-    if selection == "greedy":
-        selection = "energy_greedy"
-    sched = ProjectionSchedule(frame, selection=selection, pilot=y,
-                               start=cfg.get("start_level", 8),
+    sched = ProjectionSchedule(frame, selection=cfg.get("schedule", "centered"),
+                               pilot=y, start=cfg.get("start_level", 8),
                                n_levels=cfg.get("levels"))
     report, x = finite_section_solve(
         op, y, sched, method=cfg.get("method", "direct"),
@@ -355,7 +352,7 @@ _SOLVE_FLAGS = _OPERATOR_FLAGS + ("method", "tol", "rhs")
 # the settings each subcommand reads, given as --flags; _check_settings
 # converts them
 FLAGS = {
-    ("frame", "build"): ("kind", "n", "a", "b", "width", "step", "decay_s"),
+    ("frame", "build"): ("kind", "n", "a", "b", "width", "decay_s"),
     ("frame", "diag"): ("frame", "algebra", "s", "threshold", "p_grid", "weight_powers"),
     ("galerkin", "assemble"): ("frame", "right") + _OPERATOR_FLAGS,
     ("galerkin", "certify"): ("matrix", "case", "p", "w1_power", "w2_power"),

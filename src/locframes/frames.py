@@ -413,26 +413,18 @@ def make_gabor_frame(n, a, b, window):
     )
 
 
-def make_translates_frame(n, step, generator):
-    """Circular shifts of a generator by multiples of ``step``; the family
-    must have at least n members to span C^n."""
-    if min(n, step) < 1:
-        raise InvalidInputError(f"n = {n} and step {step} must be positive")
-    if n % step:
-        raise InvalidInputError(f"step {step} must divide {n}")
+def make_translates_frame(n, generator):
+    """The n circular shifts of a generator (a circulant); fewer shifts
+    cannot span C^n."""
+    iset = IndexSet.ring(n)
     g = field_array(generator)
     if g.shape != (n,):
         raise DimensionMismatchError("generator length must equal n")
-    k = n // step
-    if k < n:
-        raise NotAFrameError(f"{k} translates cannot span C^{n}")
-    vectors = np.stack([np.roll(g, m * step) for m in range(k)], axis=1)
-    iset = IndexSet.ring(k, scale=float(step))
     return Frame(
-        vectors,
+        np.stack([np.roll(g, m) for m in range(n)], axis=1),
         iset,
-        name=f"translates{n}s{step}",
-        meta={"kind": "translates", "n": n, "step": step},
+        name=f"translates{n}s1",
+        meta={"kind": "translates", "n": n, "step": 1},
     )
 
 

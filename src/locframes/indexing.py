@@ -100,11 +100,11 @@ class IndexSet:
         return cls(np.arange(n)[:, None], ABSOLUTE)
 
     @classmethod
-    def ring(cls, n, scale=1.0):
+    def ring(cls, n):
         """0..n-1 on the n-torus (circular metric)."""
         if n < 1:
             raise InvalidInputError(f"a ring needs n >= 1, got {n}")
-        return cls(np.arange(n)[:, None], CIRCULAR, moduli=(n,), scales=(scale,))
+        return cls(np.arange(n)[:, None], CIRCULAR, moduli=(n,))
 
     @classmethod
     def torus_grid(cls, n1, n2, scales=(1.0, 1.0)):

@@ -83,7 +83,7 @@ class ProjectionSchedule:
     double from ``start`` (or ``n_levels`` sizes halving down from K) and
     end at K, so they are strictly nested and the last is the full index
     set.  ``centered`` orders indices by distance to the middle index;
-    ``energy_greedy`` by decreasing analysis energy of a pilot vector.
+    ``greedy`` by decreasing analysis energy of a pilot vector.
     ``_span_basis`` of each level's vectors V_N gives the
     subframe bounds (extreme nonzero eigenvalues of S_N = V_N V_N^*) and an
     orthonormal basis Q_N of the level's span (``bases``): one SVD of V_N,
@@ -128,9 +128,9 @@ class ProjectionSchedule:
         if selection == "centered":
             center = k // 2
             return np.argsort(np.abs(np.arange(k) - center), kind="stable")
-        if selection == "energy_greedy":
+        if selection == "greedy":
             if pilot is None:
-                raise InvalidInputError("energy_greedy needs a pilot vector")
+                raise InvalidInputError("greedy needs a pilot vector")
             coeff = analysis(self.frame, pilot)
             return np.argsort(-np.abs(coeff), kind="stable")
         raise InvalidInputError(f"unknown selection {selection!r}")
@@ -193,20 +193,41 @@ class IterationResult:
     diverged: bool = False
 
 
+def _normal_cg(m, b, tol):
+    """CG on the normal equations M* M c = M* b, flagged ``normal_equations``.
+
+    M* b always lies in the range of M* M, so whether b lies in the range of
+    M is tested on M itself.
+    """
+    res = cg_solve(np.conj(m.T) @ m, np.conj(m.T) @ b, tol=tol)
+    res.normal_equations = True
+    if np.linalg.norm(m @ res.c - b) > 10 * tol * np.linalg.norm(b):
+        _check_range(m, b, tol)
+    return res
+
+
+def _check_range(m, b, tol):
+    """Raise ``ContractError`` when no c brings M c within 10 tol of b."""
+    best = np.linalg.lstsq(m, b, rcond=None)[0]
+    floor = np.linalg.norm(m @ best - b) / np.linalg.norm(b)
+    if floor > 10 * tol:
+        raise ContractError(
+            f"right side has a component outside the range (floor {floor:.3e})"
+        )
+
+
 def cg_solve(m, b, tol=1e-10):
     """Conjugate gradients for Hermitian positive semidefinite systems.
 
     ``b`` must lie in the range (project through the Gram projection
     first); an unreachable right side surfaces as a contract error.  A
-    matrix that fails the Frobenius Hermitian test (``HERMITIAN_TOL``) is
-    solved through the normal equations M* M c = M* b, and the result
-    says so in ``normal_equations``.
+    matrix that fails the Frobenius Hermitian test (``HERMITIAN_TOL``) or
+    shows negative curvature p* M p < 0 (it is indefinite) is solved through
+    the normal equations M* M c = M* b, flagged in ``normal_equations``.
     """
     m, b = field_array(m), field_array(b)
     if hermitian_defect(m) > HERMITIAN_TOL:
-        res = cg_solve(np.conj(m.T) @ m, np.conj(m.T) @ b, tol=tol)
-        res.normal_equations = True
-        return res
+        return _normal_cg(m, b, tol)
     # promoted once: a real m against a complex b would be cast on every product
     m = np.asarray(m, dtype=np.result_type(m, b))
     k = m.shape[0]
@@ -225,7 +246,13 @@ def cg_solve(m, b, tol=1e-10):
     for it in range(1, 10 * k + 1):
         mp = m @ p
         denom = np.real(np.vdot(p, mp))
-        if denom <= curvature_floor * np.real(np.vdot(p, p)):
+        limit = curvature_floor * np.real(np.vdot(p, p))
+        if denom < -limit:
+            # indefinite: restart, counting the iterations run on M so far
+            res = _normal_cg(m, b, tol)
+            res.iterations += it
+            return res
+        if denom <= limit:
             break
         alpha = rs / denom
         x = x + alpha * p
@@ -237,12 +264,7 @@ def cg_solve(m, b, tol=1e-10):
         p = r + (rs_new / rs) * p
         rs = rs_new
     # curvature floor or cap: tell an unreachable right side from slow progress
-    best = np.linalg.lstsq(m, b, rcond=None)[0]
-    floor = np.linalg.norm(m @ best - b) / bnorm
-    if floor > 10 * tol:
-        raise ContractError(
-            f"right side has a component outside the range (floor {floor:.3e})"
-        )
+    _check_range(m, b, tol)
     return IterationResult(x, it, residuals[-1] <= tol, residuals)
 
 
@@ -425,7 +447,7 @@ def frame_galerkin_solve(op, g, phi: Frame, method="cg", tol=DEFAULT_TOL):
     if phi.size > phi.ambient_dim:
         notes.append("system matrix singular by redundancy; solved on the analysis range")
     if res.normal_equations:
-        notes.append("non-Hermitian system matrix; CG ran on the normal equations")
+        notes.append("non-Hermitian or indefinite core; CG ran on the normal equations")
     converged = bool(rel <= tol and res.converged and not res.diverged)
     return f, SolveReport(method=method, converged=converged, levels=[level],
                           message=" ".join(notes))

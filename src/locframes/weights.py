@@ -1,7 +1,7 @@
 """Weights, weighted sequence norms, duality, and inclusion tests."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,11 +37,12 @@ def decay_envelope(d, s):
 class Weight:
     """Strictly positive weight sequence over an index set.
 
-    Carries its generating family so the same weight can be re-evaluated
-    on truncations of different sizes (needed for asymptotic probes).
+    A polynomial weight (1 + |k|)^t carries its ``power`` t, so that it can
+    be re-evaluated on truncations of different sizes (needed for
+    asymptotic probes); an explicit weight has ``power`` None.
     """
 
-    def __init__(self, values, family="explicit", parameter=None):
+    def __init__(self, values, power=None):
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise InvalidInputError("weight must be a nonempty 1-D sequence")
@@ -52,35 +53,26 @@ class Weight:
             raise InvalidInputError("weight values must be finite")
         self.values = v
         self.values.setflags(write=False)
-        self.family = family
-        self.parameter = parameter
+        self.power = power
 
     @classmethod
     def polynomial(cls, t, index_set: IndexSet):
         """(1 + |k|)^t with |k| the metric distance to the origin."""
         r = index_set.distance_to_origin()
-        return cls(decay_envelope(r, t), family="polynomial", parameter=float(t))
-
-    @classmethod
-    def exponential(cls, a, index_set: IndexSet):
-        """exp(a |k|); admissible only for sub-polynomial algebras, kept for probes."""
-        r = index_set.distance_to_origin()
-        return cls(np.exp(a * r), family="exponential", parameter=float(a))
+        return cls(decay_envelope(r, t), power=float(t))
 
     @classmethod
     def ones(cls, n):
-        return cls(np.ones(n), family="polynomial", parameter=0.0)
+        return cls(np.ones(n), power=0.0)
 
     def reciprocal(self):
-        inv_param = None if self.parameter is None else -self.parameter
-        return Weight(1.0 / self.values, family=self.family, parameter=inv_param)
+        inv_power = None if self.power is None else -self.power
+        return Weight(1.0 / self.values, power=inv_power)
 
     def on(self, index_set: IndexSet):
-        """Re-evaluate the generating family on another index set."""
-        if self.family == "polynomial":
-            return Weight.polynomial(self.parameter, index_set)
-        if self.family == "exponential":
-            return Weight.exponential(self.parameter, index_set)
+        """Re-evaluate a polynomial weight on another index set."""
+        if self.power is not None:
+            return Weight.polynomial(self.power, index_set)
         if len(index_set) != len(self.values):
             raise InvalidInputError("explicit weight cannot change size")
         return self
@@ -178,15 +170,8 @@ class InclusionReport:
     certificates_by_size: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "included": self.included,
-            "certificate": self.certificate,
-            "divergent": self.divergent,
-            "criterion": self.criterion,
-            "certificates_by_size": [
-                {"size": n, "certificate": c} for n, c in self.certificates_by_size
-            ],
-        }
+        sizes = [{"size": n, "certificate": c} for n, c in self.certificates_by_size]
+        return {**asdict(self), "certificates_by_size": sizes}
 
 
 def _inclusion_certificate(a: SeqSpaceSpec, b: SeqSpaceSpec, index_set: IndexSet):
@@ -205,11 +190,11 @@ def seq_space_included(a: SeqSpaceSpec, b: SeqSpaceSpec):
     """Hoelder-type inclusion test l^{p_a}_{w_a} into l^{p_b}_{w_b}.
 
     Asymptotics are probed on a growing family of truncations built from
-    the weights' generating families; explicit weights are judged at
+    the weights' powers; explicit weights are judged at
     their own (single) scale.  Always decidable: a growing certificate
     trips the divergence flag instead of an error.
     """
-    explicit = a.weight.family == "explicit" or b.weight.family == "explicit"
+    explicit = a.weight.power is None or b.weight.power is None
     if explicit:
         sizes = [len(a.weight)]
         sets = [IndexSet.line(len(a.weight))]

@@ -23,6 +23,11 @@ def decaying_generator(n, tail=0.25, exponent=3.0):
     return gen + tail * (1.0 + iset.distance_to_origin()) ** -exponent
 
 
+def scaled_ring(n, scale):
+    """0..n-1 on the n-torus whose lattice step is ``scale`` ambient units."""
+    return IndexSet(np.arange(n)[:, None], "circular", moduli=(n,), scales=(scale,))
+
+
 def mercedes_frame():
     """Three unit vectors at 120 degrees in R^2; tight with bound 3/2."""
     angles = np.pi / 2 + 2 * np.pi * np.arange(3) / 3
@@ -45,7 +50,7 @@ def riesz_sequence():
     """16 translates in C^64: K < n, a basis of a subspace only."""
     g = decaying_generator(64)
     return Frame(np.stack([np.roll(g, 4 * m) for m in range(16)], axis=1),
-                 IndexSet.ring(16, scale=4.0))
+                 scaled_ring(16, 4.0))
 
 
 def dense_twin(frame):
@@ -73,7 +78,7 @@ def suite_frames():
         "gabor16": make_gabor_frame(16, 4, 2, gaussian_window(16)),
         "gabor64": make_gabor_frame(64, 8, 4, gaussian_window(64)),
         "gabor144": make_gabor_frame(144, 12, 6, gaussian_window(144)),
-        "translates": make_translates_frame(64, 1, decaying_generator(64)),
+        "translates": make_translates_frame(64, decaying_generator(64)),
         "ponb": make_perturbed_onb(64, 3, 7),
     }
 

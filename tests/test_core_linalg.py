@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import analysis_q, riesz_sequence
+from conftest import analysis_q, riesz_sequence, scaled_ring
 from locframes import (
     InsufficientDataError,
     InvalidInputError,
@@ -139,9 +139,9 @@ class TestIndexSetMetric:
         return d
 
     @pytest.mark.parametrize("rows, cols", [
-        (IndexSet.ring(4, scale=4.0), IndexSet.ring(16)),
+        (scaled_ring(4, 4.0), IndexSet.ring(16)),
         (IndexSet.torus_grid(8, 4, scales=(2.0, 0.5)), IndexSet.ring(16)),
-        (IndexSet.ring(6, scale=1.5), IndexSet.torus_grid(3, 2, scales=(3.0, 1.0))),
+        (scaled_ring(6, 1.5), IndexSet.torus_grid(3, 2, scales=(3.0, 1.0))),
         (IndexSet.torus_grid(4, 6, scales=(2.0, 1.0)),
          IndexSet.torus_grid(8, 3, scales=(1.0, 2.0))),
         (IndexSet(np.arange(5)[:, None], scales=(3.0,)), IndexSet.line(13)),
@@ -157,7 +157,7 @@ class TestIndexSetMetric:
         assert d[0, 4] == 4.0
 
     def test_cross_lattice_uses_ambient_units(self):
-        coarse = IndexSet.ring(4, scale=4.0)   # positions 0,4,8,12 on Z_16
+        coarse = scaled_ring(4, 4.0)   # positions 0,4,8,12 on Z_16
         fine = IndexSet.ring(16)
         d = coarse.distance_matrix(fine)
         assert d.shape == (4, 16)
@@ -218,6 +218,30 @@ class TestDualPairing:
     def test_dual_of_limit_zero_space(self):
         spec = SeqSpaceSpec(0, Weight.ones(4))
         assert spec.dual().p == 1.0
+
+
+class TestWeightPower:
+    def test_polynomial_carries_its_power(self):
+        iset = IndexSet.torus_grid(4, 4)
+        w = Weight.polynomial(1.5, iset)
+        assert w.power == 1.5
+        assert np.array_equal(w.values, (1.0 + iset.distance_to_origin()) ** 1.5)
+        assert Weight.ones(5).power == 0.0
+
+    def test_explicit_weight_has_no_power(self):
+        w = Weight(np.array([1.0, 2.0, 4.0]))
+        assert w.power is None and w.reciprocal().power is None
+        assert w.on(IndexSet.line(3)) is w
+        with pytest.raises(InvalidInputError, match="size"):
+            w.on(IndexSet.line(4))
+
+    def test_on_and_reciprocal_keep_the_power(self):
+        w = Weight.polynomial(2.0, IndexSet.line(8))
+        wider = w.on(IndexSet.line(32))
+        assert wider.power == 2.0
+        assert np.array_equal(wider.values, Weight.polynomial(2.0, IndexSet.line(32)).values)
+        assert w.reciprocal().power == -2.0
+        assert SeqSpaceSpec(1, w).dual().weight.power == -2.0
 
 
 # -- inclusion ----------------------------------------------------------------
@@ -738,8 +762,6 @@ class TestAdmissibleWeights:
         assert weight_admissible(MatrixAlgebraSpec("jaffard", 1.2), Weight.ones(32),
                                  iset.dim)
 
-    def test_exponential_family_rejected(self):
-        iset = IndexSet.line(16)
-        with pytest.raises(InvalidInputError):
-            weight_admissible(MatrixAlgebraSpec("jaffard", 3.0),
-                              Weight.exponential(0.5, iset), iset.dim)
+    def test_explicit_weight_admissible(self):
+        assert weight_admissible(MatrixAlgebraSpec("jaffard", 1.2),
+                                 Weight(np.linspace(1.0, 50.0, 16)), 1)

@@ -305,24 +305,28 @@ class TestConstructors:
     def test_translates_of_spike_is_onb(self):
         gen = np.zeros(8)
         gen[0] = 1.0
-        frame = make_translates_frame(8, 1, gen)
+        frame = make_translates_frame(8, gen)
         assert np.allclose(frame.vectors, np.eye(8))
 
     def test_translates_bounds(self):
-        frame = make_translates_frame(64, 1, decaying_generator(64))
+        frame = make_translates_frame(64, decaying_generator(64))
         a, b = frame_bounds(frame)
         assert 0 < a <= b < np.inf
 
-    def test_single_translate_not_a_frame(self):
-        gen = np.ones(8) - 1.0
-        gen[0], gen[1] = 1.0, -1.0  # zero-mean generator
-        with pytest.raises(NotAFrameError):
-            make_translates_frame(8, 8, gen)
+    def test_translates_are_the_circulant_of_the_generator(self):
+        g = decaying_generator(16)
+        frame = make_translates_frame(16, g)
+        assert np.array_equal(frame.vectors,
+                              np.stack([np.roll(g, m) for m in range(16)], axis=1))
+        assert frame.name == "translates16s1"
+        assert frame.meta == {"kind": "translates", "n": 16, "step": 1}
+        iset = frame.index_set
+        assert (iset.metric, iset.moduli, iset.scales) == ("circular", (16.0,), (1.0,))
 
     def test_zero_mean_generator_rank_deficient(self):
         gen = np.zeros(8)
         gen[0], gen[1] = 1.0, -1.0
-        frame = make_translates_frame(8, 1, gen)
+        frame = make_translates_frame(8, gen)
         with pytest.raises(NotAFrameError):
             frame_bounds(frame)
 
@@ -481,7 +485,7 @@ class TestNumberField:
 
     def test_complex_generator_gives_complex_translates(self):
         gen = decaying_generator(8) * np.exp(0.3j)
-        frame = make_translates_frame(8, 1, gen)
+        frame = make_translates_frame(8, gen)
         assert frame.vectors.dtype == np.complex128
         assert np.allclose(frame.vectors[:, 0], gen)
 

@@ -618,7 +618,7 @@ class TestFactoredDiagnosticsAgreeWithDense:
     def test_unshared_lattices_take_the_dense_gram_path(self, other):
         phi = make_gabor_frame(32, 4, 4, gaussian_window(32))
         psi = (make_gabor_frame(32, 2, 4, gaussian_window(32)) if other == "lattice"
-               else make_translates_frame(32, 1, decaying_generator(32)))
+               else make_translates_frame(32, decaying_generator(32)))
         assert not shared_lattice(phi, psi) and not shared_lattice(psi, phi)
         core = analysis_r(phi) @ np.conj(analysis_r(psi).T)
         spec = gram_spectrum(phi, psi)

@@ -265,7 +265,7 @@ class TestCLI:
 
     def test_solve_fs_divergent_exit_three(self, tmp_path):
         code = run_cli("solve", "fs", "--op-kind", "identity_minus_kernel",
-                       "--theta", "1.2", "--n", "32", "--method", "cg",
+                       "--theta", "1.2", "--n", "32", "--method", "richardson",
                        "--out-dir", tmp_path)
         assert code == 3
         rep = json.loads((tmp_path / "solve_fs.json").read_text())
@@ -285,17 +285,18 @@ class TestCLI:
         assert [lv["error"] for lv in rep["levels"]] == [None, None]
         assert rep["levels"][-1]["singular"]
 
+    # every centered section of this diagonal is invertible and indefinite
+    INDEFINITE = "1,-2,0.5,3,-0.25,4,-1.5,2,1,-3,0.75,2.5,-0.5,1.25,-4,0.125"
+
     @pytest.mark.parametrize("method", ["direct", "richardson"])
     def test_solve_fs_divergence_is_not_singularity(self, tmp_path, method):
-        # every centered section of this diagonal is invertible and
-        # indefinite, with inverse norms 4 and 8: the relaxation
+        # the sections have inverse norms 4 and 8: the relaxation
         # 2 / (sigma_max + sigma_min) cannot contract on them, so Richardson
         # diverges on both levels where direct solves them
-        spectrum = "1,-2,0.5,3,-0.25,4,-1.5,2,1,-3,0.75,2.5,-0.5,1.25,-4,0.125"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             code = run_cli("solve", "fs", "--n", "16", "--op-kind", "diagonal",
-                           f"--spectrum={spectrum}", "--method", method,
+                           f"--spectrum={self.INDEFINITE}", "--method", method,
                            "--out-dir", tmp_path)
         diverged = method == "richardson"
         assert code == (3 if diverged else 0)
@@ -303,6 +304,33 @@ class TestCLI:
         assert [(lv["singular"], lv["diverged"]) for lv in levels] == [(False, diverged)] * 2
         assert [lv["inverse_norm"] for lv in levels] == [4.0, 8.0]
         assert (tmp_path / "solution_fs.npy").exists() is not diverged
+
+    @pytest.mark.parametrize("frame", [None, ("onb", "--n", "16"),
+                                       ("gabor", "--n", "16", "--a", "2", "--b", "2")],
+                             ids=["fs", "fg-onb", "fg-gabor"])
+    def test_indefinite_core_converges_under_cg(self, tmp_path, frame):
+        # CG meets negative curvature on the indefinite cores and restarts
+        # on the normal equations
+        if frame is None:
+            solve = ("fs", "--n", "16")
+        else:
+            assert run_cli("frame", "build", "--kind", *frame, "--out-dir", tmp_path) == 0
+            solve = ("fg", "--frame", tmp_path / "frame")
+        assert run_cli("solve", *solve, "--op-kind", "diagonal",
+                       f"--spectrum={self.INDEFINITE}", "--method", "cg",
+                       "--out-dir", tmp_path / "out") == 0
+        rep = json.loads(next((tmp_path / "out").glob("solve_f?.json")).read_text())
+        assert rep["converged"]
+        assert [lv["singular"] for lv in rep["levels"]] == [False] * len(rep["levels"])
+        if frame is not None:
+            assert "indefinite" in rep["message"]
+
+    def test_step_in_config_is_ignored(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "translates", "n": 16, "step": 2}))
+        assert run_cli("frame", "build", "--config", cfg, "--out-dir", tmp_path) == 0
+        summary = json.loads((tmp_path / "frame_summary.json").read_text())
+        assert (summary["K"], summary["name"]) == (16, "translates16s1")
 
     def test_solve_fg_identity(self, tmp_path):
         run_cli("frame", "build", "--kind", "onb", "--n", "16",
@@ -664,7 +692,6 @@ class TestCLIContract:
     @pytest.mark.parametrize("argv", [
         ("--kind", "gabor", "--n", "16", "--a", "0", "--b", "4"),
         ("--kind", "gabor", "--n", "16", "--a", "4", "--b", "0"),
-        ("--kind", "translates", "--n", "16", "--step", "0"),
         ("--kind", "onb", "--n", "0"),
         ("--kind", "gabor", "--n", "16", "--a", "4", "--b", "2", "--width", "0"),
     ])
@@ -768,16 +795,24 @@ class TestCLIContract:
         ("solve", "fg", "--frame", "f", "--levels", "2"),
         ("solve", "fs", "--frame", "f"),
         # an unknown flag, a stray argument and abbreviations: --meth of
-        # --method, --a of frame diag's --algebra, --s of --seed or --step
+        # --method, --a of frame diag's --algebra, --s of --seed
         ("solve", "fs", "--n", "16", "--bogus", "1"),
         ("solve", "fs", "--n", "16", "extra"),
         ("solve", "fs", "--n", "16", "--meth", "cg"),
         ("frame", "diag", "--frame", "f", "--a", "3"),
         ("frame", "build", "--kind", "onb", "--n", "8", "--s=1"),
+        # a translates frame is always the n shifts: there is no step to set
+        ("frame", "build", "--kind", "translates", "--n", "16", "--step", "1"),
     ])
     def test_flag_of_another_subcommand_rejected(self, tmp_path, argv):
         assert run_cli(*argv, "--out-dir", tmp_path) == 2
         assert self.error(tmp_path) == "config"
+        assert [p.name for p in tmp_path.iterdir()] == ["error.json"]
+
+    def test_energy_greedy_is_no_schedule(self, tmp_path):
+        assert run_cli("solve", "fs", "--n", "16", "--schedule", "energy_greedy",
+                       "--out-dir", tmp_path) == 2
+        assert self.error(tmp_path) == "invalid-input"
         assert [p.name for p in tmp_path.iterdir()] == ["error.json"]
 
     @staticmethod
@@ -908,7 +943,6 @@ class TestIntegerSettings:
     @pytest.mark.parametrize("command, setting", [
         (("frame", "build"), {"kind": "gabor", "n": 16, "a": 4.5, "b": 2}),
         (("frame", "build"), {"kind": "gabor", "n": 16, "a": 4, "b": 2.5}),
-        (("frame", "build"), {"kind": "translates", "n": 16, "step": 1.5}),
         (("solve", "fs"), {"n": 16, "levels": 2.5}),
         (("solve", "fs"), {"n": 16, "start_level": 8.5}),
     ])
@@ -1252,7 +1286,7 @@ SETTING_VALUES = {
     "kind": (["onb", "gabor", "translates", "perturbed-onb"], ["foo"]),
     "n": (["4", "8", "16", "32"], ["0", "-2", "8.5", "x", "", "1e300"]),
     "a": (["1", "2", "4"], ["3", "0", "x"]), "b": (["1", "2", "4"], ["3", "0", "x"]),
-    "step": (["1"], ["2", "0", "x"]), "levels": (["1", "3"], ["0", "-1", "x"]),
+    "levels": (["1", "3"], ["0", "-1", "x"]),
     "start_level": (["1", "4"], ["0", "-3", "2.5"]),
     "width": REAL, "decay_s": REAL, "s": (REAL[0], REAL[1] + ["300"]),
     "threshold": (["1e3", "10"], REAL[1]), "theta": (["0.5", "1", "1.2"], REAL[1]),

@@ -118,7 +118,7 @@ class TestTransitivity:
     def test_mixed_frame_chain(self):
         ponb = make_perturbed_onb(64, 3, 7)
         gab = make_gabor_frame(64, 8, 4, gaussian_window(64))
-        tra = make_translates_frame(64, 1, decaying_generator(64))
+        tra = make_translates_frame(64, decaying_generator(64))
         rep = transitivity_check(ponb, gab, canonical_dual(gab), tra, ALG)
         assert rep.holds
         assert rep.duality_residual <= 1e-10
@@ -174,7 +174,7 @@ class TestCoorbitNorm:
         from locframes.frames import gram
 
         psi = make_perturbed_onb(64, 3, 7)
-        phi = make_translates_frame(64, 1, decaying_generator(64))
+        phi = make_translates_frame(64, decaying_generator(64))
         w = Weight.ones(64)
         space = SeqSpaceSpec(1, w)
         spec_psi = CoorbitSpec(psi, space)

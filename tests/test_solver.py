@@ -217,7 +217,7 @@ class TestProjectionSchedule:
         pilot = np.zeros(32)
         pilot[17] = 5.0
         pilot[3] = 1.0
-        sched = ProjectionSchedule(onb, selection="energy_greedy", pilot=pilot)
+        sched = ProjectionSchedule(onb, selection="greedy", pilot=pilot)
         assert 17 in sched.levels[0]
 
     def test_subframe_bounds_recorded(self, suite_frames):
@@ -278,16 +278,17 @@ class TestFiniteSections:
         assert not rep.converged
         assert any(lv.singular for lv in rep.levels)
 
-    def test_indefinite_compression_diverges_under_cg(self, rng):
-        # sign-flipping spectrum: compressed systems are indefinite, the
-        # conjugate-gradient path cannot stabilize them
+    def test_indefinite_compression_converges_under_cg(self, rng):
+        # sign-flipping spectrum: compressed systems are indefinite, and CG
+        # solves them through the normal equations
         n = 32
         spectrum = (-1.0) ** np.arange(n) * np.linspace(1, 2, n)
         a = make_test_operator("diagonal", n, spectrum=spectrum)
         y = rng.standard_normal(n)
         rep, x = finite_section_solve(a, y, ProjectionSchedule(make_onb(n)),
                                       method="cg")
-        assert not rep.converged
+        assert rep.converged
+        assert np.allclose(x, y / spectrum, atol=1e-8)
 
     def test_shift_sections_blow_up_the_monitor(self, rng):
         # circular shift + 0.5 I is invertible, but its truncations are
@@ -454,9 +455,16 @@ class TestCG:
         x_cg, x_direct = (np.load(tmp_path / m / "solution_fs.npy") for m in ("cg", "direct"))
         assert np.linalg.norm(x_cg - x_direct) <= 1e-8 * np.linalg.norm(x_direct)
 
-    def test_rhs_outside_range_is_contract_error(self):
+    @pytest.mark.parametrize("m", [
+        np.diag([1.0, 1.0, 0.0]),
+        # indefinite: CG restarts on M* M, whose range holds M* b for any b
+        np.diag([1.0, -2.0, 0.0]),
+        # non-Hermitian, with range span(e_1, e_3)
+        np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    ])
+    def test_rhs_outside_range_is_contract_error(self, m):
         with pytest.raises(ContractError, match="range"):
-            cg_solve(np.diag([1.0, 1.0, 0.0]), np.array([1.0, 1.0, 1.0]))
+            cg_solve(m, np.array([1.0, 1.0, 1.0]))
 
     def test_non_hermitian_takes_normal_equations(self):
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -464,6 +472,15 @@ class TestCG:
         assert res.normal_equations and res.converged
         assert np.allclose(m @ res.c, np.ones(2), atol=1e-10)
         assert not cg_solve(m @ m.T, np.ones(2)).normal_equations
+
+    def test_indefinite_hermitian_takes_normal_equations(self):
+        # b* M b = 0.5 > 0, but the second search direction has p* M p < 0
+        m, b = np.diag([1.0, -3.0, 0.5, 2.0]), np.ones(4)
+        res = cg_solve(m, b)
+        assert res.normal_equations and res.converged
+        assert np.allclose(m @ res.c, b, atol=1e-10)
+        # the two iterations run on M before the restart are counted
+        assert res.iterations == 2 + cg_solve(m @ m, m @ b).iterations
 
     def test_normal_equations_fallback(self, rng):
         m = rng.standard_normal((12, 12)) + 3 * np.eye(12)
