@@ -20,8 +20,8 @@ from .errors import (
 from .frames import (Frame, analysis_r, analysis_r_product, canonical_dual, frame_core,
                      gram, gram_spectrum, mixed_frame_operator)
 from .linalg import field_array, spectrum
-from .opnorms import norm_reduction, space_operator_norm, weighted_matrix
-from .weights import SeqSpaceSpec, seq_norm
+from .opnorms import space_operator_norm, weighted_column_blocks, weighted_matrix
+from .weights import SeqSpaceSpec, column_p_norms, seq_norm
 
 CHECK_SLACK = 1e-8
 PSEUDOINVERSE_CHECK_TOL = 1e-9
@@ -359,8 +359,9 @@ def _phase(v):
     return v.real / mag + 1j * (v.imag / mag) if np.iscomplexobj(v) else v / mag
 
 
-def _two_two(mb, rank_bound=None):
-    """Trace-power bound on ||mb||_2 from a randomized range finder, and B^* v.
+def _two_two(entries, w_out, w_in, rank_bound=None):
+    """Trace-power bound on ||mb||_2 from a randomized range finder, and B^* v,
+    for mb = diag(w_out) entries diag(1/w_in).
 
     Q = qr(mb Omega) for a Gaussian Omega with l columns.  With
     B = Q^* mb and the residual E = mb - Q B, ||mb||_2 <= ||B||_2 + ||E||_F,
@@ -373,36 +374,42 @@ def _two_two(mb, rank_bound=None):
     Everything is divided by c, the largest squared column norm of mb:
     the top eigenvalue of G / c then lies in [1, K] up to the residual, so
     no power overflows or underflows at any scale, and the root is
-    scaled back by c; a c out of range is brought in by scaling mb by 2^-k.
+    scaled back by c; a c out of range is brought in by scaling w_out by
+    2^-k before anything is summed.  mb Omega and Q^* mb fold the weights
+    into the thin factors, and E is formed one column block at a time.
     """
-    c = float(np.max(np.einsum("ij,ij->j", np.conj(mb), mb).real, initial=0.0))
-    shift = 0 if np.finfo(float).tiny <= c < math.inf else max(
-        int(np.frexp(np.max(np.abs(mb), initial=0.0))[1]), -1021)
+    sq = np.concatenate([np.einsum("ij,ij->j", block.conj(), block).real
+                         for _, block in weighted_column_blocks(entries, w_out, w_in)])
+    c = float(sq.max())
+    shift = 0 if np.finfo(float).tiny <= c < math.inf else max(-1021, int(np.frexp(max(
+        np.abs(block).max() for _, block in weighted_column_blocks(entries, w_out, w_in)))[1]))
     if shift:   # trace_k ~ ||mb||_2^2 may then exceed float64
-        bound, details, witness = _two_two(mb * 2.0 ** -shift, rank_bound)
+        bound, details, witness = _two_two(entries, w_out * 2.0 ** -shift, w_in, rank_bound)
         with np.errstate(over="ignore"):
             return float(np.ldexp(bound, shift)), {
                 key: float(np.ldexp(value, 2 * shift if key == "trace_k" else shift))
                 for key, value in details.items()}, witness
-    k_out, k_in = mb.shape
+    k_out, k_in = entries.shape
     if rank_bound is None:
         widest = min(k_out, k_in)
         cols = min(widest, RANGE_START)
     else:
         widest = cols = min(k_out, k_in, rank_bound + RANGE_OVERSAMPLING)
-    target = RANGE_TOL * np.linalg.norm(mb)
+    c = c if c > 0 else 1.0
+    target = RANGE_TOL * math.sqrt(c) * math.sqrt(np.sum(sq / c))
     while True:
-        omega = np.random.default_rng(RANGE_SEED).standard_normal((k_in, cols))
-        q = np.linalg.qr(mb @ omega)[0]
-        b = np.conj(q.T) @ mb
-        e = q @ b
-        e -= mb
-        residual = float(np.linalg.norm(e))
-        del e   # K x K; the powers below need only l x K
+        y = entries @ (np.random.default_rng(RANGE_SEED).standard_normal((k_in, cols))
+                       / w_in[:, None])
+        y *= w_out[:, None]
+        q = np.linalg.qr(y)[0]
+        del y   # like Omega / w_in: no K x l temporary outlives its use
+        b = (np.conj(q.T) * w_out) @ entries / w_in
+        residual = math.hypot(*(np.linalg.norm(block - q @ b[:, part])
+                                for part, block in weighted_column_blocks(entries, w_out, w_in)))
         if residual <= target or cols == widest:
             break
+        del q, b
         cols = min(2 * cols, widest)
-    c = c if c > 0 else 1.0
     b /= math.sqrt(c)
     h = b @ np.conj(b.T)
     eigenvalues, vectors = np.linalg.eigh(h)
@@ -432,6 +439,7 @@ def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
     (``one_inf``, ``one_p``) or the conjugate phases of its largest row
     (``inf_inf``, ``inf_zero``).  For ``two_two`` and ``inf_one`` (NP-hard in
     general) it is only a lower bound: B^* v, and Boyd's power method.
+    mb is formed one column block at a time, and mb y as w_out (m (y / w_in)).
     """
     if case not in CERTIFICATE_CASES:
         raise InvalidInputError(f"unsupported certificate case {case!r}")
@@ -442,7 +450,6 @@ def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
     else:
         entries = np.asarray(m)
     w1, w2 = weights
-    mb = weighted_matrix(entries, w2.values, w1.values)
     details = {}
     if case == "one_p":
         p = float(p)
@@ -451,20 +458,28 @@ def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
         details["p"] = p
     p_in, p_out = _case_exponents(case, p)
     if case == "two_two":
-        bound, details, witness = _two_two(mb, rank_bound)
+        bound, details, witness = _two_two(entries, w2.values, w1.values, rank_bound)
     else:
-        a = np.abs(mb)
-        reduction = norm_reduction(a, p_in, math.inf if case == "inf_one" else p_out)
+        parts = (np.abs(block) for _, block in weighted_column_blocks(entries, w2.values,
+                                                                      w1.values))
+        if p_in == 1.0:
+            reduction = np.concatenate([column_p_norms(a, p_out) for a in parts])
+        else:   # first block's sums, then column by column: as a one-block or F-order sum
+            reduction = next(parts).sum(axis=1)
+            for a in parts:
+                for column in a.T:
+                    reduction += column
         top = int(reduction.argmax())
-        bound = float(a.sum() if case == "inf_one" else reduction.max())
-        witness = np.eye(1, mb.shape[1], top)[0] if p_in == 1.0 else _phase(np.conj(mb[top]))
+        bound = float(reduction.sum() if case == "inf_one" else reduction.max())
+        witness = np.eye(1, entries.shape[1], top)[0] if p_in == 1.0 else _phase(np.conj(
+            weighted_matrix(entries[top:top + 1], w2.values[top:top + 1], w1.values)[0]))
     if case == "inf_one":
         # Boyd's power method from the inf_inf witness: a step
         # y <- phase(mb^* phase(mb y)) cannot lower ||mb y||_1; at most 3
-        z = mb @ witness
+        z = w2.values * (entries @ (witness / w1.values))
         for _ in range(3):
-            step = _phase(np.conj(np.conj(_phase(z)) @ mb))
-            z_step = mb @ step
+            step = _phase(np.conj((np.conj(_phase(z)) * w2.values) @ entries / w1.values))
+            z_step = w2.values * (entries @ (step / w1.values))
             if np.abs(z_step).sum() <= np.abs(z).sum():
                 break
             witness, z = step, z_step

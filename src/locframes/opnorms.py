@@ -15,6 +15,7 @@ from .errors import InvalidInputError
 from .weights import SeqSpaceSpec, column_p_norms
 
 _INF = math.inf
+_BLOCK_BYTES = 1 << 20
 
 
 def weighted_matrix(m, w_out, w_in):
@@ -23,13 +24,18 @@ def weighted_matrix(m, w_out, w_in):
     A complex m is scaled through its real and imaginary parts, by w_out
     and then by 1 / w_in: that is what numpy's complex division by
     w_in + 0j computes, so the result is the same without a complex
-    division per entry or a second temporary.
+    division per entry or a second temporary (on the float view, if m is F-contiguous).
     """
     m = np.asarray(m)
     w_out = np.asarray(w_out)[:, None]
     out = np.empty_like(m, dtype=np.result_type(m, float))
     if np.iscomplexobj(out):
         inv = 1.0 / np.asarray(w_in)
+        if m.dtype == out.dtype and m.flags.f_contiguous:
+            flat = out.T.view(float)
+            np.multiply(np.repeat(w_out[:, 0], 2), m.T.view(float), out=flat)
+            flat *= inv[:, None]
+            return out
         for src, dst in ((m.real, out.real), (m.imag, out.imag)):
             np.multiply(w_out, src, out=dst)
             dst *= inv
@@ -37,6 +43,15 @@ def weighted_matrix(m, w_out, w_in):
         np.multiply(w_out, m, out=out)
         out /= np.asarray(w_in)
     return out
+
+
+def weighted_column_blocks(m, w_out, w_in):
+    """(columns, block) pairs that split ``weighted_matrix(m, w_out, w_in)`` into
+    column blocks of at most about 1 MiB, or single columns: no second m-sized array."""
+    width = max(1, _BLOCK_BYTES // (m.shape[0] * np.result_type(m, float).itemsize))
+    for start in range(0, m.shape[1], width):
+        cols = slice(start, start + width)
+        yield cols, weighted_matrix(m[:, cols], w_out, w_in[cols])
 
 
 def exact_operator_norm(m, p_in, p_out):
@@ -50,16 +65,11 @@ def exact_operator_norm(m, p_in, p_out):
     p_out = _INF if p_out == 0 else float(p_out)
     if p_in == 2.0 and p_out == 2.0:
         return float(np.linalg.norm(m, 2))
-    return float(norm_reduction(np.abs(np.asarray(m)), p_in, p_out).max())
-
-
-def norm_reduction(a, p_in, p_out):
-    """Column p_out-norms (p_in = 1) or row sums (inf -> inf) of a nonnegative
-    ``a``: the largest is its exact norm, and its argmax locates a witness."""
+    a = np.abs(np.asarray(m))
     if p_in == 1.0:
-        return column_p_norms(a, p_out)
+        return float(column_p_norms(a, p_out).max())
     if p_in == _INF and p_out == _INF:
-        return a.sum(axis=1)
+        return float(a.sum(axis=1).max())
     raise InvalidInputError(f"no exact formula for l^{p_in} -> l^{p_out}")
 
 

@@ -450,7 +450,7 @@ def frame_galerkin_solve(op, g, phi: Frame, method="cg", tol=DEFAULT_TOL):
         notes.append("non-Hermitian or indefinite core; CG ran on the normal equations")
     converged = bool(rel <= tol and res.converged and not res.diverged)
     return f, SolveReport(method=method, converged=converged, levels=[level],
-                          message=" ".join(notes))
+                          message=". ".join(notes))
 
 
 # -- synthetic operators ------------------------------------------------------

@@ -45,13 +45,13 @@ from locframes.frames import (
     shared_lattice,
 )
 from locframes.cli import main as cli_main
-from locframes.galerkin import (CERTIFICATE_CASES, _range_projection_defect,
+from locframes.galerkin import (CERTIFICATE_CASES, _phase, _range_projection_defect,
                                  certificate_probe_norm)
 from locframes.linalg import (generalized_condition_number, hermitian_defect, pseudo_inverse,
                               spectrum)
-from locframes.opnorms import exact_operator_norm, weighted_matrix
+from locframes.opnorms import exact_operator_norm, weighted_column_blocks, weighted_matrix
 from locframes.solver import HERMITIAN_TOL, frame_galerkin_solve
-from locframes.weights import decay_envelope
+from locframes.weights import column_p_norms, decay_envelope
 
 from conftest import analysis_q, complex_copy, decaying_generator, dense_twin, riesz_sequence
 
@@ -785,6 +785,72 @@ class TestTwoTwoRangeFinder:
         bare = schur_certificate(gm.entries, "two_two", weights=(w, w))
         assert cert.certified_bound == pytest.approx(bare.certified_bound, rel=1e-12)
         assert cert.certified_bound >= np.linalg.norm(gm.entries, 2)
+
+
+class TestCertificateBlocks:
+    """The certificates read mb = diag(w2) m diag(1/w1) one column block at a time."""
+
+    @pytest.fixture(scope="class")
+    def container(self, tmp_path_factory):
+        # K = 1024, n = 64: the loaded entries are 16.8 MB
+        frame = make_gabor_frame(64, 2, 2, gaussian_window(64))
+        op = make_test_operator("identity_minus_kernel", 64, theta=0.5)
+        base = tmp_path_factory.mktemp("blocks") / "galerkin"
+        io.save_galerkin_matrix(base, galerkin_matrix(op, frame, canonical_dual(frame)))
+        return io.load_array(base)
+
+    @pytest.mark.parametrize("case", CERTIFICATE_CASES)
+    def test_no_square_temporary(self, container, case):
+        # forming the whole mb and |mb| peaked at 1.5 to 2.25 times the entries
+        entries, sidecar = container
+        w = Weight(decay_envelope(np.arange(entries.shape[0]), 1.0))
+        tracemalloc.start()
+        try:
+            cert = schur_certificate(entries, case, p=3.0, weights=(w, w),
+                                     rank_bound=sidecar["ambient_dim"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.to_dict()["sound"]
+        assert peak < 0.75 * entries.nbytes
+
+    @staticmethod
+    def matrices():
+        """(matrix, its block widths): a ragged last block in real C order
+        and in complex F order, and columns each above the 1 MiB budget."""
+        rng = np.random.default_rng(73)
+        yield rng.standard_normal((300, 1000)), [436, 436, 128]
+        yield np.asfortranarray(random_matrix(rng, 700, 150)), [93, 57]
+        yield np.asfortranarray(random_matrix(rng, 70000, 3)), [1, 1, 1]
+
+    @pytest.mark.parametrize("case", CERTIFICATE_CASES)
+    def test_blocks_agree_with_dense(self, case):
+        for m, widths in self.matrices():
+            k_out, k_in = m.shape
+            w1 = Weight(decay_envelope(np.arange(k_in), 0.5))
+            w2 = Weight(decay_envelope(np.arange(k_out), 1.0))
+            blocks = weighted_column_blocks(m, w2.values, w1.values)
+            assert [block.shape[1] for _, block in blocks] == widths
+            cert = schur_certificate(m, case, p=3.0, weights=(w1, w2))
+            mb = weighted_matrix(m, w2.values, w1.values)
+            if case == "two_two":
+                bound, details = dense_two_two(mb)
+                assert cert.certified_bound == pytest.approx(bound, rel=1e-12)
+                assert cert.details["svd_ground_truth"] == pytest.approx(
+                    details["svd_ground_truth"], rel=1e-12)
+                continue
+            a = np.abs(mb)
+            if case in ("one_inf", "one_p"):
+                reduction = column_p_norms(a, 3.0 if case == "one_p" else math.inf)
+                assert cert.certified_bound == reduction.max()
+                assert np.array_equal(cert.witness, np.eye(1, k_in, reduction.argmax())[0])
+                continue
+            rows = a.sum(axis=1)
+            top = rows.argmax()
+            bound = a.sum() if case == "inf_one" else rows.max()
+            assert cert.certified_bound == pytest.approx(bound, rel=1e-13)
+            if case != "inf_one":   # Boyd's steps move the inf_one witness on
+                assert np.array_equal(cert.witness, _phase(np.conj(mb[top])))
 
 
 CLOSED_FORM_CASES = ("inf_inf", "inf_zero", "one_inf", "one_p")

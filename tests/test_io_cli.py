@@ -324,6 +324,12 @@ class TestCLI:
         assert [lv["singular"] for lv in rep["levels"]] == [False] * len(rep["levels"])
         if frame is not None:
             assert "indefinite" in rep["message"]
+        if frame is not None and frame[0] == "gabor":
+            # the redundant frame adds a second note; a bare space ran the two
+            # together as "... on the analysis range non-Hermitian or ..."
+            assert rep["message"].split(". ") == [
+                "system matrix singular by redundancy; solved on the analysis range",
+                "non-Hermitian or indefinite core; CG ran on the normal equations"]
 
     def test_step_in_config_is_ignored(self, tmp_path):
         cfg = tmp_path / "cfg.json"
