@@ -45,8 +45,10 @@ from .galerkin import (
     LinearOperator,
     bounded_equiv_check,
     compose_rule_check,
+    galerkin_columns,
     galerkin_matrix,
     galerkin_pseudoinverse,
+    idempotency_residual,
     kappa_factorization_probe,
     matrixrep_norm_bound,
     operator_from_matrix,

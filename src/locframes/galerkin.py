@@ -26,6 +26,9 @@ from .weights import SeqSpaceSpec, column_p_norms, seq_norm
 CHECK_SLACK = 1e-8
 PSEUDOINVERSE_CHECK_TOL = 1e-9
 OPERATOR_COND_CAP = 1e12
+# columns per block of an assembled Galerkin matrix: BLAS re-packs the K x n
+# analysis factor for every block, which narrower blocks pay for in time
+ASSEMBLY_COLUMNS = 256
 # the two_two range finder: extra columns over the rank bound, the first
 # width tried without one, the residual ||E||_F / ||mb||_F at which it
 # stops widening, and the seed of its test matrix, which does not depend
@@ -95,10 +98,6 @@ class GalerkinMatrix:
     generator: LinearOperator
 
     @property
-    def shape(self):
-        return self.entries.shape
-
-    @property
     def rank_bound(self):
         """The ambient dimension, which the rank cannot exceed."""
         return min(self.left_frame.ambient_dim, self.right_frame.ambient_dim)
@@ -106,10 +105,6 @@ class GalerkinMatrix:
     @cached_property
     def core(self):
         return frame_core(self.left_frame, self.right_frame, self.generator.dense())
-
-    def idempotency_residual(self):
-        """||M M - M||_2 = ||R_l O (V_r V_l^*) O R_r^* - C||_2 for the core C."""
-        return float(np.linalg.norm(_core_product(self, self) - self.core, 2))
 
 
 def _core_product(first: GalerkinMatrix, second: GalerkinMatrix):
@@ -121,6 +116,14 @@ def _core_product(first: GalerkinMatrix, second: GalerkinMatrix):
     return frame_core(first.left_frame, second.right_frame, o1 @ middle)
 
 
+def idempotency_residual(op, left: Frame, right: Frame):
+    """||M M - M||_2 = ||R_l O (V_r V_l^*) O R_r^* - C||_2 for M = M(left, right)(O)
+    and its core C = R_l O R_r^*, as ``_core_product`` forms it: no entries."""
+    o = as_operator(op).dense()
+    square = frame_core(left, right, o @ mixed_frame_operator(right, left, o))
+    return float(np.linalg.norm(square - frame_core(left, right, o), 2))
+
+
 def _check_maps(op, left: Frame, right: Frame):
     if op.shape[1] != right.ambient_dim or op.shape[0] != left.ambient_dim:
         raise DimensionMismatchError(
@@ -128,12 +131,33 @@ def _check_maps(op, left: Frame, right: Frame):
         )
 
 
-def galerkin_matrix(op, left: Frame, right: Frame):
-    """Assemble M_{k,l} = <O xi_l, phi_k> as Phi^* O Xi, the one K x K
-    product."""
+def galerkin_columns(op, left: Frame, right: Frame):
+    """Shape, dtype and the column blocks of M_{k,l} = <O xi_l, phi_k>: each
+    block is Phi^* (O Xi[:, columns]) for the next ``ASSEMBLY_COLUMNS``
+    columns, column-major; the one assembly rule of the container and
+    ``galerkin_matrix``."""
     op = as_operator(op)
     _check_maps(op, left, right)
-    entries = np.conj(left.vectors.T) @ (op.dense() @ right.vectors)
+    analysis, o, xi = np.conj(left.vectors.T), op.dense(), right.vectors
+    dtype = np.result_type(analysis, o, xi)
+
+    def block(start):
+        image = o @ xi[:, start:start + ASSEMBLY_COLUMNS]
+        out = np.empty((left.size, image.shape[1]), dtype, order="F")
+        return np.matmul(analysis, image, out=out)
+
+    return (left.size, right.size), dtype, (block(start) for start in
+                                            range(0, right.size, ASSEMBLY_COLUMNS))
+
+
+def galerkin_matrix(op, left: Frame, right: Frame):
+    """Assemble M_{k,l} = <O xi_l, phi_k> from ``galerkin_columns`` in one
+    column-major array, the layout of its container."""
+    op = as_operator(op)
+    shape, dtype, blocks = galerkin_columns(op, left, right)
+    entries = np.empty(shape, dtype, order="F")
+    for start in range(0, shape[1], ASSEMBLY_COLUMNS):   # no block outlives its copy
+        entries[:, start:start + ASSEMBLY_COLUMNS] = next(blocks)
     return GalerkinMatrix(entries, left, right, generator=op)
 
 

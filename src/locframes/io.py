@@ -60,28 +60,31 @@ def save_csv(path, header, rows):
 WRITE_CHUNK_BYTES = 1 << 22
 
 
-def save_array(base, arr, sidecar):
-    """Array container: <base>.npy (column-major) + <base>.json.
-
-    The bytes are those of ``np.save(np.asfortranarray(arr))``, written a
-    few columns at a time instead of from a full column-major copy.
-    """
+def save_blocks(base, shape, dtype, blocks, sidecar):
+    """Array container <base>.npy + <base>.json of the array of this shape and
+    dtype whose last-axis blocks, in order, are ``blocks``: the bytes of
+    ``np.save(np.asfortranarray(arr))``, with one block in memory at a time."""
     base = Path(base)
     base.parent.mkdir(parents=True, exist_ok=True)
-    arr = np.atleast_1d(arr)   # as np.asfortranarray does
-    header = np.lib.format.header_data_from_array_1_0(arr)
-    # a column-major array with at most one axis longer than 1 (or none
-    # at all) is row-major too, and np.save records it as such
-    header["fortran_order"] = arr.size > 0 and sum(n > 1 for n in arr.shape) > 1
-    # rows of ``flat``, in order, are the file's data in order
-    flat = arr.T if header["fortran_order"] else arr
-    step = max(1, WRITE_CHUNK_BYTES // max(1, flat[:1].nbytes))
+    # an array with at most one axis longer than 1 (or none at all) is
+    # row-major too, and np.save records it as such
+    header = {"shape": tuple(shape), "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+              "fortran_order": 0 not in shape and sum(n > 1 for n in shape) > 1}
     with open(base.with_suffix(".npy"), "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, header)
-        for start in range(0, len(flat), step):
-            fh.write(flat[start:start + step].tobytes())
+        for block in blocks:   # a column-major block's transpose is in file order
+            fh.write(np.asfortranarray(block, dtype=dtype).T)
+            del block   # freed before the next block is formed
     save_json(sidecar, base.with_suffix(".json"))
     return base
+
+
+def save_array(base, arr, sidecar):
+    """``save_blocks`` of ``arr`` a few columns (last-axis slices) at a time."""
+    arr = np.atleast_1d(arr)   # as np.asfortranarray does
+    step = max(1, WRITE_CHUNK_BYTES // max(1, arr[..., :1].nbytes))
+    blocks = (arr[..., i:i + step] for i in range(0, arr.shape[-1], step))
+    return save_blocks(base, arr.shape, arr.dtype, blocks, sidecar)
 
 
 def load_array(base):
@@ -128,17 +131,20 @@ def load_frame(base):
                  lattice=gabor_lattice(vectors, meta))
 
 
-def save_galerkin_matrix(base, gm, extra=None):
-    sidecar = {
+def galerkin_sidecar(left: Frame, right: Frame, extra=None):
+    """The sidecar of the Galerkin matrix of an operator against (left, right)."""
+    return {
         "container": "galerkin_matrix",
-        "left_frame": gm.left_frame.name,
-        "right_frame": gm.right_frame.name,
-        "shape": list(gm.shape),
-        "ambient_dim": gm.rank_bound,
+        "left_frame": left.name,
+        "right_frame": right.name,
+        "shape": [left.size, right.size],
+        "ambient_dim": min(left.ambient_dim, right.ambient_dim),
+        **(extra or {}),
     }
-    if extra:
-        sidecar.update(extra)
-    return save_array(base, gm.entries, sidecar)
+
+
+def save_galerkin_matrix(base, gm, extra=None):
+    return save_array(base, gm.entries, galerkin_sidecar(gm.left_frame, gm.right_frame, extra))
 
 
 def shells_to_csv(path, fit):

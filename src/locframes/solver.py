@@ -157,6 +157,8 @@ class LevelRecord:
     diverged: bool = False
     # the path spectrum took on the level's core: "eigh" or "svd"
     decomposition: str = None
+    # CG ran on the normal equations C* C c = C* b
+    normal_equations: bool = False
 
     def to_dict(self):
         record = asdict(self)
@@ -333,6 +335,7 @@ def _solve_level(core, b, method, tol, size):
     except ContractError:
         return rec, None, spec.eigenvalues
     rec.iterations, rec.diverged = res.iterations, res.diverged
+    rec.normal_equations = res.normal_equations
     return rec, res, spec.eigenvalues
 
 

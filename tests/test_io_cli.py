@@ -22,10 +22,16 @@ import locframes
 from locframes import (
     Frame,
     IndexSet,
+    canonical_dual,
+    galerkin_columns,
     galerkin_matrix,
     gaussian_window,
     io,
     make_gabor_frame,
+    make_onb,
+    make_perturbed_onb,
+    make_test_operator,
+    make_translates_frame,
 )
 from locframes import cli
 from locframes.cli import main
@@ -322,6 +328,8 @@ class TestCLI:
         rep = json.loads(next((tmp_path / "out").glob("solve_f?.json")).read_text())
         assert rep["converged"]
         assert [lv["singular"] for lv in rep["levels"]] == [False] * len(rep["levels"])
+        # every level's core is indefinite, so every level ran on C* C
+        assert [lv["normal_equations"] for lv in rep["levels"]] == [True] * len(rep["levels"])
         if frame is not None:
             assert "indefinite" in rep["message"]
         if frame is not None and frame[0] == "gabor":
@@ -330,6 +338,18 @@ class TestCLI:
             assert rep["message"].split(". ") == [
                 "system matrix singular by redundancy; solved on the analysis range",
                 "non-Hermitian or indefinite core; CG ran on the normal equations"]
+
+    @pytest.mark.parametrize("method", ["cg", "direct"])
+    def test_definite_levels_do_not_take_normal_equations(self, tmp_path, method):
+        # the benchmark's operator I - 0.5 T is Hermitian positive definite
+        run_cli("frame", "build", "--kind", "gabor", "--n", "32", "--a", "4", "--b", "4",
+                "--out-dir", tmp_path)
+        for solve in (("fs", "--n", "64"), ("fg", "--frame", tmp_path / "frame")):
+            assert run_cli("solve", *solve, "--op-kind", "identity_minus_kernel",
+                           "--theta", "0.5", "--method", method,
+                           "--out-dir", tmp_path / solve[0]) == 0
+            rep = json.loads((tmp_path / solve[0] / f"solve_{solve[0]}.json").read_text())
+            assert [lv["normal_equations"] for lv in rep["levels"]] == [False] * len(rep["levels"])
 
     def test_step_in_config_is_ignored(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -352,7 +372,7 @@ class TestCLI:
                   "message", "method", "stabilized_at", "sup_inverse_norm",
                   "uniformity_flag"}
     LEVEL_KEYS = {"N", "decomposition", "diverged", "error", "inverse_norm",
-                  "iterations", "kappa_dagger", "residual", "singular"}
+                  "iterations", "kappa_dagger", "normal_equations", "residual", "singular"}
 
     def test_solve_fs_greedy_schedule(self, tmp_path):
         assert run_cli("solve", "fs", "--n", "64", "--schedule", "greedy",
@@ -1048,6 +1068,94 @@ class TestGalerkinContainerRankBound:
         assert TestCLIContract.error(tmp_path / "cert") == "input-file"
 
 
+class TestStreamedAssembly:
+    """``galerkin assemble`` writes the Galerkin matrix into its container one
+    column block at a time: the bytes are those of ``np.save`` of the
+    column-major matrix that ``galerkin_matrix`` forms in memory."""
+
+    OPERATOR = ("--op-kind", "identity_minus_kernel", "--theta", "0.5")
+
+    @staticmethod
+    def expected(tmp_path, op, left, right):
+        reference = tmp_path / "reference.npy"
+        np.save(reference, np.asfortranarray(galerkin_matrix(op, left, right).entries))
+        return reference.read_bytes()
+
+    def assemble(self, tmp_path, frame, *args):
+        """The CLI's container of ``frame``, and the frame as the CLI reads it."""
+        io.save_frame(tmp_path / "frame", frame)
+        assert run_cli("galerkin", "assemble", "--frame", tmp_path / "frame", *args,
+                       "--out-dir", tmp_path / "gal") == 0
+        return (tmp_path / "gal" / "galerkin.npy").read_bytes(), io.load_frame(tmp_path / "frame")
+
+    @pytest.mark.parametrize("columns", [256, 24])
+    def test_gabor_frame_with_its_dual(self, tmp_path, monkeypatch, columns):
+        # K = 64: one block, or two of 24 and a ragged one of 16
+        monkeypatch.setattr(locframes.galerkin, "ASSEMBLY_COLUMNS", columns)
+        streamed, frame = self.assemble(tmp_path, make_gabor_frame(32, 4, 4, gaussian_window(32)),
+                                        *self.OPERATOR)
+        assert frame.lattice is not None
+        op = make_test_operator("identity_minus_kernel", 32, theta=0.5)
+        assert streamed == self.expected(tmp_path, op, frame, canonical_dual(frame))
+
+    def test_real_onb_with_real_operator(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(locframes.galerkin, "ASSEMBLY_COLUMNS", 5)
+        spectrum = np.linspace(1.0, 2.0, 16)
+        streamed, frame = self.assemble(
+            tmp_path, make_onb(16), "--op-kind", "diagonal",
+            "--spectrum=" + ",".join(repr(float(v)) for v in spectrum))
+        assert np.load(tmp_path / "gal" / "galerkin.npy").dtype == np.float64
+        op = make_test_operator("diagonal", 16, spectrum=spectrum)
+        assert streamed == self.expected(tmp_path, op, frame, canonical_dual(frame))
+
+    def test_complex_perturbed_onb_against_itself(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(locframes.galerkin, "ASSEMBLY_COLUMNS", 7)
+        streamed, frame = self.assemble(tmp_path, make_perturbed_onb(24, 3.0, 5),
+                                        "--right", "self", *self.OPERATOR)
+        assert np.iscomplexobj(frame.vectors)
+        op = make_test_operator("identity_minus_kernel", 24, theta=0.5)
+        assert streamed == self.expected(tmp_path, op, frame, frame)
+
+    @pytest.mark.parametrize("columns", [8, 5])
+    def test_ragged_last_block(self, tmp_path, monkeypatch, columns):
+        # K_r = 17: blocks of 8, 8 and a single trailing column, or of 5, 5, 5 and 2
+        monkeypatch.setattr(locframes.galerkin, "ASSEMBLY_COLUMNS", columns)
+        frame = make_translates_frame(17, 0.25 ** np.minimum(np.arange(17), 17 - np.arange(17)))
+        streamed, frame = self.assemble(tmp_path, frame, *self.OPERATOR)
+        op = make_test_operator("identity_minus_kernel", 17, theta=0.5)
+        assert streamed == self.expected(tmp_path, op, frame, canonical_dual(frame))
+
+    def test_fewer_vectors_than_dimensions(self, tmp_path, monkeypatch):
+        # 12 vectors in C^40 span a subspace only; the CLI's report rejects
+        # them, so the container is written as the CLI writes it
+        monkeypatch.setattr(locframes.galerkin, "ASSEMBLY_COLUMNS", 5)
+        rng = np.random.default_rng(11)
+        frame = Frame(rng.standard_normal((40, 12)) + 1j * rng.standard_normal((40, 12)),
+                      IndexSet.line(12))
+        op = make_test_operator("identity_minus_kernel", 40, theta=0.5)
+        shape, dtype, blocks = galerkin_columns(op, frame, frame)
+        io.save_blocks(tmp_path / "galerkin", shape, dtype, blocks,
+                       io.galerkin_sidecar(frame, frame))
+        assert (tmp_path / "galerkin.npy").read_bytes() == self.expected(tmp_path, op, frame,
+                                                                         frame)
+        sidecar = json.loads((tmp_path / "galerkin.json").read_text())
+        assert (sidecar["shape"], sidecar["ambient_dim"]) == ([12, 12], 40)
+
+    def test_no_square_temporary(self, tmp_path):
+        # K = 1024, n = 64: the entries are 16.8 MB; forming them in memory
+        # before writing them peaked at 1.4 times that
+        io.save_frame(tmp_path / "frame", make_gabor_frame(64, 2, 2, gaussian_window(64)))
+        tracemalloc.start()
+        try:
+            code = run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
+                           "--out-dir", tmp_path / "gal")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 0.5 * 1024 * 1024 * np.dtype(complex).itemsize
+
+
 def unreduced_gabor_vectors(n, a, b, window):
     """The Gabor system with the phase argument j b x / n left unreduced."""
     x = np.arange(n)
@@ -1178,19 +1286,20 @@ class TestWorkCounts:
             monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_assemble_forms_two_galerkin_matrices(self, tmp_path, monkeypatch):
+    def test_assemble_streams_the_one_galerkin_matrix(self, tmp_path, monkeypatch):
         run_cli("frame", "build", "--kind", "gabor", "--n", "32", "--a", "4",
                 "--b", "4", "--out-dir", tmp_path)
-        calls = self.count(monkeypatch, "galerkin_matrix",
-                           [locframes.galerkin, locframes.cli])
+        matrices = self.count(monkeypatch, "galerkin_matrix", [locframes.galerkin])
+        columns = self.count(monkeypatch, "galerkin_columns",
+                             [locframes.galerkin, locframes.cli])
         # identity against the dual also reports the idempotency residual;
         # every diagnostic works on the n x n cores, so the entries are
-        # the one K x K matrix
+        # assembled once, straight into the container
         assert run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
                        "--out-dir", tmp_path / "gal") == 0
         assert "idempotency_residual" in json.loads(
             (tmp_path / "gal" / "galerkin_report.json").read_text())
-        assert len(calls) == 1
+        assert (len(matrices), len(columns)) == (0, 1)
 
     def test_gabor_assemble_takes_four_n_sized_decompositions(self, tmp_path, monkeypatch):
         run_cli("frame", "build", "--kind", "gabor", "--n", "32", "--a", "4",
