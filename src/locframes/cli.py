@@ -7,6 +7,7 @@ exits 0 on success, 2 on input/contract errors, 3 on divergence.
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -259,10 +260,7 @@ def _load_frame_pair(cfg):
 def cmd_galerkin_assemble(cfg, out, seed):
     frame, right = _load_frame_pair(cfg)
     op = build_operator(cfg, frame.ambient_dim)
-    # the K x K matrix goes into its container one column block at a time
-    shape, dtype, blocks = galerkin_columns(op, frame, right)
-    io.save_blocks(out / "galerkin", shape, dtype, blocks,
-                   io.galerkin_sidecar(frame, right, {"operator": op.name}))
+    # the n x n checks come first: a family they reject leaves no container
     report = {
         "roundtrip_residual": roundtrip_check(op, frame, right),
         "composition_residual": compose_rule_check(op, op, frame, right, frame),
@@ -274,6 +272,10 @@ def cmd_galerkin_assemble(cfg, out, seed):
         report["kappa"] = kappa_factorization_probe(op, frame, right)
     except LocframesError as err:
         report["kappa"] = err.payload()
+    # the K x K matrix goes into its container one column block at a time
+    shape, dtype, blocks = galerkin_columns(op, frame, right)
+    io.save_blocks(out / "galerkin", shape, dtype, blocks,
+                   io.galerkin_sidecar(frame, right, {"operator": op.name}))
     io.save_json(report, out / "galerkin_report.json")
     return 0
 
@@ -374,7 +376,9 @@ _HELP = {
 }
 
 
+@functools.cache
 def make_parser():
+    """The one parser of a process: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="locframes",
         description="frame diagnostics and frame-Galerkin operator solves",

@@ -42,15 +42,26 @@ def hermitian_defect(m):
     if top == 0.0:
         return 0.0
     m = m / top
-    return float(np.linalg.norm(np.conj(m.T) - m) / np.linalg.norm(m))
+    return float(np.linalg.norm(m.conj().T - m) / np.linalg.norm(m))
 
 
 def _hermitian_part(m):
     """H = (M + M^*) / 2 when M is square and ||M - M^*||_F <= n u ||M||_F
-    for its order n and the unit roundoff u, else None."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or hermitian_defect(m) > len(m) * EPS:
+    for its order n and the unit roundoff u, else None.  M^* - M is formed
+    once, for the test and for H.  Where 1e-100 <= ||M||_F <= 1e100 no square
+    that the test can feel over- or underflows, and the norms are taken of M
+    as it stands; any other M is tested by ``hermitian_defect``."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return None
-    return m + 0.5 * (np.conj(m.T) - m)
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.linalg.norm(m)
+    scaled = not 1e-100 <= norm <= 1e100
+    if scaled and hermitian_defect(m) > len(m) * EPS:
+        return None
+    d = m.conj().T - m
+    if not scaled and np.linalg.norm(d) > len(m) * EPS * norm:
+        return None
+    return m + 0.5 * d
 
 
 @dataclass(frozen=True)

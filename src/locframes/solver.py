@@ -48,13 +48,21 @@ def _span_basis(vectors):
     return w[keep], u[:, keep]
 
 
-def _section_core(q, a):
-    """Q_N^* A Q_N: the submatrix A[k][:, k] when the orthonormal Q_N holds
-    only zeros and ones, so that it selects the columns k of the identity."""
+def _section(q, a, y):
+    """The core Q_N^* A Q_N, the right side Q_N^* y and the lift c -> Q_N c;
+    when Q_N selects columns k of the identity (its entries are 0 or 1), the
+    core A[k][:, k] (A itself for every index in order), y[k] and a scatter."""
     if ((q == 0) | (q == 1)).all():
         k = np.argmax(q != 0, axis=0)
-        return a[np.ix_(k, k)]
-    return np.conj(q.T) @ a @ q
+        core = a if np.array_equal(k, np.arange(len(a))) else a[np.ix_(k, k)]
+
+        def lift(c):
+            x = np.zeros(len(q), dtype=c.dtype)
+            x[k] = c
+            return x
+        return core, y[k], lift
+    qh = np.conj(q.T)
+    return qh @ a @ q, qh @ y, lambda c: q @ c
 
 
 def _projector(q, name):
@@ -218,6 +226,10 @@ def _check_range(m, b, tol):
         )
 
 
+class _HermitianCore(np.ndarray):
+    """A core whose defect ``spectrum`` found below n u: ``cg_solve`` skips its test."""
+
+
 def cg_solve(m, b, tol=1e-10):
     """Conjugate gradients for Hermitian positive semidefinite systems.
 
@@ -227,8 +239,9 @@ def cg_solve(m, b, tol=1e-10):
     shows negative curvature p* M p < 0 (it is indefinite) is solved through
     the normal equations M* M c = M* b, flagged in ``normal_equations``.
     """
+    tested = isinstance(m, _HermitianCore)
     m, b = field_array(m), field_array(b)
-    if hermitian_defect(m) > HERMITIAN_TOL:
+    if not tested and hermitian_defect(m) > HERMITIAN_TOL:
         return _normal_cg(m, b, tol)
     # promoted once: a real m against a complex b would be cast on every product
     m = np.asarray(m, dtype=np.result_type(m, b))
@@ -305,20 +318,27 @@ def richardson_solve(m, b, relaxation, tol=1e-10):
 METHODS = ("direct", "cg", "richardson")
 
 
+def _by_parts(apply, v):
+    """``apply`` to v's real and imaginary parts as two columns: a real matrix stays real."""
+    parts = apply(np.stack((v.real, v.imag), axis=1))
+    return parts[:, 0] + 1j * parts[:, 1]
+
+
 def _solve_level(core, b, method, tol, size):
     """Decompose the core C of one level once and solve C c = b.
 
-    C's one ``spectrum`` gives the ``LevelRecord``'s singular flag (a
-    rank below the order of C), inverse norm and kappa^dagger.  ``direct``
-    applies C^+; CG runs on C, or on the normal equations when C fails its
-    Hermitian test; Richardson relaxes with 2 / (sigma_max + sigma_min).
-    Returns the record (the caller fills ``residual``), the ``IterationResult``
-    or None when CG finds b outside C's range, and the spectrum's signed
-    ``eigenvalues`` (None when C took the SVD).
+    C's one values-only ``spectrum`` gives the ``LevelRecord``'s singular
+    flag (a rank below the order of C), inverse norm and kappa^dagger.
+    ``direct`` solves by one LU, or applies C^+ when C is rank-deficient; CG
+    runs on C, or on the normal equations when C fails its Hermitian test;
+    Richardson relaxes with 2 / (sigma_max + sigma_min).  Returns the record
+    (the caller fills ``residual``), the ``IterationResult`` or None when CG
+    finds b outside C's range, and the spectrum's signed ``eigenvalues``
+    (None when C took the SVD).
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}")
-    spec = spectrum(core, vectors=method == "direct")
+    spec = spectrum(core)
     s = spec.values[:spec.rank]
     rec = LevelRecord(size=size, residual=math.inf, singular=bool(s.size < len(core)),
                       decomposition=spec.decomposition)
@@ -326,9 +346,12 @@ def _solve_level(core, b, method, tol, size):
         rec.inverse_norm, rec.kappa_dagger = float(1.0 / s[-1]), spec.kappa
     try:
         if method == "direct":
-            res = IterationResult(spec.pinv_apply(b), 0, True)
+            c = (spectrum(core, vectors=True).pinv_apply(b) if rec.singular
+                 else _by_parts(lambda p: np.linalg.solve(core, p), b))
+            res = IterationResult(c, 0, True)
         elif method == "cg":
-            res = cg_solve(core, b, tol=tol)
+            tested = core.view(_HermitianCore) if spec.decomposition == "eigh" else core
+            res = cg_solve(tested, b, tol=tol)
         else:
             relaxation = 2.0 / (s[0] + s[-1]) if s.size else 1.0
             res = richardson_solve(core, b, relaxation, tol=tol)
@@ -349,7 +372,8 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
     Each level's section is Q_N C Q_N^* with the core C = Q_N^* A Q_N, which
     carries exactly the nonzero singular values of P_N A P_N;
     ``_solve_level`` solves C c = Q_N^* y for x = Q_N c.  Residuals and
-    errors against a dense reference solution are recorded.  A level that
+    errors against a dense reference solution (one LU of A, shared with a
+    ``direct`` last level whose core is A) are recorded.  A level that
     is singular, or whose iteration diverges, is flagged and the schedule
     continues.  The last section is A itself: when it is numerically
     singular, no reference is computed and ``error`` stays None.
@@ -364,11 +388,11 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
                          uniformity_flag=schedule.uniformity_flag)
     solutions = []
     for lv, q in zip(schedule.levels, schedule.bases):
-        rec, res, lam = _solve_level(_section_core(q, dense), np.conj(q.T) @ y, method,
-                                     tol * 1e-2, len(lv))
-        x = None if res is None or res.diverged else q @ res.c
+        core, b, lift = _section(q, dense, y)
+        rec, res, lam = _solve_level(core, b, method, tol * 1e-2, len(lv))
+        x = None if res is None or res.diverged else lift(res.c)
         if x is not None:
-            rec.residual = float(np.linalg.norm(dense @ x - y))
+            rec.residual = float(np.linalg.norm(_by_parts(dense.__matmul__, x) - y))
         solutions.append(x)
         report.levels.append(rec)
     # a square last Q makes its core Q^* A Q unitarily similar to A
@@ -380,13 +404,12 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
     # solve of A rounding noise (norm ~ 1/eps), not a reference
     if not report.levels[-1].singular:
         try:
-            # the real and imaginary parts of y as two right sides, so that
-            # a real A is factored in real arithmetic
-            parts = np.linalg.solve(dense, np.stack((y.real, y.imag), axis=1))
+            # under direct, a last core that is A itself has the reference's LU
+            reference = (solutions[-1] if method == "direct" and core is dense
+                         else _by_parts(lambda p: np.linalg.solve(dense, p), y))
         except np.linalg.LinAlgError:
             pass
         else:
-            reference = parts[:, 0] + 1j * parts[:, 1]
             for rec, x in zip(report.levels, solutions):
                 if x is not None:
                     rec.error = float(np.linalg.norm(x - reference))

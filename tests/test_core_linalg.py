@@ -709,6 +709,33 @@ class TestSpectrum:
         else:
             assert np.array_equal(spectrum(c).values, reference, equal_nan=True)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+    @pytest.mark.parametrize("name", ["zero", "inf", "nan", "real_indefinite",
+                                      "complex_hermitian", "defect_below", "defect_above"])
+    def test_one_difference_keeps_the_decision(self, name, scale):
+        if name in ("inf", "nan"):
+            c = np.eye(5)
+            c[1, 2] = np.inf if name == "inf" else np.nan
+        else:
+            c = SQUARE_CASES[name][0]
+        c = scale * c
+        # the rule as it stood before M^* - M was shared: both norms of
+        # C / max|C_ij|, a non-finite C rejected
+        top = np.abs(c).max()
+        if not np.isfinite(top):
+            accepted = False
+        else:
+            s = c / top if top else c
+            accepted = bool(np.linalg.norm(np.conj(s.T) - s)
+                            <= len(c) * EPS * np.linalg.norm(s))
+        assert accepted == (name in ("zero", "real_indefinite", "complex_hermitian",
+                                     "defect_below"))
+        with np.errstate(all="raise"):
+            h = linalg._hermitian_part(c)
+        assert (h is not None) == accepted
+        if accepted:
+            assert np.array_equal(h, c + 0.5 * (np.conj(c.T) - c))
+
     @pytest.mark.parametrize("method", ["direct", "cg", "richardson"])
     def test_finite_sections_match_the_svd_path(self, monkeypatch, method):
         # an indefinite diagonal with zeros: levels are singular where they

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locframes
+from conftest import riesz_sequence
 from locframes import (
     Frame,
     IndexSet,
@@ -546,6 +547,29 @@ class TestCLIContract:
     def test_missing_input_file(self, tmp_path, argv):
         assert run_cli(*argv, "--out-dir", tmp_path) == 2
         assert self.error(tmp_path) == "input-file"
+
+    def test_assemble_on_a_non_frame_leaves_only_error_json(self, tmp_path):
+        # 16 vectors in C^64 span a subspace: the round trip rejects them
+        # before the container is written
+        io.save_frame(tmp_path / "frame", riesz_sequence())
+        out = tmp_path / "gal"
+        assert run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
+                       "--right", "self", "--out-dir", out) == 2
+        assert self.error(out) == "not-a-frame"
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+
+    def test_the_shared_parser_keeps_no_settings(self, tmp_path, monkeypatch):
+        assert cli.make_parser() is cli.make_parser()
+        settings = []
+        monkeypatch.setitem(cli.COMMANDS, ("solve", "fs"),
+                            lambda cfg, out, seed: settings.append(dict(cfg)) or 0)
+        assert run_cli("solve", "fs", "--n", "16", "--method", "cg", "--seed", "3",
+                       "--out-dir", tmp_path / "first") == 0
+        assert run_cli("solve", "fs", "--out-dir", tmp_path / "second") == 0
+        assert settings == [
+            {"n": 16, "method": "cg", "seed": "3", "out_dir": str(tmp_path / "first")},
+            {"seed": 0, "out_dir": str(tmp_path / "second")},
+        ]
 
     def test_galerkin_container_passed_as_frame(self, tmp_path):
         run_cli("frame", "build", "--kind", "onb", "--n", "8", "--out-dir", tmp_path)
@@ -1322,6 +1346,7 @@ class TestWorkCounts:
         svds = self.count(monkeypatch, "svd", [np.linalg, np.linalg._linalg])
         eighs = self.count(monkeypatch, "eigh", [np.linalg])
         eigvalshs = self.count(monkeypatch, "eigvalsh", [np.linalg])
+        solves = self.count(monkeypatch, "solve", [np.linalg])
         per_basis = []
         span_basis = locframes.solver._span_basis
 
@@ -1334,12 +1359,16 @@ class TestWorkCounts:
         monkeypatch.setattr(locframes.solver, "_span_basis", counted_span_basis)
         assert run_cli("solve", "fs", "--n", "64", "--out-dir", tmp_path) == 0
         assert per_basis == [0, 0, 0, 0]  # levels N = 8, 16, 32, 64
-        # the operator is symmetric: each level core takes one eigh (direct
-        # needs its vectors), and the last level spans C^n, so its
-        # eigenvalues give the contraction norm without another decomposition
+        # the operator is symmetric: each level core takes one eigvalsh for
+        # its record, and the last level spans C^n, so its eigenvalues give
+        # the contraction norm without another decomposition.  Every core is
+        # invertible, so direct solves it by one LU and takes no vectors; the
+        # last core is A itself, and its LU is the reference
+        levels = [(8, 8), (16, 16), (32, 32), (64, 64)]
         assert len(svds) == 0
-        assert [np.shape(args[0]) for args in eighs] == [(8, 8), (16, 16), (32, 32), (64, 64)]
-        assert eigvalshs == []
+        assert eighs == []
+        assert [np.shape(args[0]) for args in eigvalshs] == levels
+        assert [np.shape(args[0]) for args in solves] == levels
 
     def diag_gram_calls(self, tmp_path, monkeypatch):
         calls = self.count(monkeypatch, "gram",

@@ -31,8 +31,8 @@ from locframes import (
 from locframes import solver
 from locframes.cli import main
 from locframes.frames import analysis_r, frame_core
-from locframes.linalg import field_array, spectrum
-from locframes.solver import PROJECTION_TOL, _section_core, _span_basis
+from locframes.linalg import field_array, hermitian_defect, spectrum
+from locframes.solver import PROJECTION_TOL, _section, _span_basis
 
 from conftest import complex_copy
 
@@ -183,13 +183,25 @@ class TestCoordinateSpanBasis:
     def test_selection_core_is_the_gathered_submatrix(self, rng):
         n = 16
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         k = np.array([3, 0, 9, 4])
         q = np.eye(n)[:, k]
-        assert np.array_equal(_section_core(q, a), a[np.ix_(k, k)])
-        assert np.array_equal(_section_core(q, a), np.conj(q.T) @ a @ q)
+        core, b, lift = _section(q, a, y)
+        assert np.array_equal(core, a[np.ix_(k, k)])
+        assert np.array_equal(core, np.conj(q.T) @ a @ q)
+        # restriction gathers y[k], the lift scatters c into zeros: the
+        # bits of the 0/1 products
+        assert np.array_equal(b, np.conj(q.T) @ y)
+        assert np.array_equal(lift(c), q @ c)
+        # every index in order selects A itself, with no copy
+        assert _section(np.eye(n), a, y)[0] is a
+        assert _section(np.eye(n)[:, ::-1], a, y)[0] is not a
         flipped = q * np.array([1, -1, 1, 1])
-        assert np.array_equal(_section_core(flipped, a),
-                              np.conj(flipped.T) @ a @ flipped)
+        core, b, lift = _section(flipped, a, y)
+        assert np.array_equal(core, np.conj(flipped.T) @ a @ flipped)
+        assert np.array_equal(b, np.conj(flipped.T) @ y)
+        assert np.array_equal(lift(c), flipped @ c)
 
     @pytest.mark.parametrize("method", ["direct", "cg", "richardson"])
     def test_reports_match_svd_bases(self, rng, method):
@@ -355,8 +367,9 @@ class TestFiniteSections:
         assert [len(lv) for lv in sched.levels] == [16, 32, 64]
 
 
-# the CI run's 16-entry indefinite spectrum with three entries set to zero:
-# ||I - A||_2 = |1 - (-4)| = 5
+# the CI run's 16-entry indefinite spectrum, and the same with three entries
+# set to zero: ||I - A||_2 = |1 - (-4)| = 5
+INDEFINITE = [1, -2, 0.5, 3, -0.25, 4, -1.5, 2, 1, -3, 0.75, 2.5, -0.5, 1.25, -4, 0.125]
 INDEFINITE_WITH_ZEROS = [1, -2, 0, 3, -0.25, 4, -1.5, 0, 1, -3, 0.75, 2.5, 0, 1.25, -4, 0.125]
 
 
@@ -383,6 +396,9 @@ def contraction_case(name, rng):
         # n - 1 coordinate vectors: the last level spans a hyperplane only
         frame = Frame(np.eye(n)[:, 1:], IndexSet.ring(n - 1))
         return make_test_operator("identity_minus_kernel", n, theta=0.5).dense(), frame, 1
+    if name == "indefinite":
+        # every section is invertible
+        return np.diag(INDEFINITE), make_onb(16), 0
     # non-Hermitian: every core takes the SVD path
     return np.eye(n) + 0.1 * rng.standard_normal((n, n)), make_onb(n), 1
 
@@ -415,11 +431,62 @@ class TestContractionNorm:
         assert abs(rep.contraction_norm - expected) <= n * eps * np.linalg.norm(a, 2)
         # the verdict agrees with the one spectrum(I - A) gives
         assert rep.contraction_sufficient == bool(spectrum(np.eye(n) - a).values[0] < 1)
-        assert calls == [False] * len(rep.levels) + [True] * fallbacks
+        # direct takes a second spectrum, with factors, on each rank-deficient
+        # level only
+        singular = {"singular_kernel": 1, "indefinite_with_zeros": 2,
+                    "zeros_set_the_norm": 2}.get(name, 0)
+        assert sum(lv.singular for lv in rep.levels) == singular
+        extra = singular if method == "direct" else 0
+        assert calls == [False] * (len(rep.levels) + extra) + [True] * fallbacks
         assert (rep.levels[-1].decomposition == "eigh") == (name != "non_hermitian")
         if name == "perturbed_onb":
             q = sched.bases[-1]
             assert q.shape == (n, n) and not np.allclose(q, np.eye(n))
+
+
+class TestLevelSolves:
+    """What each solve level computes beyond its one values-only spectrum."""
+
+    @pytest.mark.parametrize("name", ["kernel", "helmholtz", "perturbed_onb", "indefinite",
+                                      "non_hermitian"])
+    def test_direct_by_lu_matches_the_pseudo_inverse(self, rng, name):
+        a, frame, _ = contraction_case(name, rng)
+        n = len(a)
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        sched = ProjectionSchedule(frame)
+        rep, x = finite_section_solve(a, y, sched, method="direct")
+        for lv, q, rec in zip(sched.levels, sched.bases, rep.levels):
+            core, b, lift = _section(q, a, y)
+            pinv = spectrum(core, vectors=True).pinv_apply(b)
+            _, res, _ = solver._solve_level(core, b, "direct", 1e-10, len(lv))
+            assert not rec.singular
+            assert np.linalg.norm(res.c - pinv) <= 1e-12 * np.linalg.norm(pinv)
+        assert np.linalg.norm(x - lift(pinv)) <= 1e-12 * np.linalg.norm(pinv)
+        # the last section of the coordinate levels is A, whose LU is the reference
+        assert (rep.levels[-1].error == 0.0) == (name != "perturbed_onb")
+
+    @pytest.mark.parametrize("name", ["kernel", "helmholtz", "indefinite"])
+    def test_cg_on_an_eigh_core_skips_only_the_second_test(self, rng, monkeypatch, name):
+        a, frame, _ = contraction_case(name, rng)
+        y = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
+        # whether each Hermitian test cg_solve takes is of the level's core;
+        # the normal equations of an indefinite core are tested as before
+        tested = []
+        monkeypatch.setattr(solver, "hermitian_defect",
+                            lambda m: tested.append(np.array_equal(m, core))
+                            or hermitian_defect(m))
+        sched = ProjectionSchedule(frame)
+        for lv, q in zip(sched.levels, sched.bases):
+            core, b, _ = _section(q, a, y)
+            rec, res, _ = solver._solve_level(core, b, "cg", 1e-10, len(lv))
+            assert rec.decomposition == "eigh" and not any(tested)
+            tested.clear()
+            ref = cg_solve(core, b, tol=1e-10)
+            assert tested[0] is True
+            tested.clear()
+            assert np.array_equal(res.c, ref.c) and res.residuals == ref.residuals
+            assert (res.iterations, res.normal_equations) == (ref.iterations,
+                                                              ref.normal_equations)
 
 
 class TestCG:
