@@ -15,7 +15,7 @@ from .linalg import Spectrum, field_array
 
 BOUND_RANK_TOL = 1e-10
 TIGHT_REL_TOL = 1e-10
-# columns per block of the norms taken in Frame.__init__
+# columns per block of the norms taken by Frame.min_vector_norm
 NORM_BLOCK = 256
 
 
@@ -43,58 +43,72 @@ class Frame:
     """Finite vector family psi_k, stored as columns of an n x K matrix.
 
     Immutable; the canonical operators are computed once on first use and
-    frozen (safe to share across threads afterwards).  ``lattice`` is
-    (a, b) when the vectors are exactly ``gabor_system(vectors[:, 0], a, b)``;
+    frozen (safe to share across threads afterwards).  ``lattice`` is (a, b) when the
+    vectors are exactly ``gabor_system(window, a, b)``, the window being vectors[:, 0] or,
+    given alone, ``vectors`` itself (the vectors are then built on first use, in ``order``);
     the bounds and the dual then factor through its Walnut blocks.  The one
     factorization a frame holds (``_r``) is the R_t of its Walnut blocks
     B_t = Q_t R_t, Q never formed; without a lattice, the one block V^*.
     """
 
     def __init__(self, vectors, index_set: IndexSet, name="frame", meta=None,
-                 lattice=None):
+                 lattice=None, order="C"):
         v = field_array(vectors)
-        if v.ndim != 2:
+        self._vectors, self._min_norm, self._order = None, None, order
+        if v.ndim == 1 and lattice is not None:
+            self.window = np.asarray(v, dtype=complex).view()
+            self.window.setflags(write=False)
+            self.ambient_dim, self.size = len(v), (len(v) // lattice[0]) * (len(v) // lattice[1])
+        elif v.ndim == 2:
+            # a read-only view: the caller's array stays writable
+            self._vectors = v.view()
+            self._vectors.setflags(write=False)
+            self.ambient_dim, self.size = v.shape
+            self.window = None if lattice is None else self._vectors[:, 0]
+        else:
             raise InvalidInputError("vectors must form an n x K matrix")
-        if len(index_set) != v.shape[1]:
-            raise DimensionMismatchError(
-                f"{v.shape[1]} vectors but {len(index_set)} indices"
-            )
-        # in column blocks: no temporary as large as the frame
-        norms = np.empty(v.shape[1])
-        for j in range(0, v.shape[1], NORM_BLOCK):
-            norms[j:j + NORM_BLOCK] = np.linalg.norm(v[:, j:j + NORM_BLOCK], axis=0)
-        if np.any(norms == 0):
+        if len(index_set) != self.size:
+            raise DimensionMismatchError(f"{self.size} vectors but {len(index_set)} indices")
+        # no time-frequency shift of a nonzero window is zero
+        if not (v.any() if v.ndim == 1 else self.min_vector_norm() > 0):
             raise InvalidInputError("frame must not contain zero vectors")
-        self._min_norm = float(norms.min(initial=np.inf))
-        # a read-only view: the caller's array stays writable
-        self.vectors = v.view()
-        self.vectors.setflags(write=False)
         self.index_set = index_set
         self.name = name
         self.meta = dict(meta or {})
         self.lattice = lattice
-        self._r = None
-        self._frame_op = None
-        self._bounds = None
-        self._dual = None
+        self._r = self._frame_op = self._bounds = self._dual = None
 
     @property
-    def ambient_dim(self):
-        return self.vectors.shape[0]
-
-    @property
-    def size(self):
-        return self.vectors.shape[1]
+    def vectors(self):
+        if self._vectors is None:
+            self._vectors = gabor_system(self.window, *self.lattice, order=self._order)
+            self._vectors.setflags(write=False)
+        return self._vectors
 
     @property
     def redundancy(self):
         return self.size / self.ambient_dim
 
     def min_vector_norm(self):
+        if self._min_norm is None:
+            # in column blocks: no temporary as large as the frame
+            v = self.vectors
+            norms = (np.linalg.norm(v[:, j:j + NORM_BLOCK], axis=0).min()
+                     for j in range(0, v.shape[1], NORM_BLOCK))
+            self._min_norm = float(min(norms, default=np.inf))
         return self._min_norm
 
     def __repr__(self):
         return f"Frame({self.name!r}, n={self.ambient_dim}, K={self.size})"
+
+
+def analysis_matrix(frame: Frame):
+    """V^* = conj(vectors^T) as a new array; a frame held as its window forms it
+    in place of its vectors, which it neither builds nor keeps."""
+    if frame._vectors is not None:
+        return np.conj(frame.vectors.T)
+    v = gabor_system(frame.window, *frame.lattice, order=frame._order)
+    return np.conj(v, out=v).T
 
 
 # -- canonical operators ----------------------------------------------------
@@ -146,7 +160,7 @@ def _walnut_blocks(frame: Frame):
     mt, mf = n // a, n // b
     x = (np.arange(mf)[:, None, None] + mf * np.arange(b)
          - a * np.arange(mt)[:, None]) % n
-    return np.sqrt(mf) * np.conj(frame.vectors[x, 0])
+    return np.sqrt(mf) * np.conj(frame.window[x])
 
 
 def _r_factor(frame: Frame):
@@ -187,6 +201,14 @@ def analysis_r_product(frame: Frame, x, adjoint=False):
         return np.conj(analysis_r_product(frame, np.conj(x.T)).T)
     r_t = _r_factor(frame)
     return (r_t @ _grouped(x, len(r_t))).reshape(-1, x.shape[1])
+
+
+def analysis_r_adjoint(frame: Frame, c):
+    """R^* c for the factor R of ``analysis_r``, one Walnut block at a time:
+    (R^* c)[t + p mf] = (R_t^* c_t)[p], with c_t the t-th of the mf blocks of c."""
+    r_t = _r_factor(frame)
+    f_t = np.conj(r_t.transpose(0, 2, 1)) @ c.reshape(len(r_t), -1, 1)
+    return f_t[:, :, 0].T.reshape(-1)
 
 
 def frame_core(left: Frame, right: Frame, x):
@@ -252,7 +274,7 @@ def _walnut_dual_window(frame: Frame):
     with w_t[p] = w[t + p mf] as in ``_walnut_blocks``."""
     r_t = _r_factor(frame)
     mf, b = r_t.shape[:2]
-    w_t = frame.vectors[:, 0].reshape(b, mf).T[:, :, None]
+    w_t = frame.window.reshape(b, mf).T[:, :, None]
     half = np.linalg.solve(np.conj(r_t.transpose(0, 2, 1)), w_t)
     return np.linalg.solve(r_t, half)[:, :, 0].T.reshape(-1)
 
@@ -260,9 +282,9 @@ def _walnut_dual_window(frame: Frame):
 def canonical_dual(frame: Frame):
     """Frame of S^{-1} psi_k.
 
-    A Gabor frame's dual is the Gabor system of its dual window.  Any
-    other frame solves S X = V with one LU factorization of S; the bounds
-    check has already rejected any S with lambda_min <= 1e-10 lambda_max.
+    A Gabor frame's dual is the Gabor system of its dual window, held as that
+    window.  Any other frame solves S X = V with one LU factorization of S; the
+    bounds check has already rejected any S with lambda_min <= 1e-10 lambda_max.
     The frame keeps its dual and the dual refers back to the frame only
     weakly, so that the pair forms no reference cycle: both are freed as
     soon as the caller drops the frame, not at the next cyclic collection.
@@ -270,17 +292,10 @@ def canonical_dual(frame: Frame):
     dual = None if frame._dual is None else frame._dual()
     if dual is None:
         bounds = frame_bounds(frame)
-        if frame.lattice is not None:
-            dual_vectors = gabor_system(_walnut_dual_window(frame), *frame.lattice)
-        else:
-            dual_vectors = np.linalg.solve(frame_operator(frame), frame.vectors)
-        dual = Frame(
-            dual_vectors,
-            frame.index_set,
-            name=frame.name + "~",
-            meta={"dual_of": frame.name, **frame.meta},
-            lattice=frame.lattice,
-        )
+        vectors = (_walnut_dual_window(frame) if frame.lattice is not None
+                   else np.linalg.solve(frame_operator(frame), frame.vectors))
+        dual = Frame(vectors, frame.index_set, name=frame.name + "~",
+                     meta={"dual_of": frame.name, **frame.meta}, lattice=frame.lattice)
         dual._dual = weakref.ref(frame)
         dual._bounds = FrameBounds(1.0 / bounds.upper, 1.0 / bounds.lower)
         frame._dual = lambda: dual
@@ -354,40 +369,45 @@ def make_onb(n):
     )
 
 
-def gabor_system(window, a, b):
+def gabor_system(window, a, b, order="C"):
     """Time-frequency shifts of ``window`` on the (a, b) lattice of Z_n.
 
     Column m (n/b) + j is window[(x - m a) mod n] exp(2 pi i j b x / n),
     m = 0..n/a - 1, j = 0..n/b - 1.  The phase argument j b x is reduced
     mod n first, so that every phase is accurate to the last bit or two.
+    With ``order="F"`` the same products are column-major, the transpose of a K x n product.
     """
     n = window.shape[0]
     x = np.arange(n)
     shifted = window[(x[:, None] - a * np.arange(n // a)) % n]
     phases = np.exp(2j * np.pi * ((b * x[:, None] * np.arange(n // b)) % n) / n)
+    if order == "F":
+        return np.multiply(shifted.T[:, None, :], phases.T, order="C").reshape(-1, n).T
     return (shifted[:, :, None] * phases[:, None, :]).reshape(n, -1)
 
 
-def gabor_lattice(vectors, meta):
-    """(a, b) when ``meta`` describes a Gabor frame on Z_n, on a lattice of
-    at least n points, and ``vectors`` equal the system ``gabor_system``
-    rebuilds from their first column; otherwise None, and the frame is
-    treated as a general one."""
+def gabor_meta(meta):
+    """The shape (n, K) and the lattice (a, b) when ``meta`` describes a Gabor
+    frame on Z_n whose steps divide n, with K >= n vectors; otherwise None."""
     if meta.get("kind") != "gabor":
         return None
     n, a, b = (meta.get(key) for key in ("n", "a", "b"))
     if not all(type(v) is int and v > 0 for v in (n, a, b)) or n % a or n % b:
         return None
     size = (n // a) * (n // b)
-    if size < n or vectors.shape != (n, size):
-        return None
-    if not np.array_equal(gabor_system(vectors[:, 0], a, b), vectors):
-        return None
-    return (a, b)
+    return ((n, size), (a, b)) if size >= n else None
+
+
+def gabor_lattice(vectors, meta):
+    """(a, b) when ``meta`` passes ``gabor_meta`` and stored n x K ``vectors`` equal
+    ``gabor_system`` of their first column; otherwise None (a general frame)."""
+    shape, lattice = gabor_meta(meta) or (None, None)
+    ok = vectors.shape == shape and np.array_equal(gabor_system(vectors[:, 0], *lattice), vectors)
+    return lattice if ok else None
 
 
 def make_gabor_frame(n, a, b, window):
-    """Time-frequency shifts of a window on Z_n, see ``gabor_system``.
+    """Time-frequency shifts of a window on Z_n, held as the window; see ``gabor_system``.
 
     Index positions sit on the (n/a) x (n/b) torus with axis scales (a, b).
     """
@@ -404,13 +424,8 @@ def make_gabor_frame(n, a, b, window):
             f"lattice yields {mt * mf} vectors < ambient dimension {n}"
         )
     iset = IndexSet.torus_grid(mt, mf, scales=(float(a), float(b)))
-    return Frame(
-        gabor_system(window, a, b),
-        iset,
-        name=f"gabor{n}a{a}b{b}",
-        meta={"kind": "gabor", "n": n, "a": a, "b": b},
-        lattice=(a, b),
-    )
+    return Frame(window, iset, name=f"gabor{n}a{a}b{b}",
+                 meta={"kind": "gabor", "n": n, "a": a, "b": b}, lattice=(a, b))
 
 
 def make_translates_frame(n, generator):

@@ -17,8 +17,8 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
 )
-from .frames import (Frame, analysis_r, analysis_r_product, canonical_dual, frame_core,
-                     gram, gram_spectrum, mixed_frame_operator)
+from .frames import (Frame, analysis_matrix, analysis_r, analysis_r_product, canonical_dual,
+                     frame_core, gram, gram_spectrum, mixed_frame_operator)
 from .linalg import field_array, spectrum
 from .opnorms import space_operator_norm, weighted_column_blocks, weighted_matrix
 from .weights import SeqSpaceSpec, column_p_norms, seq_norm
@@ -138,7 +138,7 @@ def galerkin_columns(op, left: Frame, right: Frame):
     ``galerkin_matrix``."""
     op = as_operator(op)
     _check_maps(op, left, right)
-    analysis, o, xi = np.conj(left.vectors.T), op.dense(), right.vectors
+    analysis, o, xi = analysis_matrix(left), op.dense(), right.vectors
     dtype = np.result_type(analysis, o, xi)
 
     def block(start):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputFileError
-from .frames import Frame, gabor_lattice
+from .frames import Frame, gabor_lattice, gabor_meta
 from .indexing import IndexSet
 
 
@@ -105,18 +105,23 @@ def load_array(base):
 
 
 def save_frame(base, frame: Frame):
+    """A Gabor frame whose meta names its lattice (``gabor_meta``) is stored as
+    its window, flagged ``"window": true`` in the sidecar; any other as its vectors."""
     sidecar = {
         "container": "frame",
         "name": frame.name,
         "meta": frame.meta,
         "index_set": frame.index_set.to_dict(),
     }
+    if gabor_meta(frame.meta) == ((frame.ambient_dim, frame.size), frame.lattice):
+        return save_array(base, frame.window, {**sidecar, "window": True})
     return save_array(base, frame.vectors, sidecar)
 
 
 def load_frame(base):
-    """The frame in a container; a Gabor frame is recognized by ``gabor_lattice``."""
-    vectors, sidecar = load_array(base)
+    """The frame in a container: of a window (vectors built column-major, as
+    ``np.load`` gives stored ones), or of vectors on the lattice ``gabor_lattice`` finds."""
+    arr, sidecar = load_array(base)
     if sidecar.get("container") != "frame":
         raise InputFileError(f"{base} is not a frame container")
     try:
@@ -127,8 +132,15 @@ def load_frame(base):
         raise InputFileError(f"{base} has a malformed frame sidecar: {err!r}") from err
     if not isinstance(name, str):
         raise InputFileError(f"{base} has a frame name {name!r} that is not a string")
-    return Frame(vectors, index_set, name=name, meta=meta,
-                 lattice=gabor_lattice(vectors, meta))
+    window = sidecar.get("window", False)
+    if window is False:
+        return Frame(arr, index_set, name=name, meta=meta, lattice=gabor_lattice(arr, meta))
+    shape, lattice = gabor_meta(meta) or (None, None)
+    if (window is not True or lattice is None or arr.shape != shape[:1]
+            or arr.dtype.kind not in "fc" or not arr.any() or len(index_set) != shape[1]):
+        raise InputFileError(f"{base}: a window container holds a Gabor meta on K >= n points, "
+                             f"a nonzero float or complex window of n entries and K indices")
+    return Frame(arr, index_set, name=name, meta=meta, lattice=lattice, order="F")
 
 
 def galerkin_sidecar(left: Frame, right: Frame, extra=None):

@@ -98,7 +98,7 @@ class LatticeProfile:
         self.index_set = left.index_set
         self.shape = tuple(int(m) for m in self.index_set.moduli)
         # |psi_0^T conj(Phi)| = |Phi^* psi_0|, without a conjugated copy of Phi
-        self.values = np.abs(np.conj(right.vectors[:, 0]) @ left.vectors)
+        self.values = np.abs(np.conj(right.window) @ left.vectors)
 
     def algebra_norms(self, s):
         """Jaffard: max of g (1 + d_0)^s; Schur: its sum, which every row

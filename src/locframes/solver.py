@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionMismatchError, InvalidInputError
-from .frames import Frame, analysis, analysis_r, frame_core
+from .frames import Frame, analysis, analysis_r_adjoint, analysis_r_product, frame_core
 # galerkin_matrix is re-exported: callers import it from this module
 from .galerkin import LinearOperator, as_operator, galerkin_matrix  # noqa: F401
 from .indexing import IndexSet
@@ -36,12 +36,13 @@ def _span_basis(vectors):
     S_N is ill-conditioned.  A coordinate family, whose columns each hold
     one entry of modulus exactly 1 in rows no two columns share, is
     orthonormal as it stands: it is its own span basis, every sigma^2 is
-    1, and no SVD is taken (an O(n N) check).
+    1, and no SVD is taken (an O(n N) check); columns of the identity give their rows.
     """
     nonzero = vectors != 0
     if ((nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) <= 1).all()
             and (np.abs(vectors[nonzero]) == 1).all()):
-        return np.ones(vectors.shape[1]), vectors
+        ones = (vectors[nonzero] == 1).all()
+        return np.ones(vectors.shape[1]), np.argmax(nonzero, axis=0) if ones else vectors
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
     w = s**2
     keep = w > PROJECTION_TOL * w[0]
@@ -50,17 +51,19 @@ def _span_basis(vectors):
 
 def _section(q, a, y):
     """The core Q_N^* A Q_N, the right side Q_N^* y and the lift c -> Q_N c;
-    when Q_N selects columns k of the identity (its entries are 0 or 1), the
-    core A[k][:, k] (A itself for every index in order), y[k] and a scatter."""
-    if ((q == 0) | (q == 1)).all():
-        k = np.argmax(q != 0, axis=0)
-        core = a if np.array_equal(k, np.arange(len(a))) else a[np.ix_(k, k)]
+    when Q_N selects columns k of the identity, given as the indices k or as
+    Q_N with entries 0 or 1, the core A[k][:, k] (A itself for every index
+    in order), y[k] and a scatter."""
+    if q.ndim == 2 and ((q == 0) | (q == 1)).all():
+        q = np.argmax(q != 0, axis=0)
+    if q.ndim == 1:
+        core = a if np.array_equal(q, np.arange(len(a))) else a[np.ix_(q, q)]
 
         def lift(c):
-            x = np.zeros(len(q), dtype=c.dtype)
-            x[k] = c
+            x = np.zeros(len(a), dtype=c.dtype)
+            x[q] = c
             return x
-        return core, y[k], lift
+        return core, y[q], lift
     qh = np.conj(q.T)
     return qh @ a @ q, qh @ y, lambda c: q @ c
 
@@ -80,8 +83,9 @@ def subframe_projection(frame: Frame, subset):
     subset = np.asarray(subset, dtype=int)
     if subset.size == 0:
         raise InvalidInputError("projection needs a nonempty index subset")
-    _, q = _span_basis(frame.vectors[:, subset])
-    return _projector(q, f"P[{frame.name}:{subset.size}]")
+    vectors = frame.vectors[:, subset]
+    q = _span_basis(vectors)[1]
+    return _projector(vectors if q.ndim == 1 else q, f"P[{frame.name}:{subset.size}]")
 
 
 class ProjectionSchedule:
@@ -95,9 +99,9 @@ class ProjectionSchedule:
     ``_span_basis`` of each level's vectors V_N gives the
     subframe bounds (extreme nonzero eigenvalues of S_N = V_N V_N^*) and an
     orthonormal basis Q_N of the level's span (``bases``): one SVD of V_N,
-    or none for a coordinate family such as an ONB's levels.  A flag is
-    raised when the ratio of the bounds exceeds ``UNIFORMITY_RATIO_CAP`` at
-    any level.
+    or none for a coordinate family such as an ONB's levels, which keep the rows
+    they select (``bases`` forms Q_N = V_N when read).  A flag is raised when the
+    ratio of the bounds exceeds ``UNIFORMITY_RATIO_CAP`` at any level.
     """
 
     def __init__(self, frame: Frame, selection="centered", pilot=None,
@@ -120,13 +124,13 @@ class ProjectionSchedule:
             sizes.append(k)
         order = self._ordering(selection, pilot)
         self.levels = [np.sort(order[:m]) for m in sizes]
-        self.bases = []
+        self._sections = []
         self.subframe_bounds = []
         self.uniformity_flag = False
         for lv in self.levels:
             pos, q = _span_basis(frame.vectors[:, lv])
             c_n, d_n = float(pos[-1]), float(pos[0])
-            self.bases.append(q)
+            self._sections.append(q)
             self.subframe_bounds.append((c_n, d_n))
             if d_n / c_n > UNIFORMITY_RATIO_CAP:
                 self.uniformity_flag = True
@@ -142,6 +146,15 @@ class ProjectionSchedule:
             coeff = analysis(self.frame, pilot)
             return np.argsort(-np.abs(coeff), kind="stable")
         raise InvalidInputError(f"unknown selection {selection!r}")
+
+    @property
+    def bases(self):
+        return [self.frame.vectors[:, lv] if q.ndim == 1 else q
+                for lv, q in zip(self.levels, self._sections)]
+
+    @bases.setter
+    def bases(self, bases):
+        self._sections = list(bases)
 
     def projection(self, i):
         name = f"P[{self.frame.name}:{len(self.levels[i])}]"
@@ -209,7 +222,7 @@ def _normal_cg(m, b, tol):
     M* b always lies in the range of M* M, so whether b lies in the range of
     M is tested on M itself.
     """
-    res = cg_solve(np.conj(m.T) @ m, np.conj(m.T) @ b, tol=tol)
+    res = cg_solve((np.conj(m.T) @ m).view(_HermitianCore), np.conj(m.T) @ b, tol=tol)
     res.normal_equations = True
     if np.linalg.norm(m @ res.c - b) > 10 * tol * np.linalg.norm(b):
         _check_range(m, b, tol)
@@ -227,7 +240,7 @@ def _check_range(m, b, tol):
 
 
 class _HermitianCore(np.ndarray):
-    """A core whose defect ``spectrum`` found below n u: ``cg_solve`` skips its test."""
+    """A core whose defect ``spectrum`` found below n u, or M^* M: ``cg_solve`` skips its test."""
 
 
 def cg_solve(m, b, tol=1e-10):
@@ -387,7 +400,7 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
     report = SolveReport(method=method, converged=False,
                          uniformity_flag=schedule.uniformity_flag)
     solutions = []
-    for lv, q in zip(schedule.levels, schedule.bases):
+    for lv, q in zip(schedule.levels, schedule._sections):
         core, b, lift = _section(q, dense, y)
         rec, res, lam = _solve_level(core, b, method, tol * 1e-2, len(lv))
         x = None if res is None or res.diverged else lift(res.c)
@@ -395,8 +408,8 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
             rec.residual = float(np.linalg.norm(_by_parts(dense.__matmul__, x) - y))
         solutions.append(x)
         report.levels.append(rec)
-    # a square last Q makes its core Q^* A Q unitarily similar to A
-    reuse = lam is not None and q.shape[1] == n
+    # a square last Q (or every index) makes its core Q^* A Q unitarily similar to A
+    reuse = lam is not None and q.shape[-1] == n
     report.contraction_norm = float(np.abs(1 - lam).max() if reuse
                                     else spectrum(np.eye(n) - dense).values[0])
     report.contraction_sufficient = bool(report.contraction_norm < 1)
@@ -450,9 +463,9 @@ def frame_galerkin_solve(op, g, phi: Frame, method="cg", tol=DEFAULT_TOL):
     side C_phi g = Q R g lies in the range of Q, where the singular system
     matrix is uniquely solvable.  M is never assembled, nor is Q:
     ``_solve_level`` solves the n x n core R O R^* with right side R g,
-    and the ambient solution is f = V Q c = R^* c.  A zero operator and a
-    right side outside the range of a singular core are rejected.  The
-    final check compares ||O f - g|| against the requested tolerance.
+    and the ambient solution is f = V Q c = R^* c, R applied by its Walnut blocks.
+    A zero operator and a right side outside the range of a singular core are
+    rejected.  The final check compares ||O f - g|| against the requested tolerance.
     """
     op = as_operator(op)
     g = np.asarray(g, dtype=complex)
@@ -462,11 +475,11 @@ def frame_galerkin_solve(op, g, phi: Frame, method="cg", tol=DEFAULT_TOL):
     core = frame_core(phi, phi, op.dense())
     if not core.any():
         raise InvalidInputError("condition number of the zero matrix is undefined")
-    r = analysis_r(phi)
-    level, res, _ = _solve_level(core, r @ g, method, min(tol * 1e-2, 1e-10), phi.size)
+    rg = analysis_r_product(phi, g[:, None])[:, 0]
+    level, res, _ = _solve_level(core, rg, method, min(tol * 1e-2, 1e-10), phi.size)
     if res is None:
         raise ContractError("right side has a component outside the range")
-    f = np.conj(r.T) @ res.c
+    f = analysis_r_adjoint(phi, res.c)
     level.residual = float(np.linalg.norm(op.apply(f) - g))
     rel = level.residual / max(np.linalg.norm(g), 1e-300)
     notes = [] if rel <= tol else [f"ambient residual {rel:.3e} above tolerance {tol:.1e}"]

@@ -29,7 +29,7 @@ from locframes import (
     riesz_bounds,
     synthesis,
 )
-from locframes.frames import analysis_r, frame_core
+from locframes.frames import analysis_r, analysis_r_adjoint, frame_core
 from locframes.linalg import spectrum
 from locframes.opnorms import (
     exact_operator_norm,
@@ -38,7 +38,7 @@ from locframes.opnorms import (
 )
 
 from conftest import (analysis_q, complex_copy, decaying_generator, dense_twin,
-                      mercedes_frame)
+                      mercedes_frame, riesz_sequence)
 
 
 def random_vec(rng, n):
@@ -407,6 +407,26 @@ class TestGaborStructure:
         assert dense._r.shape == (1, n, n) and not dense._r.flags.writeable
         assert np.shares_memory(r_dense, dense._r)
         assert r_dense.shape == (n, n) and not r_dense.flags.writeable
+
+    def test_r_adjoint_by_blocks(self, gabor_twins, rng):
+        # R^* c one Walnut block at a time, and for one block (K >= n or
+        # K < n) the product with R_0^*
+        frame, dense = gabor_twins
+        for f in (frame, dense, riesz_sequence()):
+            r = analysis_r(f)
+            c = random_vec(rng, r.shape[0])
+            ref = np.conj(r.T) @ c
+            assert relative_gap(analysis_r_adjoint(f, c), ref) <= 1e-14
+
+    def test_window_frame_builds_vectors_once(self):
+        window = gaussian_window(48).astype(complex)
+        frame = Frame(window, IndexSet.torus_grid(12, 8), lattice=(4, 6))
+        assert (frame.ambient_dim, frame.size, frame._vectors) == (48, 96, None)
+        assert frame.vectors is frame.vectors and not frame.vectors.flags.writeable
+        assert np.array_equal(frame.vectors, make_gabor_frame(48, 4, 6, window).vectors)
+        assert not frame.window.flags.writeable and window.flags.writeable
+        with pytest.raises(InvalidInputError):
+            Frame(np.zeros(48), IndexSet.torus_grid(12, 8), lattice=(4, 6))
 
     def test_dense_r_peaks_near_one_analysis_matrix(self):
         # the lattice-free twin of Gabor 256/4/4, K = 4096: V^* and the QR's

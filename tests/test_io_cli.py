@@ -1243,6 +1243,108 @@ class TestGaborContainers:
         assert loaded.lattice is None
 
 
+class TestWindowContainers:
+    """A Gabor frame is stored as its window; containers of all K vectors,
+    written before, still load."""
+
+    OPERATOR = ("--op-kind", "identity_minus_kernel", "--theta", "0.5")
+
+    @staticmethod
+    def count_systems(monkeypatch):
+        calls = []
+        original = locframes.frames.gabor_system
+        monkeypatch.setattr(locframes.frames, "gabor_system",
+                            lambda *args, **kwargs: calls.append(kwargs.get("order", "C"))
+                            or original(*args, **kwargs))
+        return calls
+
+    def test_window_round_trip(self, tmp_path, monkeypatch):
+        calls = self.count_systems(monkeypatch)
+        frame = make_gabor_frame(64, 8, 4, gaussian_window(64))
+        locframes.frame_bounds(frame)
+        dual = canonical_dual(frame)
+        io.save_frame(tmp_path / "frame", frame)
+        loaded = io.load_frame(tmp_path / "frame")
+        # neither the frame, its dual, the container nor the load built a vector
+        assert calls == []
+        assert np.load(tmp_path / "frame.npy").shape == (64,)
+        assert json.loads((tmp_path / "frame.json").read_text())["window"] is True
+        assert (loaded.lattice, loaded.ambient_dim, loaded.size) == ((8, 4), 64, 128)
+        assert loaded.index_set.to_dict() == frame.index_set.to_dict()
+        # built frames and duals are row-major, a loaded frame column-major
+        # as a container of vectors loads; the bits are the same
+        assert loaded.vectors.flags.f_contiguous and frame.vectors.flags.c_contiguous
+        assert dual.vectors.flags.c_contiguous and calls == ["F", "C", "C"]
+        assert loaded.vectors.tobytes("F") == frame.vectors.tobytes("F")
+        assert not loaded.vectors.flags.writeable and loaded.vectors is loaded.vectors
+
+    def test_old_layout_gives_the_same_artifacts(self, tmp_path):
+        assert run_cli("frame", "build", "--kind", "gabor", "--n", "64", "--a", "8",
+                       "--b", "4", "--out-dir", tmp_path / "new") == 0
+        frame = io.load_frame(tmp_path / "new" / "frame")
+        sidecar = json.loads((tmp_path / "new" / "frame.json").read_text())
+        del sidecar["window"]
+        io.save_array(tmp_path / "old" / "frame", frame.vectors, sidecar)
+        assert np.load(tmp_path / "old" / "frame.npy").shape == (64, 128)
+        assert io.load_frame(tmp_path / "old" / "frame").lattice == (8, 4)
+        artifacts = {}
+        for layout in ("new", "old"):
+            base = tmp_path / layout / "frame"
+            commands = [("solve", "fg", "--method", "cg", *self.OPERATOR),
+                        ("solve", "fg", "--method", "direct", *self.OPERATOR),
+                        ("galerkin", "assemble", *self.OPERATOR), ("frame", "diag")]
+            for i, argv in enumerate(commands):
+                out = tmp_path / f"{layout}-{i}"
+                assert run_cli(*argv, "--frame", base, "--out-dir", out) == 0
+                artifacts.setdefault(layout, {}).update(
+                    {f"{i}/{path.name}": path.read_bytes() for path in out.iterdir()})
+        assert len(artifacts["new"]) == 14
+        assert artifacts["new"] == artifacts["old"]
+
+    @pytest.mark.parametrize("case", ["short", "two_d", "nan", "zero", "not_dividing",
+                                      "index_set", "not_gabor", "not_a_bool"])
+    def test_malformed_window_exits_2(self, tmp_path, case):
+        frame = make_gabor_frame(64, 8, 4, gaussian_window(64))
+        io.save_frame(tmp_path / "frame", frame)
+        window, sidecar = io.load_array(tmp_path / "frame")
+        if case == "short":
+            window = window[:-1]
+        elif case == "two_d":
+            window = window.reshape(8, 8)
+        elif case == "nan":
+            window[3] = np.nan
+        elif case == "zero":
+            window[:] = 0
+        elif case == "not_dividing":
+            sidecar["meta"]["a"] = 7
+        elif case == "index_set":
+            sidecar["index_set"] = IndexSet.torus_grid(8, 8).to_dict()
+        elif case == "not_gabor":
+            sidecar["meta"] = {"kind": "onb", "n": 64}
+        else:
+            sidecar["window"] = 1
+        np.save(tmp_path / "frame.npy", window)
+        (tmp_path / "frame.json").write_text(json.dumps(sidecar))
+        for argv in (("frame", "diag"), ("solve", "fg"), ("galerkin", "assemble")):
+            out = tmp_path / argv[0]
+            assert run_cli(*argv, "--frame", tmp_path / "frame", "--out-dir", out) == 2
+            assert TestCLIContract.error(out) == "input-file"
+
+    def test_solve_fg_forms_no_vectors(self, tmp_path):
+        # Gabor 512/8/16: K x n is 2048 x 512 complex entries, 16.8 MB
+        assert run_cli("frame", "build", "--kind", "gabor", "--n", "512", "--a", "8",
+                       "--b", "16", "--out-dir", tmp_path) == 0
+        tracemalloc.start()
+        try:
+            code = run_cli("solve", "fg", "--frame", tmp_path / "frame", *self.OPERATOR,
+                           "--out-dir", tmp_path / "fg")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2048 * 512 * np.dtype(complex).itemsize
+
+
 class TestGaborNoDenseFactorizations:
     """On a Gabor frame, frame build, galerkin assemble and solve fg take no
     Householder QR of the K x n analysis matrix and no n x n solve,

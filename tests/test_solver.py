@@ -152,6 +152,15 @@ class TestCoordinateSpanBasis:
             assert np.allclose(q, u * signs, rtol=0, atol=1e-15)
             assert bounds == (1.0, 1.0)
 
+    def test_onb_levels_keep_their_rows(self):
+        # no n x N copy is held: bases forms each Q_N = V_N when read
+        onb = make_onb(64)
+        sched = ProjectionSchedule(onb)
+        for i, (lv, k, q) in enumerate(zip(sched.levels, sched._sections, sched.bases)):
+            assert k.ndim == 1 and np.array_equal(k, lv)
+            assert np.array_equal(q, onb.vectors[:, lv])
+            assert np.array_equal(sched.projection(i).dense(), q @ q.T)
+
     def test_permuted_unimodular_family(self, monkeypatch):
         n = 8
         phases = np.array([1, -1, 1j, -1j, 1j, 1, -1j, -1])
@@ -470,7 +479,7 @@ class TestLevelSolves:
         a, frame, _ = contraction_case(name, rng)
         y = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
         # whether each Hermitian test cg_solve takes is of the level's core;
-        # the normal equations of an indefinite core are tested as before
+        # the normal equations M* M of an indefinite core take none
         tested = []
         monkeypatch.setattr(solver, "hermitian_defect",
                             lambda m: tested.append(np.array_equal(m, core))
@@ -479,10 +488,9 @@ class TestLevelSolves:
         for lv, q in zip(sched.levels, sched.bases):
             core, b, _ = _section(q, a, y)
             rec, res, _ = solver._solve_level(core, b, "cg", 1e-10, len(lv))
-            assert rec.decomposition == "eigh" and not any(tested)
-            tested.clear()
+            assert rec.decomposition == "eigh" and tested == []
             ref = cg_solve(core, b, tol=1e-10)
-            assert tested[0] is True
+            assert tested == [True]
             tested.clear()
             assert np.array_equal(res.c, ref.c) and res.residuals == ref.residuals
             assert (res.iterations, res.normal_equations) == (ref.iterations,
