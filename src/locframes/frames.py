@@ -48,7 +48,8 @@ class Frame:
     given alone, ``vectors`` itself (the vectors are then built on first use, in ``order``);
     the bounds and the dual then factor through its Walnut blocks.  The one
     factorization a frame holds (``_r``) is the R_t of its Walnut blocks
-    B_t = Q_t R_t, Q never formed; without a lattice, the one block V^*.
+    B_t = Q_t R_t, Q never formed; without a lattice, the one block V^*.  A
+    lattice frame also keeps its frame on the Fourier side (``walnut_side``).
     """
 
     def __init__(self, vectors, index_set: IndexSet, name="frame", meta=None,
@@ -69,14 +70,13 @@ class Frame:
             raise InvalidInputError("vectors must form an n x K matrix")
         if len(index_set) != self.size:
             raise DimensionMismatchError(f"{self.size} vectors but {len(index_set)} indices")
-        # no time-frequency shift of a nonzero window is zero
-        if not (v.any() if v.ndim == 1 else self.min_vector_norm() > 0):
+        self.lattice = lattice
+        if not self.min_vector_norm() > 0:
             raise InvalidInputError("frame must not contain zero vectors")
         self.index_set = index_set
         self.name = name
         self.meta = dict(meta or {})
-        self.lattice = lattice
-        self._r = self._frame_op = self._bounds = self._dual = None
+        self._r = self._frame_op = self._bounds = self._dual = self._fourier = None
 
     @property
     def vectors(self):
@@ -90,7 +90,10 @@ class Frame:
         return self.size / self.ambient_dim
 
     def min_vector_norm(self):
-        if self._min_norm is None:
+        """min_k ||psi_k||; on a lattice ||window||, as time-frequency shifts are unitary."""
+        if self._min_norm is None and self.lattice is not None:
+            self._min_norm = float(np.linalg.norm(self.window))
+        elif self._min_norm is None:
             # in column blocks: no temporary as large as the frame
             v = self.vectors
             norms = (np.linalg.norm(v[:, j:j + NORM_BLOCK], axis=0).min()
@@ -163,13 +166,31 @@ def _walnut_blocks(frame: Frame):
     return np.sqrt(mf) * np.conj(frame.window[x])
 
 
-def _r_factor(frame: Frame):
+def walnut_r(frame: Frame):
     """The cached R_t (mf x r_b x b) of the Walnut blocks B_t = Q_t R_t;
     Q_t is never formed."""
     if frame._r is None:
         frame._r = np.linalg.qr(_walnut_blocks(frame), mode="r")
         frame._r.setflags(write=False)
     return frame._r
+
+
+def walnut_side(frame: Frame, side):
+    """The lattice frame whose Walnut blocks carry ``frame`` on ``side``: itself
+    on "time", and on "fourier" the cached Gabor system of the unitary DFT of its
+    window on the lattice (b, a).  F psi is a unimodular multiple of one of its
+    vectors for every psi of the frame, so that R^ F is an R of V^*: a diagonal
+    operator's core is block-diagonal on "time", a circulant's on "fourier".
+    None without a lattice or a side."""
+    if frame.lattice is None or side is None:
+        return None
+    if side == "time":
+        return frame
+    if frame._fourier is None:
+        a, b = frame.lattice
+        frame._fourier = Frame(np.fft.fft(frame.window, norm="ortho"), frame.index_set,
+                               name=frame.name + "^", lattice=(b, a))
+    return frame._fourier
 
 
 def _grouped(x, mf):
@@ -187,7 +208,7 @@ def analysis_r(frame: Frame):
     """The factor R (r x n, r = min(K, n)) of the analysis matrix V^* = Q R,
     Q with orthonormal columns, which is never formed: R_0 itself for one
     block, else the block-sparse R[(t, p), t + p' mf] = R_t[p, p']."""
-    r_t = _r_factor(frame)
+    r_t = walnut_r(frame)
     if len(r_t) == 1:
         return r_t[0]
     return analysis_r_product(frame, np.eye(frame.ambient_dim))
@@ -199,14 +220,14 @@ def analysis_r_product(frame: Frame, x, adjoint=False):
     blocks R_t, n^2 b flops instead of n^3 for a Gabor frame."""
     if adjoint:
         return np.conj(analysis_r_product(frame, np.conj(x.T)).T)
-    r_t = _r_factor(frame)
+    r_t = walnut_r(frame)
     return (r_t @ _grouped(x, len(r_t))).reshape(-1, x.shape[1])
 
 
 def analysis_r_adjoint(frame: Frame, c):
     """R^* c for the factor R of ``analysis_r``, one Walnut block at a time:
     (R^* c)[t + p mf] = (R_t^* c_t)[p], with c_t the t-th of the mf blocks of c."""
-    r_t = _r_factor(frame)
+    r_t = walnut_r(frame)
     f_t = np.conj(r_t.transpose(0, 2, 1)) @ c.reshape(len(r_t), -1, 1)
     return f_t[:, :, 0].T.reshape(-1)
 
@@ -222,7 +243,7 @@ def gram_spectrum(left: Frame, right: Frame):
     if not shared_lattice(left, right):
         core = analysis_r(left) @ np.conj(analysis_r(right).T)
         return Spectrum(np.linalg.svd(core, compute_uv=False), "svd")
-    blocks = _r_factor(left) @ np.conj(_r_factor(right).transpose(0, 2, 1))
+    blocks = walnut_r(left) @ np.conj(walnut_r(right).transpose(0, 2, 1))
     return Spectrum(np.sort(np.linalg.svd(blocks, compute_uv=False).ravel())[::-1], "svd")
 
 
@@ -235,12 +256,17 @@ def mixed_frame_operator(left: Frame, right: Frame, x=None):
     if not shared_lattice(left, right):
         v = np.conj(right.vectors.T)
         return left.vectors @ v if x is None else left.vectors @ (v @ x)
-    blocks = np.conj(_walnut_blocks(left).transpose(0, 2, 1)) @ _walnut_blocks(right)
+    blocks = walnut_mixed(left, right)
     if x is None:
         if len(blocks) == 1:
             return blocks[0]
         x = np.eye(left.ambient_dim)
     return (blocks @ _grouped(x, len(blocks))).transpose(1, 0, 2).reshape(x.shape)
+
+
+def walnut_mixed(left: Frame, right: Frame):
+    """The blocks D_t = B_t^left* B_t^right of V_left V_right^* for frames of one block layout."""
+    return np.conj(_walnut_blocks(left).transpose(0, 2, 1)) @ _walnut_blocks(right)
 
 
 def frame_bounds(frame: Frame):
@@ -255,7 +281,7 @@ def frame_bounds(frame: Frame):
         if frame.lattice is None:
             w = np.linalg.eigvalsh(frame_operator(frame))
         else:
-            s = np.linalg.svd(_r_factor(frame), compute_uv=False)
+            s = np.linalg.svd(walnut_r(frame), compute_uv=False)
             w = np.sort(s.ravel() ** 2)
         lmin, lmax = float(w[0]), float(w[-1])
         if lmax <= 0 or lmin <= BOUND_RANK_TOL * lmax:
@@ -272,7 +298,7 @@ def frame_bounds(frame: Frame):
 def _walnut_dual_window(frame: Frame):
     """gamma = S^{-1} w for the window w: gamma_t = R_t^{-1} R_t^{-*} w_t,
     with w_t[p] = w[t + p mf] as in ``_walnut_blocks``."""
-    r_t = _r_factor(frame)
+    r_t = walnut_r(frame)
     mf, b = r_t.shape[:2]
     w_t = frame.window.reshape(b, mf).T[:, :, None]
     half = np.linalg.solve(np.conj(r_t.transpose(0, 2, 1)), w_t)

@@ -18,8 +18,9 @@ from .errors import (
     InvalidInputError,
 )
 from .frames import (Frame, analysis_matrix, analysis_r, analysis_r_product, canonical_dual,
-                     frame_core, gram, gram_spectrum, mixed_frame_operator)
-from .linalg import field_array, spectrum
+                     frame_core, gram, gram_spectrum, mixed_frame_operator, shared_lattice,
+                     walnut_mixed, walnut_r, walnut_side)
+from .linalg import Spectrum, adjoint, field_array, spectrum
 from .opnorms import space_operator_norm, weighted_column_blocks, weighted_matrix
 from .weights import SeqSpaceSpec, column_p_norms, seq_norm
 
@@ -40,24 +41,28 @@ RANGE_SEED = 0
 
 
 class LinearOperator:
-    """Linear map held as its dense matrix, with a name for reports.
+    """Linear map held as its dense matrix, or with a ``side`` as the vector
+    ``held`` of an operator diagonal there, with a name for reports.
 
-    ``dense()`` is the one view every consumer reads; real matrices stay
-    real (``field_array``).  Its ``spectrum`` is computed once.
+    On "fourier" ``held`` is the first column c of a circulant,
+    O[i, j] = c[(i - j) mod n] = F^* diag(FFT c) F for the unitary DFT F; on
+    "time" it is the diagonal.  Either way ``symbol`` is that diagonal: O
+    applies by FFT or by multiplication, its ``spectrum`` is the sorted
+    |symbol|, and ``dense()`` builds the matrix on first use.  Real matrices
+    stay real (``field_array``).  The ``spectrum`` is computed once.
     """
 
-    def __init__(self, matrix, name="op"):
-        self._matrix = field_array(matrix)
-        self.shape = self._matrix.shape
-        self.name = name
-
-    @classmethod
-    def from_matrix(cls, m, name="op"):
-        return cls(m, name)
+    def __init__(self, held, name="op", side=None):
+        self.name, self.side, self._held = name, side, field_array(held)
+        if side is None:
+            self._matrix, self.shape, self.symbol = self._held, self._held.shape, None
+        else:
+            self._matrix, self.shape = None, (len(self._held),) * 2
+            self.symbol = np.fft.fft(self._held) if side == "fourier" else self._held
 
     @classmethod
     def identity(cls, n):
-        return cls(np.eye(n), name="identity")
+        return cls(np.eye(1, n)[0], name="identity", side="fourier")
 
     def apply(self, f):
         f = np.asarray(f, dtype=complex)
@@ -65,21 +70,55 @@ class LinearOperator:
             raise DimensionMismatchError(
                 f"operator domain {self.shape[1]}, got vector {f.shape}"
             )
-        return self._matrix @ f
+        if self.side == "fourier":
+            return np.fft.ifft(self.symbol * np.fft.fft(f))
+        return self.symbol * f if self.side else self._matrix @ f
 
     def dense(self):
+        if self._matrix is None:
+            v, n = self._held, len(self._held)
+            self._matrix = (v[(np.arange(n)[:, None] - np.arange(n)) % n]
+                            if self.side == "fourier" else np.diag(v))
         return self._matrix
 
     @cached_property
     def spectrum(self):
-        """The matrix's ``Spectrum``, without factors."""
+        """The matrix's ``Spectrum``, without factors; of a symbol its sorted moduli."""
+        if self.side:
+            return Spectrum(np.sort(np.abs(self.symbol))[::-1], "symbol")
         return spectrum(self._matrix)
 
 
 def as_operator(op):
     if isinstance(op, LinearOperator):
         return op
-    return LinearOperator.from_matrix(op)
+    return LinearOperator(op)
+
+
+def _on_side(ops, *frames):
+    """Each operator's symbol in the Walnut grouping of the side where all of
+    ``ops`` are diagonal, symbol_t[p] = symbol[t + p mf], and each frame on that
+    side (``walnut_side``); None unless the operators share a side and the
+    frames one block layout."""
+    side = ops[0].side
+    sides = [walnut_side(frame, side) for frame in frames]
+    if (any(op.side != side for op in ops) or None in sides
+            or not all(shared_lattice(sides[0], frame) for frame in sides)):
+        return None
+    mf = sides[0].ambient_dim // sides[0].lattice[1]
+    return [op.symbol.reshape(-1, mf).T for op in ops], sides
+
+
+def block_core(op, left: Frame, right: Frame):
+    """The core R_l O R_r^* on the side where O is diagonal, as the stack of its
+    diagonal blocks R_t^l diag(symbol_t) R_t^r*; None where ``_on_side`` is."""
+    sided = _on_side([op], left, right)
+    if sided is None:
+        return None
+    (lam,), (left, right) = sided
+    # (R_r (R_l diag(symbol))^*)^*, in the order and the layout of ``frame_core``,
+    # so that a time-side core is the dense core's blocks bit for bit
+    return adjoint(walnut_r(right) @ adjoint(walnut_r(left) * lam[:, None, :]))
 
 
 @dataclass
@@ -118,10 +157,20 @@ def _core_product(first: GalerkinMatrix, second: GalerkinMatrix):
 
 def idempotency_residual(op, left: Frame, right: Frame):
     """||M M - M||_2 = ||R_l O (V_r V_l^*) O R_r^* - C||_2 for M = M(left, right)(O)
-    and its core C = R_l O R_r^*, as ``_core_product`` forms it: no entries."""
-    o = as_operator(op).dense()
-    square = frame_core(left, right, o @ mixed_frame_operator(right, left, o))
-    return float(np.linalg.norm(square - frame_core(left, right, o), 2))
+    and its core C = R_l O R_r^*, as ``_core_product`` forms it: no entries.
+    On the side where O is diagonal both are block-diagonal, and so is their norm."""
+    op = as_operator(op)
+    sided = _on_side([op], left, right)
+    if sided is None:
+        o = op.dense()
+        square = frame_core(left, right, o @ mixed_frame_operator(right, left, o))
+        core = frame_core(left, right, o)
+    else:
+        (lam,), (left, right) = sided
+        r_l, r_r = walnut_r(left) * lam[:, None, :], adjoint(walnut_r(right))
+        core = r_l @ r_r
+        square = r_l @ walnut_mixed(right, left) @ (lam[:, :, None] * r_r)
+    return float(np.linalg.svd(square - core, compute_uv=False).max())
 
 
 def _check_maps(op, left: Frame, right: Frame):
@@ -179,19 +228,27 @@ def roundtrip_check(op, phi: Frame, psi: Frame):
     Checks O(phi,psi) o M(dual phi,dual psi) = Id = O(dual...) o M(phi,psi)
     applied to the given operator, in the dense 2-norm.  Each side
     D_left M C_right is the n x n product (Phi Phi~^*) O (Psi~ Psi^*), or
-    its mirror with the adjoint outer factors.
+    its mirror with the adjoint outer factors.  On the side where O is
+    diagonal, the frame operators and O are block-diagonal, and each
+    defect is the largest of its blocks' 2-norms.
     """
     op = as_operator(op)
     _check_maps(op, phi, psi)
-    dense = op.dense()
     scale = max(op.spectrum.values[0], 1e-300)
     phid, psid = canonical_dual(phi), canonical_dual(psi)
-    left = mixed_frame_operator(phi, phid)
-    right = mixed_frame_operator(psid, psi)
-    first = left @ dense @ right
-    second = np.conj(left.T) @ dense @ np.conj(right.T)
-    r1 = np.linalg.norm(first - dense, 2) / scale
-    r2 = np.linalg.norm(second - dense, 2) / scale
+    sided = _on_side([op], phi, phid, psid, psi)
+    if sided is None:
+        o = op.dense()
+        left, right = mixed_frame_operator(phi, phid), mixed_frame_operator(psid, psi)
+    else:
+        (lam,), (phi, phid, psid, psi) = sided
+        o = lam[:, :, None] * np.eye(lam.shape[1])
+        left, right = walnut_mixed(phi, phid), walnut_mixed(psid, psi)
+    first = left @ o @ right
+    second = adjoint(left) @ o @ adjoint(right)
+    # the 2-norm of a stack of blocks is its largest singular value
+    r1 = np.linalg.svd(first - o, compute_uv=False).max() / scale
+    r2 = np.linalg.svd(second - o, compute_uv=False).max() / scale
     return float(max(r1, r2))
 
 
@@ -200,14 +257,23 @@ def compose_rule_check(op1, op2, phi: Frame, psi: Frame, xi: Frame):
 
     The defect is Phi^* O1 (I - Xi Xi~^*) O2 Psi.  With the analysis QRs
     Phi^* = Q R it has the Frobenius norm of the n x n
-    R_phi O1 (I - Xi Xi~^*) O2 R_psi^*, and M(O1 O2) that of R_phi O1 O2 R_psi^*.
+    R_phi O1 (I - Xi Xi~^*) O2 R_psi^*, and M(O1 O2) that of R_phi O1 O2 R_psi^*;
+    block-diagonal on the side where both operators are diagonal.
     """
     op1, op2 = as_operator(op1), as_operator(op2)
     _check_maps(op1, phi, xi)
     _check_maps(op2, xi, psi)
-    left = analysis_r_product(phi, op1.dense())
-    right = analysis_r_product(psi, op2.dense(), adjoint=True)
-    defect = left @ (right - mixed_frame_operator(xi, canonical_dual(xi), right))
+    sided = _on_side([op1, op2], phi, psi, xi, canonical_dual(xi))
+    if sided is None:
+        left = analysis_r_product(phi, op1.dense())
+        right = analysis_r_product(psi, op2.dense(), adjoint=True)
+        middle = mixed_frame_operator(xi, canonical_dual(xi), right)
+    else:
+        (lam1, lam2), (phi, psi, xi, xid) = sided
+        left = walnut_r(phi) * lam1[:, None, :]
+        right = lam2[:, :, None] * adjoint(walnut_r(psi))
+        middle = walnut_mixed(xi, xid) @ right
+    defect = left @ (right - middle)
     lhs = left @ right
     return float(np.linalg.norm(defect) / max(np.linalg.norm(lhs), 1e-300))
 
@@ -537,7 +603,7 @@ def galerkin_pseudoinverse(m: GalerkinMatrix, phi: Frame, psi: Frame):
     s = m.generator.spectrum.values
     if not (s[0] > 0 and s[-1] * OPERATOR_COND_CAP >= s[0]):
         raise BijectivityError("generating operator numerically singular")
-    inv = LinearOperator.from_matrix(np.linalg.inv(dense))
+    inv = LinearOperator(np.linalg.inv(dense))
     phid, psid = canonical_dual(phi), canonical_dual(psi)
     dagger = galerkin_matrix(inv, psid, phid)
     defect = _range_projection_defect(dagger, m)
@@ -566,8 +632,8 @@ def kappa_factorization_probe(op, phi: Frame, psi: Frame):
     submultiplicative in general, so neither direction is enforced: the
     probe reports both sides, their ratio, and whether lhs <= rhs held.
     The K x K matrices M(phi,psi), G(phi,psi) and G(dual psi,psi) have
-    their spectra computed in the frames' ranges (``frame_core``,
-    ``gram_spectrum``).
+    their spectra computed in the frames' ranges (``block_core`` or
+    ``frame_core``, ``gram_spectrum``).
     """
     op = as_operator(op)
     _check_maps(op, phi, psi)
@@ -575,7 +641,8 @@ def kappa_factorization_probe(op, phi: Frame, psi: Frame):
     s = op.spectrum.values
     if not (s[0] > 0 and s[-1] * OPERATOR_COND_CAP >= s[0]):
         raise BijectivityError("operator must be invertible for the kappa probe")
-    lhs = spectrum(frame_core(phi, psi, op.dense())).kappa
+    core = block_core(op, phi, psi)
+    lhs = spectrum(frame_core(phi, psi, op.dense()) if core is None else core).kappa
     rhs = (
         gram_spectrum(phi, psi).kappa
         * gram_spectrum(canonical_dual(psi), psi).kappa

@@ -5,11 +5,13 @@ a square matrix that is Hermitian to rounding takes its singular values
 from one Hermitian eigendecomposition, any other matrix takes the SVD.
 Galerkin and Gram matrices V_l^* X V_r of two frames, and finite
 sections P_N A P_N, are decomposed through their small cores, which carry
-the same nonzero singular values.
+the same nonzero singular values.  A block-diagonal matrix may be given as
+the stack of its diagonal blocks (s x k x k), which ``blockwise`` applies.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,8 +32,22 @@ def field_array(x):
     return np.asarray(x, dtype=np.result_type(x, float))
 
 
+def adjoint(m):
+    """M^* of a matrix, or of every block of a stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def blockwise(f, m):
+    """x -> f(M, x) for a matrix M; for a stack of diagonal blocks M_t,
+    x -> f(M_t, x_t) on the consecutive parts x_t of x, k rows each for
+    blocks of order k."""
+    if m.ndim == 2:
+        return functools.partial(f, m)
+    return lambda x: f(m, x.reshape(len(m), m.shape[-1], -1)).reshape(x.shape)
+
+
 def hermitian_defect(m):
-    """Frobenius-relative defect ||M - M^*||_F / ||M||_F of a square M.
+    """Frobenius-relative defect ||M - M^*||_F / ||M||_F of a square M or a stack.
 
     Both norms are taken of M / max|M_ij|, so that neither overflows nor
     underflows.  The zero matrix has defect 0, a non-finite M has inf.
@@ -42,24 +58,26 @@ def hermitian_defect(m):
     if top == 0.0:
         return 0.0
     m = m / top
-    return float(np.linalg.norm(m.conj().T - m) / np.linalg.norm(m))
+    return float(np.linalg.norm(adjoint(m) - m) / np.linalg.norm(m))
 
 
 def _hermitian_part(m):
     """H = (M + M^*) / 2 when M is square and ||M - M^*||_F <= n u ||M||_F
-    for its order n and the unit roundoff u, else None.  M^* - M is formed
+    for its order n and the unit roundoff u, else None; a stack is tested as
+    its block-diagonal matrix.  M^* - M is formed
     once, for the test and for H.  Where 1e-100 <= ||M||_F <= 1e100 no square
     that the test can feel over- or underflows, and the norms are taken of M
     as it stands; any other M is tested by ``hermitian_defect``."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         return None
+    order = m.size // max(m.shape[-1], 1)
     with np.errstate(over="ignore", under="ignore"):
         norm = np.linalg.norm(m)
     scaled = not 1e-100 <= norm <= 1e100
-    if scaled and hermitian_defect(m) > len(m) * EPS:
+    if scaled and hermitian_defect(m) > order * EPS:
         return None
-    d = m.conj().T - m
-    if not scaled and np.linalg.norm(d) > len(m) * EPS * norm:
+    d = adjoint(m) - m
+    if not scaled and np.linalg.norm(d) > order * EPS * norm:
         return None
     return m + 0.5 * d
 
@@ -72,7 +90,9 @@ class Spectrum:
     ``"svd"``; on ``"eigh"``, ``eigenvalues`` are the signed eigenvalues of
     (M + M^*) / 2.  ``u`` and ``vh`` are the factors of M = u diag(values) vh,
     None unless requested.  The rank cutoff is ``DEFAULT_RANK_TOL`` relative
-    to the largest singular value.
+    to the largest singular value.  Of a stack, ``values`` are those of all
+    blocks and ``blocks`` holds each block's, in the order of its factors.
+    An operator held as its symbol has the ``decomposition`` "symbol".
     """
 
     values: np.ndarray
@@ -80,6 +100,7 @@ class Spectrum:
     eigenvalues: np.ndarray = None
     u: np.ndarray = None
     vh: np.ndarray = None
+    blocks: np.ndarray = None
 
     @property
     def rank(self):
@@ -98,9 +119,14 @@ class Spectrum:
         return float(self.values[0] / self.values[rank - 1])
 
     def pinv_apply(self, b):
-        """M^+ b; needs the factors."""
+        """M^+ b; needs the factors.  A stack applies its blocks' on the parts of b."""
         if self.u is None:
             raise InvalidInputError("spectrum was computed without factors")
+        if self.blocks is not None:
+            s = self.blocks
+            kept = s > DEFAULT_RANK_TOL * self.values[0]
+            inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)[..., None]
+            return blockwise(lambda u, y: adjoint(self.vh) @ (inv * (adjoint(u) @ y)), self.u)(b)
         k = self.rank
         y = np.conj(self.u[:, :k].T) @ b
         y = y / self.values[:k].reshape((k,) + (1,) * (y.ndim - 1))
@@ -115,23 +141,31 @@ def spectrum(m, vectors=False):
     H = V diag(lambda) V^* gives s = |lambda|, u = V and vh = sign(lambda) V^*,
     with the sign of a zero lambda taken as +1.  By Weyl's inequality each
     value is within ||M - M^*||_F / 2 of a singular value of M.  Any other
-    matrix takes ``np.linalg.svd``.
+    matrix takes ``np.linalg.svd``.  A stack takes one batched decomposition;
+    with factors, always the SVD, its factors in block order.
     """
     m = np.asarray(m)
     h = _hermitian_part(m)
-    if h is None:
+    if h is None or vectors and m.ndim == 3:
         if vectors:
             u, s, vh = np.linalg.svd(m, full_matrices=False)
-            return Spectrum(s, "svd", u=u, vh=vh)
-        return Spectrum(np.linalg.svd(m, compute_uv=False), "svd")
+            return _stacked(Spectrum(s, "svd", u=u, vh=vh))
+        return _stacked(Spectrum(np.linalg.svd(m, compute_uv=False), "svd"))
     if not vectors:
         w = np.linalg.eigvalsh(h)
-        return Spectrum(np.sort(np.abs(w))[::-1], "eigh", w)
+        return _stacked(Spectrum(np.abs(w), "eigh", w.ravel()))
     w, v = np.linalg.eigh(h)
     order = np.argsort(-np.abs(w), kind="stable")
     w, u = w[order], v[:, order]
     vh = np.where(w < 0, -1.0, 1.0)[:, None] * np.conj(u.T)
     return Spectrum(np.abs(w), "eigh", w, u, vh)
+
+
+def _stacked(spec):
+    """``spec`` with its values sorted descending; a stack's per block in ``blocks``."""
+    values = spec.values
+    return replace(spec, values=np.sort(values.ravel())[::-1],
+                   blocks=values if values.ndim == 2 else None)
 
 
 def pseudo_inverse(m):

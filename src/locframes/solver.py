@@ -7,11 +7,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionMismatchError, InvalidInputError
-from .frames import Frame, analysis, analysis_r_adjoint, analysis_r_product, frame_core
+from .frames import (Frame, analysis, analysis_r_adjoint, analysis_r_product, frame_core,
+                     walnut_side)
 # galerkin_matrix is re-exported: callers import it from this module
-from .galerkin import LinearOperator, as_operator, galerkin_matrix  # noqa: F401
+from .galerkin import LinearOperator, as_operator, block_core, galerkin_matrix  # noqa: F401
 from .indexing import IndexSet
-from .linalg import field_array, hermitian_defect, spectrum
+from .linalg import adjoint, blockwise, field_array, hermitian_defect, spectrum
 
 PROJECTION_TOL = 1e-10
 DEFAULT_TOL = 1e-8
@@ -70,7 +71,7 @@ def _section(q, a, y):
 
 def _projector(q, name):
     """The orthogonal projection Q_N Q_N^* onto the span of Q_N."""
-    return LinearOperator.from_matrix(q @ np.conj(q.T), name=name)
+    return LinearOperator(q @ np.conj(q.T), name=name)
 
 
 def subframe_projection(frame: Frame, subset):
@@ -222,17 +223,20 @@ def _normal_cg(m, b, tol):
     M* b always lies in the range of M* M, so whether b lies in the range of
     M is tested on M itself.
     """
-    res = cg_solve((np.conj(m.T) @ m).view(_HermitianCore), np.conj(m.T) @ b, tol=tol)
+    res = cg_solve((adjoint(m) @ m).view(_HermitianCore), blockwise(np.matmul, adjoint(m))(b),
+                   tol=tol)
     res.normal_equations = True
-    if np.linalg.norm(m @ res.c - b) > 10 * tol * np.linalg.norm(b):
+    if np.linalg.norm(blockwise(np.matmul, m)(res.c) - b) > 10 * tol * np.linalg.norm(b):
         _check_range(m, b, tol)
     return res
 
 
 def _check_range(m, b, tol):
-    """Raise ``ContractError`` when no c brings M c within 10 tol of b."""
-    best = np.linalg.lstsq(m, b, rcond=None)[0]
-    floor = np.linalg.norm(m @ best - b) / np.linalg.norm(b)
+    """Raise ``ContractError`` when no c brings M c within 10 tol of b; a stack
+    of blocks, when none brings each block's part within."""
+    pairs = zip(m, b.reshape(len(m), -1)) if m.ndim == 3 else [(m, b)]
+    best = np.concatenate([np.linalg.lstsq(block, part, rcond=None)[0] for block, part in pairs])
+    floor = np.linalg.norm(blockwise(np.matmul, m)(best) - b) / np.linalg.norm(b)
     if floor > 10 * tol:
         raise ContractError(
             f"right side has a component outside the range (floor {floor:.3e})"
@@ -251,6 +255,7 @@ def cg_solve(m, b, tol=1e-10):
     matrix that fails the Frobenius Hermitian test (``HERMITIAN_TOL``) or
     shows negative curvature p* M p < 0 (it is indefinite) is solved through
     the normal equations M* M c = M* b, flagged in ``normal_equations``.
+    M may be a stack of diagonal blocks (``blockwise``).
     """
     tested = isinstance(m, _HermitianCore)
     m, b = field_array(m), field_array(b)
@@ -258,7 +263,7 @@ def cg_solve(m, b, tol=1e-10):
         return _normal_cg(m, b, tol)
     # promoted once: a real m against a complex b would be cast on every product
     m = np.asarray(m, dtype=np.result_type(m, b))
-    k = m.shape[0]
+    k, apply = len(b), blockwise(np.matmul, m)
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         return IterationResult(np.zeros(k, dtype=m.dtype), 0, True, [0.0])
@@ -272,7 +277,7 @@ def cg_solve(m, b, tol=1e-10):
     residuals = [1.0]
     it = 0
     for it in range(1, 10 * k + 1):
-        mp = m @ p
+        mp = apply(p)
         denom = np.real(np.vdot(p, mp))
         limit = curvature_floor * np.real(np.vdot(p, p))
         if denom < -limit:
@@ -301,18 +306,19 @@ def richardson_solve(m, b, relaxation, tol=1e-10):
 
     No contraction factor is estimated beforehand: a relative residual that
     climbs past ten times the first marks the result diverged, with one
-    warning, instead of looping to the cap of 10 k updates.
+    warning, instead of looping to the cap of 10 k updates.  M may be a stack
+    of diagonal blocks (``blockwise``).
     """
     m, b = field_array(m), field_array(b)
     # promoted once: a real m against a complex b would be cast on every product
     m = np.asarray(m, dtype=np.result_type(m, b))
-    k = m.shape[0]
+    k, apply = len(b), blockwise(np.matmul, m)
     bnorm = max(np.linalg.norm(b), 1e-300)
     x = np.zeros(k, dtype=m.dtype)
     residuals = []
     updates = 0
     while updates <= 10 * k:
-        r = b - m @ x
+        r = b - apply(x)
         rel = np.linalg.norm(r) / bnorm
         residuals.append(rel)
         if rel <= tol:
@@ -344,7 +350,8 @@ def _solve_level(core, b, method, tol, size):
     flag (a rank below the order of C), inverse norm and kappa^dagger.
     ``direct`` solves by one LU, or applies C^+ when C is rank-deficient; CG
     runs on C, or on the normal equations when C fails its Hermitian test;
-    Richardson relaxes with 2 / (sigma_max + sigma_min).  Returns the record
+    Richardson relaxes with 2 / (sigma_max + sigma_min).  A stack of diagonal
+    blocks is decomposed, solved and applied block by block.  Returns the record
     (the caller fills ``residual``), the ``IterationResult`` or None when CG
     finds b outside C's range, and the spectrum's signed ``eigenvalues``
     (None when C took the SVD).
@@ -353,14 +360,14 @@ def _solve_level(core, b, method, tol, size):
         raise InvalidInputError(f"unknown method {method!r}")
     spec = spectrum(core)
     s = spec.values[:spec.rank]
-    rec = LevelRecord(size=size, residual=math.inf, singular=bool(s.size < len(core)),
+    rec = LevelRecord(size=size, residual=math.inf, singular=bool(s.size < spec.values.size),
                       decomposition=spec.decomposition)
     if s.size:
         rec.inverse_norm, rec.kappa_dagger = float(1.0 / s[-1]), spec.kappa
     try:
         if method == "direct":
             c = (spectrum(core, vectors=True).pinv_apply(b) if rec.singular
-                 else _by_parts(lambda p: np.linalg.solve(core, p), b))
+                 else _by_parts(blockwise(np.linalg.solve, core), b))
             res = IterationResult(c, 0, True)
         elif method == "cg":
             tested = core.view(_HermitianCore) if spec.decomposition == "eigh" else core
@@ -464,6 +471,8 @@ def frame_galerkin_solve(op, g, phi: Frame, method="cg", tol=DEFAULT_TOL):
     matrix is uniquely solvable.  M is never assembled, nor is Q:
     ``_solve_level`` solves the n x n core R O R^* with right side R g,
     and the ambient solution is f = V Q c = R^* c, R applied by its Walnut blocks.
+    An operator diagonal on one side of a lattice frame (``block_core``) is
+    solved there on its block-diagonal core, with R^ F in place of R.
     A zero operator and a right side outside the range of a singular core are
     rejected.  The final check compares ||O f - g|| against the requested tolerance.
     """
@@ -472,14 +481,19 @@ def frame_galerkin_solve(op, g, phi: Frame, method="cg", tol=DEFAULT_TOL):
     if g.shape != (phi.ambient_dim,):
         raise DimensionMismatchError(
             f"vector of length {g.shape} against ambient dim {phi.ambient_dim}")
-    core = frame_core(phi, phi, op.dense())
+    core = block_core(op, phi, phi)
+    side = phi if core is None else walnut_side(phi, op.side)
+    if core is None:
+        core = frame_core(phi, phi, op.dense())
     if not core.any():
         raise InvalidInputError("condition number of the zero matrix is undefined")
-    rg = analysis_r_product(phi, g[:, None])[:, 0]
-    level, res, _ = _solve_level(core, rg, method, min(tol * 1e-2, 1e-10), phi.size)
+    # a side other than phi's own is the Fourier side, where R^ F stands for R
+    rg = analysis_r_product(side, (g if side is phi else np.fft.fft(g, norm="ortho"))[:, None])
+    level, res, _ = _solve_level(core, rg[:, 0], method, min(tol * 1e-2, 1e-10), phi.size)
     if res is None:
         raise ContractError("right side has a component outside the range")
-    f = analysis_r_adjoint(phi, res.c)
+    f = analysis_r_adjoint(side, res.c)
+    f = f if side is phi else np.fft.ifft(f, norm="ortho")
     level.residual = float(np.linalg.norm(op.apply(f) - g))
     rel = level.residual / max(np.linalg.norm(g), 1e-300)
     notes = [] if rel <= tol else [f"ambient residual {rel:.3e} above tolerance {tol:.1e}"]
@@ -498,36 +512,36 @@ def frame_galerkin_solve(op, g, phi: Frame, method="cg", tol=DEFAULT_TOL):
 def make_test_operator(kind, n, **params):
     """Synthetic operators exercising the solver paths.
 
-    identity_minus_kernel: I - theta T with T a row-normalized,
-    polynomially decaying circulant (||I - A|| = theta exactly).
-    helmholtz_toy: symmetric kernel with a log-like diagonal singularity
-    and quadratic off-diagonal decay.  diagonal: explicit spectrum.
+    identity_minus_kernel: I - theta T with T a polynomially decaying
+    circulant whose rows sum to one, normalized once (||I - A|| = theta exactly).
+    helmholtz_toy: symmetric circulant kernel with a log-like diagonal
+    singularity and quadratic off-diagonal decay.  Both are held as their
+    first column; diagonal: explicit spectrum, held as it.
     """
     if n < 4:
         raise InvalidInputError("operators need n >= 4")
-    iset = IndexSet.ring(n)
-    d = iset.distance_matrix()
+    # the first column of a circulant: a function of the ring distance to 0
+    d = IndexSet.ring(n).distance_to_origin()
     if kind == "identity_minus_kernel":
         theta = float(params.get("theta", 0.5))
         exponent = float(params.get("exponent", 3.0))
         if exponent < 2:
             raise InvalidInputError("kernel decay exponent must be >= 2")
         t = (1.0 + d) ** (-exponent)
-        t /= t.sum(axis=1, keepdims=True)
+        column = -theta * (t / t.sum())
+        column[0] += 1.0
         if theta >= 1:
             warnings.warn(f"theta = {theta} >= 1: operator may be singular",
                           stacklevel=2)
-        return LinearOperator.from_matrix(np.eye(n) - theta * t,
-                                          name=f"I-{theta}T")
+        return LinearOperator(column, name=f"I-{theta}T", side="fourier")
     if kind == "helmholtz_toy":
         deff = np.maximum(d, 0.5)
         kern = -np.log(np.sin(np.pi * deff / n)) / n
         kern = kern * (1.0 + d) ** (-2.0)
-        kern = 0.5 * (kern + kern.T)
-        return LinearOperator.from_matrix(kern, name="helmholtz_toy")
+        return LinearOperator(kern, name="helmholtz_toy", side="fourier")
     if kind == "diagonal":
         spectrum = field_array(params["spectrum"])
         if spectrum.shape != (n,):
             raise InvalidInputError("spectrum length must equal n")
-        return LinearOperator.from_matrix(np.diag(spectrum), name="diagonal")
+        return LinearOperator(spectrum, name="diagonal", side="time")
     raise InvalidInputError(f"unknown operator kind {kind!r}")

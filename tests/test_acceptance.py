@@ -119,7 +119,7 @@ def test_criterion_05_galerkin_identities(suite_frames):
             (suite_frames["onb"], suite_frames["ponb"]),
             (suite_frames["translates"], suite_frames["translates"]),
         ]
-        partner = lf.LinearOperator.from_matrix(
+        partner = lf.LinearOperator(
             rng.standard_normal((n, n)) / n + np.eye(n)
         )
         for op in operators:

@@ -178,7 +178,7 @@ class TestNormBounds:
         op = make_test_operator("identity_minus_kernel", 16, theta=0.4)
         one = matrixrep_norm_bound(op, frame, frame, frame, spaces)
         scaled = matrixrep_norm_bound(
-            LinearOperator.from_matrix(3.0 * op.dense()), frame, frame, frame, spaces
+            LinearOperator(3.0 * op.dense()), frame, frame, frame, spaces
         )
         assert scaled["bound"] == pytest.approx(3 * one["bound"])
         assert scaled["measured"] == pytest.approx(3 * one["measured"])
@@ -233,7 +233,7 @@ class TestNormBounds:
         w = Weight.ones(frame.size)
         spaces = (SeqSpaceSpec(np.inf, w), SeqSpaceSpec(np.inf, w))
         out = bounded_equiv_check(
-            LinearOperator.from_matrix(np.zeros((16, 16))), frame, frame, spaces
+            LinearOperator(np.zeros((16, 16))), frame, frame, spaces
         )
         assert out["matrix_norm"] == 0.0
         assert out["operator_norm_measured"] == 0.0
@@ -368,7 +368,7 @@ class TestPseudoInverseAndKappa:
     def test_scaling(self, suite_frames):
         frame = suite_frames["gabor16"]
         gm2 = galerkin_matrix(
-            LinearOperator.from_matrix(2 * np.eye(16)), frame, frame
+            LinearOperator(2 * np.eye(16)), frame, frame
         )
         gm1 = galerkin_matrix(LinearOperator.identity(16), frame, frame)
         assert np.allclose(
@@ -977,9 +977,9 @@ class TestNumberField:
     def test_operator_keeps_the_field_of_its_matrix(self, rng):
         assert LinearOperator.identity(4).dense().dtype == np.float64
         real = rng.standard_normal((4, 4))
-        assert LinearOperator.from_matrix(real).dense().dtype == np.float64
+        assert LinearOperator(real).dense().dtype == np.float64
         cplx = random_matrix(rng, 4)
-        op = LinearOperator.from_matrix(cplx)
+        op = LinearOperator(cplx)
         assert np.shares_memory(op.dense(), cplx)
 
     @pytest.mark.parametrize("left, right", REAL_PAIRS)

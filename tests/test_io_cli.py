@@ -1278,6 +1278,25 @@ class TestWindowContainers:
         assert loaded.vectors.tobytes("F") == frame.vectors.tobytes("F")
         assert not loaded.vectors.flags.writeable and loaded.vectors is loaded.vectors
 
+    def test_min_vector_norm_is_the_window_norm(self, tmp_path, monkeypatch):
+        # every time-frequency shift is unitary: a built frame, a loaded window
+        # and a loaded container of all K vectors give the same bits, and no
+        # vector is built for them
+        frame = make_gabor_frame(64, 8, 4, gaussian_window(64))
+        io.save_frame(tmp_path / "new" / "frame", frame)
+        sidecar = json.loads((tmp_path / "new" / "frame.json").read_text())
+        del sidecar["window"]
+        io.save_array(tmp_path / "old" / "frame", frame.vectors, sidecar)
+        calls = self.count_systems(monkeypatch)
+        frames = [make_gabor_frame(64, 8, 4, gaussian_window(64)),
+                  io.load_frame(tmp_path / "new" / "frame")]
+        norms = [f.min_vector_norm() for f in frames]
+        dual = canonical_dual(frames[0])
+        assert calls == [] and dual.min_vector_norm() == np.linalg.norm(dual.window)
+        norms.append(io.load_frame(tmp_path / "old" / "frame").min_vector_norm())
+        assert norms == [np.linalg.norm(frame.window)] * 3
+        assert abs(norms[0] - np.linalg.norm(frame.vectors, axis=0).min()) <= 1e-15
+
     def test_old_layout_gives_the_same_artifacts(self, tmp_path):
         assert run_cli("frame", "build", "--kind", "gabor", "--n", "64", "--a", "8",
                        "--b", "4", "--out-dir", tmp_path / "new") == 0
@@ -1427,21 +1446,21 @@ class TestWorkCounts:
             (tmp_path / "gal" / "galerkin_report.json").read_text())
         assert (len(matrices), len(columns)) == (0, 1)
 
-    def test_gabor_assemble_takes_four_n_sized_decompositions(self, tmp_path, monkeypatch):
-        run_cli("frame", "build", "--kind", "gabor", "--n", "32", "--a", "4",
-                "--b", "4", "--out-dir", tmp_path)
+    def test_gabor_assemble_takes_no_n_sized_decomposition(self, tmp_path, monkeypatch):
+        run_cli("frame", "build", "--kind", "gabor", "--n", "64", "--a", "4",
+                "--b", "8", "--out-dir", tmp_path)
         # norm(., 2) calls numpy's internal svd, which np.linalg.svd re-exports
         calls = self.count(monkeypatch, "svd", [np.linalg, np.linalg._linalg])
         eigs = self.count(monkeypatch, "eigvalsh", [np.linalg])
         assert run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
                        "--op-kind", "identity_minus_kernel", "--theta", "0.5",
                        "--out-dir", tmp_path / "gal") == 0
-        # SVDs of the two round-trip residuals and of the Galerkin core; the
-        # Gram cores split into b x b blocks.  The operator is symmetric, so
-        # its singular values, read by the round trip and the kappa probe,
-        # come from one eigvalsh
-        assert sum(max(np.shape(args[0])[-2:]) >= 32 for args in calls) == 3
-        assert [np.shape(args[0]) for args in eigs] == [(32, 32)]
+        # the operator is circulant: the two round-trip residuals and the
+        # Galerkin core are stacks of n / a blocks of order a on the Fourier
+        # side; the frame bounds and the two Gram cores stacks of n / b blocks
+        # of order b.  The operator's singular values are the moduli of its symbol
+        shapes = [np.shape(args[0]) for args in calls + eigs]
+        assert sorted(shapes) == [(8, 8, 8)] * 3 + [(16, 4, 4)] * 3
 
     def test_solve_fs_spends_no_svd_on_span_bases(self, tmp_path, monkeypatch):
         # the levels of the standard basis are their own span bases

@@ -317,7 +317,7 @@ class TestFiniteSections:
         # exponentially and the method is declared divergent even though
         # the final (full) section solves exactly
         n = 64
-        a = LinearOperator.from_matrix(
+        a = LinearOperator(
             np.roll(np.eye(n), 1, axis=0) + 0.5 * np.eye(n)
         )
         y = rng.standard_normal(n)
@@ -438,8 +438,11 @@ class TestContractionNorm:
         eps = np.finfo(float).eps
         expected = np.linalg.norm(np.eye(n) - a, 2)
         assert abs(rep.contraction_norm - expected) <= n * eps * np.linalg.norm(a, 2)
-        # the verdict agrees with the one spectrum(I - A) gives
-        assert rep.contraction_sufficient == bool(spectrum(np.eye(n) - a).values[0] < 1)
+        # the verdict agrees with the one spectrum(I - A) gives, where that
+        # is not decided by rounding: ||I - A||_2 = 1 for the singular kernel
+        reference = spectrum(np.eye(n) - a).values[0]
+        if abs(reference - 1) > n * eps * np.linalg.norm(a, 2):
+            assert rep.contraction_sufficient == bool(reference < 1)
         # direct takes a second spectrum, with factors, on each rank-deficient
         # level only
         singular = {"singular_kernel": 1, "indefinite_with_zeros": 2,
@@ -744,7 +747,7 @@ class TestFrameGalerkinSolve:
     def test_non_hermitian_operator_flags_normal_equations(self, suite_frames, rng):
         frame = suite_frames["gabor16"]
         m = rng.standard_normal((16, 16))
-        op = LinearOperator.from_matrix(m + m.T / 2 + 8 * np.eye(16))
+        op = LinearOperator(m + m.T / 2 + 8 * np.eye(16))
         g = rng.standard_normal(16) + 0j
         f, rep = frame_galerkin_solve(op, g, frame, method="cg", tol=1e-6)
         assert "normal equations" in rep.message
@@ -828,7 +831,7 @@ class TestNumberField:
         n = 64
         op = make_test_operator(kind, n, **params)
         assert op.dense().dtype == np.float64
-        twin_op = LinearOperator.from_matrix(op.dense().astype(complex))
+        twin_op = LinearOperator(op.dense().astype(complex))
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         onb = make_onb(n)
         sched = ProjectionSchedule(onb)
@@ -846,7 +849,7 @@ class TestNumberField:
         frame = suite_frames[name]
         n = frame.ambient_dim
         op = make_test_operator("identity_minus_kernel", n, theta=0.5)
-        twin_op = LinearOperator.from_matrix(op.dense().astype(complex))
+        twin_op = LinearOperator(op.dense().astype(complex))
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         f, rep = frame_galerkin_solve(op, g, frame, method=method)
         twin_f, twin_rep = frame_galerkin_solve(twin_op, g, complex_copy(frame),
