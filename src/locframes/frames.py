@@ -91,11 +91,9 @@ class Frame:
 
     def min_vector_norm(self):
         """min_k ||psi_k||; on a lattice ||window||, as time-frequency shifts are unitary."""
-        if self._min_norm is None and self.lattice is not None:
-            self._min_norm = float(np.linalg.norm(self.window))
-        elif self._min_norm is None:
+        if self._min_norm is None:
             # in column blocks: no temporary as large as the frame
-            v = self.vectors
+            v = self.vectors if self.lattice is None else self.window[:, None]
             norms = (np.linalg.norm(v[:, j:j + NORM_BLOCK], axis=0).min()
                      for j in range(0, v.shape[1], NORM_BLOCK))
             self._min_norm = float(min(norms, default=np.inf))
@@ -176,12 +174,10 @@ def walnut_r(frame: Frame):
 
 
 def walnut_side(frame: Frame, side):
-    """The lattice frame whose Walnut blocks carry ``frame`` on ``side``: itself
-    on "time", and on "fourier" the cached Gabor system of the unitary DFT of its
-    window on the lattice (b, a).  F psi is a unimodular multiple of one of its
-    vectors for every psi of the frame, so that R^ F is an R of V^*: a diagonal
-    operator's core is block-diagonal on "time", a circulant's on "fourier".
-    None without a lattice or a side."""
+    """The lattice frame on ``side`` (None without a lattice or a side): ``frame``
+    on "time"; on "fourier" the cached Gabor system of its window's unitary DFT on
+    the lattice (b, a), one of whose vectors is a unimodular multiple of F psi for
+    each psi of ``frame``, so that R^ F is an R of V^*."""
     if frame.lattice is None or side is None:
         return None
     if side == "time":
@@ -264,9 +260,11 @@ def mixed_frame_operator(left: Frame, right: Frame, x=None):
     return (blocks @ _grouped(x, len(blocks))).transpose(1, 0, 2).reshape(x.shape)
 
 
-def walnut_mixed(left: Frame, right: Frame):
-    """The blocks D_t = B_t^left* B_t^right of V_left V_right^* for frames of one block layout."""
-    return np.conj(_walnut_blocks(left).transpose(0, 2, 1)) @ _walnut_blocks(right)
+def walnut_mixed(left: Frame, right: Frame, x=None):
+    """The blocks D_t = B_t^left* B_t^right of V_left V_right^* for frames of one
+    block layout, or D_t X_t for a stack X of their order."""
+    blocks = np.conj(_walnut_blocks(left).transpose(0, 2, 1)) @ _walnut_blocks(right)
+    return blocks if x is None else blocks @ x
 
 
 def frame_bounds(frame: Frame):

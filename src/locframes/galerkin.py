@@ -54,11 +54,15 @@ class LinearOperator:
 
     def __init__(self, held, name="op", side=None):
         self.name, self.side, self._held = name, side, field_array(held)
-        if side is None:
-            self._matrix, self.shape, self.symbol = self._held, self._held.shape, None
-        else:
-            self._matrix, self.shape = None, (len(self._held),) * 2
-            self.symbol = np.fft.fft(self._held) if side == "fourier" else self._held
+        self._matrix = None if side else self._held
+        self.shape = (len(self._held),) * 2 if side else self._held.shape
+
+    @cached_property
+    def symbol(self):
+        # on first use: a command that reads only dense() loads no numpy.fft
+        if self.side == "fourier":
+            return np.fft.fft(self._held)
+        return self._held if self.side else None
 
     @classmethod
     def identity(cls, n):
@@ -95,30 +99,29 @@ def as_operator(op):
     return LinearOperator(op)
 
 
-def _on_side(ops, *frames):
-    """Each operator's symbol in the Walnut grouping of the side where all of
-    ``ops`` are diagonal, symbol_t[p] = symbol[t + p mf], and each frame on that
-    side (``walnut_side``); None unless the operators share a side and the
-    frames one block layout."""
+def _operands(ops, *frames):
+    """The operators as matrices and the frames with their rules R X and
+    V_l V_r^* X, on the side where all of ``ops`` are diagonal if the frames
+    share one block layout there (``walnut_side``): each operator is then the
+    stack of its diagonal blocks diag(symbol_t), symbol_t[p] = symbol[t + p mf],
+    and both rules act block by block.  Otherwise the dense matrices, the
+    frames, ``analysis_r_product`` and ``mixed_frame_operator``."""
     side = ops[0].side
     sides = [walnut_side(frame, side) for frame in frames]
     if (any(op.side != side for op in ops) or None in sides
             or not all(shared_lattice(sides[0], frame) for frame in sides)):
-        return None
-    mf = sides[0].ambient_dim // sides[0].lattice[1]
-    return [op.symbol.reshape(-1, mf).T for op in ops], sides
+        return [op.dense() for op in ops], frames, analysis_r_product, mixed_frame_operator
+    mf, order = sides[0].ambient_dim // sides[0].lattice[1], sides[0].lattice[1]
+    return ([op.symbol.reshape(-1, mf).T[:, :, None] * np.eye(order) for op in ops], sides,
+            lambda frame, x: walnut_r(frame) @ x, walnut_mixed)
 
 
-def block_core(op, left: Frame, right: Frame):
-    """The core R_l O R_r^* on the side where O is diagonal, as the stack of its
-    diagonal blocks R_t^l diag(symbol_t) R_t^r*; None where ``_on_side`` is."""
-    sided = _on_side([op], left, right)
-    if sided is None:
-        return None
-    (lam,), (left, right) = sided
-    # (R_r (R_l diag(symbol))^*)^*, in the order and the layout of ``frame_core``,
-    # so that a time-side core is the dense core's blocks bit for bit
-    return adjoint(walnut_r(right) @ adjoint(walnut_r(left) * lam[:, None, :]))
+def galerkin_core(op, left: Frame, right: Frame):
+    """The core R_l O R_r^* of M(left, right)(O) and the left frame it is formed
+    on (``_operands``): on the side where O is diagonal the stack of its blocks
+    R_t^l diag(symbol_t) R_t^r*, else ``frame_core`` of the dense matrix."""
+    (o,), (left, right), r_product, _ = _operands([as_operator(op)], left, right)
+    return adjoint(r_product(right, adjoint(r_product(left, o)))), left
 
 
 @dataclass
@@ -157,20 +160,16 @@ def _core_product(first: GalerkinMatrix, second: GalerkinMatrix):
 
 def idempotency_residual(op, left: Frame, right: Frame):
     """||M M - M||_2 = ||R_l O (V_r V_l^*) O R_r^* - C||_2 for M = M(left, right)(O)
-    and its core C = R_l O R_r^*, as ``_core_product`` forms it: no entries.
-    On the side where O is diagonal both are block-diagonal, and so is their norm."""
-    op = as_operator(op)
-    sided = _on_side([op], left, right)
-    if sided is None:
-        o = op.dense()
-        square = frame_core(left, right, o @ mixed_frame_operator(right, left, o))
-        core = frame_core(left, right, o)
-    else:
-        (lam,), (left, right) = sided
-        r_l, r_r = walnut_r(left) * lam[:, None, :], adjoint(walnut_r(right))
-        core = r_l @ r_r
-        square = r_l @ walnut_mixed(right, left) @ (lam[:, :, None] * r_r)
-    return float(np.linalg.svd(square - core, compute_uv=False).max())
+    and its core C = R_l O R_r^*, as ``_core_product`` forms it (by blocks where
+    ``_operands`` gives them): no entries."""
+    (o,), (left, right), r_product, mixed = _operands([as_operator(op)], left, right)
+
+    def core(x):
+        return adjoint(r_product(right, adjoint(r_product(left, x))))
+
+    square = core(o @ mixed(right, left, o))
+    # the 2-norm of a stack of blocks is its largest singular value
+    return float(np.linalg.svd(square - core(o), compute_uv=False).max())
 
 
 def _check_maps(op, left: Frame, right: Frame):
@@ -235,15 +234,9 @@ def roundtrip_check(op, phi: Frame, psi: Frame):
     op = as_operator(op)
     _check_maps(op, phi, psi)
     scale = max(op.spectrum.values[0], 1e-300)
-    phid, psid = canonical_dual(phi), canonical_dual(psi)
-    sided = _on_side([op], phi, phid, psid, psi)
-    if sided is None:
-        o = op.dense()
-        left, right = mixed_frame_operator(phi, phid), mixed_frame_operator(psid, psi)
-    else:
-        (lam,), (phi, phid, psid, psi) = sided
-        o = lam[:, :, None] * np.eye(lam.shape[1])
-        left, right = walnut_mixed(phi, phid), walnut_mixed(psid, psi)
+    (o,), (phi, phid, psid, psi), _, mixed = _operands(
+        [op], phi, canonical_dual(phi), canonical_dual(psi), psi)
+    left, right = mixed(phi, phid), mixed(psid, psi)
     first = left @ o @ right
     second = adjoint(left) @ o @ adjoint(right)
     # the 2-norm of a stack of blocks is its largest singular value
@@ -263,16 +256,11 @@ def compose_rule_check(op1, op2, phi: Frame, psi: Frame, xi: Frame):
     op1, op2 = as_operator(op1), as_operator(op2)
     _check_maps(op1, phi, xi)
     _check_maps(op2, xi, psi)
-    sided = _on_side([op1, op2], phi, psi, xi, canonical_dual(xi))
-    if sided is None:
-        left = analysis_r_product(phi, op1.dense())
-        right = analysis_r_product(psi, op2.dense(), adjoint=True)
-        middle = mixed_frame_operator(xi, canonical_dual(xi), right)
-    else:
-        (lam1, lam2), (phi, psi, xi, xid) = sided
-        left = walnut_r(phi) * lam1[:, None, :]
-        right = lam2[:, :, None] * adjoint(walnut_r(psi))
-        middle = walnut_mixed(xi, xid) @ right
+    (o1, o2), (phi, psi, xi, xid), r_product, mixed = _operands(
+        [op1, op2], phi, psi, xi, canonical_dual(xi))
+    left = r_product(phi, o1)
+    right = adjoint(r_product(psi, adjoint(o2)))
+    middle = mixed(xi, xid, right)
     defect = left @ (right - middle)
     lhs = left @ right
     return float(np.linalg.norm(defect) / max(np.linalg.norm(lhs), 1e-300))
@@ -632,8 +620,8 @@ def kappa_factorization_probe(op, phi: Frame, psi: Frame):
     submultiplicative in general, so neither direction is enforced: the
     probe reports both sides, their ratio, and whether lhs <= rhs held.
     The K x K matrices M(phi,psi), G(phi,psi) and G(dual psi,psi) have
-    their spectra computed in the frames' ranges (``block_core`` or
-    ``frame_core``, ``gram_spectrum``).
+    their spectra computed in the frames' ranges (``galerkin_core``,
+    ``gram_spectrum``).
     """
     op = as_operator(op)
     _check_maps(op, phi, psi)
@@ -641,8 +629,7 @@ def kappa_factorization_probe(op, phi: Frame, psi: Frame):
     s = op.spectrum.values
     if not (s[0] > 0 and s[-1] * OPERATOR_COND_CAP >= s[0]):
         raise BijectivityError("operator must be invertible for the kappa probe")
-    core = block_core(op, phi, psi)
-    lhs = spectrum(frame_core(phi, psi, op.dense()) if core is None else core).kappa
+    lhs = spectrum(galerkin_core(op, phi, psi)[0]).kappa
     rhs = (
         gram_spectrum(phi, psi).kappa
         * gram_spectrum(canonical_dual(psi), psi).kappa

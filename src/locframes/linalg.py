@@ -11,7 +11,7 @@ the stack of its diagonal blocks (s x k x k), which ``blockwise`` applies.
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +33,9 @@ def field_array(x):
 
 
 def adjoint(m):
-    """M^* of a matrix, or of every block of a stack."""
-    return np.conj(np.swapaxes(m, -1, -2))
+    """M^* of a matrix, or of every block of a stack; of real data a view,
+    as ``ndarray.conj`` copies complex data only."""
+    return np.swapaxes(m, -1, -2).conj()
 
 
 def blockwise(f, m):
@@ -149,11 +150,11 @@ def spectrum(m, vectors=False):
     if h is None or vectors and m.ndim == 3:
         if vectors:
             u, s, vh = np.linalg.svd(m, full_matrices=False)
-            return _stacked(Spectrum(s, "svd", u=u, vh=vh))
-        return _stacked(Spectrum(np.linalg.svd(m, compute_uv=False), "svd"))
+            return Spectrum(decomposition="svd", u=u, vh=vh, **_union(s))
+        return Spectrum(decomposition="svd", **_union(np.linalg.svd(m, compute_uv=False)))
     if not vectors:
         w = np.linalg.eigvalsh(h)
-        return _stacked(Spectrum(np.abs(w), "eigh", w.ravel()))
+        return Spectrum(decomposition="eigh", eigenvalues=w.ravel(), **_union(np.abs(w)))
     w, v = np.linalg.eigh(h)
     order = np.argsort(-np.abs(w), kind="stable")
     w, u = w[order], v[:, order]
@@ -161,11 +162,10 @@ def spectrum(m, vectors=False):
     return Spectrum(np.abs(w), "eigh", w, u, vh)
 
 
-def _stacked(spec):
-    """``spec`` with its values sorted descending; a stack's per block in ``blocks``."""
-    values = spec.values
-    return replace(spec, values=np.sort(values.ravel())[::-1],
-                   blocks=values if values.ndim == 2 else None)
+def _union(s):
+    """The ``values`` of singular values ``s``, sorted descending, and of a
+    stack each block's as ``blocks``."""
+    return {"values": np.sort(s.ravel())[::-1], "blocks": s if s.ndim == 2 else None}
 
 
 def pseudo_inverse(m):

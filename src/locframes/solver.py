@@ -7,10 +7,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionMismatchError, InvalidInputError
-from .frames import (Frame, analysis, analysis_r_adjoint, analysis_r_product, frame_core,
-                     walnut_side)
+from .frames import Frame, analysis, analysis_r_adjoint, analysis_r_product
 # galerkin_matrix is re-exported: callers import it from this module
-from .galerkin import LinearOperator, as_operator, block_core, galerkin_matrix  # noqa: F401
+from .galerkin import LinearOperator, as_operator, galerkin_core, galerkin_matrix  # noqa: F401
 from .indexing import IndexSet
 from .linalg import adjoint, blockwise, field_array, hermitian_defect, spectrum
 
@@ -471,7 +470,7 @@ def frame_galerkin_solve(op, g, phi: Frame, method="cg", tol=DEFAULT_TOL):
     matrix is uniquely solvable.  M is never assembled, nor is Q:
     ``_solve_level`` solves the n x n core R O R^* with right side R g,
     and the ambient solution is f = V Q c = R^* c, R applied by its Walnut blocks.
-    An operator diagonal on one side of a lattice frame (``block_core``) is
+    An operator diagonal on one side of a lattice frame (``galerkin_core``) is
     solved there on its block-diagonal core, with R^ F in place of R.
     A zero operator and a right side outside the range of a singular core are
     rejected.  The final check compares ||O f - g|| against the requested tolerance.
@@ -481,10 +480,7 @@ def frame_galerkin_solve(op, g, phi: Frame, method="cg", tol=DEFAULT_TOL):
     if g.shape != (phi.ambient_dim,):
         raise DimensionMismatchError(
             f"vector of length {g.shape} against ambient dim {phi.ambient_dim}")
-    core = block_core(op, phi, phi)
-    side = phi if core is None else walnut_side(phi, op.side)
-    if core is None:
-        core = frame_core(phi, phi, op.dense())
+    core, side = galerkin_core(op, phi, phi)
     if not core.any():
         raise InvalidInputError("condition number of the zero matrix is undefined")
     # a side other than phi's own is the Fourier side, where R^ F stands for R

@@ -23,8 +23,8 @@ from locframes import (
 from locframes.errors import LocframesError
 from locframes.frames import frame_core
 from locframes.galerkin import (
-    block_core,
     compose_rule_check,
+    galerkin_core,
     idempotency_residual,
     kappa_factorization_probe,
     roundtrip_check,
@@ -95,9 +95,10 @@ def assert_solves_match(op, frame, method):
     assert report.converged == report_ref.converged
     for key in ("kappa_dagger", "inverse_norm"):
         assert getattr(level, key) == pytest.approx(getattr(level_ref, key), rel=1e-12)
-    # CG on the normal equations stops at its tolerance of 1e-10: the two
-    # solutions agree to that, amplified by the squared condition number
-    assert relative(f, f_ref) <= (1e-9 if level.normal_equations else 1e-12)
+    # CG on the normal equations runs tens of steps to its tolerance of
+    # 1e-10, carrying the rounding of the block and the dense products: the
+    # two solutions agree to 6.1e-12 on Gabor 144/12/6, not to 1e-12
+    assert relative(f, f_ref) <= (1e-11 if level.normal_equations else 1e-12)
 
 
 def assert_checks_match(op, frame):
@@ -131,7 +132,8 @@ class TestSymbolOperator:
 
     def test_dense_matrix_is_built_on_first_use(self):
         op = make_test_operator("identity_minus_kernel", 16, theta=0.5)
-        assert op._matrix is None
+        # neither the matrix nor the symbol (an FFT) is formed with the operator
+        assert op._matrix is None and "symbol" not in vars(op)
         m = op.dense()
         # exactly circulant: every row is the first column shifted
         for i in range(16):
@@ -153,7 +155,7 @@ class TestSides:
         frame, _ = gabor_twins
         n, (a, b) = frame.ambient_dim, frame.lattice
         op = make_operator(name, n)
-        core = block_core(op, frame, frame)
+        core, _ = galerkin_core(op, frame, frame)
         # n / a blocks of order a on the Fourier side, n / b of order b on the time side
         assert core.shape == ((n // b, b, b) if op.side == "time" else (n // a, a, a))
         dense_core = frame_core(frame, frame, op.dense())
@@ -182,8 +184,9 @@ class TestSides:
         op = make_test_operator("identity_minus_kernel", n, theta=0.5)
         dense = held_dense(op)
         for other in others:
-            assert block_core(op, frame, other) is None
-            assert (block_core(op, other, other) is None) == (other.lattice is None)
+            # a dense core is one n x n matrix, a block core a stack
+            assert galerkin_core(op, frame, other)[0].ndim == 2
+            assert (galerkin_core(op, other, other)[0].ndim == 2) == (other.lattice is None)
             if other.size == frame.size:
                 # the dense rule, scaled by ||O|| from the symbol
                 assert roundtrip_check(op, frame, other) == pytest.approx(
@@ -196,7 +199,7 @@ class TestSides:
         level, level_ref = report.levels[0].to_dict(), report_ref.levels[0].to_dict()
         assert level.pop("residual") == pytest.approx(level_ref.pop("residual"), rel=1e-3)
         assert level == level_ref
-        assert block_core(dense, frame, frame) is None
+        assert galerkin_core(dense, frame, frame)[0].ndim == 2
 
 
 class TestMatchesDense:
