@@ -26,7 +26,6 @@ from .frames import (
     Frame,
     FrameBounds,
     analysis,
-    analysis_r,
     canonical_dual,
     frame_bounds,
     frame_operator,

@@ -11,7 +11,7 @@ from .errors import (
     NotAFrameError,
 )
 from .indexing import IndexSet
-from .linalg import Spectrum, field_array
+from .linalg import field_array
 
 BOUND_RANK_TOL = 1e-10
 TIGHT_REL_TOL = 1e-10
@@ -200,64 +200,28 @@ def shared_lattice(left: Frame, right: Frame):
             == (right.lattice, right.ambient_dim, right.size))
 
 
-def analysis_r(frame: Frame):
-    """The factor R (r x n, r = min(K, n)) of the analysis matrix V^* = Q R,
-    Q with orthonormal columns, which is never formed: R_0 itself for one
-    block, else the block-sparse R[(t, p), t + p' mf] = R_t[p, p']."""
-    r_t = walnut_r(frame)
-    if len(r_t) == 1:
-        return r_t[0]
-    return analysis_r_product(frame, np.eye(frame.ambient_dim))
-
-
-def analysis_r_product(frame: Frame, x, adjoint=False):
-    """R X, or X R^* with ``adjoint``, for the factor R of ``analysis_r``:
-    R = diag_t(R_t) P, and R X is one batched product over the mf Walnut
-    blocks R_t, n^2 b flops instead of n^3 for a Gabor frame."""
-    if adjoint:
-        return np.conj(analysis_r_product(frame, np.conj(x.T)).T)
+def analysis_r_product(frame: Frame, x):
+    """R X for the factor R (r x n, r = min(K, n)) of the analysis matrix
+    V^* = Q R, Q with orthonormal columns; neither is formed.  R = diag_t(R_t) P,
+    R[(t, p), t + p' mf] = R_t[p, p'], and R X is one batched product over the
+    mf Walnut blocks R_t, n^2 b flops instead of n^3 for a Gabor frame."""
     r_t = walnut_r(frame)
     return (r_t @ _grouped(x, len(r_t))).reshape(-1, x.shape[1])
 
 
 def analysis_r_adjoint(frame: Frame, c):
-    """R^* c for the factor R of ``analysis_r``, one Walnut block at a time:
+    """R^* c for the factor R of ``analysis_r_product``, one Walnut block at a time:
     (R^* c)[t + p mf] = (R_t^* c_t)[p], with c_t the t-th of the mf blocks of c."""
     r_t = walnut_r(frame)
     f_t = np.conj(r_t.transpose(0, 2, 1)) @ c.reshape(len(r_t), -1, 1)
     return f_t[:, :, 0].T.reshape(-1)
 
 
-def frame_core(left: Frame, right: Frame, x):
-    """R_l X R_r^*, the n x n core of the Galerkin matrix V_l^* X V_r."""
-    return analysis_r_product(right, analysis_r_product(left, x), adjoint=True)
-
-
-def gram_spectrum(left: Frame, right: Frame):
-    """``Spectrum`` of the Gram core R_l R_r^*, by its SVD: for frames of one
-    block layout the singular values of its mf diagonal blocks R_t^l R_t^r*."""
-    if not shared_lattice(left, right):
-        core = analysis_r(left) @ np.conj(analysis_r(right).T)
-        return Spectrum(np.linalg.svd(core, compute_uv=False), "svd")
-    blocks = walnut_r(left) @ np.conj(walnut_r(right).transpose(0, 2, 1))
-    return Spectrum(np.sort(np.linalg.svd(blocks, compute_uv=False).ravel())[::-1], "svd")
-
-
 def mixed_frame_operator(left: Frame, right: Frame, x=None):
-    """V_left V_right^* X, with X = I by default.
-
-    For frames of one block layout V_left V_right^* = P^* diag_t(D_t) P
-    with the b x b blocks D_t = B_t^left* B_t^right (n m b flops); any
-    other pair takes V_left (V_right^* X)."""
-    if not shared_lattice(left, right):
-        v = np.conj(right.vectors.T)
-        return left.vectors @ v if x is None else left.vectors @ (v @ x)
-    blocks = walnut_mixed(left, right)
-    if x is None:
-        if len(blocks) == 1:
-            return blocks[0]
-        x = np.eye(left.ambient_dim)
-    return (blocks @ _grouped(x, len(blocks))).transpose(1, 0, 2).reshape(x.shape)
+    """V_left V_right^* X, with X = I by default, as V_left (V_right^* X): the
+    dense rule, whose blocks ``walnut_mixed`` gives for frames of one block layout."""
+    v = np.conj(right.vectors.T)
+    return left.vectors @ v if x is None else left.vectors @ (v @ x)
 
 
 def walnut_mixed(left: Frame, right: Frame, x=None):

@@ -17,9 +17,8 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
 )
-from .frames import (Frame, analysis_matrix, analysis_r, analysis_r_product, canonical_dual,
-                     frame_core, gram, gram_spectrum, mixed_frame_operator, shared_lattice,
-                     walnut_mixed, walnut_r, walnut_side)
+from .frames import (Frame, analysis_matrix, analysis_r_product, canonical_dual, gram,
+                     mixed_frame_operator, shared_lattice, walnut_mixed, walnut_r, walnut_side)
 from .linalg import Spectrum, adjoint, field_array, spectrum
 from .opnorms import space_operator_norm, weighted_column_blocks, weighted_matrix
 from .weights import SeqSpaceSpec, column_p_norms, seq_norm
@@ -116,22 +115,27 @@ def _operands(ops, *frames):
             lambda frame, x: walnut_r(frame) @ x, walnut_mixed)
 
 
+def _core(r_product, left: Frame, right: Frame, x):
+    """R_l X R_r^*, the n x n core of V_l^* X V_r, by the rule R X of ``_operands``."""
+    return adjoint(r_product(right, adjoint(r_product(left, x))))
+
+
 def galerkin_core(op, left: Frame, right: Frame):
     """The core R_l O R_r^* of M(left, right)(O) and the left frame it is formed
     on (``_operands``): on the side where O is diagonal the stack of its blocks
-    R_t^l diag(symbol_t) R_t^r*, else ``frame_core`` of the dense matrix."""
+    R_t^l diag(symbol_t) R_t^r*, else the n x n core of the dense matrix."""
     (o,), (left, right), r_product, _ = _operands([as_operator(op)], left, right)
-    return adjoint(r_product(right, adjoint(r_product(left, o)))), left
+    return _core(r_product, left, right, o), left
 
 
 @dataclass
 class GalerkinMatrix:
     """Matrix <O xi_l, phi_k> with its generating frames and operator.
 
-    With the frames' analysis factors V^* = Q R (``analysis_r``; Q is never
-    formed) the matrix equals Q_left core Q_right^*, with the at most n x n
-    core R_left O R_right^*.  The sequence spaces it acts between are not
-    part of it: ``schur_certificate`` takes their weights.
+    With the frames' analysis factors V^* = Q R (Q is never formed) the
+    matrix equals Q_left C Q_right^* for the at most n x n core
+    C = R_left O R_right^* (``galerkin_core``).  The sequence spaces it acts
+    between are not part of it: ``schur_certificate`` takes their weights.
     """
 
     entries: np.ndarray
@@ -144,32 +148,16 @@ class GalerkinMatrix:
         """The ambient dimension, which the rank cannot exceed."""
         return min(self.left_frame.ambient_dim, self.right_frame.ambient_dim)
 
-    @cached_property
-    def core(self):
-        return frame_core(self.left_frame, self.right_frame, self.generator.dense())
-
-
-def _core_product(first: GalerkinMatrix, second: GalerkinMatrix):
-    """Core of ``first.entries @ second.entries``, C_1 (Q_1r^* Q_2l) C_2 =
-    R_1l O_1 (V_1r V_2l^*) O_2 R_2r^*: no inverse of R, so K < n is fine,
-    and on a lattice pair the middle factor is block-diagonal."""
-    o1, o2 = first.generator.dense(), second.generator.dense()
-    middle = mixed_frame_operator(first.right_frame, second.left_frame, o2)
-    return frame_core(first.left_frame, second.right_frame, o1 @ middle)
-
 
 def idempotency_residual(op, left: Frame, right: Frame):
     """||M M - M||_2 = ||R_l O (V_r V_l^*) O R_r^* - C||_2 for M = M(left, right)(O)
-    and its core C = R_l O R_r^*, as ``_core_product`` forms it (by blocks where
-    ``_operands`` gives them): no entries."""
+    and its core C = R_l O R_r^* (``_core``, by blocks where ``_operands`` gives
+    them): no inverse of R, so K < n is fine, and no entries."""
     (o,), (left, right), r_product, mixed = _operands([as_operator(op)], left, right)
-
-    def core(x):
-        return adjoint(r_product(right, adjoint(r_product(left, x))))
-
-    square = core(o @ mixed(right, left, o))
+    square = _core(r_product, left, right, o @ mixed(right, left, o))
     # the 2-norm of a stack of blocks is its largest singular value
-    return float(np.linalg.svd(square - core(o), compute_uv=False).max())
+    return float(np.linalg.svd(square - _core(r_product, left, right, o),
+                               compute_uv=False).max())
 
 
 def _check_maps(op, left: Frame, right: Frame):
@@ -606,10 +594,16 @@ def _range_projection_defect(dagger: GalerkinMatrix, m: GalerkinMatrix):
     """||dagger M - G||_2 / max(||G||_2, 1) for the projection G = Psi~^* Psi.
 
     dagger M and G share the outer factors Q_{dual psi} and Q_psi^*, so
-    both norms are those of n x n cores.
+    both norms are those of n x n cores (``_core``): R O^{-1} (V_{dual phi}
+    V_phi^*) O R^* for dagger M and R I R^* for G.
     """
-    projection = analysis_r(dagger.left_frame) @ np.conj(analysis_r(m.right_frame).T)
-    residual = np.linalg.norm(_core_product(dagger, m) - projection, 2)
+    identity = LinearOperator(np.ones(m.generator.shape[0]), side="time")
+    (inv, o, eye), (psid, phid, phi, psi), r_product, mixed = _operands(
+        [dagger.generator, m.generator, identity], dagger.left_frame, dagger.right_frame,
+        m.left_frame, m.right_frame)
+    projection = _core(r_product, psid, psi, eye)
+    residual = np.linalg.norm(_core(r_product, psid, psi, inv @ mixed(phid, phi, o))
+                              - projection, 2)
     return float(residual / max(np.linalg.norm(projection, 2), 1.0))
 
 
@@ -620,8 +614,9 @@ def kappa_factorization_probe(op, phi: Frame, psi: Frame):
     submultiplicative in general, so neither direction is enforced: the
     probe reports both sides, their ratio, and whether lhs <= rhs held.
     The K x K matrices M(phi,psi), G(phi,psi) and G(dual psi,psi) have
-    their spectra computed in the frames' ranges (``galerkin_core``,
-    ``gram_spectrum``).
+    their spectra computed in the frames' ranges, from the cores
+    (``galerkin_core``) of O and of the identity, held on the time side so
+    that a lattice pair's Gram cores are the mf blocks R_t^l R_t^r* of order b.
     """
     op = as_operator(op)
     _check_maps(op, phi, psi)
@@ -629,10 +624,11 @@ def kappa_factorization_probe(op, phi: Frame, psi: Frame):
     s = op.spectrum.values
     if not (s[0] > 0 and s[-1] * OPERATOR_COND_CAP >= s[0]):
         raise BijectivityError("operator must be invertible for the kappa probe")
+    identity = LinearOperator(np.ones(op.shape[0]), side="time")
     lhs = spectrum(galerkin_core(op, phi, psi)[0]).kappa
     rhs = (
-        gram_spectrum(phi, psi).kappa
-        * gram_spectrum(canonical_dual(psi), psi).kappa
+        spectrum(galerkin_core(identity, phi, psi)[0]).kappa
+        * spectrum(galerkin_core(identity, canonical_dual(psi), psi)[0]).kappa
         * op.spectrum.kappa
     )
     return {

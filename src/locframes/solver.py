@@ -11,7 +11,7 @@ from .frames import Frame, analysis, analysis_r_adjoint, analysis_r_product
 # galerkin_matrix is re-exported: callers import it from this module
 from .galerkin import LinearOperator, as_operator, galerkin_core, galerkin_matrix  # noqa: F401
 from .indexing import IndexSet
-from .linalg import adjoint, blockwise, field_array, hermitian_defect, spectrum
+from .linalg import EPS, adjoint, blockwise, field_array, hermitian_defect, spectrum
 
 PROJECTION_TOL = 1e-10
 DEFAULT_TOL = 1e-8
@@ -51,11 +51,9 @@ def _span_basis(vectors):
 
 def _section(q, a, y):
     """The core Q_N^* A Q_N, the right side Q_N^* y and the lift c -> Q_N c;
-    when Q_N selects columns k of the identity, given as the indices k or as
-    Q_N with entries 0 or 1, the core A[k][:, k] (A itself for every index
-    in order), y[k] and a scatter."""
-    if q.ndim == 2 and ((q == 0) | (q == 1)).all():
-        q = np.argmax(q != 0, axis=0)
+    when Q_N selects columns k of the identity, given as the indices k
+    (``_span_basis``), the core A[k][:, k] (A itself for every index in order),
+    y[k] and a scatter."""
     if q.ndim == 1:
         core = a if np.array_equal(q, np.arange(len(a))) else a[np.ix_(q, q)]
 
@@ -418,7 +416,10 @@ def finite_section_solve(a, y, schedule: ProjectionSchedule, method="direct",
     reuse = lam is not None and q.shape[-1] == n
     report.contraction_norm = float(np.abs(1 - lam).max() if reuse
                                     else spectrum(np.eye(n) - dense).values[0])
-    report.contraction_sufficient = bool(report.contraction_norm < 1)
+    # the norm is accurate to about n u ||A||_2 <= n u (1 + ||I - A||_2): at
+    # ||I - A||_2 = 1 rounding must not decide the verdict
+    report.contraction_sufficient = bool(
+        report.contraction_norm < 1 - n * EPS * (1 + report.contraction_norm))
     # the last level's section is A: a rank-deficient one makes a dense
     # solve of A rounding noise (norm ~ 1/eps), not a reference
     if not report.levels[-1].singular:

@@ -6,13 +6,13 @@ import pytest
 from locframes import (
     Frame,
     IndexSet,
-    analysis_r,
     gaussian_window,
     make_gabor_frame,
     make_onb,
     make_perturbed_onb,
     make_translates_frame,
 )
+from locframes.frames import analysis_r_product
 
 
 def decaying_generator(n, tail=0.25, exponent=3.0):
@@ -43,7 +43,8 @@ def complex_copy(frame):
 def analysis_q(frame):
     """Q = V^* R^+ of the analysis matrix V^* = Q R, which the package never
     forms: for lifting an n x n core back to K x K."""
-    return np.conj(frame.vectors.T) @ np.linalg.pinv(analysis_r(frame))
+    r = analysis_r_product(frame, np.eye(frame.ambient_dim))
+    return np.conj(frame.vectors.T) @ np.linalg.pinv(r)
 
 
 def riesz_sequence():

@@ -13,7 +13,6 @@ from locframes import (
     MatrixAlgebraSpec,
     SeqSpaceSpec,
     Weight,
-    analysis_r,
     canonical_dual,
     decay_fit,
     dual_pairing,
@@ -28,8 +27,8 @@ from locframes import (
     weight_admissible,
 )
 from locframes import linalg
-from locframes.frames import frame_core
-from locframes.galerkin import LinearOperator
+from locframes.frames import analysis_r_product
+from locframes.galerkin import LinearOperator, galerkin_core
 from locframes.indexing import IndexSet
 from locframes.linalg import DEFAULT_RANK_TOL, hermitian_defect, spectrum
 from locframes.opnorms import exact_operator_norm
@@ -456,7 +455,7 @@ def assert_core_spectrum_matches_dense(left, right, x):
     """Spectrum, kappa and pseudo-inverse of V_l^* X V_r = Q_l C Q_r^* from its
     core C = R_l X R_r^*, against a dense SVD."""
     dense = np.conj(left.vectors.T) @ (right.vectors if x is None else x @ right.vectors)
-    core = frame_core(left, right, np.eye(left.ambient_dim) if x is None else x)
+    core = galerkin_core(np.eye(left.ambient_dim) if x is None else x, left, right)[0]
     spec = spectrum(core, vectors=True)
     s = np.linalg.svd(dense, compute_uv=False)
     rank = spec.rank
@@ -502,14 +501,15 @@ class TestRangeSpectrum:
     def test_qr_is_cached_and_frozen(self, suite_frames):
         # a dense frame caches its one block R_0, a Gabor frame its Walnut R_t
         dense, gabor = suite_frames["ponb"], suite_frames["gabor16"]
-        r = analysis_r(dense)
+        r = analysis_r_product(dense, np.eye(64))
         r_0 = dense._r
-        assert np.shares_memory(analysis_r(dense), r_0) and dense._r is r_0
+        analysis_r_product(dense, np.eye(64))
+        assert dense._r is r_0
         assert r_0.shape == (1, 64, 64) and not r_0.flags.writeable
-        assert r.shape == (64, 64) and not r.flags.writeable
-        assert analysis_r(gabor).shape == (16, 16)
+        assert r.shape == (64, 64)
+        assert analysis_r_product(gabor, np.eye(16)).shape == (16, 16)
         r_t = gabor._r
-        analysis_r(gabor)
+        analysis_r_product(gabor, np.eye(16))
         assert gabor._r is r_t
         assert r_t.shape == (8, 2, 2) and not r_t.flags.writeable
 

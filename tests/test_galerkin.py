@@ -16,7 +16,6 @@ from locframes import (
     SeqSpaceSpec,
     Weight,
     analysis,
-    analysis_r,
     bounded_equiv_check,
     canonical_dual,
     compose_rule_check,
@@ -40,14 +39,14 @@ from locframes import (
     seq_norm,
 )
 from locframes.frames import (
-    frame_core,
-    gram_spectrum,
+    analysis_r_product,
     mixed_frame_operator,
     shared_lattice,
+    walnut_r,
 )
 from locframes.cli import main as cli_main
 from locframes.galerkin import (CERTIFICATE_CASES, _phase, _range_projection_defect,
-                                 certificate_probe_norm)
+                                 certificate_probe_norm, galerkin_core)
 from locframes.linalg import (generalized_condition_number, hermitian_defect, pseudo_inverse,
                               spectrum)
 from locframes.opnorms import exact_operator_norm, weighted_column_blocks, weighted_matrix
@@ -497,7 +496,7 @@ class TestGaborStructureAgreesWithDense:
         op = make_test_operator("identity_minus_kernel", gabor_twins[0].ambient_dim,
                                 theta=0.5).dense()
         structured, dense = (
-            spectrum(frame_core(f, canonical_dual(f), op)) for f in gabor_twins
+            spectrum(galerkin_core(op, f, canonical_dual(f))[0]) for f in gabor_twins
         )
         rank = dense.rank
         assert structured.rank == rank
@@ -600,32 +599,52 @@ class TestFactoredDiagnosticsAgreeWithDense:
             assert kappa[key] == pytest.approx(dense_kappa[key], rel=1e-12)
         assert kappa["submultiplicative"] == dense_kappa["submultiplicative"]
         gm = galerkin_matrix(op, phi, psi)
-        dense_core = analysis_r(phi) @ op.dense() @ np.conj(analysis_r(psi).T)
-        assert np.linalg.norm(gm.core - dense_core) <= 1e-12 * np.linalg.norm(dense_core)
-        factored = analysis_q(phi) @ gm.core @ np.conj(analysis_q(psi).T)
+        core = galerkin_core(op.dense(), phi, psi)[0]
+        r_phi, r_psi = (analysis_r_product(f, np.eye(f.ambient_dim)) for f in (phi, psi))
+        dense_core = r_phi @ op.dense() @ np.conj(r_psi.T)
+        assert np.linalg.norm(core - dense_core) <= 1e-12 * np.linalg.norm(dense_core)
+        factored = analysis_q(phi) @ core @ np.conj(analysis_q(psi).T)
         assert np.linalg.norm(factored - gm.entries) <= 1e-12 * np.linalg.norm(gm.entries)
 
     def test_lattice_solve_spectrum_matches_dense_twin(self, gabor_twins):
         frame, dense = gabor_twins
         op = make_test_operator("identity_minus_kernel", frame.ambient_dim,
                                 theta=0.5).dense()
-        structured = np.linalg.svd(frame_core(frame, frame, op), compute_uv=False)
-        spec = spectrum(frame_core(dense, dense, op))
+        structured = np.linalg.svd(galerkin_core(op, frame, frame)[0], compute_uv=False)
+        spec = spectrum(galerkin_core(op, dense, dense)[0])
         reference = spec.values[:spec.rank]
         assert structured.shape == reference.shape
         assert np.max(np.abs(structured - reference)) <= 1e-12 * reference[0]
 
-    @pytest.mark.parametrize("other", ["lattice", "translates"])
+    @pytest.mark.parametrize("other", ["lattice", "translates", "shared", "dense"])
     def test_unshared_lattices_take_the_dense_gram_path(self, other):
-        phi = make_gabor_frame(32, 4, 4, gaussian_window(32))
-        psi = (make_gabor_frame(32, 2, 4, gaussian_window(32)) if other == "lattice"
-               else make_translates_frame(32, decaying_generator(32)))
-        assert not shared_lattice(phi, psi) and not shared_lattice(psi, phi)
-        core = analysis_r(phi) @ np.conj(analysis_r(psi).T)
-        spec = gram_spectrum(phi, psi)
-        assert spec.decomposition == "svd"
-        assert np.array_equal(spec.values,
-                              np.linalg.svd(core, compute_uv=False))
+        # the kappa probe's Gram cores R_l R_r^* are the cores of the identity
+        # held on the time side: mf Walnut blocks of order b for a shared
+        # lattice, the dense n x n core for any other pair
+        n = 32
+        phi = make_gabor_frame(n, 4, 4, gaussian_window(n))
+        if other == "lattice":
+            psi = make_gabor_frame(n, 2, 4, gaussian_window(n))
+        elif other == "translates":
+            psi = make_translates_frame(n, decaying_generator(n))
+        else:
+            psi = lattice_partner(phi, "window")
+            if other == "dense":
+                phi, psi = dense_twin(phi), dense_twin(psi)
+        assert shared_lattice(phi, psi) == (other in ("shared", "dense"))
+        eye = LinearOperator(np.ones(n), side="time")
+        kappas = []
+        for left in (phi, canonical_dual(psi)):
+            core = galerkin_core(eye, left, psi)[0]
+            blocks = left.lattice is not None and shared_lattice(left, psi)
+            # b = 4 on every lattice here, and n / b = 8 blocks
+            assert core.shape == ((n // 4, 4, 4) if blocks else (n, n))
+            r_l, r_r = (analysis_r_product(f, np.eye(n)) for f in (left, psi))
+            dense = np.linalg.svd(r_l @ np.conj(r_r.T), compute_uv=False)
+            assert np.abs(spectrum(core).values - dense).max() <= 1e-12 * dense[0]
+            kappas.append(dense[0] / dense[-1])
+        rhs = kappa_factorization_probe(eye, phi, psi)["rhs"]
+        assert rhs == pytest.approx(kappas[0] * kappas[1], rel=1e-12)
 
     def test_unshared_lattices_take_the_dense_mixed_operator(self, rng):
         # K = 128 on both lattices, so that V_phi V_psi^* is defined
@@ -650,7 +669,7 @@ class TestFactoredDiagnosticsAgreeWithDense:
         riesz = riesz_sequence()
         assert not shared_lattice(f, riesz) and not shared_lattice(riesz, f)
         reference = np.linalg.qr(np.conj(f.vectors.T), mode="r")
-        assert np.array_equal(analysis_r(f), reference)
+        assert np.array_equal(walnut_r(f)[0], reference)
         x = random_matrix(rng, 64)
         dense = f.vectors @ (np.conj(d.vectors.T) @ x)
         gap = np.linalg.norm(mixed_frame_operator(f, d, x) - dense)
@@ -704,7 +723,8 @@ class TestFactoredDiagnosticsAgreeWithDense:
     def test_entries_equal_factored_form(self, suite_frames, rng):
         phi, psi = suite_frames["gabor64"], suite_frames["translates"]
         gm = galerkin_matrix(random_matrix(rng, 64), phi, psi)
-        factored = analysis_q(phi) @ gm.core @ np.conj(analysis_q(psi).T)
+        core = galerkin_core(gm.generator, phi, psi)[0]
+        factored = analysis_q(phi) @ core @ np.conj(analysis_q(psi).T)
         assert np.linalg.norm(factored - gm.entries) <= 1e-12 * np.linalg.norm(gm.entries)
         assert gm.rank_bound == 64
 
@@ -990,7 +1010,8 @@ class TestNumberField:
         twin_phi, twin_psi = twin_frames(phi, psi)
         gm = galerkin_matrix(op, phi, canonical_dual(psi))
         twin = galerkin_matrix(twin_op, twin_phi, canonical_dual(twin_psi))
-        assert gm.entries.dtype == np.float64 and gm.core.dtype == np.float64
+        core = galerkin_core(op, phi, canonical_dual(psi))[0]
+        assert gm.entries.dtype == np.float64 and core.dtype == np.float64
         assert twin.entries.dtype == np.complex128
         scale = np.linalg.norm(twin.entries)
         assert np.linalg.norm(gm.entries - twin.entries) <= 1e-12 * scale

@@ -30,7 +30,8 @@ from locframes import (
 )
 from locframes import solver
 from locframes.cli import main
-from locframes.frames import analysis_r, frame_core
+from locframes.frames import analysis_r_product
+from locframes.galerkin import galerkin_core
 from locframes.linalg import field_array, hermitian_defect, spectrum
 from locframes.solver import PROJECTION_TOL, _section, _span_basis
 
@@ -196,16 +197,19 @@ class TestCoordinateSpanBasis:
         c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         k = np.array([3, 0, 9, 4])
         q = np.eye(n)[:, k]
-        core, b, lift = _section(q, a, y)
+        core, b, lift = _section(k, a, y)
         assert np.array_equal(core, a[np.ix_(k, k)])
         assert np.array_equal(core, np.conj(q.T) @ a @ q)
         # restriction gathers y[k], the lift scatters c into zeros: the
-        # bits of the 0/1 products
+        # bits of the 0/1 products, which the same selection given as Q_N takes
         assert np.array_equal(b, np.conj(q.T) @ y)
         assert np.array_equal(lift(c), q @ c)
+        q_core, q_b, q_lift = _section(q, a, y)
+        assert np.array_equal(q_core, core) and np.array_equal(q_b, b)
+        assert np.array_equal(q_lift(c), lift(c))
         # every index in order selects A itself, with no copy
-        assert _section(np.eye(n), a, y)[0] is a
-        assert _section(np.eye(n)[:, ::-1], a, y)[0] is not a
+        assert _section(np.arange(n), a, y)[0] is a
+        assert _section(np.arange(n)[::-1], a, y)[0] is not a
         flipped = q * np.array([1, -1, 1, 1])
         core, b, lift = _section(flipped, a, y)
         assert np.array_equal(core, np.conj(flipped.T) @ a @ flipped)
@@ -391,6 +395,12 @@ def contraction_case(name, rng):
         with pytest.warns(UserWarning, match="singular"):
             a = make_test_operator("identity_minus_kernel", n, theta=1.0)
         return a.dense(), make_onb(n), 0
+    if name == "singular_not_spanning":
+        # 24 coordinate vectors: ||I - A||_2 = 1 comes from spectrum(I - A),
+        # which reads it a few units of roundoff below 1
+        with pytest.warns(UserWarning, match="singular"):
+            a = make_test_operator("identity_minus_kernel", n, theta=1.0)
+        return a.dense(), Frame(np.eye(n)[:, :24], IndexSet.ring(24)), 1
     if name == "helmholtz":
         return make_test_operator("helmholtz_toy", n).dense(), make_onb(n), 0
     if name == "indefinite_with_zeros":
@@ -417,9 +427,10 @@ class TestContractionNorm:
     spans C^n and took eigh, and from spectrum(I - A) otherwise."""
 
     @pytest.mark.parametrize("method", ["direct", "cg"])
-    @pytest.mark.parametrize("name", ["kernel", "singular_kernel", "helmholtz",
-                                      "indefinite_with_zeros", "zeros_set_the_norm",
-                                      "perturbed_onb", "not_spanning", "non_hermitian"])
+    @pytest.mark.parametrize("name", ["kernel", "singular_kernel", "singular_not_spanning",
+                                      "helmholtz", "indefinite_with_zeros",
+                                      "zeros_set_the_norm", "perturbed_onb", "not_spanning",
+                                      "non_hermitian"])
     def test_matches_the_spectral_norm(self, rng, monkeypatch, name, method):
         a, frame, fallbacks = contraction_case(name, rng)
         n = len(a)
@@ -440,7 +451,8 @@ class TestContractionNorm:
         assert abs(rep.contraction_norm - expected) <= n * eps * np.linalg.norm(a, 2)
         # the verdict agrees with the one spectrum(I - A) gives; for the
         # singular kernel ||I - A||_2 = 1 exactly, which is no contraction
-        if name == "singular_kernel":
+        # whichever path reads it
+        if name.startswith("singular"):
             assert rep.contraction_sufficient is False
         else:
             assert rep.contraction_sufficient == bool(spectrum(np.eye(n) - a).values[0] < 1)
@@ -641,12 +653,13 @@ class TestRichardson:
         frame = suite_frames[name]
         n = frame.ambient_dim
         op = make_test_operator("identity_minus_kernel", n, theta=0.5).dense()
-        for core in (frame_core(frame, frame, op),
-                     frame_core(frame, frame, np.diag((-1.0) ** np.arange(n) + 0.5))):
+        for core in (galerkin_core(op, frame, frame)[0],
+                     galerkin_core(np.diag((-1.0) ** np.arange(n) + 0.5), frame, frame)[0]):
             spec = spectrum(core)
             s = spec.values[:spec.rank]
             relaxation = 2.0 / (s[0] + s[-1])
-            b = analysis_r(frame) @ (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            b = analysis_r_product(frame, np.eye(n)) @ (rng.standard_normal(n)
+                                                         + 1j * rng.standard_normal(n))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 res = richardson_solve(core, b, relaxation)
