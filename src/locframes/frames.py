@@ -103,15 +103,6 @@ class Frame:
         return f"Frame({self.name!r}, n={self.ambient_dim}, K={self.size})"
 
 
-def analysis_matrix(frame: Frame):
-    """V^* = conj(vectors^T) as a new array; a frame held as its window forms it
-    in place of its vectors, which it neither builds nor keeps."""
-    if frame._vectors is not None:
-        return np.conj(frame.vectors.T)
-    v = gabor_system(frame.window, *frame.lattice, order=frame._order)
-    return np.conj(v, out=v).T
-
-
 # -- canonical operators ----------------------------------------------------
 
 

@@ -17,7 +17,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
 )
-from .frames import (Frame, analysis_matrix, analysis_r_product, canonical_dual, gram,
+from .frames import (Frame, _walnut_blocks, analysis_r_product, canonical_dual, gram,
                      mixed_frame_operator, shared_lattice, walnut_mixed, walnut_r, walnut_side)
 from .linalg import Spectrum, adjoint, field_array, spectrum
 from .opnorms import space_operator_norm, weighted_column_blocks, weighted_matrix
@@ -26,8 +26,9 @@ from .weights import SeqSpaceSpec, column_p_norms, seq_norm
 CHECK_SLACK = 1e-8
 PSEUDOINVERSE_CHECK_TOL = 1e-9
 OPERATOR_COND_CAP = 1e12
-# columns per block of an assembled Galerkin matrix: BLAS re-packs the K x n
-# analysis factor for every block, which narrower blocks pay for in time
+# columns per block of an assembled Galerkin matrix: the GEMM rule's BLAS
+# re-packs the K x n analysis factor for every block, which narrower blocks
+# pay for in time
 ASSEMBLY_COLUMNS = 256
 # the two_two range finder: extra columns over the rank bound, the first
 # width tried without one, the residual ||E||_F / ||mb||_F at which it
@@ -64,8 +65,9 @@ class LinearOperator:
         return self._held if self.side else None
 
     @classmethod
-    def identity(cls, n):
-        return cls(np.eye(1, n)[0], name="identity", side="fourier")
+    def identity(cls, n, side="fourier"):
+        """I held on ``side``: as the circulant of e_0, or as the diagonal of ones."""
+        return cls(np.ones(n) if side == "time" else np.eye(1, n)[0], "identity", side)
 
     def apply(self, f):
         f = np.asarray(f, dtype=complex)
@@ -98,17 +100,26 @@ def as_operator(op):
     return LinearOperator(op)
 
 
-def _operands(ops, *frames):
-    """The operators as matrices and the frames with their rules R X and
-    V_l V_r^* X, on the side where all of ``ops`` are diagonal if the frames
-    share one block layout there (``walnut_side``): each operator is then the
-    stack of its diagonal blocks diag(symbol_t), symbol_t[p] = symbol[t + p mf],
-    and both rules act block by block.  Otherwise the dense matrices, the
-    frames, ``analysis_r_product`` and ``mixed_frame_operator``."""
+def _walnut_sides(ops, frames):
+    """The frames on the side where all of ``ops`` are diagonal (``walnut_side``)
+    if they share one block layout there, else None."""
     side = ops[0].side
     sides = [walnut_side(frame, side) for frame in frames]
     if (any(op.side != side for op in ops) or None in sides
             or not all(shared_lattice(sides[0], frame) for frame in sides)):
+        return None
+    return sides
+
+
+def _operands(ops, *frames):
+    """The operators as matrices and the frames with their rules R X and
+    V_l V_r^* X, on the side where all of ``ops`` are diagonal if the frames
+    share one block layout there (``_walnut_sides``): each operator is then the
+    stack of its diagonal blocks diag(symbol_t), symbol_t[p] = symbol[t + p mf],
+    and both rules act block by block.  Otherwise the dense matrices, the
+    frames, ``analysis_r_product`` and ``mixed_frame_operator``."""
+    sides = _walnut_sides(ops, frames)
+    if sides is None:
         return [op.dense() for op in ops], frames, analysis_r_product, mixed_frame_operator
     mf, order = sides[0].ambient_dim // sides[0].lattice[1], sides[0].lattice[1]
     return ([op.symbol.reshape(-1, mf).T[:, :, None] * np.eye(order) for op in ops], sides,
@@ -118,6 +129,11 @@ def _operands(ops, *frames):
 def _core(r_product, left: Frame, right: Frame, x):
     """R_l X R_r^*, the n x n core of V_l^* X V_r, by the rule R X of ``_operands``."""
     return adjoint(r_product(right, adjoint(r_product(left, x))))
+
+
+def _norm2(x):
+    """The 2-norm of a matrix, or of a stack of blocks its largest singular value."""
+    return np.linalg.svd(x, compute_uv=False).max()
 
 
 def galerkin_core(op, left: Frame, right: Frame):
@@ -155,9 +171,7 @@ def idempotency_residual(op, left: Frame, right: Frame):
     them): no inverse of R, so K < n is fine, and no entries."""
     (o,), (left, right), r_product, mixed = _operands([as_operator(op)], left, right)
     square = _core(r_product, left, right, o @ mixed(right, left, o))
-    # the 2-norm of a stack of blocks is its largest singular value
-    return float(np.linalg.svd(square - _core(r_product, left, right, o),
-                               compute_uv=False).max())
+    return float(_norm2(square - _core(r_product, left, right, o)))
 
 
 def _check_maps(op, left: Frame, right: Frame):
@@ -168,22 +182,72 @@ def _check_maps(op, left: Frame, right: Frame):
 
 
 def galerkin_columns(op, left: Frame, right: Frame):
-    """Shape, dtype and the column blocks of M_{k,l} = <O xi_l, phi_k>: each
-    block is Phi^* (O Xi[:, columns]) for the next ``ASSEMBLY_COLUMNS``
-    columns, column-major; the one assembly rule of the container and
-    ``galerkin_matrix``."""
+    """Shape, dtype and the column blocks of M_{k,l} = <O xi_l, phi_k>, the
+    next ``ASSEMBLY_COLUMNS`` columns each, column-major; the one assembly
+    rule of the container and ``galerkin_matrix``.  On the side where O is
+    diagonal, frames of one block layout there (``_walnut_sides``) take
+    ``_lattice_block``; any other pair the GEMM Phi^* (O Xi[:, columns])."""
     op = as_operator(op)
     _check_maps(op, left, right)
-    analysis, o, xi = analysis_matrix(left), op.dense(), right.vectors
-    dtype = np.result_type(analysis, o, xi)
+    sides = _walnut_sides([op], (left, right))
+    if sides is not None:
+        dtype, block = np.dtype(complex), _lattice_block(op, *sides)
+    else:
+        analysis, o, xi = np.conj(left.vectors.T), op.dense(), right.vectors
+        dtype = np.result_type(analysis, o, xi)
 
-    def block(start):
-        image = o @ xi[:, start:start + ASSEMBLY_COLUMNS]
-        out = np.empty((left.size, image.shape[1]), dtype, order="F")
-        return np.matmul(analysis, image, out=out)
+        def block(start):
+            image = o @ xi[:, start:start + ASSEMBLY_COLUMNS]
+            out = np.empty((left.size, image.shape[1]), dtype, order="F")
+            return np.matmul(analysis, image, out=out)
 
     return (left.size, right.size), dtype, (block(start) for start in
                                             range(0, right.size, ASSEMBLY_COLUMNS))
+
+
+def _lattice_block(op, left: Frame, right: Frame):
+    """The rule block(start) of M(O) for Gabor frames on the lattice (a, b),
+    mt = n/a, mf = n/b, from ``left`` and ``right`` on the side where O is
+    diagonal (there on (b, a) for "fourier").  With their Walnut stack C_t = B_t^l diag(symbol_t) B_t^r^* and
+    h = ifft(C) over t, M[(m, j), (m', j')] = h[(j' - j) mod mf][m, m'] on the
+    time side.  The Fourier side's index of psi_{m, j} is (j, -m mod mt), whose
+    vector is e^{2 pi i a b j m / n} F psi_{m, j}, so there M[(m, j), (m', j')]
+    = h[(m - m') mod mt][j, j'] e^{2 pi i a b (j' m' - j m) / n}.  A column is
+    a window of h stored twice over: O(K mt b) flops, then one copy pass."""
+    n, (a, b) = left.ambient_dim, left.lattice[::1 if op.side == "time" else -1]
+    mt, mf = n // a, n // b
+    blocks = _walnut_blocks(left)
+    stack = ((blocks * op.symbol.reshape(-1, len(blocks)).T[:, None, :])
+             @ np.conj(_walnut_blocks(right).transpose(0, 2, 1)))
+    h = np.fft.ifft(stack, axis=0)
+    if op.side == "time":
+        # twice[m', m, e] = h[-e mod mf][m, m']: column (m', j') is twice[m', :, mf - j' + j]
+        twice = np.ascontiguousarray(h[-np.arange(2 * mf) % mf].transpose(2, 1, 0))
+
+        def columns(mp, j0, j1, out):
+            windows = np.lib.stride_tricks.sliding_window_view(twice[mp], mf, axis=1)
+            np.copyto(out, windows[:, mf - j0:mf - j1:-1].transpose(1, 0, 2))
+    else:
+        # twice[j', e, j] = h[e mod mt][j, j']: column (m', j') is twice[j', mt - m' + m, j]
+        twice = np.ascontiguousarray(h[np.arange(2 * mt) % mt].transpose(2, 0, 1))
+        # e^{2 pi i a b j m / n}, the argument reduced mod n as in ``gabor_system``
+        phase = np.exp(2j * np.pi * ((a * b * np.arange(mt)[:, None] * np.arange(mf)) % n) / n)
+        conj = np.conj(phase)
+
+        def columns(mp, j0, j1, out):
+            np.multiply(twice[j0:j1, mt - mp:2 * mt - mp], conj, out=out)
+            out *= phase[mp, j0:j1, None, None]
+
+    def block(start):
+        stop = min(start + ASSEMBLY_COLUMNS, left.size)
+        out = np.empty((left.size, stop - start), complex, order="F")
+        rows = out.T.reshape(-1, mt, mf)   # rows[l - start, m, j] = M[(m, j), l]
+        for mp in range(start // mf, (stop - 1) // mf + 1):   # the time shifts in the block
+            j0, j1 = max(start - mp * mf, 0), min(stop - mp * mf, mf)
+            columns(mp, j0, j1, rows[mp * mf + j0 - start:mp * mf + j1 - start])
+        return out
+
+    return block
 
 
 def galerkin_matrix(op, left: Frame, right: Frame):
@@ -227,9 +291,8 @@ def roundtrip_check(op, phi: Frame, psi: Frame):
     left, right = mixed(phi, phid), mixed(psid, psi)
     first = left @ o @ right
     second = adjoint(left) @ o @ adjoint(right)
-    # the 2-norm of a stack of blocks is its largest singular value
-    r1 = np.linalg.svd(first - o, compute_uv=False).max() / scale
-    r2 = np.linalg.svd(second - o, compute_uv=False).max() / scale
+    r1 = _norm2(first - o) / scale
+    r2 = _norm2(second - o) / scale
     return float(max(r1, r2))
 
 
@@ -571,15 +634,17 @@ def galerkin_pseudoinverse(m: GalerkinMatrix, phi: Frame, psi: Frame):
 
     Computes M(dual psi, dual phi)(O^{-1}) and verifies that its product
     with the original matrix reproduces the range projection
-    gram(dual psi, psi).
+    gram(dual psi, psi).  O^{-1} is held as O is: a symbol's inverse is
+    1 / symbol on its side, a dense matrix's ``np.linalg.inv``.
     """
-    dense = m.generator.dense()
-    if dense.shape[0] != dense.shape[1]:
+    op = m.generator
+    if op.shape[0] != op.shape[1]:
         raise BijectivityError("generating operator must be square")
-    s = m.generator.spectrum.values
+    s = op.spectrum.values
     if not (s[0] > 0 and s[-1] * OPERATOR_COND_CAP >= s[0]):
         raise BijectivityError("generating operator numerically singular")
-    inv = LinearOperator(np.linalg.inv(dense))
+    inv = (LinearOperator(np.linalg.inv(op.dense())) if op.side is None else LinearOperator(
+        np.fft.ifft(1 / op.symbol) if op.side == "fourier" else 1 / op.symbol, side=op.side))
     phid, psid = canonical_dual(phi), canonical_dual(psi)
     dagger = galerkin_matrix(inv, psid, phid)
     defect = _range_projection_defect(dagger, m)
@@ -595,16 +660,16 @@ def _range_projection_defect(dagger: GalerkinMatrix, m: GalerkinMatrix):
 
     dagger M and G share the outer factors Q_{dual psi} and Q_psi^*, so
     both norms are those of n x n cores (``_core``): R O^{-1} (V_{dual phi}
-    V_phi^*) O R^* for dagger M and R I R^* for G.
+    V_phi^*) O R^* for dagger M and R I R^* for G, with I held on the side of
+    O, so that a lattice pair's cores are stacks of Walnut blocks.
     """
-    identity = LinearOperator(np.ones(m.generator.shape[0]), side="time")
+    identity = LinearOperator.identity(m.generator.shape[0], m.generator.side or "time")
     (inv, o, eye), (psid, phid, phi, psi), r_product, mixed = _operands(
         [dagger.generator, m.generator, identity], dagger.left_frame, dagger.right_frame,
         m.left_frame, m.right_frame)
     projection = _core(r_product, psid, psi, eye)
-    residual = np.linalg.norm(_core(r_product, psid, psi, inv @ mixed(phid, phi, o))
-                              - projection, 2)
-    return float(residual / max(np.linalg.norm(projection, 2), 1.0))
+    residual = _norm2(_core(r_product, psid, psi, inv @ mixed(phid, phi, o)) - projection)
+    return float(residual / max(_norm2(projection), 1.0))
 
 
 def kappa_factorization_probe(op, phi: Frame, psi: Frame):
@@ -624,7 +689,7 @@ def kappa_factorization_probe(op, phi: Frame, psi: Frame):
     s = op.spectrum.values
     if not (s[0] > 0 and s[-1] * OPERATOR_COND_CAP >= s[0]):
         raise BijectivityError("operator must be invertible for the kappa probe")
-    identity = LinearOperator(np.ones(op.shape[0]), side="time")
+    identity = LinearOperator.identity(op.shape[0], "time")
     lhs = spectrum(galerkin_core(op, phi, psi)[0]).kappa
     rhs = (
         spectrum(galerkin_core(identity, phi, psi)[0]).kappa

@@ -1180,6 +1180,84 @@ class TestStreamedAssembly:
         assert peak < 0.5 * 1024 * 1024 * np.dtype(complex).itemsize
 
 
+class TestLatticeContainers:
+    """A Gabor frame and its dual, with the operator held as its symbol, are
+    assembled from their Walnut blocks; every other pair by the GEMM rule."""
+
+    @staticmethod
+    def gemm_bytes(tmp_path, o, left, right):
+        """``np.save`` bytes of the GEMM rule Phi^* (O Xi[:, columns]), block by block."""
+        analysis, width = np.conj(left.vectors.T), locframes.galerkin.ASSEMBLY_COLUMNS
+        entries = np.empty((left.size, right.size), complex, order="F")
+        for start in range(0, right.size, width):
+            image = o @ right.vectors[:, start:start + width]
+            out = np.empty((left.size, image.shape[1]), complex, order="F")
+            entries[:, start:start + width] = np.matmul(analysis, image, out=out)
+        np.save(tmp_path / "gemm.npy", entries)
+        return (tmp_path / "gemm.npy").read_bytes()
+
+    @pytest.mark.parametrize("operator", [
+        ("--op-kind", "identity_minus_kernel", "--theta", "0.5"),
+        ("--op-kind", "diagonal", "--spectrum=" + ",".join(str(1.5 + (k % 5) / 8) for k in range(32))),
+    ], ids=["fourier", "time"])
+    def test_vectors_and_window_containers_agree(self, tmp_path, operator):
+        frame = make_gabor_frame(32, 4, 4, gaussian_window(32))
+        io.save_frame(tmp_path / "window", frame)
+        sidecar = json.loads((tmp_path / "window.json").read_text())
+        del sidecar["window"]
+        io.save_array(tmp_path / "vectors", frame.vectors, sidecar)
+        assert io.load_frame(tmp_path / "vectors").lattice == (4, 4)
+        outputs = []
+        for name in ("window", "vectors"):
+            assert run_cli("galerkin", "assemble", "--frame", tmp_path / name, *operator,
+                           "--out-dir", tmp_path / f"gal_{name}") == 0
+            outputs.append([(tmp_path / f"gal_{name}" / f).read_bytes()
+                            for f in ("galerkin.npy", "galerkin_report.json")])
+        assert outputs[0] == outputs[1]
+
+    def test_unshared_lattices_keep_the_gemm_rule(self, tmp_path, monkeypatch):
+        # 32/4/4 against 32/2/8: K = 64 on both, one layout on neither side
+        monkeypatch.setattr(locframes.galerkin, "ASSEMBLY_COLUMNS", 24)
+        for name, (a, b) in (("left", (4, 4)), ("right", (2, 8))):
+            io.save_frame(tmp_path / name, make_gabor_frame(32, a, b, gaussian_window(32)))
+        assert run_cli("galerkin", "assemble", "--frame", tmp_path / "left", "--right",
+                       tmp_path / "right", "--op-kind", "identity_minus_kernel", "--theta", "0.5",
+                       "--out-dir", tmp_path / "gal") == 0
+        left, right = io.load_frame(tmp_path / "left"), io.load_frame(tmp_path / "right")
+        o = make_test_operator("identity_minus_kernel", 32, theta=0.5).dense()
+        assert (tmp_path / "gal" / "galerkin.npy").read_bytes() == self.gemm_bytes(
+            tmp_path, o, left, right)
+
+    def test_dense_operator_keeps_the_gemm_rule(self, tmp_path):
+        frame = make_gabor_frame(32, 4, 4, gaussian_window(32))
+        dual = canonical_dual(frame)
+        o = make_test_operator("identity_minus_kernel", 32, theta=0.5).dense()
+        shape, dtype, blocks = galerkin_columns(LinearOperator(o), frame, dual)
+        io.save_blocks(tmp_path / "galerkin", shape, dtype, blocks, io.galerkin_sidecar(frame, dual))
+        assert (tmp_path / "galerkin.npy").read_bytes() == self.gemm_bytes(tmp_path, o, frame, dual)
+
+    @pytest.mark.parametrize("kind", ["identity_minus_kernel", "diagonal"])
+    def test_blocks_hold_one_block_and_the_stack(self, kind):
+        # K = 4096, n = 256, mt = mf = 64: a block is 16.8 MB and the Walnut
+        # stack 4.2 MB; the GEMM rule held the K x n analysis factor and the
+        # dual's vectors besides, 35 MB on the time side and 52 MB on the Fourier side
+        frame = make_gabor_frame(256, 4, 4, gaussian_window(256))
+        dual = canonical_dual(frame)
+        op = (make_test_operator(kind, 256, spectrum=np.linspace(1.0, 2.0, 256))
+              if kind == "diagonal" else make_test_operator(kind, 256, theta=0.5))
+        op.symbol   # the operator's own n-vector, formed before the count
+        tracemalloc.start()
+        try:
+            for block in galerkin_columns(op, frame, dual)[2]:
+                del block
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        itemsize = np.dtype(complex).itemsize
+        assert frame._vectors is None and dual._vectors is None
+        assert peak < (4096 * 256 + 3 * 4096 * 64) * itemsize
+
+
 def unreduced_gabor_vectors(n, a, b, window):
     """The Gabor system with the phase argument j b x / n left unreduced."""
     x = np.arange(n)
@@ -1445,6 +1523,21 @@ class TestWorkCounts:
         assert "idempotency_residual" in json.loads(
             (tmp_path / "gal" / "galerkin_report.json").read_text())
         assert (len(matrices), len(columns)) == (0, 1)
+
+    @pytest.mark.parametrize("argv", [
+        ("--right", "dual"),
+        ("--right", "self", "--op-kind", "identity_minus_kernel", "--theta", "0.5"),
+        ("--op-kind", "diagonal", "--spectrum=" + ",".join(str(1 + k % 3) for k in range(32))),
+    ], ids=["identity", "kernel-self", "diagonal"])
+    def test_lattice_assemble_builds_no_frame_vectors(self, tmp_path, monkeypatch, argv):
+        run_cli("frame", "build", "--kind", "gabor", "--n", "32", "--a", "4",
+                "--b", "4", "--out-dir", tmp_path)
+        # every K x n array of a frame held as its window, its vectors or its
+        # analysis matrix, is built by gabor_system
+        systems = self.count(monkeypatch, "gabor_system", [locframes.frames])
+        assert run_cli("galerkin", "assemble", "--frame", tmp_path / "frame", *argv,
+                       "--out-dir", tmp_path / "gal") == 0
+        assert systems == []
 
     def test_gabor_assemble_takes_no_n_sized_decomposition(self, tmp_path, monkeypatch):
         run_cli("frame", "build", "--kind", "gabor", "--n", "64", "--a", "4",

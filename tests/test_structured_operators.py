@@ -1,8 +1,9 @@
 """Operators held as their symbol against the same operators held dense.
 
 The core R_l O R_r^* of a Gabor frame pair is block-diagonal on the Fourier
-side for a circulant O and on the time side for a diagonal O.  Every result
-read from the blocks is compared with the dense path on the same matrix held
+side for a circulant O and on the time side for a diagonal O, and the
+Galerkin matrix is gathered from the Walnut blocks there.  Every result read
+from the blocks is compared with the dense path on the same matrix held
 without its symbol, which stays the reference.
 """
 
@@ -11,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import locframes
 from locframes import (
     LinearOperator,
     canonical_dual,
@@ -22,8 +24,11 @@ from locframes import (
 )
 from locframes.errors import LocframesError
 from locframes.galerkin import (
+    _range_projection_defect,
     compose_rule_check,
     galerkin_core,
+    galerkin_matrix,
+    galerkin_pseudoinverse,
     idempotency_residual,
     kappa_factorization_probe,
     roundtrip_check,
@@ -226,3 +231,70 @@ class TestMatchesDense:
         frame, _ = gabor_twins
         op = LinearOperator.identity(frame.ambient_dim)
         assert idempotency_residual(op, frame, canonical_dual(frame)) <= 1e-12
+
+
+def assert_entries_match(op, left, right):
+    """The Galerkin matrix of a symbol against the GEMM rule on the matrix held
+    without it, entrywise within 1e-13 max|M|."""
+    got = galerkin_matrix(op, left, right).entries
+    ref = galerkin_matrix(held_dense(op), left, right).entries
+    assert got.shape == ref.shape and got.flags.f_contiguous
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestLatticeAssembly:
+    """A lattice pair's Galerkin matrix gathered from its Walnut stack equals
+    the GEMM rule, for every block width."""
+
+    # K = 32 ... 1024 with mf = 8 ... 32 columns per time shift: blocks of 5
+    # split every time shift, of 24 those with mf = 16 and 32, and a width
+    # that does not divide K leaves a ragged last block
+    @pytest.mark.parametrize("columns", [256, 24, 5])
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_frame_and_dual(self, gabor_twins, name, columns, monkeypatch):
+        monkeypatch.setattr(locframes.galerkin, "ASSEMBLY_COLUMNS", columns)
+        frame, _ = gabor_twins
+        assert_entries_match(make_operator(name, frame.ambient_dim), frame, canonical_dual(frame))
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_frame_against_itself(self, gabor_twins, name):
+        frame, _ = gabor_twins
+        assert_entries_match(make_operator(name, frame.ambient_dim), frame, frame)
+
+    @pytest.mark.parametrize("key", SUITE_GABOR)
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_suite_frames(self, suite_frames, key, name):
+        frame = suite_frames[key]
+        op = make_operator(name, frame.ambient_dim)
+        for left, right in ((frame, canonical_dual(frame)), (canonical_dual(frame), frame)):
+            assert_entries_match(op, left, right)
+
+
+class TestPseudoInverse:
+    """O^{-1} is held as O is: the pseudo-inverse and its range-projection
+    defect match those of the same matrix held without its symbol."""
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_matches_the_dense_inverse(self, gabor_twins, name, monkeypatch):
+        frame, _ = gabor_twins
+        op, dual = make_operator(name, frame.ambient_dim), canonical_dual(frame)
+        gm, gm_ref = galerkin_matrix(op, frame, dual), galerkin_matrix(held_dense(op), frame, dual)
+        inverses = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda x: inverses.append(x) or inv(x))
+        got = outcome(galerkin_pseudoinverse, gm, frame, dual)
+        assert inverses == []
+        ref = outcome(galerkin_pseudoinverse, gm_ref, frame, dual)
+        if isinstance(ref, str) or isinstance(got, str):
+            assert got == ref == "bijectivity"
+            return
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the dagger matrices the check reads, as galerkin_pseudoinverse forms them
+        held = 1 / op.symbol
+        inv_op = LinearOperator(np.fft.ifft(held) if op.side == "fourier" else held, side=op.side)
+        dagger = galerkin_matrix(inv_op, frame, dual)
+        dagger_ref = galerkin_matrix(LinearOperator(inv(op.dense())), frame, dual)
+        assert galerkin_core(inv_op, frame, dual)[0].ndim == 3
+        defect, defect_ref = (_range_projection_defect(dagger, gm),
+                              _range_projection_defect(dagger_ref, gm_ref))
+        assert defect <= 1e-12 and abs(defect - defect_ref) <= 1e-12
