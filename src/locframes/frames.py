@@ -43,31 +43,25 @@ class Frame:
     """Finite vector family psi_k, stored as columns of an n x K matrix.
 
     Immutable; the canonical operators are computed once on first use and
-    frozen (safe to share across threads afterwards).  ``lattice`` is (a, b) when the
-    vectors are exactly ``gabor_system(window, a, b)``, the window being vectors[:, 0] or,
-    given alone, ``vectors`` itself (the vectors are then built on first use, in ``order``);
-    the bounds and the dual then factor through its Walnut blocks.  The one
-    factorization a frame holds (``_r``) is the R_t of its Walnut blocks
-    B_t = Q_t R_t, Q never formed; without a lattice, the one block V^*.  A
-    lattice frame also keeps its frame on the Fourier side (``walnut_side``).
+    frozen (safe to share across threads afterwards).  A lattice frame is given
+    as its window alone, with ``lattice`` (a, b): its vectors, ``gabor_system(window,
+    a, b)``, are built on first use, and the bounds and the dual factor through its
+    Walnut blocks.  The one factorization a frame holds (``_r``) is the R_t of its
+    Walnut blocks B_t = Q_t R_t, Q never formed; without a lattice, the one block
+    V^*.  A lattice frame also keeps its frame on the Fourier side (``walnut_side``).
     """
 
-    def __init__(self, vectors, index_set: IndexSet, name="frame", meta=None,
-                 lattice=None, order="C"):
+    def __init__(self, vectors, index_set: IndexSet, name="frame", meta=None, lattice=None):
         v = field_array(vectors)
-        self._vectors, self._min_norm, self._order = None, None, order
-        if v.ndim == 1 and lattice is not None:
-            self.window = np.asarray(v, dtype=complex).view()
-            self.window.setflags(write=False)
-            self.ambient_dim, self.size = len(v), (len(v) // lattice[0]) * (len(v) // lattice[1])
-        elif v.ndim == 2:
-            # a read-only view: the caller's array stays writable
-            self._vectors = v.view()
-            self._vectors.setflags(write=False)
-            self.ambient_dim, self.size = v.shape
-            self.window = None if lattice is None else self._vectors[:, 0]
+        if v.ndim != (2 if lattice is None else 1):
+            raise InvalidInputError("vectors must form an n x K matrix, or a lattice window")
+        if lattice is None:   # a read-only view: the caller's array stays writable
+            self._vectors, self.window, size = v.view(), None, v.shape[1]
         else:
-            raise InvalidInputError("vectors must form an n x K matrix")
+            self._vectors, self.window = None, np.array(v, dtype=complex)
+            size = (len(v) // lattice[0]) * (len(v) // lattice[1])
+        (self._vectors if lattice is None else self.window).setflags(write=False)
+        self.ambient_dim, self.size, self._min_norm = len(v), size, None
         if len(index_set) != self.size:
             raise DimensionMismatchError(f"{self.size} vectors but {len(index_set)} indices")
         self.lattice = lattice
@@ -81,7 +75,7 @@ class Frame:
     @property
     def vectors(self):
         if self._vectors is None:
-            self._vectors = gabor_system(self.window, *self.lattice, order=self._order)
+            self._vectors = gabor_system(self.window, *self.lattice)
             self._vectors.setflags(write=False)
         return self._vectors
 
@@ -348,20 +342,17 @@ def make_onb(n):
     )
 
 
-def gabor_system(window, a, b, order="C"):
+def gabor_system(window, a, b):
     """Time-frequency shifts of ``window`` on the (a, b) lattice of Z_n.
 
     Column m (n/b) + j is window[(x - m a) mod n] exp(2 pi i j b x / n),
     m = 0..n/a - 1, j = 0..n/b - 1.  The phase argument j b x is reduced
     mod n first, so that every phase is accurate to the last bit or two.
-    With ``order="F"`` the same products are column-major, the transpose of a K x n product.
     """
     n = window.shape[0]
     x = np.arange(n)
     shifted = window[(x[:, None] - a * np.arange(n // a)) % n]
     phases = np.exp(2j * np.pi * ((b * x[:, None] * np.arange(n // b)) % n) / n)
-    if order == "F":
-        return np.multiply(shifted.T[:, None, :], phases.T, order="C").reshape(-1, n).T
     return (shifted[:, :, None] * phases[:, None, :]).reshape(n, -1)
 
 

@@ -119,8 +119,8 @@ def save_frame(base, frame: Frame):
 
 
 def load_frame(base):
-    """The frame in a container: of a window (vectors built column-major, as
-    ``np.load`` gives stored ones), or of vectors on the lattice ``gabor_lattice`` finds."""
+    """The frame in a container: of a window, or of vectors; stored vectors on a
+    lattice that ``gabor_lattice`` finds load as the window frame of their first column."""
     arr, sidecar = load_array(base)
     if sidecar.get("container") != "frame":
         raise InputFileError(f"{base} is not a frame container")
@@ -134,13 +134,15 @@ def load_frame(base):
         raise InputFileError(f"{base} has a frame name {name!r} that is not a string")
     window = sidecar.get("window", False)
     if window is False:
-        return Frame(arr, index_set, name=name, meta=meta, lattice=gabor_lattice(arr, meta))
+        lattice = gabor_lattice(arr, meta)
+        return Frame(arr if lattice is None else arr[:, 0], index_set, name=name, meta=meta,
+                     lattice=lattice)
     shape, lattice = gabor_meta(meta) or (None, None)
     if (window is not True or lattice is None or arr.shape != shape[:1]
             or arr.dtype.kind not in "fc" or not arr.any() or len(index_set) != shape[1]):
         raise InputFileError(f"{base}: a window container holds a Gabor meta on K >= n points, "
                              f"a nonzero float or complex window of n entries and K indices")
-    return Frame(arr, index_set, name=name, meta=meta, lattice=lattice, order="F")
+    return Frame(arr, index_set, name=name, meta=meta, lattice=lattice)
 
 
 def galerkin_sidecar(left: Frame, right: Frame, extra=None):

@@ -19,8 +19,8 @@ from .algebras import (
     weight_admissible,
 )
 from .errors import ContractError, InsufficientDataError, NotLocalizedError
-from .frames import (Frame, analysis, canonical_dual, frame_bounds, gram, shared_lattice,
-                     synthesis)
+from .frames import (Frame, analysis, canonical_dual, frame_bounds, gram, mixed_frame_operator,
+                     shared_lattice, synthesis)
 from .indexing import IndexSet, ShellPartition
 from .linalg import pseudo_inverse
 from .weights import (
@@ -83,7 +83,7 @@ class DenseMagnitudes:
 
 class LatticeProfile:
     """|G(left, right)| of a lattice pair, read from the one K-vector
-    g = |Phi_left^* psi_0|.
+    g = |Phi_left^* gamma| of the right window gamma.
 
     Both frames are Gabor systems on one lattice and share one index set,
     the row-major (mt, mf) torus of lattice points.  pi(l)^* pi(m) is a
@@ -96,9 +96,13 @@ class LatticeProfile:
 
     def __init__(self, left: Frame, right: Frame):
         self.index_set = left.index_set
-        self.shape = tuple(int(m) for m in self.index_set.moduli)
-        # |psi_0^T conj(Phi)| = |Phi^* psi_0|, without a conjugated copy of Phi
-        self.values = np.abs(np.conj(right.window) @ left.vectors)
+        self.shape = mt, mf = tuple(int(m) for m in self.index_set.moduli)
+        # g[(m, j)] = |sum_x h_m[x] e^{2 pi i j x / mf}| for h_m = conj(gamma) T_{ma} w; the
+        # phase has period mf: h_m folded to length mf, one FFT per m, no K x n array
+        n, a = left.ambient_dim, left.lattice[0]
+        shifted = left.window[(np.arange(n) - a * np.arange(mt)[:, None]) % n]
+        h = (np.conj(right.window) * shifted).reshape(mt, -1, mf).sum(axis=1)
+        self.values = np.abs(np.fft.ifft(h, norm="forward")).ravel()
 
     def algebra_norms(self, s):
         """Jaffard: max of g (1 + d_0)^s; Schur: its sum, which every row
@@ -240,8 +244,7 @@ def dual_localization_check(frame: Frame, alg: MatrixAlgebraSpec, grams=None):
 def _duality_residual(phi: Frame, phi_dual: Frame):
     if phi.vectors.shape != phi_dual.vectors.shape:
         return math.inf
-    recon = phi.vectors @ np.conj(phi_dual.vectors.T)
-    return float(np.linalg.norm(recon - np.eye(phi.ambient_dim), 2))
+    return float(np.linalg.norm(mixed_frame_operator(phi, phi_dual) - np.eye(phi.ambient_dim), 2))
 
 
 @dataclass

@@ -96,10 +96,10 @@ class ProjectionSchedule:
     ``greedy`` by decreasing analysis energy of a pilot vector.
     ``_span_basis`` of each level's vectors V_N gives the
     subframe bounds (extreme nonzero eigenvalues of S_N = V_N V_N^*) and an
-    orthonormal basis Q_N of the level's span (``bases``): one SVD of V_N,
-    or none for a coordinate family such as an ONB's levels, which keep the rows
-    they select (``bases`` forms Q_N = V_N when read).  A flag is raised when the
-    ratio of the bounds exceeds ``UNIFORMITY_RATIO_CAP`` at any level.
+    orthonormal basis Q_N of the level's span (``bases``): one SVD of V_N.  The last
+    level, the whole frame, goes first: when it is columns of the identity (an ONB),
+    that one O(n K) check gives each level the rows it selects (``bases`` forms Q_N =
+    V_N when read).  A flag is raised when a level's bound ratio exceeds ``UNIFORMITY_RATIO_CAP``.
     """
 
     def __init__(self, frame: Frame, selection="centered", pilot=None,
@@ -125,8 +125,10 @@ class ProjectionSchedule:
         self._sections = []
         self.subframe_bounds = []
         self.uniformity_flag = False
+        whole = _span_basis(frame.vectors)
         for lv in self.levels:
-            pos, q = _span_basis(frame.vectors[:, lv])
+            pos, q = ((np.ones(len(lv)), whole[1][lv]) if whole[1].ndim == 1 else
+                      whole if len(lv) == k else _span_basis(frame.vectors[:, lv]))
             c_n, d_n = float(pos[-1]), float(pos[0])
             self._sections.append(q)
             self.subframe_bounds.append((c_n, d_n))

@@ -1,6 +1,7 @@
 """Frame constructors and the four canonical operators."""
 
 import gc
+import inspect
 import tracemalloc
 import weakref
 
@@ -29,7 +30,7 @@ from locframes import (
     riesz_bounds,
     synthesis,
 )
-from locframes.frames import analysis_r_adjoint, analysis_r_product
+from locframes.frames import analysis_r_adjoint, analysis_r_product, gabor_system
 from locframes.galerkin import galerkin_core
 from locframes.linalg import spectrum
 from locframes.opnorms import (
@@ -399,7 +400,7 @@ class TestGaborStructure:
         # frame holds its one block R_0
         frame, dense = gabor_twins
         n, b = frame.ambient_dim, frame.lattice[1]
-        fresh = Frame(frame.vectors, frame.index_set, lattice=frame.lattice)
+        fresh = Frame(frame.window, frame.index_set, lattice=frame.lattice)
         r = analysis_r_product(fresh, np.eye(n))
         assert fresh._r.shape == (n // b, b, b)
         assert not fresh._r.flags.writeable
@@ -427,6 +428,17 @@ class TestGaborStructure:
         assert not frame.window.flags.writeable and window.flags.writeable
         with pytest.raises(InvalidInputError):
             Frame(np.zeros(48), IndexSet.torus_grid(12, 8), lattice=(4, 6))
+
+    def test_a_lattice_frame_is_given_as_its_window(self):
+        # one form: vectors with a lattice, or a window without one, are refused,
+        # and no argument chooses the layout of the vectors built
+        frame = make_gabor_frame(48, 4, 6, gaussian_window(48))
+        for vectors, lattice in ((frame.vectors, frame.lattice), (frame.window, None)):
+            with pytest.raises(InvalidInputError):
+                Frame(vectors, frame.index_set, lattice=lattice)
+        for build in (Frame, gabor_system):
+            assert "order" not in inspect.signature(build).parameters
+        assert frame.vectors.flags.c_contiguous
 
     def test_dense_r_peaks_near_one_analysis_matrix(self):
         # the lattice-free twin of Gabor 256/4/4, K = 4096: V^* and the QR's

@@ -1332,8 +1332,7 @@ class TestWindowContainers:
         calls = []
         original = locframes.frames.gabor_system
         monkeypatch.setattr(locframes.frames, "gabor_system",
-                            lambda *args, **kwargs: calls.append(kwargs.get("order", "C"))
-                            or original(*args, **kwargs))
+                            lambda *args: calls.append(args[1:]) or original(*args))
         return calls
 
     def test_window_round_trip(self, tmp_path, monkeypatch):
@@ -1349,11 +1348,17 @@ class TestWindowContainers:
         assert json.loads((tmp_path / "frame.json").read_text())["window"] is True
         assert (loaded.lattice, loaded.ambient_dim, loaded.size) == ((8, 4), 64, 128)
         assert loaded.index_set.to_dict() == frame.index_set.to_dict()
-        # built frames and duals are row-major, a loaded frame column-major
-        # as a container of vectors loads; the bits are the same
-        assert loaded.vectors.flags.f_contiguous and frame.vectors.flags.c_contiguous
-        assert dual.vectors.flags.c_contiguous and calls == ["F", "C", "C"]
-        assert loaded.vectors.tobytes("F") == frame.vectors.tobytes("F")
+        # a container of all K vectors loads as the same window frame: its
+        # vectors are built to be written and once more to be recognized
+        sidecar = json.loads((tmp_path / "frame.json").read_text())
+        del sidecar["window"]
+        io.save_array(tmp_path / "old" / "frame", frame.vectors, sidecar)
+        old = io.load_frame(tmp_path / "old" / "frame")
+        assert old._vectors is None and calls == [(8, 4)] * 2
+        for other in (loaded, old):
+            assert other.window.tobytes() == frame.window.tobytes()
+            assert (other.lattice, other.index_set.to_dict()) == ((8, 4), sidecar["index_set"])
+        assert loaded.vectors.tobytes() == frame.vectors.tobytes()
         assert not loaded.vectors.flags.writeable and loaded.vectors is loaded.vectors
 
     def test_min_vector_norm_is_the_window_norm(self, tmp_path, monkeypatch):
@@ -1440,6 +1445,43 @@ class TestWindowContainers:
             tracemalloc.stop()
         assert code == 0
         assert peak < 2048 * 512 * np.dtype(complex).itemsize
+
+    def test_frame_diag_forms_no_vectors(self, tmp_path):
+        # the same frame: its Gram profiles are read from the two windows
+        assert run_cli("frame", "build", "--kind", "gabor", "--n", "512", "--a", "8",
+                       "--b", "16", "--out-dir", tmp_path) == 0
+        tracemalloc.start()
+        try:
+            code = run_cli("frame", "diag", "--frame", tmp_path / "frame",
+                           "--out-dir", tmp_path / "diag")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2048 * 512 * np.dtype(complex).itemsize
+
+    def test_both_containers_load_one_window_frame(self, tmp_path):
+        # a container of all K vectors keeps no K x n array once loaded: its
+        # frame is the window frame of the window container, and frame diag
+        # writes the same bytes from either
+        frame = make_gabor_frame(48, 4, 6, gaussian_window(48))
+        io.save_frame(tmp_path / "window" / "frame", frame)
+        sidecar = json.loads((tmp_path / "window" / "frame.json").read_text())
+        del sidecar["window"]
+        io.save_array(tmp_path / "vectors" / "frame", frame.vectors, sidecar)
+        loaded = [io.load_frame(tmp_path / kind / "frame") for kind in ("window", "vectors")]
+        assert [f._vectors for f in loaded] == [None, None]
+        assert loaded[0].window.tobytes() == loaded[1].window.tobytes()
+        assert loaded[0].lattice == loaded[1].lattice == (4, 6)
+        assert loaded[0].index_set.to_dict() == loaded[1].index_set.to_dict()
+        outputs = []
+        for kind in ("window", "vectors"):
+            assert run_cli("frame", "diag", "--frame", tmp_path / kind / "frame",
+                           "--out-dir", tmp_path / f"{kind}-diag") == 0
+            outputs.append({path.name: path.read_bytes()
+                            for path in (tmp_path / f"{kind}-diag").iterdir()})
+        assert sorted(outputs[0]) == ["equivalence.json", "localization.json", "shells.csv"]
+        assert outputs[0] == outputs[1]
 
 
 class TestGaborNoDenseFactorizations:
@@ -1539,6 +1581,27 @@ class TestWorkCounts:
                        "--out-dir", tmp_path / "gal") == 0
         assert systems == []
 
+    def test_gabor_pipeline_builds_no_frame_vectors(self, tmp_path, monkeypatch):
+        # a Gabor frame is its window in every command whose operator is held
+        # as a symbol: no K x n array of the frame or its dual is built
+        systems = self.count(monkeypatch, "gabor_system", [locframes.frames])
+        frame, gal, operator = tmp_path / "frame", tmp_path / "gal", TestWindowContainers.OPERATOR
+        diagonal = ("--op-kind", "diagonal", "--spectrum=" + ",".join(
+            str(1 + k % 3) for k in range(32)))
+        runs = [(("frame", "build", "--kind", "gabor", "--n", "32", "--a", "4", "--b", "4"),
+                 tmp_path),
+                (("frame", "diag", "--frame", frame), tmp_path / "diag")]
+        for i, argv in enumerate([(), operator, diagonal]):
+            runs += [(("galerkin", "assemble", "--frame", frame, *argv), gal / str(i)),
+                     (("galerkin", "certify", "--matrix", gal / str(i) / "galerkin"), gal / str(i))]
+        for method in ("cg", "direct"):
+            runs.append((("solve", "fg", "--frame", frame, "--method", method, *operator),
+                         tmp_path / method))
+        for argv, out in runs:
+            assert run_cli(*argv, "--out-dir", out) == 0, argv
+        assert json.loads((tmp_path / "diag" / "localization.json").read_text())["member"]
+        assert systems == []
+
     def test_gabor_assemble_takes_no_n_sized_decomposition(self, tmp_path, monkeypatch):
         run_cli("frame", "build", "--kind", "gabor", "--n", "64", "--a", "4",
                 "--b", "8", "--out-dir", tmp_path)
@@ -1561,18 +1624,10 @@ class TestWorkCounts:
         eighs = self.count(monkeypatch, "eigh", [np.linalg])
         eigvalshs = self.count(monkeypatch, "eigvalsh", [np.linalg])
         solves = self.count(monkeypatch, "solve", [np.linalg])
-        per_basis = []
-        span_basis = locframes.solver._span_basis
-
-        def counted_span_basis(vectors):
-            before = len(svds)
-            result = span_basis(vectors)
-            per_basis.append(len(svds) - before)
-            return result
-
-        monkeypatch.setattr(locframes.solver, "_span_basis", counted_span_basis)
+        bases = self.count(monkeypatch, "_span_basis", [locframes.solver])
         assert run_cli("solve", "fs", "--n", "64", "--out-dir", tmp_path) == 0
-        assert per_basis == [0, 0, 0, 0]  # levels N = 8, 16, 32, 64
+        # one check of the whole frame names the rows of levels N = 8, 16, 32, 64
+        assert [np.shape(args[0]) for args in bases] == [(64, 64)]
         # the operator is symmetric: each level core takes one eigvalsh for
         # its record, and the last level spans C^n, so its eigenvalues give
         # the contraction norm without another decomposition.  Every core is

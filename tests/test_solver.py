@@ -251,6 +251,30 @@ class TestProjectionSchedule:
         for c, d in sched.subframe_bounds:
             assert 0 < c <= d
 
+    def test_coordinate_levels_copy_no_vectors(self):
+        # the whole standard basis is checked once; no level copies its
+        # columns (the last alone would be n x n floats, 2.1 MB)
+        onb = make_onb(512)
+        tracemalloc.start()
+        try:
+            sched = ProjectionSchedule(onb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 512 * 8 / 2
+        for lv, q, bounds in zip(sched.levels, sched._sections, sched.subframe_bounds):
+            assert np.array_equal(q, lv) and bounds == (1.0, 1.0)
+
+    @pytest.mark.parametrize("name", ["gabor64", "translates", "ponb"])
+    def test_levels_match_their_own_span_bases(self, suite_frames, name):
+        # any other frame: each level's basis and bounds are its own
+        # _span_basis, the last level's read from the whole frame
+        frame = suite_frames[name]
+        sched = ProjectionSchedule(frame)
+        for lv, q, bounds in zip(sched.levels, sched._sections, sched.subframe_bounds):
+            w, ref = _span_basis(frame.vectors[:, lv])
+            assert np.array_equal(q, ref) and bounds == (w[-1], w[0])
+
 
 class TestFiniteSections:
     def test_identity_returns_projected_rhs(self, rng):
