@@ -11,7 +11,7 @@ from .errors import (
     NotAFrameError,
 )
 from .indexing import IndexSet
-from .linalg import field_array
+from .linalg import circular_shifts, field_array
 
 BOUND_RANK_TOL = 1e-10
 TIGHT_REL_TOL = 1e-10
@@ -44,11 +44,12 @@ class Frame:
 
     Immutable; the canonical operators are computed once on first use and
     frozen (safe to share across threads afterwards).  A lattice frame is given
-    as its window alone, with ``lattice`` (a, b): its vectors, ``gabor_system(window,
-    a, b)``, are built on first use, and the bounds and the dual factor through its
-    Walnut blocks.  The one factorization a frame holds (``_r``) is the R_t of its
-    Walnut blocks B_t = Q_t R_t, Q never formed; without a lattice, the one block
-    V^*.  A lattice frame also keeps its frame on the Fourier side (``walnut_side``).
+    as its window alone, with ``lattice`` (a, b), steps that divide n and give
+    K >= n vectors: its vectors, ``gabor_system(window, a, b)``, are built on first
+    use, and the bounds and the dual factor through its Walnut blocks.  The one
+    factorization a frame holds (``_r``) is the R_t of its Walnut blocks
+    B_t = Q_t R_t, Q never formed; without a lattice, the one block V^*.  A lattice
+    frame also keeps its frame on the Fourier side (``walnut_side``).
     """
 
     def __init__(self, vectors, index_set: IndexSet, name="frame", meta=None, lattice=None):
@@ -59,7 +60,12 @@ class Frame:
             self._vectors, self.window, size = v.view(), None, v.shape[1]
         else:
             self._vectors, self.window = None, np.array(v, dtype=complex)
-            size = (len(v) // lattice[0]) * (len(v) // lattice[1])
+            n, (a, b) = len(v), lattice
+            if min(a, b) < 1 or n % a or n % b:
+                raise InvalidInputError(f"steps ({a}, {b}) must be positive and divide {n}")
+            size = (n // a) * (n // b)
+            if size < n:
+                raise NotAFrameError(f"lattice yields {size} vectors < ambient dimension {n}")
         (self._vectors if lattice is None else self.window).setflags(write=False)
         self.ambient_dim, self.size, self._min_norm = len(v), size, None
         if len(index_set) != self.size:
@@ -141,19 +147,19 @@ def _walnut_blocks(frame: Frame):
     """
     if frame.lattice is None:
         return np.conj(frame.vectors.T)[None]
-    n = frame.ambient_dim
     a, b = frame.lattice
-    mt, mf = n // a, n // b
-    x = (np.arange(mf)[:, None, None] + mf * np.arange(b)
-         - a * np.arange(mt)[:, None]) % n
-    return np.sqrt(mf) * np.conj(frame.window[x])
+    mf = frame.ambient_dim // b
+    # a view of the shifts of the conjugated, scaled window: no stack is formed
+    rows = circular_shifts(np.sqrt(mf) * np.conj(frame.window), a)
+    return rows.reshape(-1, b, mf).transpose(2, 0, 1)
 
 
 def walnut_r(frame: Frame):
     """The cached R_t (mf x r_b x b) of the Walnut blocks B_t = Q_t R_t;
-    Q_t is never formed."""
+    Q_t is never formed.  R is kept C-contiguous whatever layout QR returns,
+    as the batched products that read it round by its strides."""
     if frame._r is None:
-        frame._r = np.linalg.qr(_walnut_blocks(frame), mode="r")
+        frame._r = np.ascontiguousarray(np.linalg.qr(_walnut_blocks(frame), mode="r"))
         frame._r.setflags(write=False)
     return frame._r
 
@@ -351,7 +357,7 @@ def gabor_system(window, a, b):
     """
     n = window.shape[0]
     x = np.arange(n)
-    shifted = window[(x[:, None] - a * np.arange(n // a)) % n]
+    shifted = circular_shifts(window, a).T
     phases = np.exp(2j * np.pi * ((b * x[:, None] * np.arange(n // b)) % n) / n)
     return (shifted[:, :, None] * phases[:, None, :]).reshape(n, -1)
 
@@ -383,17 +389,10 @@ def make_gabor_frame(n, a, b, window):
     """
     if min(n, a, b) < 1:
         raise InvalidInputError(f"modulus {n} and steps ({a}, {b}) must be positive")
-    if n % a or n % b:
-        raise InvalidInputError(f"steps ({a}, {b}) must divide the modulus {n}")
     window = np.asarray(window, dtype=complex)
     if window.shape != (n,):
         raise DimensionMismatchError("window length must equal the modulus")
-    mt, mf = n // a, n // b
-    if mt * mf < n:
-        raise NotAFrameError(
-            f"lattice yields {mt * mf} vectors < ambient dimension {n}"
-        )
-    iset = IndexSet.torus_grid(mt, mf, scales=(float(a), float(b)))
+    iset = IndexSet.torus_grid(n // a, n // b, scales=(float(a), float(b)))
     return Frame(window, iset, name=f"gabor{n}a{a}b{b}",
                  meta={"kind": "gabor", "n": n, "a": a, "b": b}, lattice=(a, b))
 
@@ -401,16 +400,11 @@ def make_gabor_frame(n, a, b, window):
 def make_translates_frame(n, generator):
     """The n circular shifts of a generator (a circulant); fewer shifts
     cannot span C^n."""
-    iset = IndexSet.ring(n)
     g = field_array(generator)
     if g.shape != (n,):
         raise DimensionMismatchError("generator length must equal n")
-    return Frame(
-        np.stack([np.roll(g, m) for m in range(n)], axis=1),
-        iset,
-        name=f"translates{n}s1",
-        meta={"kind": "translates", "n": n, "step": 1},
-    )
+    return Frame(np.ascontiguousarray(circular_shifts(g).T), IndexSet.ring(n),
+                 name=f"translates{n}s1", meta={"kind": "translates", "n": n, "step": 1})
 
 
 def make_perturbed_onb(n, decay_s, seed):

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .frames import (Frame, _walnut_blocks, analysis_r_product, canonical_dual, gram,
                      mixed_frame_operator, shared_lattice, walnut_mixed, walnut_r, walnut_side)
-from .linalg import Spectrum, adjoint, field_array, spectrum
+from .linalg import Spectrum, adjoint, circular_shifts, field_array, spectrum
 from .opnorms import space_operator_norm, weighted_column_blocks, weighted_matrix
 from .weights import SeqSpaceSpec, column_p_norms, seq_norm
 
@@ -81,9 +81,8 @@ class LinearOperator:
 
     def dense(self):
         if self._matrix is None:
-            v, n = self._held, len(self._held)
-            self._matrix = (v[(np.arange(n)[:, None] - np.arange(n)) % n]
-                            if self.side == "fourier" else np.diag(v))
+            self._matrix = (np.ascontiguousarray(circular_shifts(self._held).T)
+                            if self.side == "fourier" else np.diag(self._held))
         return self._matrix
 
     @cached_property

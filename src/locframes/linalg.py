@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
 
@@ -45,6 +46,13 @@ def blockwise(f, m):
     if m.ndim == 2:
         return functools.partial(f, m)
     return lambda x: f(m, x.reshape(len(m), m.shape[-1], -1)).reshape(x.shape)
+
+
+def circular_shifts(v, step=1):
+    """The rows v[(x - m step) mod n], m = 0..n/step - 1, of a vector v of
+    length n that ``step`` divides: a read-only view of (v, v), no index array."""
+    n = len(v)
+    return sliding_window_view(np.concatenate((v, v)), n)[n:0:-step]
 
 
 def hermitian_defect(m):

@@ -22,7 +22,7 @@ from .errors import ContractError, InsufficientDataError, NotLocalizedError
 from .frames import (Frame, analysis, canonical_dual, frame_bounds, gram, mixed_frame_operator,
                      shared_lattice, synthesis)
 from .indexing import IndexSet, ShellPartition
-from .linalg import pseudo_inverse
+from .linalg import circular_shifts, pseudo_inverse
 from .weights import (
     DEFAULT_SCHEDULE,
     InclusionReport,
@@ -99,8 +99,7 @@ class LatticeProfile:
         self.shape = mt, mf = tuple(int(m) for m in self.index_set.moduli)
         # g[(m, j)] = |sum_x h_m[x] e^{2 pi i j x / mf}| for h_m = conj(gamma) T_{ma} w; the
         # phase has period mf: h_m folded to length mf, one FFT per m, no K x n array
-        n, a = left.ambient_dim, left.lattice[0]
-        shifted = left.window[(np.arange(n) - a * np.arange(mt)[:, None]) % n]
+        shifted = circular_shifts(left.window, left.lattice[0])
         h = (np.conj(right.window) * shifted).reshape(mt, -1, mf).sum(axis=1)
         self.values = np.abs(np.fft.ifft(h, norm="forward")).ravel()
 

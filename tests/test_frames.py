@@ -30,7 +30,7 @@ from locframes import (
     riesz_bounds,
     synthesis,
 )
-from locframes.frames import analysis_r_adjoint, analysis_r_product, gabor_system
+from locframes.frames import analysis_r_adjoint, analysis_r_product, gabor_system, walnut_r
 from locframes.galerkin import galerkin_core
 from locframes.linalg import spectrum
 from locframes.opnorms import (
@@ -304,6 +304,16 @@ class TestConstructors:
         with pytest.raises(Exception, match="divide"):
             make_gabor_frame(16, 3, 2, gaussian_window(16))
 
+    def test_a_lattice_frame_spans_only_with_n_vectors(self):
+        # 4 time-frequency shifts cannot span C^16, though the singular
+        # values of the Walnut R_t alone would give bounds near 1
+        window = gaussian_window(16)
+        with pytest.raises(NotAFrameError, match="4 vectors < ambient dimension 16"):
+            Frame(window, IndexSet.torus_grid(2, 2), lattice=(8, 8))
+        for lattice in ((3, 2), (2, 5), (0, 4)):
+            with pytest.raises(InvalidInputError, match="divide"):
+                Frame(window, IndexSet.torus_grid(4, 4), lattice=lattice)
+
     def test_translates_of_spike_is_onb(self):
         gen = np.zeros(8)
         gen[0] = 1.0
@@ -451,6 +461,22 @@ class TestGaborStructure:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * frame.vectors.nbytes
+
+    def test_walnut_r_peaks_near_its_blocks(self):
+        # Gabor 2048/16/32, K = 8192: the Walnut blocks are a view of the
+        # window's shifts, so the peak is R and the QR's copy of the blocks
+        frame = make_gabor_frame(2048, 16, 32, gaussian_window(2048))
+        tracemalloc.start()
+        try:
+            walnut_r(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * frame.size * frame.lattice[1] * 16
+
+    def test_walnut_r_is_c_contiguous(self, gabor_twins):
+        # the batched products that read R round by its strides
+        assert all(walnut_r(frame).flags.c_contiguous for frame in gabor_twins)
 
     def test_critical_gaussian_rank_matches_dense(self):
         frame = make_gabor_frame(16, 4, 4, gaussian_window(16))

@@ -26,6 +26,7 @@ from locframes import (
     synthesis,
 )
 from locframes.galerkin import CERTIFICATE_CASES, certificate_probe_norm
+from locframes.linalg import circular_shifts
 from locframes.opnorms import exact_operator_norm, weighted_matrix
 
 SLACK = 1e-12
@@ -165,3 +166,14 @@ def test_gram_projection_idempotent(frame):
     p = gram(frame, canonical_dual(frame))
     assert np.linalg.norm(p @ p - p, 2) <= FRAME_SLACK * condition(frame)
     assert np.linalg.norm(p - np.conj(p.T), 2) <= FRAME_SLACK * condition(frame)
+
+
+@PROPERTY
+@given(st.integers(1, 48), st.booleans(), st.integers(0, 2**16))
+def test_circular_shifts_are_the_index_gather(n, complex_data, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_data else 0)
+    for step in (s for s in range(1, n + 1) if n % s == 0):
+        rows = circular_shifts(v, step)
+        assert rows.dtype == v.dtype and not rows.flags.writeable
+        assert np.array_equal(rows, v[(np.arange(n) - step * np.arange(n // step)[:, None]) % n])

@@ -10,6 +10,7 @@ are checked against a profile reference and against the dense Gram.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from locframes import (
 from locframes.algebras import SHELL_FLOOR, fit_shells
 from locframes.cli import main
 from locframes.errors import NotLocalizedError
-from locframes.frames import Frame, make_gabor_frame
+from locframes.frames import Frame, gaussian_window, make_gabor_frame
 from locframes.galerkin import _probe_norm
 from locframes.localization import (
     DenseMagnitudes,
@@ -343,6 +344,21 @@ class TestProfileFromWindows:
         frame = make_gabor_frame(n, a, b, windows[0])
         other = Frame(windows[1], frame.index_set, lattice=(a, b))
         self.assert_profile_is_dense(*((other, frame) if swap else (frame, other)))
+
+
+class TestProfileMemory:
+    def test_profile_peaks_near_one_shift_stack(self):
+        # Gabor 2048/16/32: the shifted windows are a view, so the peak is
+        # their product with the right window, mt x n entries
+        frame = make_gabor_frame(2048, 16, 32, gaussian_window(2048))
+        dual = canonical_dual(frame)
+        tracemalloc.start()
+        try:
+            LatticeProfile(frame, dual)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (2048 // 16) * 2048 * 16
 
 
 def looped_probe_norm(m, out_space, in_space, probes, seed):
