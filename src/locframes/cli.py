@@ -33,7 +33,7 @@ from .galerkin import (
     CERTIFICATE_CASES,
     LinearOperator,
     compose_rule_check,
-    galerkin_columns,
+    galerkin_matrix,
     idempotency_residual,
     kappa_factorization_probe,
     roundtrip_check,
@@ -76,7 +76,8 @@ def _integer(value):
     return number
 
 
-# every command that reads n allocates at least one n x n complex array
+# n x n complex arrays stay indexable: dense frames, dense operators and the
+# finite sections allocate them (Gabor commands hold O(n) windows and blocks)
 MAX_N = math.isqrt(np.iinfo(np.intp).max // 16)
 
 
@@ -272,30 +273,29 @@ def cmd_galerkin_assemble(cfg, out, seed):
         report["kappa"] = kappa_factorization_probe(op, frame, right)
     except LocframesError as err:
         report["kappa"] = err.payload()
-    # the K x K matrix goes into its container one column block at a time
-    shape, dtype, blocks = galerkin_columns(op, frame, right)
-    io.save_blocks(out / "galerkin", shape, dtype, blocks,
-                   io.galerkin_sidecar(frame, right, {"operator": op.name}))
+    io.save_galerkin_matrix(out / "galerkin", galerkin_matrix(op, frame, right),
+                            {"operator": op.name})
     io.save_json(report, out / "galerkin_report.json")
     return 0
 
 
 def cmd_galerkin_certify(cfg, out, seed):
     path = Path(_required(cfg, "matrix"))
-    entries, sidecar = io.load_array(path)
+    arr, sidecar = io.load_array(path)
+    matrix = io.galerkin_from(path, arr, sidecar)
     # plain matrices and containers written before it was recorded have
     # no ambient dimension, and so no rank bound
     rank_bound = sidecar.get("ambient_dim")
-    if entries.ndim != 2 or not (rank_bound is None
-                                 or type(rank_bound) is int and rank_bound > 0):
+    if len(matrix.shape) != 2 or not (rank_bound is None
+                                      or type(rank_bound) is int and rank_bound > 0):
         raise InputFileError(f"{path} holds no matrix with a valid ambient_dim")
     case = cfg.get("case", "inf_inf")
-    k_out, k_in = entries.shape
+    k_out, k_in = matrix.shape
     w1 = Weight(decay_envelope(np.arange(k_in), cfg.get("w1_power", 0.0)))
     w2 = Weight(decay_envelope(np.arange(k_out), cfg.get("w2_power", 0.0)))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            cert = schur_certificate(entries, case, p=cfg.get("p", 2.0),
+            cert = schur_certificate(matrix, case, p=cfg.get("p", 2.0),
                                      weights=(w1, w2), rank_bound=rank_bound)
     except FloatingPointError as err:
         raise InvalidInputError(f"the weighted {case} norms leave float64 ({err})") from err

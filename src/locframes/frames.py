@@ -348,16 +348,17 @@ def make_onb(n):
     )
 
 
-def gabor_system(window, a, b):
+def gabor_system(window, a, b, shifts=slice(None)):
     """Time-frequency shifts of ``window`` on the (a, b) lattice of Z_n.
 
     Column m (n/b) + j is window[(x - m a) mod n] exp(2 pi i j b x / n),
-    m = 0..n/a - 1, j = 0..n/b - 1.  The phase argument j b x is reduced
-    mod n first, so that every phase is accurate to the last bit or two.
+    m = 0..n/a - 1, j = 0..n/b - 1, for the time shifts m in ``shifts``.  The phase
+    argument j b x is reduced mod n first, so that every phase is accurate to the
+    last bit or two.
     """
     n = window.shape[0]
     x = np.arange(n)
-    shifted = circular_shifts(window, a).T
+    shifted = circular_shifts(window, a)[shifts].T
     phases = np.exp(2j * np.pi * ((b * x[:, None] * np.arange(n // b)) % n) / n)
     return (shifted[:, :, None] * phases[:, None, :]).reshape(n, -1)
 
@@ -372,14 +373,6 @@ def gabor_meta(meta):
         return None
     size = (n // a) * (n // b)
     return ((n, size), (a, b)) if size >= n else None
-
-
-def gabor_lattice(vectors, meta):
-    """(a, b) when ``meta`` passes ``gabor_meta`` and stored n x K ``vectors`` equal
-    ``gabor_system`` of their first column; otherwise None (a general frame)."""
-    shape, lattice = gabor_meta(meta) or (None, None)
-    ok = vectors.shape == shape and np.array_equal(gabor_system(vectors[:, 0], *lattice), vectors)
-    return lattice if ok else None
 
 
 def make_gabor_frame(n, a, b, window):

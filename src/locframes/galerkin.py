@@ -17,8 +17,9 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
 )
-from .frames import (Frame, _walnut_blocks, analysis_r_product, canonical_dual, gram,
-                     mixed_frame_operator, shared_lattice, walnut_mixed, walnut_r, walnut_side)
+from .frames import (Frame, _walnut_blocks, analysis_r_product, canonical_dual, gabor_system,
+                     gram, mixed_frame_operator, shared_lattice, walnut_mixed, walnut_r,
+                     walnut_side)
 from .linalg import Spectrum, adjoint, circular_shifts, field_array, spectrum
 from .opnorms import space_operator_norm, weighted_column_blocks, weighted_matrix
 from .weights import SeqSpaceSpec, column_p_norms, seq_norm
@@ -38,6 +39,8 @@ RANGE_OVERSAMPLING = 16
 RANGE_START = 32
 RANGE_TOL = 1e-12
 RANGE_SEED = 0
+# bytes of the weighted analysis rows the two_two factor rule forms at a time
+FACTOR_BYTES = 1 << 22
 
 
 class LinearOperator:
@@ -53,36 +56,40 @@ class LinearOperator:
     """
 
     def __init__(self, held, name="op", side=None):
-        self.name, self.side, self._held = name, side, field_array(held)
-        self._matrix = None if side else self._held
-        self.shape = (len(self._held),) * 2 if side else self._held.shape
+        self.name, self.side, self.held = name, side, field_array(held)
+        self._matrix = None if side else self.held
+        self.shape = (len(self.held),) * 2 if side else self.held.shape
 
     @cached_property
     def symbol(self):
         # on first use: a command that reads only dense() loads no numpy.fft
         if self.side == "fourier":
-            return np.fft.fft(self._held)
-        return self._held if self.side else None
+            return np.fft.fft(self.held)
+        return self.held if self.side else None
 
     @classmethod
     def identity(cls, n, side="fourier"):
         """I held on ``side``: as the circulant of e_0, or as the diagonal of ones."""
         return cls(np.ones(n) if side == "time" else np.eye(1, n)[0], "identity", side)
 
-    def apply(self, f):
+    def apply(self, f, adjoint=False):
+        """O f, or O^* f, for a vector or for each column of a matrix f."""
         f = np.asarray(f, dtype=complex)
-        if f.shape != (self.shape[1],):
+        if f.shape[:1] != self.shape[1 - adjoint:][:1]:
             raise DimensionMismatchError(
-                f"operator domain {self.shape[1]}, got vector {f.shape}"
+                f"operator domain {self.shape[1 - adjoint]}, got vector {f.shape}"
             )
+        if not self.side:
+            return (np.conj(self._matrix.T) if adjoint else self._matrix) @ f
+        symbol = np.conj(self.symbol) if adjoint else self.symbol
         if self.side == "fourier":
-            return np.fft.ifft(self.symbol * np.fft.fft(f))
-        return self.symbol * f if self.side else self._matrix @ f
+            return np.fft.ifft(symbol * np.fft.fft(f.T)).T
+        return (symbol * f.T).T
 
     def dense(self):
         if self._matrix is None:
-            self._matrix = (np.ascontiguousarray(circular_shifts(self._held).T)
-                            if self.side == "fourier" else np.diag(self._held))
+            self._matrix = (np.ascontiguousarray(circular_shifts(self.held).T)
+                            if self.side == "fourier" else np.diag(self.held))
         return self._matrix
 
     @cached_property
@@ -145,7 +152,8 @@ def galerkin_core(op, left: Frame, right: Frame):
 
 @dataclass
 class GalerkinMatrix:
-    """Matrix <O xi_l, phi_k> with its generating frames and operator.
+    """Matrix <O xi_l, phi_k> of an operator against a frame pair, held as them;
+    its ``entries`` are assembled by ``galerkin_columns`` on first use.
 
     With the frames' analysis factors V^* = Q R (Q is never formed) the
     matrix equals Q_left C Q_right^* for the at most n x n core
@@ -153,15 +161,21 @@ class GalerkinMatrix:
     between are not part of it: ``schur_certificate`` takes their weights.
     """
 
-    entries: np.ndarray
     left_frame: Frame
     right_frame: Frame
     generator: LinearOperator
 
     @property
-    def rank_bound(self):
-        """The ambient dimension, which the rank cannot exceed."""
-        return min(self.left_frame.ambient_dim, self.right_frame.ambient_dim)
+    def shape(self):
+        return self.left_frame.size, self.right_frame.size
+
+    @cached_property
+    def entries(self):
+        shape, dtype, blocks = galerkin_columns(self.generator, self.left_frame, self.right_frame)
+        entries = np.empty(shape, dtype, order="F")
+        for start in range(0, shape[1], ASSEMBLY_COLUMNS):   # no block outlives its copy
+            entries[:, start:start + ASSEMBLY_COLUMNS] = next(blocks)
+        return entries
 
 
 def idempotency_residual(op, left: Frame, right: Frame):
@@ -250,14 +264,11 @@ def _lattice_block(op, left: Frame, right: Frame):
 
 
 def galerkin_matrix(op, left: Frame, right: Frame):
-    """Assemble M_{k,l} = <O xi_l, phi_k> from ``galerkin_columns`` in one
-    column-major array, the layout of its container."""
+    """M_{k,l} = <O xi_l, phi_k>, its entries assembled from ``galerkin_columns``
+    on first use in one column-major array, the layout of its container."""
     op = as_operator(op)
-    shape, dtype, blocks = galerkin_columns(op, left, right)
-    entries = np.empty(shape, dtype, order="F")
-    for start in range(0, shape[1], ASSEMBLY_COLUMNS):   # no block outlives its copy
-        entries[:, start:start + ASSEMBLY_COLUMNS] = next(blocks)
-    return GalerkinMatrix(entries, left, right, generator=op)
+    _check_maps(op, left, right)
+    return GalerkinMatrix(left, right, generator=op)
 
 
 def operator_from_matrix(m, left: Frame, right: Frame):
@@ -552,16 +563,102 @@ def _two_two(entries, w_out, w_in, rank_bound=None):
     }, np.conj(np.conj(vectors[:, -1]) @ b)   # B^* v for the top eigenvector v
 
 
+def _analysis_rows(frame: Frame, weights):
+    """(rows, diag(weights) V^*[rows]) in blocks of whole time shifts (single rows
+    without a lattice) of at most ``FACTOR_BYTES``, a lattice frame's from its window."""
+    n = frame.ambient_dim
+    shift = n // frame.lattice[1] if frame.lattice else 1
+    step = shift * max(1, FACTOR_BYTES // (16 * n * shift))
+    for rows in (slice(k, k + step) for k in range(0, frame.size, step)):
+        yield rows, np.conj((frame.vectors[:, rows] if frame.lattice is None else gabor_system(
+            frame.window, *frame.lattice, slice(rows.start // shift, rows.stop // shift))).T
+                            ) * weights[rows, None]
+
+
+def _stacked_r(blocks, n):
+    """R (at most n x n) of the matrix stacked from ``_analysis_rows`` blocks, and the
+    rows its QRs read: the QR of [R; next block] (sequential TSQR; Demmel et al., SIAM J.
+    Sci. Comput. 34, 2012), in mode "raw", R's lower triangle zeroed in place."""
+    r, read = np.zeros((0, n), complex), 0
+    for _, block in blocks:
+        r = np.concatenate((r, block))
+        read += len(r)
+        r = np.linalg.qr(r, mode="raw")[0].T[:n]
+        r[np.tri(*r.shape, -1, dtype=bool)] = 0
+    return r, read
+
+
+def _two_two_factors(m: GalerkinMatrix, w_out, w_in):
+    """(bound, details, witness, its lower bound) of ``two_two`` for W_2 M W_1^{-1},
+    M = V_l^* O V_r, from the frames' factors, with no entry and no K x n array.
+
+    A_1 = W_1^{-1} V_r^* = Q_1 R_1 (``_stacked_r``) and A_2 = W_2 V_l^* give
+    W_2 M W_1^{-1} = A_2 Y Q_1^*, Y = O R_1^*: its norm squared is the top eigenvalue
+    of C^* C = Y^* A_2^* A_2 Y, summed over the row blocks of A_2, with the top right
+    singular vector v of the core C = R_2 Y.  The witness is Q_1 v = A_1 R_1^{-1} v,
+    R_1^{-1} v = O^* A_2^* A_2 Y v / sigma^2, and its lower bound applies
+    analysis o O o synthesis.  Both weights are scaled by powers of 2 to at most 1
+    first.  ``rounding`` is first order in the unit roundoff u, Higham's constants
+    taken as 1 (Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3 and
+    Thm 19.4): r n u ||A_1||_F for the r rows the QRs read and n^1.5 u each for Y and
+    A_2 Y, through ||A_2 O||_2 <= max(w_2) ||V_l||_2 ||O||_2; K u tr(C^* C) and
+    n u sigma^2 for the sums and ``eigh``, through sqrt(sigma^2 + d)."""
+    left, right, op = m.left_frame, m.right_frame, m.generator
+    n, u = left.ambient_dim, np.finfo(float).eps / 2
+    scales = [int(np.frexp(w.max())[1]) for w in (w_out, 1 / w_in)]
+    factors = {1: (right, np.ldexp(1 / w_in, -scales[1])),
+               2: (left, np.ldexp(w_out, -scales[0]))}
+    # the row blocks of A_1 and A_2, kept when each is one block
+    kept = {i: list(_analysis_rows(*pair)) for i, pair in factors.items()
+            if pair[0].size * n * 16 <= FACTOR_BYTES}
+
+    def blocks(i):
+        return kept[i] if i in kept else _analysis_rows(*factors[i])
+
+    def analysis(i, f):   # A_i f
+        return np.concatenate([block @ f for _, block in blocks(i)])
+
+    def synthesis(i, c):   # A_i^* c
+        return sum(adjoint(block) @ c[rows] for rows, block in blocks(i))
+
+    r1, read = _stacked_r(blocks(1), n)
+    y = np.empty((n, len(r1)), complex)
+    for j in range(0, len(r1), ASSEMBLY_COLUMNS):
+        y[:, j:j + ASSEMBLY_COLUMNS] = op.apply(adjoint(r1[j:j + ASSEMBLY_COLUMNS]))
+    first = (factors[2][1].max() * _norm2(walnut_r(left)) * op.spectrum.values[0]
+             * np.linalg.norm(r1) * (read + 2 * math.sqrt(n)) * n * u)
+    del r1
+    h = np.zeros((len(y.T),) * 2, complex)
+    for _, block in blocks(2):   # h += image^* image, a column block at a time
+        image = block @ y
+        conj = adjoint(image)
+        for j in range(0, len(h), ASSEMBLY_COLUMNS):
+            h[:, j:j + ASSEMBLY_COLUMNS] += conj @ image[:, j:j + ASSEMBLY_COLUMNS]
+    del block, image, conj
+    eigenvalues, vectors = np.linalg.eigh(h)
+    top = max(float(eigenvalues[-1]), 0.0)
+    bound = math.sqrt(top + (left.size * np.trace(h).real + n * top) * u) + first
+    y_v = y @ vectors[:, -1]
+    del h, vectors, y
+    witness = analysis(1, op.apply(synthesis(2, analysis(2, y_v)), adjoint=True))
+    norm_in = np.linalg.norm(witness)
+    lower = np.linalg.norm(analysis(2, op.apply(synthesis(1, witness)))) / (norm_in or 1)
+    bound, rounding, lower = (float(np.ldexp(x, sum(scales)))
+                              for x in (bound, bound - math.sqrt(top), lower))
+    return bound, {"rule": "factors", "rounding": rounding}, witness, lower
+
+
 def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
     """Evaluate one of the Schur-test boundedness criteria, with a witness.
 
     ``weights=(w_in, w_out)`` is required.  ``m`` is a plain matrix with an
-    optional ``rank_bound`` for ``two_two``, or a GalerkinMatrix, which
-    supplies its own rank bound.
+    optional ``rank_bound`` for ``two_two``, or a GalerkinMatrix, whose
+    ``two_two`` reads no entry (``_two_two_factors``).
     The cases with a closed form report ``exact_operator_norm`` of the
     conjugated matrix mb, ``inf_one`` its total absolute sum.  Only
-    ``one_p`` (its p) and ``two_two`` (its trace root, range residual and
-    top singular value) carry details.  ``witness_lower_bound`` is
+    ``one_p`` (its p) and ``two_two`` (its ``rule``: the range finder's trace
+    root, range residual and top singular value, or the factors' ``rounding``)
+    carry details.  ``witness_lower_bound`` is
     ||M x|| / ||x|| in the weighted spaces for x = y / w_in, where the witness
     y attains the closed forms: the unit vector of the largest column of |mb|
     (``one_inf``, ``one_p``) or the conjugate phases of its largest row
@@ -573,11 +670,11 @@ def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
         raise InvalidInputError(f"unsupported certificate case {case!r}")
     if weights is None:
         raise InvalidInputError("a certificate needs weights=(w_in, w_out)")
-    if isinstance(m, GalerkinMatrix):
-        entries, rank_bound = m.entries, m.rank_bound
-    else:
-        entries = np.asarray(m)
     w1, w2 = weights
+    if isinstance(m, GalerkinMatrix) and case == "two_two":
+        bound, details, witness, lower = _two_two_factors(m, w2.values, w1.values)
+        return BoundCertificate(case, bound, (w1, w2), witness, lower, details)
+    entries = m.entries if isinstance(m, GalerkinMatrix) else np.asarray(m)
     details = {}
     if case == "one_p":
         p = float(p)
@@ -587,6 +684,7 @@ def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
     p_in, p_out = _case_exponents(case, p)
     if case == "two_two":
         bound, details, witness = _two_two(entries, w2.values, w1.values, rank_bound)
+        details["rule"] = "range_finder"
     else:
         parts = (np.abs(block) for _, block in weighted_column_blocks(entries, w2.values,
                                                                       w1.values))

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputFileError
-from .frames import Frame, gabor_lattice, gabor_meta
+from .errors import InputFileError, LocframesError
+from .frames import Frame, gabor_meta
+from .galerkin import LinearOperator, _walnut_sides, galerkin_columns, galerkin_matrix
 from .indexing import IndexSet
 
 
@@ -119,8 +120,7 @@ def save_frame(base, frame: Frame):
 
 
 def load_frame(base):
-    """The frame in a container: of a window, or of vectors; stored vectors on a
-    lattice that ``gabor_lattice`` finds load as the window frame of their first column."""
+    """The frame in a container: of a window, or of vectors (a dense frame)."""
     arr, sidecar = load_array(base)
     if sidecar.get("container") != "frame":
         raise InputFileError(f"{base} is not a frame container")
@@ -134,9 +134,7 @@ def load_frame(base):
         raise InputFileError(f"{base} has a frame name {name!r} that is not a string")
     window = sidecar.get("window", False)
     if window is False:
-        lattice = gabor_lattice(arr, meta)
-        return Frame(arr if lattice is None else arr[:, 0], index_set, name=name, meta=meta,
-                     lattice=lattice)
+        return Frame(arr, index_set, name=name, meta=meta)
     shape, lattice = gabor_meta(meta) or (None, None)
     if (window is not True or lattice is None or arr.shape != shape[:1]
             or arr.dtype.kind not in "fc" or not arr.any() or len(index_set) != shape[1]):
@@ -158,7 +156,42 @@ def galerkin_sidecar(left: Frame, right: Frame, extra=None):
 
 
 def save_galerkin_matrix(base, gm, extra=None):
-    return save_array(base, gm.entries, galerkin_sidecar(gm.left_frame, gm.right_frame, extra))
+    """The container of a ``GalerkinMatrix``: of a pair on one lattice with its operator
+    held on a side (``galerkin._walnut_sides``) its generators, the rows of a 3 x n
+    array: both windows and the operator's held vector, ``"generators": true`` with the
+    lattice, the side and both index sets in the sidecar; of any other its K x K entries."""
+    left, right, op = gm.left_frame, gm.right_frame, gm.generator
+    sidecar = galerkin_sidecar(left, right, extra)
+    if _walnut_sides([op], (left, right)) is None:
+        return save_blocks(base, *galerkin_columns(op, left, right), sidecar)
+    return save_array(base, np.stack([left.window, right.window, op.held]), {
+        **sidecar, "generators": True, "lattice": list(left.lattice), "side": op.side,
+        "left_index_set": left.index_set.to_dict(), "right_index_set": right.index_set.to_dict()})
+
+
+def galerkin_from(base, arr, sidecar):
+    """The matrix in a loaded Galerkin container: a generator container's
+    ``GalerkinMatrix``, whose entries are built on first use, else the array."""
+    if "generators" not in sidecar:
+        return arr
+    try:
+        n, (a, b), side = sidecar["ambient_dim"], sidecar["lattice"], sidecar["side"]
+        if (sidecar["generators"] is not True or arr.shape != (3, n)
+                or side not in ("time", "fourier") or {type(a), type(b)} != {int}):
+            raise ValueError("a 3 x n array, a side and integer steps are needed")
+        left, right = (Frame(window, IndexSet.from_dict(sidecar[f"{key}_index_set"]),
+                             lattice=(a, b), name=str(sidecar[f"{key}_frame"]))
+                       for window, key in zip(arr, ("left", "right")))
+        # the windows make the stack complex: a held vector with no imaginary part was real
+        held = arr[2] if arr[2].imag.any() else arr[2].real
+        return galerkin_matrix(LinearOperator(held, str(sidecar.get("operator", "op")), side),
+                               left, right)
+    except (KeyError, TypeError, ValueError, LocframesError) as err:
+        raise InputFileError(f"{base} is not a valid generator container: {err!r}") from err
+
+
+def load_galerkin(base):
+    return galerkin_from(base, *load_array(base))
 
 
 def shells_to_csv(path, fit):

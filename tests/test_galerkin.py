@@ -726,7 +726,7 @@ class TestFactoredDiagnosticsAgreeWithDense:
         core = galerkin_core(gm.generator, phi, psi)[0]
         factored = analysis_q(phi) @ core @ np.conj(analysis_q(psi).T)
         assert np.linalg.norm(factored - gm.entries) <= 1e-12 * np.linalg.norm(gm.entries)
-        assert gm.rank_bound == 64
+        assert gm.shape == gm.entries.shape == (phi.size, psi.size)
 
     @pytest.mark.parametrize("k, rank, powers", [(80, 10, (0.0, 0.0)), (96, 24, (1.0, 1.0)),
                                                  (64, 64, (0.5, 1.0))])
@@ -797,15 +797,20 @@ class TestTwoTwoRangeFinder:
         assert cert.details["svd_ground_truth"] == pytest.approx(
             np.linalg.norm(m, 2), rel=1e-12)
 
-    def test_galerkin_matrix_passes_its_rank_bound(self, suite_frames):
+    def test_galerkin_matrix_takes_the_factor_rule(self, suite_frames):
+        # the entries take the range finder; the GalerkinMatrix its frames' factors,
+        # which reads no entry and is tight to its rounding term
         frame = suite_frames["gabor64"]
         op = make_test_operator("identity_minus_kernel", 64, theta=0.5)
         gm = galerkin_matrix(op, frame, canonical_dual(frame))
         w = Weight.ones(frame.size)
         cert = schur_certificate(gm, "two_two", weights=(w, w))
+        assert "entries" not in vars(gm)
         bare = schur_certificate(gm.entries, "two_two", weights=(w, w))
-        assert cert.certified_bound == pytest.approx(bare.certified_bound, rel=1e-12)
-        assert cert.certified_bound >= np.linalg.norm(gm.entries, 2)
+        assert (cert.details["rule"], bare.details["rule"]) == ("factors", "range_finder")
+        truth = np.linalg.norm(gm.entries, 2)
+        assert truth <= cert.certified_bound <= truth * (1 + 1e-8) <= bare.certified_bound
+        assert cert.witness_lower_bound == pytest.approx(truth, rel=1e-12)
 
 
 class TestCertificateBlocks:
@@ -818,7 +823,8 @@ class TestCertificateBlocks:
         op = make_test_operator("identity_minus_kernel", 64, theta=0.5)
         base = tmp_path_factory.mktemp("blocks") / "galerkin"
         io.save_galerkin_matrix(base, galerkin_matrix(op, frame, canonical_dual(frame)))
-        return io.load_array(base)
+        gm = io.load_galerkin(base)
+        return gm.entries, {"ambient_dim": gm.left_frame.ambient_dim}
 
     @pytest.mark.parametrize("case", CERTIFICATE_CASES)
     def test_no_square_temporary(self, container, case):

@@ -75,12 +75,18 @@ class TestContainers:
         frame = make_gabor_frame(16, 4, 2, gaussian_window(16))
         gm = galerkin_matrix(LinearOperator.identity(16), frame, frame)
         io.save_galerkin_matrix(tmp_path / "m", gm, extra={"operator": "identity"})
-        entries, sidecar = io.load_array(tmp_path / "m")
-        assert np.array_equal(entries, gm.entries)
-        assert sorted(sidecar) == ["ambient_dim", "container", "left_frame",
-                                   "operator", "right_frame", "shape"]
-        assert sidecar["left_frame"] == frame.name
-        assert sidecar["ambient_dim"] == 16
+        # a pair on one lattice with a symbol operator is stored as its generators
+        generators, sidecar = io.load_array(tmp_path / "m")
+        assert np.array_equal(generators, np.stack([frame.window, frame.window,
+                                                    gm.generator.held]))
+        assert sorted(sidecar) == ["ambient_dim", "container", "generators", "lattice",
+                                   "left_frame", "left_index_set", "operator", "right_frame",
+                                   "right_index_set", "shape", "side"]
+        assert (sidecar["left_frame"], sidecar["ambient_dim"]) == (frame.name, 16)
+        assert (sidecar["lattice"], sidecar["side"]) == ([4, 2], "fourier")
+        loaded = io.load_galerkin(tmp_path / "m")
+        assert loaded.left_frame.index_set.to_dict() == frame.index_set.to_dict()
+        assert np.array_equal(loaded.entries, gm.entries)
 
     @pytest.mark.parametrize("name", ["1-D", "C", "F", "strided", "empty",
                                       "empty columns", "row", "3-D", "chunked"])
@@ -208,7 +214,7 @@ class TestCLI:
         assert rep["roundtrip_residual"] <= 1e-10
         # identity against the dual pair: the matrix is the cross-Gram,
         # idempotent up to roundoff
-        entries, _ = io.load_array(tmp_path / "gal" / "galerkin")
+        entries = io.load_galerkin(tmp_path / "gal" / "galerkin").entries
         assert np.linalg.norm(entries @ entries - entries, 2) <= 1e-10
         assert run_cli("galerkin", "certify", "--matrix", tmp_path / "gal" / "galerkin",
                        "--case", "inf_inf", "--out-dir", tmp_path / "cert") == 0
@@ -232,7 +238,7 @@ class TestCLI:
         assert set(cert) == {"case", "certified_bound", "details",
                              "witness_lower_bound", "sound", "tight"}
         assert set(cert["details"]) == {
-            "one_p": {"p"}, "two_two": {"trace_k", "range_residual", "svd_ground_truth"},
+            "one_p": {"p"}, "two_two": {"rule", "rounding"},
         }.get(case, set())
 
     def test_galerkin_assemble_reports_singular_operator(self, tmp_path):
@@ -1034,11 +1040,16 @@ class TestRealDataPipeline:
 class TestGalerkinContainerRankBound:
     @staticmethod
     def assemble(tmp_path):
+        # 32/4/4 against 32/2/8: no shared lattice, so a K x K container
         run_cli("frame", "build", "--kind", "gabor", "--n", "32", "--a", "4",
                 "--b", "4", "--out-dir", tmp_path)
+        run_cli("frame", "build", "--kind", "gabor", "--n", "32", "--a", "2",
+                "--b", "8", "--out-dir", tmp_path / "right")
         assert run_cli("galerkin", "assemble", "--frame", tmp_path / "frame",
+                       "--right", tmp_path / "right" / "frame",
                        "--op-kind", "identity_minus_kernel", "--theta", "0.5",
                        "--out-dir", tmp_path / "gal") == 0
+        assert np.load(tmp_path / "gal" / "galerkin.npy").shape == (64, 64)
         return tmp_path / "gal" / "galerkin"
 
     @staticmethod
@@ -1114,13 +1125,17 @@ class TestStreamedAssembly:
 
     @pytest.mark.parametrize("columns", [256, 24])
     def test_gabor_frame_with_its_dual(self, tmp_path, monkeypatch, columns):
-        # K = 64: one block, or two of 24 and a ragged one of 16
+        # K = 64: one block, or two of 24 and a ragged one of 16; the container
+        # holds the generators, whose entries are those galerkin_matrix forms
         monkeypatch.setattr(locframes.galerkin, "ASSEMBLY_COLUMNS", columns)
-        streamed, frame = self.assemble(tmp_path, make_gabor_frame(32, 4, 4, gaussian_window(32)),
-                                        *self.OPERATOR)
+        _, frame = self.assemble(tmp_path, make_gabor_frame(32, 4, 4, gaussian_window(32)),
+                                 *self.OPERATOR)
         assert frame.lattice is not None
         op = make_test_operator("identity_minus_kernel", 32, theta=0.5)
-        assert streamed == self.expected(tmp_path, op, frame, canonical_dual(frame))
+        loaded = io.load_galerkin(tmp_path / "gal" / "galerkin")
+        expected = galerkin_matrix(op, frame, canonical_dual(frame)).entries
+        assert loaded.entries.tobytes() == expected.tobytes()
+        assert loaded.entries.flags.f_contiguous and expected.flags.f_contiguous
 
     def test_real_onb_with_real_operator(self, tmp_path, monkeypatch):
         monkeypatch.setattr(locframes.galerkin, "ASSEMBLY_COLUMNS", 5)
@@ -1201,19 +1216,29 @@ class TestLatticeContainers:
         ("--op-kind", "diagonal", "--spectrum=" + ",".join(str(1.5 + (k % 5) / 8) for k in range(32))),
     ], ids=["fourier", "time"])
     def test_vectors_and_window_containers_agree(self, tmp_path, operator):
+        # the window container assembles a generator container, the container
+        # of all K vectors a dense frame's K x K one: each holds the entries
+        # galerkin_matrix forms for its frames, and they agree to rounding
         frame = make_gabor_frame(32, 4, 4, gaussian_window(32))
         io.save_frame(tmp_path / "window", frame)
         sidecar = json.loads((tmp_path / "window.json").read_text())
         del sidecar["window"]
         io.save_array(tmp_path / "vectors", frame.vectors, sidecar)
-        assert io.load_frame(tmp_path / "vectors").lattice == (4, 4)
-        outputs = []
+        entries = []
         for name in ("window", "vectors"):
+            loaded = io.load_frame(tmp_path / name)
+            assert loaded.lattice == ((4, 4) if name == "window" else None)
             assert run_cli("galerkin", "assemble", "--frame", tmp_path / name, *operator,
                            "--out-dir", tmp_path / f"gal_{name}") == 0
-            outputs.append([(tmp_path / f"gal_{name}" / f).read_bytes()
-                            for f in ("galerkin.npy", "galerkin_report.json")])
-        assert outputs[0] == outputs[1]
+            op = (make_test_operator("identity_minus_kernel", 32, theta=0.5)
+                  if operator[1] == "identity_minus_kernel" else make_test_operator(
+                      "diagonal", 32, spectrum=[1.5 + (k % 5) / 8 for k in range(32)]))
+            expected = galerkin_matrix(op, loaded, canonical_dual(loaded)).entries
+            got = io.load_galerkin(tmp_path / f"gal_{name}" / "galerkin")
+            got = got.entries if name == "window" else got
+            assert got.tobytes() == expected.tobytes()
+            entries.append(got)
+        assert np.linalg.norm(entries[0] - entries[1]) <= 1e-13 * np.linalg.norm(entries[0])
 
     def test_unshared_lattices_keep_the_gemm_rule(self, tmp_path, monkeypatch):
         # 32/4/4 against 32/2/8: K = 64 on both, one layout on neither side
@@ -1266,8 +1291,8 @@ def unreduced_gabor_vectors(n, a, b, window):
 
 
 class TestGaborContainers:
-    """A container is read as a Gabor frame only when its vectors are exactly
-    the system its meta describes; otherwise it takes the dense path."""
+    """A container of vectors is a dense frame whatever its meta describes: only
+    a window container is read as a Gabor frame."""
 
     def save(self, tmp_path, vectors, meta=None):
         """Save ``vectors`` with the sidecar of Gabor 64/8/4 and load them."""
@@ -1276,10 +1301,11 @@ class TestGaborContainers:
             vectors, frame.index_set, name=frame.name, meta=meta or frame.meta))
         return frame, io.load_frame(tmp_path / "frame")
 
-    def test_built_container_is_structured(self, tmp_path):
+    def test_built_container_loads_dense(self, tmp_path):
         frame = make_gabor_frame(64, 8, 4, gaussian_window(64))
         _, loaded = self.save(tmp_path, frame.vectors)
-        assert loaded.lattice == (8, 4)
+        assert loaded.lattice is None and loaded.window is None
+        assert loaded.vectors.tobytes() == frame.vectors.tobytes()
 
     def test_unreduced_phases_load_dense(self, tmp_path):
         old = unreduced_gabor_vectors(64, 8, 4, gaussian_window(64).astype(complex))
@@ -1323,7 +1349,7 @@ class TestGaborContainers:
 
 class TestWindowContainers:
     """A Gabor frame is stored as its window; containers of all K vectors,
-    written before, still load."""
+    written before, load as dense frames."""
 
     OPERATOR = ("--op-kind", "identity_minus_kernel", "--theta", "0.5")
 
@@ -1348,39 +1374,27 @@ class TestWindowContainers:
         assert json.loads((tmp_path / "frame.json").read_text())["window"] is True
         assert (loaded.lattice, loaded.ambient_dim, loaded.size) == ((8, 4), 64, 128)
         assert loaded.index_set.to_dict() == frame.index_set.to_dict()
-        # a container of all K vectors loads as the same window frame: its
-        # vectors are built to be written and once more to be recognized
-        sidecar = json.loads((tmp_path / "frame.json").read_text())
-        del sidecar["window"]
-        io.save_array(tmp_path / "old" / "frame", frame.vectors, sidecar)
-        old = io.load_frame(tmp_path / "old" / "frame")
-        assert old._vectors is None and calls == [(8, 4)] * 2
-        for other in (loaded, old):
-            assert other.window.tobytes() == frame.window.tobytes()
-            assert (other.lattice, other.index_set.to_dict()) == ((8, 4), sidecar["index_set"])
+        assert loaded.window.tobytes() == frame.window.tobytes()
         assert loaded.vectors.tobytes() == frame.vectors.tobytes()
         assert not loaded.vectors.flags.writeable and loaded.vectors is loaded.vectors
 
     def test_min_vector_norm_is_the_window_norm(self, tmp_path, monkeypatch):
-        # every time-frequency shift is unitary: a built frame, a loaded window
-        # and a loaded container of all K vectors give the same bits, and no
-        # vector is built for them
+        # every time-frequency shift is unitary: a built frame and a loaded window
+        # give the same bits, and no vector is built for them
         frame = make_gabor_frame(64, 8, 4, gaussian_window(64))
         io.save_frame(tmp_path / "new" / "frame", frame)
-        sidecar = json.loads((tmp_path / "new" / "frame.json").read_text())
-        del sidecar["window"]
-        io.save_array(tmp_path / "old" / "frame", frame.vectors, sidecar)
         calls = self.count_systems(monkeypatch)
         frames = [make_gabor_frame(64, 8, 4, gaussian_window(64)),
                   io.load_frame(tmp_path / "new" / "frame")]
         norms = [f.min_vector_norm() for f in frames]
         dual = canonical_dual(frames[0])
         assert calls == [] and dual.min_vector_norm() == np.linalg.norm(dual.window)
-        norms.append(io.load_frame(tmp_path / "old" / "frame").min_vector_norm())
-        assert norms == [np.linalg.norm(frame.window)] * 3
+        assert norms == [np.linalg.norm(frame.window)] * 2
         assert abs(norms[0] - np.linalg.norm(frame.vectors, axis=0).min()) <= 1e-15
 
-    def test_old_layout_gives_the_same_artifacts(self, tmp_path):
+    def test_old_layout_loads_as_a_dense_frame(self, tmp_path):
+        # a container of all K vectors with a Gabor meta is a dense frame: the
+        # same vectors, no lattice, and diagnostics that agree to rounding
         assert run_cli("frame", "build", "--kind", "gabor", "--n", "64", "--a", "8",
                        "--b", "4", "--out-dir", tmp_path / "new") == 0
         frame = io.load_frame(tmp_path / "new" / "frame")
@@ -1388,20 +1402,19 @@ class TestWindowContainers:
         del sidecar["window"]
         io.save_array(tmp_path / "old" / "frame", frame.vectors, sidecar)
         assert np.load(tmp_path / "old" / "frame.npy").shape == (64, 128)
-        assert io.load_frame(tmp_path / "old" / "frame").lattice == (8, 4)
-        artifacts = {}
+        old = io.load_frame(tmp_path / "old" / "frame")
+        assert (old.lattice, old.window, old.meta) == (None, None, frame.meta)
+        assert old.vectors.tobytes() == frame.vectors.tobytes()
+        assert old.index_set.to_dict() == frame.index_set.to_dict()
+        grids = []
         for layout in ("new", "old"):
-            base = tmp_path / layout / "frame"
-            commands = [("solve", "fg", "--method", "cg", *self.OPERATOR),
-                        ("solve", "fg", "--method", "direct", *self.OPERATOR),
-                        ("galerkin", "assemble", *self.OPERATOR), ("frame", "diag")]
-            for i, argv in enumerate(commands):
-                out = tmp_path / f"{layout}-{i}"
-                assert run_cli(*argv, "--frame", base, "--out-dir", out) == 0
-                artifacts.setdefault(layout, {}).update(
-                    {f"{i}/{path.name}": path.read_bytes() for path in out.iterdir()})
-        assert len(artifacts["new"]) == 14
-        assert artifacts["new"] == artifacts["old"]
+            out = tmp_path / f"{layout}-diag"
+            assert run_cli("frame", "diag", "--frame", tmp_path / layout / "frame",
+                           "--out-dir", out) == 0
+            grids.append(json.loads((out / "equivalence.json").read_text())["grid"])
+        for new, dense in zip(*grids):
+            for key in ("lower", "upper"):
+                assert dense[key] == pytest.approx(new[key], rel=1e-10)
 
     @pytest.mark.parametrize("case", ["short", "two_d", "nan", "zero", "not_dividing",
                                       "index_set", "not_gabor", "not_a_bool"])
@@ -1459,29 +1472,6 @@ class TestWindowContainers:
             tracemalloc.stop()
         assert code == 0
         assert peak < 2048 * 512 * np.dtype(complex).itemsize
-
-    def test_both_containers_load_one_window_frame(self, tmp_path):
-        # a container of all K vectors keeps no K x n array once loaded: its
-        # frame is the window frame of the window container, and frame diag
-        # writes the same bytes from either
-        frame = make_gabor_frame(48, 4, 6, gaussian_window(48))
-        io.save_frame(tmp_path / "window" / "frame", frame)
-        sidecar = json.loads((tmp_path / "window" / "frame.json").read_text())
-        del sidecar["window"]
-        io.save_array(tmp_path / "vectors" / "frame", frame.vectors, sidecar)
-        loaded = [io.load_frame(tmp_path / kind / "frame") for kind in ("window", "vectors")]
-        assert [f._vectors for f in loaded] == [None, None]
-        assert loaded[0].window.tobytes() == loaded[1].window.tobytes()
-        assert loaded[0].lattice == loaded[1].lattice == (4, 6)
-        assert loaded[0].index_set.to_dict() == loaded[1].index_set.to_dict()
-        outputs = []
-        for kind in ("window", "vectors"):
-            assert run_cli("frame", "diag", "--frame", tmp_path / kind / "frame",
-                           "--out-dir", tmp_path / f"{kind}-diag") == 0
-            outputs.append({path.name: path.read_bytes()
-                            for path in (tmp_path / f"{kind}-diag").iterdir()})
-        assert sorted(outputs[0]) == ["equivalence.json", "localization.json", "shells.csv"]
-        assert outputs[0] == outputs[1]
 
 
 class TestGaborNoDenseFactorizations:
@@ -1552,11 +1542,11 @@ class TestWorkCounts:
         return calls
 
     def test_assemble_streams_the_one_galerkin_matrix(self, tmp_path, monkeypatch):
-        run_cli("frame", "build", "--kind", "gabor", "--n", "32", "--a", "4",
-                "--b", "4", "--out-dir", tmp_path)
+        # a dense frame: a lattice pair's container holds its generators, no entry
+        run_cli("frame", "build", "--kind", "perturbed-onb", "--n", "32", "--out-dir", tmp_path)
         matrices = self.count(monkeypatch, "galerkin_matrix", [locframes.galerkin])
         columns = self.count(monkeypatch, "galerkin_columns",
-                             [locframes.galerkin, locframes.cli])
+                             [locframes.galerkin, locframes.io])
         # identity against the dual also reports the idempotency residual;
         # every diagnostic works on the n x n cores, so the entries are
         # assembled once, straight into the container
@@ -1679,7 +1669,7 @@ class TestWorkCounts:
                          scales=iset.scales)
         io.save_frame(tmp_path / "frame", Frame(frame.vectors, moved,
                                                 name=frame.name, meta=frame.meta))
-        assert io.load_frame(tmp_path / "frame").lattice == (4, 4)
+        assert io.load_frame(tmp_path / "frame").lattice is None
         assert self.diag_gram_calls(tmp_path, monkeypatch) == 3
 
 
