@@ -360,7 +360,7 @@ def gabor_system(window, a, b, shifts=slice(None)):
     x = np.arange(n)
     shifted = circular_shifts(window, a)[shifts].T
     phases = np.exp(2j * np.pi * ((b * x[:, None] * np.arange(n // b)) % n) / n)
-    return (shifted[:, :, None] * phases[:, None, :]).reshape(n, -1)
+    return np.multiply(shifted[:, :, None], phases[:, None, :], order="C").reshape(n, -1)
 
 
 def gabor_meta(meta):

@@ -218,47 +218,38 @@ def galerkin_columns(op, left: Frame, right: Frame):
                                             range(0, right.size, ASSEMBLY_COLUMNS))
 
 
-def _lattice_block(op, left: Frame, right: Frame):
-    """The rule block(start) of M(O) for Gabor frames on the lattice (a, b),
-    mt = n/a, mf = n/b, from ``left`` and ``right`` on the side where O is
-    diagonal (there on (b, a) for "fourier").  With their Walnut stack C_t = B_t^l diag(symbol_t) B_t^r^* and
-    h = ifft(C) over t, M[(m, j), (m', j')] = h[(j' - j) mod mf][m, m'] on the
-    time side.  The Fourier side's index of psi_{m, j} is (j, -m mod mt), whose
-    vector is e^{2 pi i a b j m / n} F psi_{m, j}, so there M[(m, j), (m', j')]
-    = h[(m - m') mod mt][j, j'] e^{2 pi i a b (j' m' - j m) / n}.  A column is
-    a window of h stored twice over: O(K mt b) flops, then one copy pass."""
-    n, (a, b) = left.ambient_dim, left.lattice[::1 if op.side == "time" else -1]
-    mt, mf = n // a, n // b
+def _walnut_h(op, left: Frame, right: Frame):
+    """h = ifft over t of the Walnut stack C_t = B_t^l diag(symbol_t) B_t^r^* of Gabor
+    frames on the lattice (a, b), mt = n/a, mf = n/b, given on the side where O is
+    diagonal (there on (b, a) for "fourier"), the one source of a lattice pair's M(O).
+    On the time side M[(m, j), (m', j')] = h[(j' - j) mod mf][m, m'].  The Fourier
+    side's index of psi_{m, j} is (j, -m mod mt), whose vector is e^{2 pi i a b j m / n}
+    F psi_{m, j}, so there M[(m, j), (m', j')] = h[(m - m') mod mt][j, j']
+    e^{2 pi i a b (j' m' - j m) / n}."""
     blocks = _walnut_blocks(left)
     stack = ((blocks * op.symbol.reshape(-1, len(blocks)).T[:, None, :])
              @ np.conj(_walnut_blocks(right).transpose(0, 2, 1)))
-    h = np.fft.ifft(stack, axis=0)
-    if op.side == "time":
-        # twice[m', m, e] = h[-e mod mf][m, m']: column (m', j') is twice[m', :, mf - j' + j]
-        twice = np.ascontiguousarray(h[-np.arange(2 * mf) % mf].transpose(2, 1, 0))
+    return np.fft.ifft(stack, axis=0)
 
-        def columns(mp, j0, j1, out):
-            windows = np.lib.stride_tricks.sliding_window_view(twice[mp], mf, axis=1)
-            np.copyto(out, windows[:, mf - j0:mf - j1:-1].transpose(1, 0, 2))
-    else:
-        # twice[j', e, j] = h[e mod mt][j, j']: column (m', j') is twice[j', mt - m' + m, j]
-        twice = np.ascontiguousarray(h[np.arange(2 * mt) % mt].transpose(2, 0, 1))
-        # e^{2 pi i a b j m / n}, the argument reduced mod n as in ``gabor_system``
-        phase = np.exp(2j * np.pi * ((a * b * np.arange(mt)[:, None] * np.arange(mf)) % n) / n)
-        conj = np.conj(phase)
 
-        def columns(mp, j0, j1, out):
-            np.multiply(twice[j0:j1, mt - mp:2 * mt - mp], conj, out=out)
-            out *= phase[mp, j0:j1, None, None]
+def _lattice_block(op, left: Frame, right: Frame):
+    """The rule block(start) of M(O) for frames on one lattice: ``_walnut_h`` of ``left``
+    and ``right`` on the side where O is diagonal, read at each entry's index into the
+    transpose of a column-major block."""
+    n, (a, b) = left.ambient_dim, left.lattice[::1 if op.side == "time" else -1]
+    # each index (m, j) in 4 bytes, so that a block's index arrays stay a quarter of it
+    h, (m, j) = _walnut_h(op, left, right), np.divmod(np.arange(left.size, dtype=np.int32), n // b)
+    # e^{2 pi i a b j m / n}, the argument reduced mod n as in ``gabor_system``
+    phase = np.exp(2j * np.pi * ((np.int64(a * b) * m * j) % n) / n)
 
     def block(start):
-        stop = min(start + ASSEMBLY_COLUMNS, left.size)
-        out = np.empty((left.size, stop - start), complex, order="F")
-        rows = out.T.reshape(-1, mt, mf)   # rows[l - start, m, j] = M[(m, j), l]
-        for mp in range(start // mf, (stop - 1) // mf + 1):   # the time shifts in the block
-            j0, j1 = max(start - mp * mf, 0), min(stop - mp * mf, mf)
-            columns(mp, j0, j1, rows[mp * mf + j0 - start:mp * mf + j1 - start])
-        return out
+        cols = slice(start, start + ASSEMBLY_COLUMNS)
+        if op.side == "time":
+            return h[(j[cols, None] - j) % (n // b), m, m[cols, None]].T
+        out = h[(m - m[cols, None]) % (n // a), j, j[cols, None]]
+        out *= np.conj(phase)
+        out *= phase[cols, None]
+        return out.T
 
     return block
 
@@ -565,14 +556,39 @@ def _two_two(entries, w_out, w_in, rank_bound=None):
 
 def _analysis_rows(frame: Frame, weights):
     """(rows, diag(weights) V^*[rows]) in blocks of whole time shifts (single rows
-    without a lattice) of at most ``FACTOR_BYTES``, a lattice frame's from its window."""
+    without a lattice) of at least n rows and ``FACTOR_BYTES``, a lattice frame's from
+    its window."""
     n = frame.ambient_dim
     shift = n // frame.lattice[1] if frame.lattice else 1
-    step = shift * max(1, FACTOR_BYTES // (16 * n * shift))
+    step = shift * max(1, FACTOR_BYTES // (16 * n * shift), -(-n // shift))
     for rows in (slice(k, k + step) for k in range(0, frame.size, step)):
-        yield rows, np.conj((frame.vectors[:, rows] if frame.lattice is None else gabor_system(
-            frame.window, *frame.lattice, slice(rows.start // shift, rows.stop // shift))).T
-                            ) * weights[rows, None]
+        block = np.conj((frame.vectors[:, rows] if frame.lattice is None else gabor_system(
+            frame.window, *frame.lattice, slice(rows.start // shift, rows.stop // shift))).T)
+        block *= weights[rows, None]
+        yield rows, block
+
+
+def _products(m: GalerkinMatrix, w_left, w_right):
+    """(y -> A_l O A_r^* y, z -> A_r O^* A_l^* z, A_l) for A = diag(w) V^* of each frame,
+    through its Walnut blocks (``_walnut_blocks``): V^* f at (m, j) is the unitary DFT
+    over t of (B_t f_t)[m], f_t[p] = f[t + p mf]: no K x n array for a lattice frame."""
+    def maps(frame, w):
+        blocks = _walnut_blocks(frame)
+        mf, b = len(blocks), blocks.shape[2]
+        return (lambda f: w * np.fft.fft((blocks @ f.reshape(b, mf).T[:, :, None])[:, :, 0],
+                                         axis=0, norm="ortho").T.ravel(),
+                lambda c: (adjoint(blocks) @ np.fft.ifft((w * c).reshape(-1, mf), axis=1,
+                                                         norm="ortho").T[:, :, None]).T.ravel())
+
+    (a_l, s_l), (a_r, s_r) = maps(m.left_frame, w_left), maps(m.right_frame, w_right)
+    op = m.generator
+    return lambda y: a_l(op.apply(s_r(y))), lambda z: a_r(op.apply(s_l(z), adjoint=True)), a_l
+
+
+def _scaled(x):
+    """x over the power of 2 that brings its largest entry into [1/2, 1), and the exponent."""
+    e = int(np.frexp(x.max())[1])
+    return np.ldexp(x, -e), e
 
 
 def _stacked_r(blocks, n):
@@ -581,7 +597,7 @@ def _stacked_r(blocks, n):
     Sci. Comput. 34, 2012), in mode "raw", R's lower triangle zeroed in place."""
     r, read = np.zeros((0, n), complex), 0
     for _, block in blocks:
-        r = np.concatenate((r, block))
+        r = np.concatenate((r, block)) if len(r) else block   # qr copies its input
         read += len(r)
         r = np.linalg.qr(r, mode="raw")[0].T[:n]
         r[np.tri(*r.shape, -1, dtype=bool)] = 0
@@ -597,39 +613,24 @@ def _two_two_factors(m: GalerkinMatrix, w_out, w_in):
     of C^* C = Y^* A_2^* A_2 Y, summed over the row blocks of A_2, with the top right
     singular vector v of the core C = R_2 Y.  The witness is Q_1 v = A_1 R_1^{-1} v,
     R_1^{-1} v = O^* A_2^* A_2 Y v / sigma^2, and its lower bound applies
-    analysis o O o synthesis.  Both weights are scaled by powers of 2 to at most 1
-    first.  ``rounding`` is first order in the unit roundoff u, Higham's constants
-    taken as 1 (Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3 and
-    Thm 19.4): r n u ||A_1||_F for the r rows the QRs read and n^1.5 u each for Y and
-    A_2 Y, through ||A_2 O||_2 <= max(w_2) ||V_l||_2 ||O||_2; K u tr(C^* C) and
-    n u sigma^2 for the sums and ``eigh``, through sqrt(sigma^2 + d)."""
+    analysis o O o synthesis (``_products``).  Both weights are scaled by powers of 2
+    first (``_scaled``).  ``rounding`` is first order in the unit roundoff u,
+    Higham's constants taken as 1 (Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 3 and Thm 19.4): r n u ||A_1||_F for the r rows the QRs read and
+    n^1.5 u each for Y and A_2 Y, through ||A_2 O||_2 <= max(w_2) ||V_l||_2 ||O||_2;
+    K u tr(C^* C) and n u sigma^2 for the sums and ``eigh``, through sqrt(sigma^2 + d)."""
     left, right, op = m.left_frame, m.right_frame, m.generator
     n, u = left.ambient_dim, np.finfo(float).eps / 2
-    scales = [int(np.frexp(w.max())[1]) for w in (w_out, 1 / w_in)]
-    factors = {1: (right, np.ldexp(1 / w_in, -scales[1])),
-               2: (left, np.ldexp(w_out, -scales[0]))}
-    # the row blocks of A_1 and A_2, kept when each is one block
-    kept = {i: list(_analysis_rows(*pair)) for i, pair in factors.items()
-            if pair[0].size * n * 16 <= FACTOR_BYTES}
-
-    def blocks(i):
-        return kept[i] if i in kept else _analysis_rows(*factors[i])
-
-    def analysis(i, f):   # A_i f
-        return np.concatenate([block @ f for _, block in blocks(i)])
-
-    def synthesis(i, c):   # A_i^* c
-        return sum(adjoint(block) @ c[rows] for rows, block in blocks(i))
-
-    r1, read = _stacked_r(blocks(1), n)
+    (w2, e2), (u1, e1) = _scaled(w_out), _scaled(1 / w_in)
+    r1, read = _stacked_r(_analysis_rows(right, u1), n)
     y = np.empty((n, len(r1)), complex)
     for j in range(0, len(r1), ASSEMBLY_COLUMNS):
         y[:, j:j + ASSEMBLY_COLUMNS] = op.apply(adjoint(r1[j:j + ASSEMBLY_COLUMNS]))
-    first = (factors[2][1].max() * _norm2(walnut_r(left)) * op.spectrum.values[0]
+    first = (w2.max() * _norm2(walnut_r(left)) * op.spectrum.values[0]
              * np.linalg.norm(r1) * (read + 2 * math.sqrt(n)) * n * u)
     del r1
     h = np.zeros((len(y.T),) * 2, complex)
-    for _, block in blocks(2):   # h += image^* image, a column block at a time
+    for _, block in _analysis_rows(left, w2):   # h += image^* image, a column block at a time
         image = block @ y
         conj = adjoint(image)
         for j in range(0, len(h), ASSEMBLY_COLUMNS):
@@ -640,12 +641,74 @@ def _two_two_factors(m: GalerkinMatrix, w_out, w_in):
     bound = math.sqrt(top + (left.size * np.trace(h).real + n * top) * u) + first
     y_v = y @ vectors[:, -1]
     del h, vectors, y
-    witness = analysis(1, op.apply(synthesis(2, analysis(2, y_v)), adjoint=True))
+    apply, apply_adjoint, analysis = _products(m, w2, u1)
+    witness = apply_adjoint(analysis(y_v))
     norm_in = np.linalg.norm(witness)
-    lower = np.linalg.norm(analysis(2, op.apply(synthesis(1, witness)))) / (norm_in or 1)
-    bound, rounding, lower = (float(np.ldexp(x, sum(scales)))
+    lower = np.linalg.norm(apply(witness)) / (norm_in or 1)
+    bound, rounding, lower = (float(np.ldexp(x, e1 + e2))
                               for x in (bound, bound - math.sqrt(top), lower))
     return bound, {"rule": "factors", "rounding": rounding}, witness, lower
+
+
+def _entry_source(entries, w_out, w_in):
+    """(reduce, row, apply, apply_adjoint, shift) of mb = W_2 M W_1^{-1} from M's entries:
+    reduce(p_in, p_out) gives the row sums (p_in = inf) or column p_out-norms (p_in = 1)
+    of |mb|, a column block at a time; row(k) mb's row k conjugated, apply mb y and
+    apply_adjoint mb^* z, these three over 2^shift, here 2^0."""
+    def reduce(p_in, p_out):
+        parts = (np.abs(block) for _, block in weighted_column_blocks(entries, w_out, w_in))
+        if p_in == 1.0:
+            return np.concatenate([column_p_norms(a, p_out) for a in parts])
+        reduction = next(parts).sum(axis=1)   # then column by column: as an F-order sum
+        for a in parts:
+            for column in a.T:
+                reduction += column
+        return reduction
+
+    return (reduce, lambda k: np.conj(weighted_matrix(entries[k:k + 1], w_out[k:k + 1], w_in)[0]),
+            lambda y: w_out * (entries @ (y / w_in)),
+            lambda z: np.conj((np.conj(z) * w_out) @ entries / w_in), 0)
+
+
+def _shift_norms(stack, v, p):
+    """``column_p_norms`` at [c, s] of the matrix whose entry at ((b, s'), (c, s)) is
+    stack[(s - s') mod N][b, c] v[b, s'], for N blocks of order P and v of P x N.  For
+    p < inf they are the roots of one product of the p-th powers with the circular
+    shifts of v's rows, if each sum is at least tiny / eps^2, so that the terms lost to
+    underflow, each below tiny, are below its rounding; else, and for p = inf, they are
+    taken the P columns of one shift s at a time."""
+    if p < math.inf:
+        sums = (adjoint(stack ** p) @ circular_shifts(v ** p).transpose(1, 0, 2)).sum(0)
+        if np.all(sums >= np.finfo(float).tiny / np.finfo(float).eps ** 2):
+            return sums ** (1 / p)
+    shifts = circular_shifts(v)
+    return np.stack([column_p_norms((stack * shifts[:, :, s].T[:, :, None]).reshape(
+        -1, stack.shape[2]), p) for s in range(len(stack))], axis=1)
+
+
+def _walnut_source(m: GalerkinMatrix, w_out, w_in):
+    """``_entry_source`` with no entry of M for a pair on one lattice, else None.  |M| at
+    ((m, j), (m', j')) is |h|[(j' - j) mod mf][m, m'] on the time side and
+    |h|[(m - m') mod mt][j, j'] on the Fourier side (``_walnut_h``), so that, with
+    (b, s) = (m, j) there and (j, m) here, its columns are those of ``_shift_norms`` on
+    |h| or |h| reversed in d, and its rows those of the other, transposed.  |h| and the
+    weights are scaled by powers of 2 first, so that no power or sum overflows."""
+    op, sides = m.generator, _walnut_sides([m.generator], (m.left_frame, m.right_frame))
+    if sides is None:
+        return None
+    h, top = _scaled(np.abs(_walnut_h(op, *sides)))
+    (w2, e2), (u1, e1) = _scaled(w_out), _scaled(1 / w_in)
+    time, reverse = op.side == "time", h[-np.arange(len(h)) % len(h)]
+    cols, rows = (h, reverse) if time else (reverse, h)
+
+    def norms(stack, v, p):   # at the flat index (m, j)
+        grid = _shift_norms(stack, v.reshape(-1, len(h)) if time else v.reshape(len(h), -1).T, p)
+        return (grid if time else grid.T).ravel()
+
+    apply, apply_adjoint, _ = _products(m, w2, u1)
+    return (lambda p_in, p_out: np.ldexp(norms(cols, w2, p_out) * u1 if p_in == 1.0 else
+                                         w2 * norms(adjoint(rows), u1, 1.0), top + e1 + e2),
+            lambda k: apply_adjoint(np.eye(1, len(w_out), k)[0]), apply, apply_adjoint, e1 + e2)
 
 
 def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
@@ -653,7 +716,8 @@ def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
 
     ``weights=(w_in, w_out)`` is required.  ``m`` is a plain matrix with an
     optional ``rank_bound`` for ``two_two``, or a GalerkinMatrix, whose
-    ``two_two`` reads no entry (``_two_two_factors``).
+    ``two_two`` reads no entry (``_two_two_factors``), nor, for a pair on one
+    lattice, its closed forms (``_walnut_source``).
     The cases with a closed form report ``exact_operator_norm`` of the
     conjugated matrix mb, ``inf_one`` its total absolute sum.  Only
     ``one_p`` (its p) and ``two_two`` (its ``rule``: the range finder's trace
@@ -664,7 +728,8 @@ def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
     (``one_inf``, ``one_p``) or the conjugate phases of its largest row
     (``inf_inf``, ``inf_zero``).  For ``two_two`` and ``inf_one`` (NP-hard in
     general) it is only a lower bound: B^* v, and Boyd's power method.
-    mb is formed one column block at a time, and mb y as w_out (m (y / w_in)).
+    The source (``_entry_source`` or ``_walnut_source``) gives the sums and the
+    products with mb.
     """
     if case not in CERTIFICATE_CASES:
         raise InvalidInputError(f"unsupported certificate case {case!r}")
@@ -674,7 +739,6 @@ def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
     if isinstance(m, GalerkinMatrix) and case == "two_two":
         bound, details, witness, lower = _two_two_factors(m, w2.values, w1.values)
         return BoundCertificate(case, bound, (w1, w2), witness, lower, details)
-    entries = m.entries if isinstance(m, GalerkinMatrix) else np.asarray(m)
     details = {}
     if case == "one_p":
         p = float(p)
@@ -682,36 +746,31 @@ def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
             raise InvalidInputError("one_p requires a finite exponent p >= 1")
         details["p"] = p
     p_in, p_out = _case_exponents(case, p)
+    source = isinstance(m, GalerkinMatrix) and _walnut_source(m, w2.values, w1.values)
+    entries = None if source else m.entries if isinstance(m, GalerkinMatrix) else np.asarray(m)
+    reduce, row, apply, apply_adjoint, shift = source or _entry_source(entries, w2.values,
+                                                                       w1.values)
     if case == "two_two":
         bound, details, witness = _two_two(entries, w2.values, w1.values, rank_bound)
         details["rule"] = "range_finder"
     else:
-        parts = (np.abs(block) for _, block in weighted_column_blocks(entries, w2.values,
-                                                                      w1.values))
-        if p_in == 1.0:
-            reduction = np.concatenate([column_p_norms(a, p_out) for a in parts])
-        else:   # first block's sums, then column by column: as a one-block or F-order sum
-            reduction = next(parts).sum(axis=1)
-            for a in parts:
-                for column in a.T:
-                    reduction += column
+        reduction = reduce(p_in, p_out)
         top = int(reduction.argmax())
         bound = float(reduction.sum() if case == "inf_one" else reduction.max())
-        witness = np.eye(1, entries.shape[1], top)[0] if p_in == 1.0 else _phase(np.conj(
-            weighted_matrix(entries[top:top + 1], w2.values[top:top + 1], w1.values)[0]))
+        witness = np.eye(1, len(w1), top)[0] if p_in == 1.0 else _phase(row(top))
     if case == "inf_one":
         # Boyd's power method from the inf_inf witness: a step
         # y <- phase(mb^* phase(mb y)) cannot lower ||mb y||_1; at most 3
-        z = w2.values * (entries @ (witness / w1.values))
+        z = apply(witness)
         for _ in range(3):
-            step = _phase(np.conj((np.conj(_phase(z)) * w2.values) @ entries / w1.values))
-            z_step = w2.values * (entries @ (step / w1.values))
+            step = _phase(apply_adjoint(_phase(z)))
+            z_step = apply(step)
             if np.abs(z_step).sum() <= np.abs(z).sum():
                 break
             witness, z = step, z_step
-    x = witness / w1.values
-    norm_in = seq_norm(x, SeqSpaceSpec(p_in, w1))
-    lower = seq_norm(entries @ x, SeqSpaceSpec(p_out, w2)) / norm_in if norm_in else 0.0
+    norm_in = seq_norm(witness / w1.values, SeqSpaceSpec(p_in, w1))
+    lower = float(np.ldexp(column_p_norms(np.abs(apply(witness)), p_out) / norm_in, shift)
+                  if norm_in else 0.0)
     return BoundCertificate(case, bound, (w1, w2), witness, lower, details)
 
 

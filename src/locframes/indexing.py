@@ -189,17 +189,22 @@ class IndexSet:
                           self.moduli)[:, 0]
 
     def to_dict(self):
-        out = {
-            "positions": np.asarray(self.positions).tolist(),
-            "metric": self.metric,
-            "scales": list(self.scales),
-        }
+        """Metric, scales, moduli, and the positions, or of a ``torus_grid`` its shape."""
+        shape = [int(m) for m in self.moduli or () if m.is_integer()]
+        grid = len(shape) == 2 and shape[0] * shape[1] == len(self) and self.is_torus_grid(*shape)
+        out = {"grid": shape} if grid else {"positions": np.asarray(self.positions).tolist()}
+        out.update(metric=self.metric, scales=list(self.scales))
         if self.moduli is not None:
             out["moduli"] = list(self.moduli)
         return out
 
     @classmethod
-    def from_dict(cls, d):
-        """The set that ``to_dict`` wrote; any other key is ignored."""
-        return cls(d["positions"], d["metric"],
-                   moduli=d.get("moduli"), scales=d.get("scales"))
+    def from_dict(cls, d, size):
+        """The set that ``to_dict`` wrote; a grid must hold ``size`` points, and any
+        other key is ignored."""
+        if "grid" in d:
+            n1, n2 = d["grid"]
+            if not (type(n1) is type(n2) is int and n1 > 0 and n2 > 0 and n1 * n2 == size):
+                raise ValueError(f"grid {d['grid']} is not a grid of {size} points")
+        return cls(np.indices(d["grid"]).reshape(2, -1).T if "grid" in d else d["positions"],
+                   d["metric"], moduli=d.get("moduli"), scales=d.get("scales"))

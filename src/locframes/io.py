@@ -124,18 +124,19 @@ def load_frame(base):
     arr, sidecar = load_array(base)
     if sidecar.get("container") != "frame":
         raise InputFileError(f"{base} is not a frame container")
+    window = sidecar.get("window", False)
     try:
-        index_set = IndexSet.from_dict(sidecar["index_set"])
-        name = sidecar["name"]
         meta = dict(sidecar.get("meta", {}))
-    except (KeyError, TypeError, ValueError) as err:
+        shape, lattice = gabor_meta(meta) or (None, None)
+        index_set = IndexSet.from_dict(sidecar["index_set"], arr.shape[-1] if window is False
+                                       else shape and shape[1])
+        name = sidecar["name"]
+    except (IndexError, KeyError, TypeError, ValueError) as err:
         raise InputFileError(f"{base} has a malformed frame sidecar: {err!r}") from err
     if not isinstance(name, str):
         raise InputFileError(f"{base} has a frame name {name!r} that is not a string")
-    window = sidecar.get("window", False)
     if window is False:
         return Frame(arr, index_set, name=name, meta=meta)
-    shape, lattice = gabor_meta(meta) or (None, None)
     if (window is not True or lattice is None or arr.shape != shape[:1]
             or arr.dtype.kind not in "fc" or not arr.any() or len(index_set) != shape[1]):
         raise InputFileError(f"{base}: a window container holds a Gabor meta on K >= n points, "
@@ -179,14 +180,15 @@ def galerkin_from(base, arr, sidecar):
         if (sidecar["generators"] is not True or arr.shape != (3, n)
                 or side not in ("time", "fourier") or {type(a), type(b)} != {int}):
             raise ValueError("a 3 x n array, a side and integer steps are needed")
-        left, right = (Frame(window, IndexSet.from_dict(sidecar[f"{key}_index_set"]),
+        left, right = (Frame(window, IndexSet.from_dict(sidecar[f"{key}_index_set"],
+                                                        (n // a) * (n // b)),
                              lattice=(a, b), name=str(sidecar[f"{key}_frame"]))
                        for window, key in zip(arr, ("left", "right")))
         # the windows make the stack complex: a held vector with no imaginary part was real
         held = arr[2] if arr[2].imag.any() else arr[2].real
         return galerkin_matrix(LinearOperator(held, str(sidecar.get("operator", "op")), side),
                                left, right)
-    except (KeyError, TypeError, ValueError, LocframesError) as err:
+    except (ArithmeticError, KeyError, TypeError, ValueError, LocframesError) as err:
         raise InputFileError(f"{base} is not a valid generator container: {err!r}") from err
 
 

@@ -50,9 +50,10 @@ def blockwise(f, m):
 
 def circular_shifts(v, step=1):
     """The rows v[(x - m step) mod n], m = 0..n/step - 1, of a vector v of
-    length n that ``step`` divides: a read-only view of (v, v), no index array."""
-    n = len(v)
-    return sliding_window_view(np.concatenate((v, v)), n)[n:0:-step]
+    length n that ``step`` divides, or of each row of a matrix v: a read-only
+    view of (v, v), no index array."""
+    n = v.shape[-1]
+    return sliding_window_view(np.concatenate((v, v), axis=-1), n, axis=-1)[..., n:0:-step, :]
 
 
 def hermitian_defect(m):

@@ -174,6 +174,22 @@ class TestIndexSetMetric:
         assert not IndexSet(grid.positions, "absolute").is_torus_grid(3, 4)
         assert not IndexSet.ring(12).is_torus_grid(3, 4)
 
+    def test_torus_grid_is_written_as_its_shape(self):
+        grid = IndexSet.torus_grid(3, 4, scales=(2.0, 5.0))
+        d = grid.to_dict()
+        assert d == {"grid": [3, 4], "metric": "circular", "moduli": [3.0, 4.0],
+                     "scales": [2.0, 5.0]}
+        assert np.array_equal(IndexSet.from_dict(d, 12).positions, grid.positions)
+        # any other set is written, and still read, as its positions
+        for other in (IndexSet.ring(12), IndexSet(grid.positions[::-1], "circular", moduli=(3, 4)),
+                      IndexSet(grid.positions, "absolute"),
+                      IndexSet(grid.positions, "circular", moduli=(3, 4.5))):
+            assert "grid" not in other.to_dict()
+            assert IndexSet.from_dict(other.to_dict(), 12).to_dict() == other.to_dict()
+        for bad in ([4, 4], [3, 4.0], [-3, -4], [12], [1 << 30, 1 << 30]):
+            with pytest.raises(ValueError):
+                IndexSet.from_dict({**d, "grid": bad}, 12)
+
     @pytest.mark.parametrize("positions", [[0.0, 1.0], [], [[0.0, 1.0, 2.0]]])
     def test_positions_are_one_row_per_index(self, positions):
         # a flat pair would otherwise read as one point of Z^2

@@ -50,9 +50,22 @@ class TestContainers:
         assert np.array_equal(loaded.vectors, frame.vectors)
         assert loaded.index_set.to_dict() == frame.index_set.to_dict()
         assert loaded.name == frame.name
-        # an index set is its positions, metric, moduli and scales
+        # a torus grid is written as its shape, metric, moduli and scales
         sidecar = json.loads(base.with_suffix(".json").read_text())
-        assert sorted(sidecar["index_set"]) == ["metric", "moduli", "positions", "scales"]
+        assert sorted(sidecar["index_set"]) == ["grid", "metric", "moduli", "scales"]
+        assert sidecar["index_set"]["grid"] == [4, 8]
+
+    @pytest.mark.parametrize("grid, code", [([4, 8], 0), ([8, 8], 2), ([1 << 20, 1 << 20], 2)])
+    def test_vectors_container_reads_a_grid_of_its_size(self, tmp_path, grid, code):
+        # a dense frame on the torus grid: K = 32 vectors, the grid's points are its indices
+        frame = make_gabor_frame(16, 4, 2, gaussian_window(16))
+        io.save_array(tmp_path / "frame", frame.vectors, {
+            "container": "frame", "name": "f", "index_set": {**frame.index_set.to_dict(),
+                                                             "grid": grid}})
+        assert run_cli("frame", "diag", "--frame", tmp_path / "frame",
+                       "--out-dir", tmp_path / "diag") == code
+        if code:
+            assert TestCLIContract.error(tmp_path / "diag") == "input-file"
 
     def test_sidecar_with_labels_loads(self, tmp_path):
         # containers of earlier versions list one label per index; it is not read
@@ -1417,7 +1430,7 @@ class TestWindowContainers:
                 assert dense[key] == pytest.approx(new[key], rel=1e-10)
 
     @pytest.mark.parametrize("case", ["short", "two_d", "nan", "zero", "not_dividing",
-                                      "index_set", "not_gabor", "not_a_bool"])
+                                      "index_set", "not_gabor", "not_a_bool", "grid_size"])
     def test_malformed_window_exits_2(self, tmp_path, case):
         frame = make_gabor_frame(64, 8, 4, gaussian_window(64))
         io.save_frame(tmp_path / "frame", frame)
@@ -1436,6 +1449,8 @@ class TestWindowContainers:
             sidecar["index_set"] = IndexSet.torus_grid(8, 8).to_dict()
         elif case == "not_gabor":
             sidecar["meta"] = {"kind": "onb", "n": 64}
+        elif case == "grid_size":   # 2^40 points against K = 128, read without forming them
+            sidecar["index_set"]["grid"] = [1 << 20, 1 << 20]
         else:
             sidecar["window"] = 1
         np.save(tmp_path / "frame.npy", window)

@@ -177,3 +177,6 @@ def test_circular_shifts_are_the_index_gather(n, complex_data, seed):
         rows = circular_shifts(v, step)
         assert rows.dtype == v.dtype and not rows.flags.writeable
         assert np.array_equal(rows, v[(np.arange(n) - step * np.arange(n // step)[:, None]) % n])
+        # of a matrix, the shifts of each row
+        assert np.array_equal(circular_shifts(np.stack([v, v[::-1]]), step),
+                              np.stack([rows, circular_shifts(v[::-1], step)]))
