@@ -107,23 +107,31 @@ class Frame:
 
 
 def analysis(frame: Frame, f):
-    """Coefficients (<f, psi_k>)_k."""
+    """Coefficients (<f, psi_k>)_k through the Walnut blocks (``_walnut_blocks``): at
+    (m, j) the unitary DFT over t of (B_t f_t)[m], f_t[p] = f[t + p mf], so that a
+    lattice frame forms no K x n array; a dense frame is the one block V^*."""
     f = np.asarray(f, dtype=complex)
     if f.shape != (frame.ambient_dim,):
         raise DimensionMismatchError(
             f"vector of length {f.shape} against ambient dim {frame.ambient_dim}"
         )
-    return np.conj(frame.vectors.T) @ f
+    blocks = _walnut_blocks(frame)
+    return np.fft.fft((blocks @ _grouped(f[:, None], len(blocks)))[:, :, 0],
+                      axis=0, norm="ortho").T.ravel()
 
 
 def synthesis(frame: Frame, c):
-    """Weighted sum sum_k c_k psi_k; the adjoint of analysis."""
+    """Weighted sum sum_k c_k psi_k; the adjoint of analysis, block by block:
+    (V c)[t + p mf] = (B_t^* c_t)[p], c_t[m] the inverse unitary DFT over j of c[(m, j)]
+    at t."""
     c = np.asarray(c, dtype=complex)
     if c.shape != (frame.size,):
         raise DimensionMismatchError(
             f"sequence of length {c.shape} against frame size {frame.size}"
         )
-    return frame.vectors @ c
+    blocks = _walnut_blocks(frame)
+    spectra = np.fft.ifft(c.reshape(-1, len(blocks)), axis=1, norm="ortho").T[:, :, None]
+    return (np.conj(blocks.transpose(0, 2, 1)) @ spectra).T.ravel()
 
 
 def frame_operator(frame: Frame):

@@ -17,9 +17,9 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
 )
-from .frames import (Frame, _walnut_blocks, analysis_r_product, canonical_dual, gabor_system,
-                     gram, mixed_frame_operator, shared_lattice, walnut_mixed, walnut_r,
-                     walnut_side)
+from .frames import (Frame, _walnut_blocks, analysis, analysis_r_product, canonical_dual,
+                     gabor_system, gram, mixed_frame_operator, shared_lattice, synthesis,
+                     walnut_mixed, walnut_r, walnut_side)
 from .linalg import Spectrum, adjoint, circular_shifts, field_array, spectrum
 from .opnorms import space_operator_norm, weighted_column_blocks, weighted_matrix
 from .weights import SeqSpaceSpec, column_p_norms, seq_norm
@@ -196,23 +196,18 @@ def _check_maps(op, left: Frame, right: Frame):
 
 def galerkin_columns(op, left: Frame, right: Frame):
     """Shape, dtype and the column blocks of M_{k,l} = <O xi_l, phi_k>, the
-    next ``ASSEMBLY_COLUMNS`` columns each, column-major; the one assembly
-    rule of the container and ``galerkin_matrix``.  On the side where O is
-    diagonal, frames of one block layout there (``_walnut_sides``) take
-    ``_lattice_block``; any other pair the GEMM Phi^* (O Xi[:, columns])."""
+    next ``ASSEMBLY_COLUMNS`` columns each, column-major, by the GEMM
+    Phi^* (O Xi[:, columns]): the one assembly rule of the container and
+    ``galerkin_matrix``."""
     op = as_operator(op)
     _check_maps(op, left, right)
-    sides = _walnut_sides([op], (left, right))
-    if sides is not None:
-        dtype, block = np.dtype(complex), _lattice_block(op, *sides)
-    else:
-        analysis, o, xi = np.conj(left.vectors.T), op.dense(), right.vectors
-        dtype = np.result_type(analysis, o, xi)
+    analysis, o, xi = np.conj(left.vectors.T), op.dense(), right.vectors
+    dtype = np.result_type(analysis, o, xi)
 
-        def block(start):
-            image = o @ xi[:, start:start + ASSEMBLY_COLUMNS]
-            out = np.empty((left.size, image.shape[1]), dtype, order="F")
-            return np.matmul(analysis, image, out=out)
+    def block(start):
+        image = o @ xi[:, start:start + ASSEMBLY_COLUMNS]
+        out = np.empty((left.size, image.shape[1]), dtype, order="F")
+        return np.matmul(analysis, image, out=out)
 
     return (left.size, right.size), dtype, (block(start) for start in
                                             range(0, right.size, ASSEMBLY_COLUMNS))
@@ -221,37 +216,13 @@ def galerkin_columns(op, left: Frame, right: Frame):
 def _walnut_h(op, left: Frame, right: Frame):
     """h = ifft over t of the Walnut stack C_t = B_t^l diag(symbol_t) B_t^r^* of Gabor
     frames on the lattice (a, b), mt = n/a, mf = n/b, given on the side where O is
-    diagonal (there on (b, a) for "fourier"), the one source of a lattice pair's M(O).
-    On the time side M[(m, j), (m', j')] = h[(j' - j) mod mf][m, m'].  The Fourier
-    side's index of psi_{m, j} is (j, -m mod mt), whose vector is e^{2 pi i a b j m / n}
-    F psi_{m, j}, so there M[(m, j), (m', j')] = h[(m - m') mod mt][j, j']
-    e^{2 pi i a b (j' m' - j m) / n}."""
+    diagonal (there on (b, a) for "fourier"): |M| at ((m, j), (m', j')) is
+    |h|[(j' - j) mod mf][m, m'] on the time side and |h|[(m - m') mod mt][j, j'] on the
+    Fourier side."""
     blocks = _walnut_blocks(left)
     stack = ((blocks * op.symbol.reshape(-1, len(blocks)).T[:, None, :])
              @ np.conj(_walnut_blocks(right).transpose(0, 2, 1)))
     return np.fft.ifft(stack, axis=0)
-
-
-def _lattice_block(op, left: Frame, right: Frame):
-    """The rule block(start) of M(O) for frames on one lattice: ``_walnut_h`` of ``left``
-    and ``right`` on the side where O is diagonal, read at each entry's index into the
-    transpose of a column-major block."""
-    n, (a, b) = left.ambient_dim, left.lattice[::1 if op.side == "time" else -1]
-    # each index (m, j) in 4 bytes, so that a block's index arrays stay a quarter of it
-    h, (m, j) = _walnut_h(op, left, right), np.divmod(np.arange(left.size, dtype=np.int32), n // b)
-    # e^{2 pi i a b j m / n}, the argument reduced mod n as in ``gabor_system``
-    phase = np.exp(2j * np.pi * ((np.int64(a * b) * m * j) % n) / n)
-
-    def block(start):
-        cols = slice(start, start + ASSEMBLY_COLUMNS)
-        if op.side == "time":
-            return h[(j[cols, None] - j) % (n // b), m, m[cols, None]].T
-        out = h[(m - m[cols, None]) % (n // a), j, j[cols, None]]
-        out *= np.conj(phase)
-        out *= phase[cols, None]
-        return out.T
-
-    return block
 
 
 def galerkin_matrix(op, left: Frame, right: Frame):
@@ -570,19 +541,11 @@ def _analysis_rows(frame: Frame, weights):
 
 def _products(m: GalerkinMatrix, w_left, w_right):
     """(y -> A_l O A_r^* y, z -> A_r O^* A_l^* z, A_l) for A = diag(w) V^* of each frame,
-    through its Walnut blocks (``_walnut_blocks``): V^* f at (m, j) is the unitary DFT
-    over t of (B_t f_t)[m], f_t[p] = f[t + p mf]: no K x n array for a lattice frame."""
-    def maps(frame, w):
-        blocks = _walnut_blocks(frame)
-        mf, b = len(blocks), blocks.shape[2]
-        return (lambda f: w * np.fft.fft((blocks @ f.reshape(b, mf).T[:, :, None])[:, :, 0],
-                                         axis=0, norm="ortho").T.ravel(),
-                lambda c: (adjoint(blocks) @ np.fft.ifft((w * c).reshape(-1, mf), axis=1,
-                                                         norm="ortho").T[:, :, None]).T.ravel())
-
-    (a_l, s_l), (a_r, s_r) = maps(m.left_frame, w_left), maps(m.right_frame, w_right)
-    op = m.generator
-    return lambda y: a_l(op.apply(s_r(y))), lambda z: a_r(op.apply(s_l(z), adjoint=True)), a_l
+    by ``analysis`` and ``synthesis``: no K x n array for a lattice frame."""
+    phi, xi, op = m.left_frame, m.right_frame, m.generator
+    return (lambda y: w_left * analysis(phi, op.apply(synthesis(xi, w_right * y))),
+            lambda z: w_right * analysis(xi, op.apply(synthesis(phi, w_left * z), adjoint=True)),
+            lambda f: w_left * analysis(phi, f))
 
 
 def _scaled(x):
@@ -687,12 +650,11 @@ def _shift_norms(stack, v, p):
 
 
 def _walnut_source(m: GalerkinMatrix, w_out, w_in):
-    """``_entry_source`` with no entry of M for a pair on one lattice, else None.  |M| at
-    ((m, j), (m', j')) is |h|[(j' - j) mod mf][m, m'] on the time side and
-    |h|[(m - m') mod mt][j, j'] on the Fourier side (``_walnut_h``), so that, with
-    (b, s) = (m, j) there and (j, m) here, its columns are those of ``_shift_norms`` on
-    |h| or |h| reversed in d, and its rows those of the other, transposed.  |h| and the
-    weights are scaled by powers of 2 first, so that no power or sum overflows."""
+    """``_entry_source`` with no entry of M for a pair on one lattice, else None.  With
+    (b, s) = (m, j) on the time side and (j, m) on the Fourier side, the columns of |M|
+    (``_walnut_h``) are those of ``_shift_norms`` on |h| or |h| reversed in d, and its
+    rows those of the other, transposed.  |h| and the weights are scaled by powers of 2
+    first, so that no power or sum overflows."""
     op, sides = m.generator, _walnut_sides([m.generator], (m.left_frame, m.right_frame))
     if sides is None:
         return None
@@ -714,10 +676,10 @@ def _walnut_source(m: GalerkinMatrix, w_out, w_in):
 def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
     """Evaluate one of the Schur-test boundedness criteria, with a witness.
 
-    ``weights=(w_in, w_out)`` is required.  ``m`` is a plain matrix with an
-    optional ``rank_bound`` for ``two_two``, or a GalerkinMatrix, whose
-    ``two_two`` reads no entry (``_two_two_factors``), nor, for a pair on one
-    lattice, its closed forms (``_walnut_source``).
+    ``weights=(w_in, w_out)``, of M's column and row counts, is required.  ``m``
+    is a plain matrix with an optional ``rank_bound`` for ``two_two``, or a
+    GalerkinMatrix, whose ``two_two`` reads no entry (``_two_two_factors``), nor,
+    for a pair on one lattice, its closed forms (``_walnut_source``).
     The cases with a closed form report ``exact_operator_norm`` of the
     conjugated matrix mb, ``inf_one`` its total absolute sum.  Only
     ``one_p`` (its p) and ``two_two`` (its ``rule``: the range finder's trace
@@ -736,6 +698,9 @@ def schur_certificate(m, case, p=2.0, weights=None, rank_bound=None):
     if weights is None:
         raise InvalidInputError("a certificate needs weights=(w_in, w_out)")
     w1, w2 = weights
+    shape = m.shape if isinstance(m, GalerkinMatrix) else np.shape(m)
+    if (len(w2), len(w1)) != shape:
+        raise DimensionMismatchError(f"weights of lengths {len(w1), len(w2)} for shape {shape}")
     if isinstance(m, GalerkinMatrix) and case == "two_two":
         bound, details, witness, lower = _two_two_factors(m, w2.values, w1.values)
         return BoundCertificate(case, bound, (w1, w2), witness, lower, details)

@@ -474,6 +474,41 @@ class TestGaborStructure:
             tracemalloc.stop()
         assert peak <= 1.5 * frame.size * frame.lattice[1] * 16
 
+    @staticmethod
+    def check_walnut_maps(frame, rng):
+        # analysis and synthesis through the Walnut blocks against the dense
+        # twin's vectors, for the frame and its dual, and adjoint to each other
+        for f in (frame, canonical_dual(frame)):
+            x, c = random_vec(rng, f.ambient_dim), random_vec(rng, f.size)
+            coefficients, vector = analysis(f, x), synthesis(f, c)
+            assert relative_gap(coefficients, analysis(dense_twin(f), x)) <= 1e-13
+            assert relative_gap(vector, synthesis(dense_twin(f), c)) <= 1e-13
+            scale = np.linalg.norm(coefficients) * np.linalg.norm(c)
+            assert abs(np.vdot(c, coefficients) - np.vdot(vector, x)) <= 1e-13 * scale
+
+    def test_walnut_maps_match_dense(self, gabor_twins, rng):
+        self.check_walnut_maps(gabor_twins[0], rng)
+
+    def test_walnut_maps_match_dense_on_the_suite(self, suite_frames, rng):
+        for frame in suite_frames.values():
+            if frame.lattice is not None:
+                self.check_walnut_maps(frame, rng)
+
+    def test_walnut_maps_hold_no_analysis_matrix(self, rng):
+        # Gabor 2048/16/32, K = 8192: the vectors are 268 MB, the Walnut blocks
+        # K x b, and analysis plus synthesis of the dual peak below K x n / 16
+        dual = canonical_dual(make_gabor_frame(2048, 16, 32, gaussian_window(2048)))
+        x, c = random_vec(rng, dual.ambient_dim), random_vec(rng, dual.size)
+        tracemalloc.start()
+        try:
+            analysis(dual, x)
+            synthesis(dual, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dual._vectors is None
+        assert peak < dual.size * dual.ambient_dim * 16 / 16
+
     def test_walnut_r_is_c_contiguous(self, gabor_twins):
         # the batched products that read R round by its strides
         assert all(walnut_r(frame).flags.c_contiguous for frame in gabor_twins)

@@ -349,6 +349,22 @@ class TestSchurCertificates:
         with pytest.raises(InvalidInputError, match="weights"):
             schur_certificate(gm if galerkin else gm.entries, "inf_inf")
 
+    @pytest.mark.parametrize("case", CERTIFICATE_CASES)
+    def test_weights_of_the_wrong_length_rejected(self, suite_frames, case):
+        # w_in has M's column count and w_out its row count, before any case runs;
+        # a 3 x 5 matrix tells the two apart
+        frame = suite_frames["gabor16"]
+        gm = galerkin_matrix(LinearOperator.identity(16), frame, canonical_dual(frame))
+        plain = np.arange(15.0).reshape(3, 5) + 1
+        for m in (gm, gm.entries, np.ones((4, 4)), plain):
+            rows, cols = m.shape
+            swapped = [(rows, cols)] if rows != cols else []
+            for w_in, w_out in [(cols - 1, rows), (cols, rows + 1)] + swapped:
+                with pytest.raises(DimensionMismatchError, match="weights"):
+                    schur_certificate(m, case, weights=(Weight.ones(w_in), Weight.ones(w_out)))
+        cert = schur_certificate(plain, case, weights=(Weight.ones(5), Weight.ones(3)))
+        assert cert.to_dict()["sound"]
+
 
 class TestPseudoInverseAndKappa:
     def test_identity_onb(self):

@@ -13,8 +13,8 @@ import locframes
 from conftest import GABOR_LATTICES, riesz_sequence
 from locframes import canonical_dual, galerkin_matrix, gaussian_window, io, make_gabor_frame
 from locframes.cli import main
-from locframes.galerkin import (CERTIFICATE_CASES, LinearOperator, galerkin_columns,
-                                schur_certificate)
+from locframes.galerkin import (CERTIFICATE_CASES, LinearOperator, _walnut_h, _walnut_sides,
+                                galerkin_columns, schur_certificate)
 from locframes.solver import make_test_operator
 from locframes.weights import Weight, decay_envelope
 
@@ -75,6 +75,25 @@ def test_generator_and_dense_containers_certify_alike(tmp_path, lattice, name):
         assert truth <= cert["certified_bound"] <= truth * (1 + 1e-8), (t, cert, truth)
         assert cert["witness_lower_bound"] == pytest.approx(truth, rel=1e-10)
     assert "entries" not in vars(generators)
+
+
+@pytest.mark.parametrize("lattice, name", PAIRS, ids=[f"gabor{n}a{a}b{b}-{op}" for (n, a, b), op
+                                                      in PAIRS])
+def test_entry_moduli_are_the_walnut_stack(lattice, name):
+    # the map the closed forms read: |M| at ((m, j), (m', j')) is
+    # |h|[(j' - j) mod mf][m, m'] on the time side, |h|[(m - m') mod mt][j, j'] on
+    # the Fourier side, for h of the frames on that side
+    n, a, b = lattice
+    op = operators(n)[name]
+    frame = make_gabor_frame(n, a, b, gaussian_window(n))
+    gm = galerkin_matrix(op, frame, canonical_dual(frame))
+    h = np.abs(_walnut_h(op, *_walnut_sides([op], (frame, canonical_dual(frame)))))
+    m, j = np.divmod(np.arange(frame.size), n // b)
+    if op.side == "time":
+        want = h[(j - j[:, None]) % (n // b), m[:, None], m]
+    else:
+        want = h[(m[:, None] - m) % (n // a), j[:, None], j]
+    assert np.abs(np.abs(gm.entries) - want).max() <= 1e-13 * want.max()
 
 
 def test_two_two_holds_no_analysis_matrix():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import locframes
 from locframes import (
     ContractError,
     CoorbitSpec,
@@ -292,6 +293,30 @@ class TestCoorbitInclusion:
         with pytest.raises(ContractError):
             coorbit_inclusion(tiny, SeqSpaceSpec(1, Weight.ones(8)),
                               SeqSpaceSpec(2, Weight.ones(8)))
+
+
+def test_coorbit_maps_build_no_frame_vectors(monkeypatch):
+    # a Gabor frame and its dual are analysed and synthesized through their
+    # Walnut blocks: coorbit norms, pairings, non-inclusion witnesses and the
+    # p != 2 least-norm bound build no K x n array, all of which gabor_system forms
+    frame = make_gabor_frame(64, 8, 4, gaussian_window(64))
+    systems = []
+    original = locframes.frames.gabor_system
+
+    def counted(*args, **kwargs):
+        systems.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(locframes.frames, "gabor_system", counted)
+    w = Weight.polynomial(1.0, frame.index_set)
+    spec = CoorbitSpec(frame, SeqSpaceSpec(1.0, w))
+    f = np.cos(np.arange(64.0)) + 1j * np.sin(np.arange(64.0) ** 2)
+    assert coorbit_norm(f, spec) > 0
+    assert np.isfinite(coorbit_pairing(f, f[::-1], spec))
+    report = coorbit_inclusion(frame, SeqSpaceSpec(np.inf, w), SeqSpaceSpec(1.0, w))
+    assert not report.included and report.frame_ratios
+    assert min_synthesis_norm(f, frame, SeqSpaceSpec(1.0, w))["kind"] == "bound"
+    assert systems == [] and frame._vectors is None
 
 
 class TestMinSynthesisNorm:
